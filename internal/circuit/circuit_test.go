@@ -231,12 +231,18 @@ func TestAncestorsMatchDFS(t *testing.T) {
 
 // --- QASM ---
 
-func TestQASMRoundTrip(t *testing.T) {
+// qasmRoundTripCircuit uses every gate kind of the vocabulary once.
+func qasmRoundTripCircuit() *Circuit {
 	c := New(4)
 	c.MustAppend(
 		NewH(0), NewX(3), NewRZ(2, 0.25),
 		NewCX(0, 1), Gate{Kind: CZ, Q0: 1, Q1: 2}, NewSwap(2, 3),
 	)
+	return c
+}
+
+func TestQASMRoundTrip(t *testing.T) {
+	c := qasmRoundTripCircuit()
 	text := QASMString(c)
 	got, err := ParseQASM(strings.NewReader(text))
 	if err != nil {
@@ -254,8 +260,9 @@ func TestQASMRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQASMParserTolerance(t *testing.T) {
-	src := `
+// qasmToleranceSrc exercises the parser's tolerance: comments, shared
+// lines, ignored statements, pi angles and operand spacing.
+const qasmToleranceSrc = `
 OPENQASM 2.0;
 include "qelib1.inc";
 // a comment line
@@ -267,7 +274,9 @@ rz(-pi) q[1];
 measure q[0] -> c[0];
 swap q[1], q[2];
 `
-	c, err := ParseQASM(strings.NewReader(src))
+
+func TestQASMParserTolerance(t *testing.T) {
+	c, err := ParseQASM(strings.NewReader(qasmToleranceSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,22 +294,24 @@ swap q[1], q[2];
 	}
 }
 
+// qasmRejects are malformed inputs ParseQASM must refuse.
+var qasmRejects = []string{
+	"cx q[0],q[1];",               // gate before qreg
+	"qreg q[2]; cx q[0],q[5];",    // out of range
+	"qreg q[2]; qreg r[2];",       // two registers
+	"qreg q[2]; frobnicate q[0];", // unknown gate
+	"qreg q[2]; cx q[0];",         // wrong arity
+	"qreg q[2]; h q[0],q[1];",     // wrong arity
+	"qreg q[2]; rz(oops) q[0];",   // bad angle
+	"qreg q[2]; cx r[0],q[1];",    // register mismatch
+	"qreg q[x];",                  // bad size
+	"",                            // no qreg at all
+	"qreg q[2]; rz(1.0 q[0];",     // unterminated params
+	"qreg q[2]; cx q[0,q[1];",     // malformed operand
+}
+
 func TestQASMParserErrors(t *testing.T) {
-	cases := []string{
-		"cx q[0],q[1];",               // gate before qreg
-		"qreg q[2]; cx q[0],q[5];",    // out of range
-		"qreg q[2]; qreg r[2];",       // two registers
-		"qreg q[2]; frobnicate q[0];", // unknown gate
-		"qreg q[2]; cx q[0];",         // wrong arity
-		"qreg q[2]; h q[0],q[1];",     // wrong arity
-		"qreg q[2]; rz(oops) q[0];",   // bad angle
-		"qreg q[2]; cx r[0],q[1];",    // register mismatch
-		"qreg q[x];",                  // bad size
-		"",                            // no qreg at all
-		"qreg q[2]; rz(1.0 q[0];",     // unterminated params
-		"qreg q[2]; cx q[0,q[1];",     // malformed operand
-	}
-	for _, src := range cases {
+	for _, src := range qasmRejects {
 		if _, err := ParseQASM(strings.NewReader(src)); err == nil {
 			t.Errorf("accepted malformed input %q", src)
 		}

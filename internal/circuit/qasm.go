@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -206,6 +207,11 @@ func parseAngle(s string) (float64, error) {
 	}
 	if neg {
 		v = -v
+	}
+	if math.IsNaN(v) {
+		// Text carries no NaN sign or payload; canonicalize so a parsed
+		// angle always survives WriteQASM → ParseQASM bit for bit.
+		v = math.NaN()
 	}
 	return v, nil
 }

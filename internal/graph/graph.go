@@ -153,6 +153,29 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
+// NeighborEdgeIDs returns, for every vertex v, the index into Edges() of
+// the edge to each neighbor, parallel to Neighbors(v). Routing engines
+// stamp candidate SWAPs on these ids instead of on an n×n pair table.
+// AddEdge appends to both adjacency lists and to the edge list in
+// lockstep, so the j-th neighbor of v is joined by the j-th edge incident
+// to v and one pass over the edges fills every row. The rows share one
+// backing array; callers must not modify them.
+func (g *Graph) NeighborEdgeIDs() [][]int32 {
+	flat := make([]int32, 2*len(g.edges))
+	out := make([][]int32, g.n)
+	off := 0
+	for v := range out {
+		d := len(g.adj[v])
+		out[v] = flat[off : off : off+d]
+		off += d
+	}
+	for i, e := range g.edges {
+		out[e.U] = append(out[e.U], int32(i))
+		out[e.V] = append(out[e.V], int32(i))
+	}
+	return out
+}
+
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)

@@ -246,6 +246,34 @@ func TestClone(t *testing.T) {
 	}
 }
 
+func TestNeighborEdgeIDsParallelNeighbors(t *testing.T) {
+	// Edges inserted in both endpoint orders and out of vertex order, so
+	// adjacency positions differ from sorted order.
+	g := mustGraph(t, 6, [][2]int{{3, 1}, {0, 5}, {1, 0}, {4, 3}, {2, 1}, {5, 4}, {0, 3}})
+	for _, h := range []*Graph{g, complete(5), path(7)} {
+		ids := h.NeighborEdgeIDs()
+		edges := h.Edges()
+		seen := make([]int, len(edges))
+		for v := 0; v < h.N(); v++ {
+			if len(ids[v]) != h.Degree(v) {
+				t.Fatalf("vertex %d: %d ids for degree %d", v, len(ids[v]), h.Degree(v))
+			}
+			for j, u := range h.Neighbors(v) {
+				id := ids[v][j]
+				if want := (Edge{U: v, V: u}).Normalize(); edges[id] != want {
+					t.Fatalf("ids[%d][%d]=%d names %v, want %v", v, j, id, edges[id], want)
+				}
+				seen[id]++
+			}
+		}
+		for id, n := range seen {
+			if n != 2 {
+				t.Fatalf("edge %d listed %d times, want 2 (once per endpoint)", id, n)
+			}
+		}
+	}
+}
+
 func TestInducedDegrees(t *testing.T) {
 	deg := InducedDegrees(5, []Edge{{0, 1}, {1, 2}, {1, 3}})
 	want := []int{1, 3, 1, 1, 0}

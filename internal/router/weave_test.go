@@ -95,6 +95,22 @@ func TestWeaveRejectsWrongSkeleton(t *testing.T) {
 	if _, err := WeaveSingleQubitGates(orig, wide); err == nil {
 		t.Error("register mismatch accepted")
 	}
+
+	// Malformed gates that circuit.Append would refuse, placed in the
+	// skeleton directly: weave must return an error, not panic.
+	orig3 := circuit.New(3)
+	orig3.MustAppend(circuit.NewH(2), circuit.NewCX(0, 1))
+	for _, g := range []circuit.Gate{
+		circuit.NewSwap(1, 1), // one qubit twice
+		circuit.NewSwap(0, 7), // outside the register
+		circuit.NewCX(0, 7),   // outside the register, not a SWAP
+	} {
+		malformed := circuit.New(3)
+		malformed.Gates = []circuit.Gate{g, circuit.NewCX(0, 1)}
+		if _, err := WeaveSingleQubitGates(orig3, malformed); err == nil {
+			t.Errorf("skeleton gate %v accepted", g)
+		}
+	}
 }
 
 func TestWeaveRejectsExtraGateInSkeleton(t *testing.T) {

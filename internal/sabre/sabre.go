@@ -423,7 +423,7 @@ func newPassEngine(dev *arch.Device, opts Options, dagN int) *passEngine {
 
 		visited:  make([]int32, dagN),
 		candSeen: make([]int32, dev.NumCouplers()),
-		nbrEdge:  neighborEdgeIDs(dev.Graph()),
+		nbrEdge:  dev.Graph().NeighborEdgeIDs(),
 		cands:    make([][2]int32, 0, dev.NumCouplers()),
 
 		extended:   make([]int, 0, es),
@@ -905,31 +905,6 @@ func (e *passEngine) collectExtendedSet(dag *circuit.DAG, front []int) []int {
 	}
 	e.extended = out
 	e.extQueue = queue[:0]
-	return out
-}
-
-// neighborEdgeIDs returns, for every physical qubit, the coupler ids
-// parallel to the graph's Neighbors order, so the candidate walk can
-// stamp a per-coupler table instead of a qubit-pair matrix.
-func neighborEdgeIDs(g *graph.Graph) [][]int32 {
-	type pair = [2]int
-	ids := make(map[pair]int32, g.M())
-	for i, ed := range g.Edges() {
-		ids[pair{ed.U, ed.V}] = int32(i)
-	}
-	out := make([][]int32, g.N())
-	for v := 0; v < g.N(); v++ {
-		nbrs := g.Neighbors(v)
-		row := make([]int32, len(nbrs))
-		for j, u := range nbrs {
-			a, b := v, u
-			if a > b {
-				a, b = b, a
-			}
-			row[j] = ids[pair{a, b}]
-		}
-		out[v] = row
-	}
 	return out
 }
 

@@ -18,6 +18,10 @@ import (
 // re-scored slices per candidate); the allocation-free engine must
 // reproduce them exactly, which guards the hot-path rewrite against
 // behavioural drift on both the seeds-varied and placed-mapping paths.
+// The decision and candidate counts were recorded from the engine that
+// rebuilt its decision state on every decision; pinning them makes
+// "the same decisions over the same candidates" a checked property of
+// the incremental engine, not just the same output.
 type goldenCase struct {
 	name   string
 	device func() *arch.Device
@@ -28,20 +32,22 @@ type goldenCase struct {
 	placed bool   // route via RouteFrom from the planted optimal mapping
 	want   int    // expected SwapCount
 	print  uint64 // FNV-1a fingerprint of mapping + gates
+	decide int64  // expected Counters().Decisions
+	cands  int64  // expected Counters().Candidates
 }
 
 func goldenCases() []goldenCase {
 	return []goldenCase{
 		{name: "aspen4-route", device: arch.RigettiAspen4, swaps: 5, gates: 300, seed: 9,
-			opts: tket.Options{Seed: 7}, want: 206, print: 0xef86cabb47cc8da3},
+			opts: tket.Options{Seed: 7}, want: 206, print: 0xef86cabb47cc8da3, decide: 206, cands: 1234},
 		{name: "sycamore54-route", device: arch.GoogleSycamore54, swaps: 8, gates: 500, seed: 11,
-			opts: tket.Options{Seed: 13}, want: 722, print: 0x7a4d3acaa86217cf},
+			opts: tket.Options{Seed: 13}, want: 722, print: 0x7a4d3acaa86217cf, decide: 722, cands: 11894},
 		{name: "eagle127-route", device: arch.IBMEagle127, swaps: 5, gates: 600, seed: 17,
-			opts: tket.Options{Seed: 21}, want: 2761, print: 0x6db4188bbc20603e},
+			opts: tket.Options{Seed: 21}, want: 2761, print: 0x6db4188bbc20603e, decide: 2713, cands: 35540},
 		{name: "aspen4-placed", device: arch.RigettiAspen4, swaps: 5, gates: 300, seed: 9,
-			opts: tket.Options{Seed: 7}, placed: true, want: 5, print: 0xa0fedd87312ab5f7},
+			opts: tket.Options{Seed: 7}, placed: true, want: 5, print: 0xa0fedd87312ab5f7, decide: 5, cands: 23},
 		{name: "eagle127-placed", device: arch.IBMEagle127, swaps: 5, gates: 600, seed: 17,
-			opts: tket.Options{Seed: 21}, placed: true, want: 5, print: 0x5c6d565818b13eea},
+			opts: tket.Options{Seed: 21}, placed: true, want: 5, print: 0x5c6d565818b13eea, decide: 5, cands: 21},
 	}
 }
 
@@ -86,6 +92,10 @@ func TestGoldenCorpus(t *testing.T) {
 			if res.SwapCount != gc.want || fingerprint(res) != gc.print {
 				t.Errorf("swaps=%d print=%#x, pre-refactor engine produced swaps=%d print=%#x",
 					res.SwapCount, fingerprint(res), gc.want, gc.print)
+			}
+			if c := r.Counters(); c.Decisions != gc.decide || c.Candidates != gc.cands || c.Restarts != 1 {
+				t.Errorf("counters %+v, rebuild-per-decision engine made %d decisions over %d candidates in 1 restart",
+					c, gc.decide, gc.cands)
 			}
 		})
 	}

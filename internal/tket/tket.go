@@ -12,14 +12,17 @@
 // t|ket⟩'s large optimality gap in the paper, and is reproduced here.
 //
 // The swap-decision loop is allocation-free in steady state, in the
-// same style as the SABRE engine (see docs/performance.md): per-qubit
-// gate lists and candidate dedup live in epoch-stamped scratch reused
-// across decisions, and each candidate swap is scored as an integer
-// distance delta over the few gates touching the swapped qubits rather
-// than re-summing every slice. Sums stay in integers until the final
-// discount weighting, so scores — and therefore routing decisions —
-// are bit-identical to the straightforward evaluation (pinned by
-// TestGoldenCorpus).
+// same style as the SABRE engine (see docs/performance.md). Its state is
+// keyed to the pending set: one record per scored gate (endpoints, slice
+// depth, current distance), threaded onto the per-qubit lists of both
+// endpoints, plus per-depth integer base sums. It is rebuilt only when
+// the pending set changes and is updated in place after an accepted
+// swap, by re-measuring the gates on the two qubits that moved. Each
+// candidate swap is scored positionally — each qubit read at the other's
+// location — as an integer distance delta over those same gates. Sums
+// stay in integers until the final discount weighting, so scores — and
+// therefore routing decisions — are bit-identical to the straightforward
+// evaluation (pinned by TestGoldenCorpus).
 package tket
 
 import (
@@ -131,30 +134,38 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	// immutable, so pointer identity suffices): matching on size alone
 	// would reuse another same-size device's adjacency and distances.
 	if r.eng == nil || r.eng.g != dev.Graph() {
-		r.eng = newEngine(dev, r.opts.LookaheadSlices)
+		r.eng = newEngine(dev, r.opts)
 	}
 	e := r.eng
 	e.check.Reset(ctx)
 
 	g := e.g
 	dist := e.dist
-	out := circuit.New(skeleton.NumQubits)
+	// The routed skeleton holds every DAG gate plus the SWAPs; twice the
+	// gate count is a first guess at its size, and append grows past it.
+	out := &circuit.Circuit{NumQubits: skeleton.NumQubits, Gates: make([]circuit.Gate, 0, 2*len(skeleton.Gates))}
 	swaps := 0
 
 	for si := 0; si < len(slices); si++ {
 		e.pending = append(e.pending[:0], slices[si]...)
 		pending := e.pending
+		// dirty marks the decision state stale: set whenever the pending
+		// set changes (a new slice, progress) or qubits move outside an
+		// accepted swap (a forced shortest-path step).
+		dirty := true
 		for len(pending) > 0 {
 			if e.check.Tick() {
 				return nil, fmt.Errorf("tket: %w", e.check.Err())
 			}
-			// Emit everything currently executable in this slice.
+			// Emit everything currently executable in this slice. DAG
+			// gates are valid by construction, so they are appended
+			// directly.
 			progressed := false
 			rest := pending[:0]
 			for _, v := range pending {
 				gt := dag.Gate(v)
 				if g.HasEdge(lay.m[gt.Q0], lay.m[gt.Q1]) {
-					out.MustAppend(gt)
+					out.Gates = append(out.Gates, gt)
 					progressed = true
 				} else {
 					rest = append(rest, v)
@@ -165,25 +176,24 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 				break
 			}
 			if progressed {
+				dirty = true
 				continue
 			}
 
-			// Greedy SWAP choice: candidates touch an active qubit. The
-			// decision opens an epoch; base slice-distance sums and the
-			// per-qubit gate lists are built once, then every candidate
-			// is scored as an integer delta over the gates touching its
-			// two qubits.
-			e.beginDecision(pending, slices, si, dag, lay, r.opts.LookaheadSlices)
-			cands := e.collectCandidates(pending, dag, lay)
+			// Greedy SWAP choice: candidates are the couplers touching a
+			// pending qubit, each scored as an integer delta over the
+			// gates on its two qubits.
+			if dirty {
+				e.rebuild(pending, slices, si, dag, lay)
+				dirty = false
+			}
+			cands := e.collectCandidates(lay)
 			r.stats.Decisions++
 			r.stats.Candidates += int64(len(cands))
 			bestIdx, bestScore := -1, 0.0
 			var bestDelta0 int64
 			for ci := range cands {
-				a, b := int(cands[ci][0]), int(cands[ci][1])
-				lay.swap(a, b)
-				score, d0 := e.scoreCandidate(a, b, slices, si, dag, lay, r.opts)
-				lay.swap(a, b)
+				score, d0 := e.score(int(cands[ci][0]), int(cands[ci][1]), lay)
 				if bestIdx == -1 || score < bestScore || (score == bestScore && rng.Intn(2) == 0) {
 					bestIdx, bestScore, bestDelta0 = ci, score, d0
 				}
@@ -203,18 +213,20 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 					for _, pn := range g.Neighbors(p0) {
 						if dist.At(pn, p1) < dist.At(p0, p1) {
 							qn := lay.inv[pn]
-							out.MustAppend(circuit.NewSwap(gt.Q0, qn))
+							out.Gates = append(out.Gates, circuit.NewSwap(gt.Q0, qn))
 							swaps++
 							lay.swap(gt.Q0, qn)
 							break
 						}
 					}
 				}
+				dirty = true
 				continue
 			}
-			cd := cands[bestIdx]
-			lay.swap(int(cd[0]), int(cd[1]))
-			out.MustAppend(circuit.NewSwap(int(cd[0]), int(cd[1])))
+			a, b := int(cands[bestIdx][0]), int(cands[bestIdx][1])
+			lay.swap(a, b)
+			e.moved(a, b, lay)
+			out.Gates = append(out.Gates, circuit.NewSwap(a, b))
 			swaps++
 		}
 	}
@@ -244,124 +256,149 @@ func (l *layout) swap(qa, qb int) {
 	l.inv[pa], l.inv[pb] = qb, qa
 }
 
-// engine holds the decision loop's scratch. Everything is either
-// epoch-stamped (compared against the per-decision epoch instead of
-// being cleared) or length-reset with its backing array retained, so a
-// steady-state swap decision performs zero heap allocations.
+// engine holds the decision loop's scratch. Everything is epoch-stamped
+// (compared against the per-decision epoch instead of being cleared),
+// length-reset with its backing array retained, or reset through the
+// records that set it, so a steady-state swap decision performs zero
+// heap allocations.
 type engine struct {
 	g    *graph.Graph
 	dist *graph.DistanceMatrix
-	nQ   int // device qubit count == padded register size
+
+	lookahead int     // Options.LookaheadSlices
+	discount  float64 // Options.LookaheadDiscount
 
 	// check polls for cancellation once per routing iteration; the zero
 	// value (direct engine users, background contexts) is inert.
 	check router.CtxChecker
 
-	// epoch increments once per swap decision.
+	// Candidate dedup: epoch increments once per swap decision and
+	// candSeen stamps coupler ids. Under the padded layout every physical
+	// qubit is occupied, so program pairs and couplers are in bijection
+	// and the stamp admits exactly the pairs a pair table would, in the
+	// same first-seen order.
 	epoch    int32
-	candSeen []int32    // program-qubit pair (a*nQ+b) -> epoch it was emitted
+	candSeen []int32    // coupler id -> epoch it was emitted
+	nbrEdge  [][]int32  // physical qubit -> coupler ids parallel to Neighbors
 	cands    [][2]int32 // candidate swaps (program qubits, a < b)
 
-	// Per-qubit lists of the gates scored this decision, as a node pool:
-	// node -> (DAG gate, slice depth, distance at decision start).
-	listHead  []int32 // program qubit -> head node (-1 ends), valid when listStamp == epoch
-	listStamp []int32
-	nodeGate  []int32
-	nodeDepth []int32
-	nodeOld   []int32
-	nodeNext  []int32
-
-	// base[d] is the decision-start distance sum of slice depth d
-	// (0 = the pending remainder of the current slice); delta[d] is the
-	// per-candidate adjustment. Sums stay integral until weighting.
-	base  []int64
-	delta []int64
+	// Decision state, keyed to the pending set. recs holds the pending
+	// gates (depth 0, in pending order) then the lookahead slices; each
+	// record is threaded onto both endpoints' lists. base[d] is the
+	// current distance sum of depth d and delta[d] a candidate's change
+	// to it; sums stay integral until weighting.
+	recs     []gateRec
+	nPending int     // recs[:nPending] are the pending gates
+	head     []int32 // program qubit -> first list node (-1: no scored gate)
+	depths   int     // lookahead depths in range of the current slice
+	base     []int64
+	delta    []int64
 
 	pending []int // current-slice worklist (backing reused across slices)
 }
 
-func newEngine(dev *arch.Device, lookahead int) *engine {
+// gateRec is one scored gate. Its list nodes are 2i, on q[0]'s list, and
+// 2i+1, on q[1]'s, so a node names both its record and its endpoint.
+type gateRec struct {
+	q     [2]int32 // program-qubit endpoints
+	next  [2]int32 // next node on q[k]'s list (-1 ends)
+	depth int32    // 0 = pending, d = slice si+d
+	dist  int32    // distance under the current layout
+}
+
+func newEngine(dev *arch.Device, opts Options) *engine {
 	nQ := dev.NumQubits()
+	head := make([]int32, nQ)
+	for i := range head {
+		head[i] = -1
+	}
 	return &engine{
 		g:         dev.Graph(),
 		dist:      dev.Distances(),
-		nQ:        nQ,
-		candSeen:  make([]int32, nQ*nQ),
+		lookahead: opts.LookaheadSlices,
+		discount:  opts.LookaheadDiscount,
+		candSeen:  make([]int32, dev.NumCouplers()),
+		nbrEdge:   dev.Graph().NeighborEdgeIDs(),
 		cands:     make([][2]int32, 0, dev.NumCouplers()),
-		listHead:  make([]int32, nQ),
-		listStamp: make([]int32, nQ),
-		base:      make([]int64, lookahead+1),
-		delta:     make([]int64, lookahead+1),
+		// A slice's gates are qubit-disjoint, so each depth holds at most
+		// nQ/2 of them.
+		recs:  make([]gateRec, 0, (opts.LookaheadSlices+1)*(nQ/2)),
+		head:  head,
+		base:  make([]int64, opts.LookaheadSlices+1),
+		delta: make([]int64, opts.LookaheadSlices+1),
 	}
 }
 
-// beginDecision opens a new decision epoch and records the base
-// distance sums and per-qubit gate lists for the pending gates and the
-// lookahead slices.
-func (e *engine) beginDecision(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *layout, lookahead int) {
-	e.epoch++
-	for i := range e.base {
-		e.base[i] = 0
+// rebuild records the pending gates and the lookahead slices of slice si
+// under the current layout, replacing the previous pending set's state.
+func (e *engine) rebuild(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *layout) {
+	for i := range e.recs {
+		e.head[e.recs[i].q[0]], e.head[e.recs[i].q[1]] = -1, -1
 	}
-	e.nodeGate = e.nodeGate[:0]
-	e.nodeDepth = e.nodeDepth[:0]
-	e.nodeOld = e.nodeOld[:0]
-	e.nodeNext = e.nodeNext[:0]
-	e.addSlice(pending, 0, dag, lay)
-	for d := 1; d <= lookahead && si+d < len(slices); d++ {
-		e.addSlice(slices[si+d], d, dag, lay)
+	e.recs = e.recs[:0]
+	clear(e.base)
+	e.depths = min(e.lookahead, len(slices)-1-si)
+	e.add(pending, 0, dag, lay)
+	e.nPending = len(pending)
+	for d := 1; d <= e.depths; d++ {
+		e.add(slices[si+d], d, dag, lay)
 	}
 }
 
-func (e *engine) addSlice(gates []int, depth int, dag *circuit.DAG, lay *layout) {
-	ep := e.epoch
-	dist := e.dist
+func (e *engine) add(gates []int, depth int, dag *circuit.DAG, lay *layout) {
 	for _, v := range gates {
 		gt := dag.Gate(v)
-		d := int64(dist.At(lay.m[gt.Q0], lay.m[gt.Q1]))
-		e.base[depth] += d
-		for k := 0; k < 2; k++ {
-			q := gt.Q0
-			if k == 1 {
-				q = gt.Q1
-			}
-			if e.listStamp[q] != ep {
-				e.listStamp[q] = ep
-				e.listHead[q] = -1
-			}
-			node := int32(len(e.nodeGate))
-			e.nodeGate = append(e.nodeGate, int32(v))
-			e.nodeDepth = append(e.nodeDepth, int32(depth))
-			e.nodeOld = append(e.nodeOld, int32(d))
-			e.nodeNext = append(e.nodeNext, e.listHead[q])
-			e.listHead[q] = node
+		d := int32(e.dist.At(lay.m[gt.Q0], lay.m[gt.Q1]))
+		e.base[depth] += int64(d)
+		node := 2 * int32(len(e.recs))
+		e.recs = append(e.recs, gateRec{
+			q:     [2]int32{int32(gt.Q0), int32(gt.Q1)},
+			next:  [2]int32{e.head[gt.Q0], e.head[gt.Q1]},
+			depth: int32(depth),
+			dist:  d,
+		})
+		e.head[gt.Q0], e.head[gt.Q1] = node, node+1
+	}
+}
+
+// moved re-measures the gates on program qubits a and b after they
+// swapped locations in lay, so every record distance and base sum again
+// equals a rebuild under the new layout. No other gate's distance
+// changed; a gate on exactly (a, b) is visited twice, the second time
+// with nothing left to update.
+func (e *engine) moved(a, b int, lay *layout) {
+	for _, q := range [2]int{a, b} {
+		for node := e.head[q]; node >= 0; {
+			rec := &e.recs[node>>1]
+			d := int32(e.dist.At(lay.m[rec.q[0]], lay.m[rec.q[1]]))
+			e.base[rec.depth] += int64(d - rec.dist)
+			rec.dist = d
+			node = rec.next[node&1]
 		}
 	}
 }
 
 // collectCandidates returns the program-qubit pairs of coupler edges
-// touching a qubit active in the pending gates, in first-seen order.
-// Dedup is an epoch stamp on the pair, not a map.
-func (e *engine) collectCandidates(pending []int, dag *circuit.DAG, lay *layout) [][2]int32 {
+// touching a qubit of a pending gate, in first-seen order.
+func (e *engine) collectCandidates(lay *layout) [][2]int32 {
+	e.epoch++
 	ep := e.epoch
+	seen, m, inv := e.candSeen, lay.m, lay.inv
 	cands := e.cands[:0]
-	for _, v := range pending {
-		gt := dag.Gate(v)
-		for k := 0; k < 2; k++ {
-			q := gt.Q0
-			if k == 1 {
-				q = gt.Q1
-			}
-			for _, pn := range e.g.Neighbors(lay.m[q]) {
-				qn := lay.inv[pn]
-				a, b := q, qn
+	for _, rec := range e.recs[:e.nPending] {
+		for _, q := range rec.q {
+			p := m[q]
+			eids := e.nbrEdge[p]
+			for j, pn := range e.g.Neighbors(p) {
+				if seen[eids[j]] == ep {
+					continue
+				}
+				seen[eids[j]] = ep
+				a, b := q, int32(inv[pn])
 				if a > b {
 					a, b = b, a
 				}
-				if e.candSeen[a*e.nQ+b] != ep {
-					e.candSeen[a*e.nQ+b] = ep
-					cands = append(cands, [2]int32{int32(a), int32(b)})
-				}
+				cands = append(cands, [2]int32{a, b})
 			}
 		}
 	}
@@ -369,41 +406,48 @@ func (e *engine) collectCandidates(pending []int, dag *circuit.DAG, lay *layout)
 	return cands
 }
 
-// scoreCandidate evaluates the discounted slice-distance score with the
-// candidate swap of program qubits a and b already applied to lay. Only
-// the gates in a's and b's lists can have moved; a gate on exactly
-// (a, b) appears in both lists with a zero delta, so no dedup is
-// needed. The weighted total replays the exact float operation order of
-// the direct evaluation over the integer sums, so scores are
-// bit-identical. The returned delta0 is the current-slice change — the
-// strict-improvement test the caller applies.
-func (e *engine) scoreCandidate(a, b int, slices [][]int, si int, dag *circuit.DAG, lay *layout, opts Options) (float64, int64) {
-	ep := e.epoch
-	for i := range e.delta {
-		e.delta[i] = 0
-	}
-	dist := e.dist
-	for k := 0; k < 2; k++ {
-		q := a
-		if k == 1 {
-			q = b
+// score evaluates the discounted slice-distance score of swapping
+// program qubits a and b, positionally: a is read at b's location, b at
+// a's, and the layout itself is never touched. Only the gates on a's and
+// b's lists can move; a gate on exactly (a, b) appears in both with a
+// zero delta, so no dedup is needed. The weighted total replays the
+// exact float operation order of the direct evaluation over the integer
+// sums, so scores are bit-identical. The returned delta0 is the
+// current-slice change — the strict-improvement test the caller applies.
+func (e *engine) score(a, b int, lay *layout) (float64, int64) {
+	recs, delta, m := e.recs, e.delta, lay.m
+	clear(delta)
+	pa, pb := m[a], m[b]
+	rowA, rowB := e.dist.Row(pa), e.dist.Row(pb)
+	for node := e.head[a]; node >= 0; {
+		rec := &recs[node>>1]
+		k := node & 1
+		o := int(rec.q[k^1])
+		po := m[o]
+		if o == b {
+			po = pa
 		}
-		if e.listStamp[q] != ep {
-			continue
-		}
-		for node := e.listHead[q]; node != -1; node = e.nodeNext[node] {
-			gt := dag.Gate(int(e.nodeGate[node]))
-			nd := int64(dist.At(lay.m[gt.Q0], lay.m[gt.Q1]))
-			e.delta[e.nodeDepth[node]] += nd - int64(e.nodeOld[node])
-		}
+		delta[rec.depth] += int64(rowB[po] - rec.dist)
+		node = rec.next[k]
 	}
-	total := float64(e.base[0] + e.delta[0])
-	w := opts.LookaheadDiscount
-	for d := 1; d <= opts.LookaheadSlices && si+d < len(slices); d++ {
-		total += w * float64(e.base[d]+e.delta[d])
-		w *= opts.LookaheadDiscount
+	for node := e.head[b]; node >= 0; {
+		rec := &recs[node>>1]
+		k := node & 1
+		o := int(rec.q[k^1])
+		po := m[o]
+		if o == a {
+			po = pb
+		}
+		delta[rec.depth] += int64(rowA[po] - rec.dist)
+		node = rec.next[k]
 	}
-	return total, e.delta[0]
+	total := float64(e.base[0] + delta[0])
+	w := e.discount
+	for d := 1; d <= e.depths; d++ {
+		total += w * float64(e.base[d]+delta[d])
+		w *= e.discount
+	}
+	return total, delta[0]
 }
 
 // place produces the initial mapping: program qubits in decreasing
