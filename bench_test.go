@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -38,7 +39,7 @@ func benchFigure(b *testing.B, dev *arch.Device, gates int) {
 	var lastGap float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig, err := harness.RunFigure(cfg, tools)
+		fig, err := harness.RunFigureCtx(context.Background(), cfg, tools, harness.EvalConfig{Seed: cfg.Seed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func BenchmarkOptimalityStudy(b *testing.B) {
 	verified := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunOptimalityStudy(cfg)
+		rows, err := harness.RunOptimalityStudyCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func BenchmarkAbstractGaps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var figs []*harness.Figure
 		for _, cfg := range cfgs {
-			fig, err := harness.RunFigure(cfg, tools)
+			fig, err := harness.RunFigureCtx(context.Background(), cfg, tools, harness.EvalConfig{Seed: cfg.Seed})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -184,7 +185,7 @@ func benchRoute(b *testing.B, mk func(seed int64) router.Router, dev *arch.Devic
 	var gap float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := mk(int64(i)).Route(bench.Circuit, dev)
+		res, err := router.RouteWithContext(context.Background(), mk(int64(i)), bench.Circuit, dev)
 		if err != nil {
 			b.Fatal(err)
 		}

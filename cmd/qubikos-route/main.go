@@ -84,10 +84,8 @@ func main() {
 		fatal(err)
 	}
 
-	// The routing honours SIGINT/SIGTERM through one context; routers
-	// that implement the ctx-aware interfaces stop mid-search, legacy
-	// ones are at least refused up front when the budget is already
-	// spent.
+	// The routing honours SIGINT/SIGTERM through one context, which every
+	// router polls mid-search.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -130,19 +128,15 @@ func main() {
 	sp, ctx := obs.Begin(ctx, "route", *tool)
 	sp.Arg("instance", *base)
 
-	var res *router.Result
+	var initial router.Mapping
 	if *fromOptimal {
-		pr, ok := r.(router.PlacedRouter)
-		if !ok {
-			fatal(fmt.Errorf("tool %q cannot route from a fixed mapping", *tool))
-		}
-		if err := ctx.Err(); err != nil {
-			fatal(err)
-		}
-		res, err = pr.RouteFrom(inst.Circuit, inst.Device, router.Mapping(inst.Meta.InitialMapping))
-	} else {
-		res, err = router.RouteWithContext(ctx, r, inst.Circuit, inst.Device)
+		initial = router.Mapping(inst.Meta.InitialMapping)
 	}
+	p, err := router.Prepare(inst.Circuit, inst.Device)
+	if err != nil {
+		fatal(err)
+	}
+	res, err := r.Route(ctx, p, initial)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			fatal(fmt.Errorf("routing exceeded the -timeout budget %v", *timeout))

@@ -85,6 +85,15 @@ func TestCommandPipeline(t *testing.T) {
 	if !strings.Contains(out, "routing from the optimal mapping") {
 		t.Fatalf("route -from-optimal output unexpected:\n%s", out)
 	}
+	// -timeout bounds routing from the optimal mapping too: an
+	// over-budget run exits non-zero with the budget message instead of
+	// finishing past its deadline.
+	cmd := exec.Command(filepath.Join(bins, "qubikos-route"),
+		"-dir", work, "-base", base, "-tool", "lightsabre", "-trials", "100000",
+		"-from-optimal", "-timeout", "50ms")
+	if b, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(b), "exceeded the -timeout budget") {
+		t.Fatalf("route -from-optimal -timeout 50ms: err=%v, want a non-zero exit with the budget message\n%s", err, b)
+	}
 
 	// Exact verification of the stored QASM against its claimed optimum.
 	out = run(t, filepath.Join(bins, "qubikos-verify"),

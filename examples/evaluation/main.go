@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -36,7 +37,7 @@ func main() {
 
 	var figs []*harness.Figure
 	for _, cfg := range suites {
-		fig, err := harness.RunFigure(cfg, tools)
+		fig, err := harness.RunFigureCtx(context.Background(), cfg, tools, harness.EvalConfig{Seed: cfg.Seed})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,7 +17,7 @@ import (
 func main() {
 	cfg := harness.DefaultOptimalityConfig(3 /* circuits per cell; paper: 100 */, 7)
 	fmt.Println("verifying QUBIKOS optimality with the exact SAT solver...")
-	rows, err := harness.RunOptimalityStudy(cfg)
+	rows, err := harness.RunOptimalityStudyCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

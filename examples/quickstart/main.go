@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 
 	// Route it with LightSABRE (32 random-restart trials).
 	tool := sabre.New(sabre.Options{Trials: 32, Seed: 7})
-	res, err := tool.Route(bench.Circuit, dev)
+	res, err := router.RouteWithContext(context.Background(), tool, bench.Circuit, dev)
 	if err != nil {
 		log.Fatal(err)
 	}

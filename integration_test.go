@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,7 +41,7 @@ func TestEndToEndPipeline(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, spec := range tools {
-				res, err := spec.Make(5).Route(b.Circuit, dev)
+				res, err := router.RouteWithContext(context.Background(), spec.Make(5), b.Circuit, dev)
 				if err != nil {
 					t.Fatalf("%s: %v", spec.Name, err)
 				}
@@ -109,7 +110,7 @@ func TestEndToEndInstanceFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	tool := harness.DefaultTools(4)[0]
-	res, err := tool.Make(3).Route(li.Circuit, li.Device)
+	res, err := router.RouteWithContext(context.Background(), tool.Make(3), li.Circuit, li.Device)
 	if err != nil {
 		t.Fatal(err)
 	}

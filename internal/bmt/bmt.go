@@ -15,6 +15,8 @@
 package bmt
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/arch"
@@ -113,13 +115,19 @@ func (r *Router) segmentize(skeleton *circuit.Circuit, gc *graph.Graph) ([]segme
 	return segments, nil
 }
 
-// Route implements router.Router.
-func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	if c.NumQubits > dev.NumQubits() {
-		return nil, fmt.Errorf("bmt: circuit needs %d qubits, device has %d", c.NumQubits, dev.NumQubits())
+// Route implements router.Router. The tool places every segment itself,
+// so it cannot route from a fixed initial mapping. Its search does not
+// poll ctx: a context that is already done is refused up front.
+func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("bmt: %w", err)
 	}
-	work := router.PadToDevice(c, dev)
-	skeleton := router.TwoQubitSkeleton(work)
+	if initial != nil {
+		return nil, errors.New("bmt: cannot route from a fixed initial mapping")
+	}
+	dev := p.Device
+	work := p.Padded
+	skeleton := p.Skeleton
 	gc := dev.Graph()
 	nQ := skeleton.NumQubits
 
@@ -146,8 +154,8 @@ func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, er
 	// device's cached distance matrix backs every transition — the
 	// solver no longer re-runs an all-pairs BFS per segment boundary.
 	out := circuit.New(nQ)
-	initial := segments[0].mapping.Clone()
-	cur := initial.Clone()
+	placed := segments[0].mapping.Clone()
+	cur := placed.Clone()
 	swaps := 0
 	for si, seg := range segments {
 		if si > 0 {
@@ -173,7 +181,7 @@ func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, er
 	}
 	return &router.Result{
 		Tool:           r.Name(),
-		InitialMapping: initial,
+		InitialMapping: placed,
 		Transpiled:     woven,
 		SwapCount:      swaps,
 		Trials:         1,

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/arch"
-	"repro/internal/circuit"
 	"repro/internal/router"
 )
 
@@ -53,14 +51,12 @@ const (
 var ErrInjected = errors.New("chaos: injected tool failure")
 
 // ErrReleased reports a HangUntilCancel hang that was broken by Release
-// rather than by cancellation (the escape hatch for exercising the
-// uncancellable legacy path without wedging the test binary).
+// rather than by cancellation (the escape hatch for exercising an
+// uncancellable context without wedging the test binary).
 var ErrReleased = errors.New("chaos: hang released without cancellation")
 
-// Router wraps an inner QLS tool with one injected fault. It implements
-// the full cancellable contract (router.RouterCtx and
-// router.PreparedRouterCtx), so it passes through every dispatch path
-// the harness uses for real tools.
+// Router wraps an inner QLS tool with one injected fault. It is a
+// router.Router like any real tool, so it passes through the same guard.
 type Router struct {
 	Inner router.Router
 	Mode  Mode
@@ -81,11 +77,6 @@ type Router struct {
 	// count survives across fresh per-race Router instances.
 	FirstN *FlakyGate
 }
-
-var (
-	_ router.RouterCtx         = (*Router)(nil)
-	_ router.PreparedRouterCtx = (*Router)(nil)
-)
 
 // Name labels the wrapper with its inner tool so chaos rows are
 // recognizable in logs and figures.
@@ -143,26 +134,13 @@ func (r *Router) corrupt(res *router.Result) *router.Result {
 	return &bad
 }
 
-// Route implements router.Router; an injected hang with no Release (and
-// no context to fire) blocks forever, as a wedged tool would.
-func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
-}
-
-// RouteCtx implements router.RouterCtx.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
+// Route implements router.Router: the injected fault first, then the
+// inner tool. An injected hang with no Release under a context that
+// cannot fire blocks forever, as a wedged tool would.
+func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
 	if err := r.fault(ctx); err != nil {
 		return nil, fmt.Errorf("%s: %w", r.Name(), err)
 	}
-	res, err := router.RouteWithContext(ctx, r.Inner, c, dev)
-	return r.corrupt(res), err
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx.
-func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
-	if err := r.fault(ctx); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.Name(), err)
-	}
-	res, err := router.RoutePreparedWithContext(ctx, r.Inner, p)
+	res, err := r.Inner.Route(ctx, p, initial)
 	return r.corrupt(res), err
 }

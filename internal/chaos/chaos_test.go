@@ -37,7 +37,7 @@ func bench(t *testing.T, mode Mode) (*Router, *router.Prepared) {
 
 func TestPassDelegatesAndWrongResultFailsValidation(t *testing.T) {
 	r, p := bench(t, Pass)
-	res, err := r.RoutePreparedCtx(context.Background(), p)
+	res, err := r.Route(context.Background(), p, nil)
 	if err != nil {
 		t.Fatalf("Pass mode errored: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestPassDelegatesAndWrongResultFailsValidation(t *testing.T) {
 	}
 
 	r.Mode = WrongResult
-	bad, err := r.RoutePreparedCtx(context.Background(), p)
+	bad, err := r.Route(context.Background(), p, nil)
 	if err != nil {
 		t.Fatalf("WrongResult mode errored: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestHangUntilCancelHonoursBothExits(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := r.RoutePreparedCtx(ctx, p); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := r.Route(ctx, p, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("hang broken by deadline returned %v, want DeadlineExceeded", err)
 	}
 
@@ -73,7 +73,7 @@ func TestHangUntilCancelHonoursBothExits(t *testing.T) {
 	r.Release = release
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Route(p.Circuit, p.Device) // uncancellable legacy path
+		_, err := r.Route(context.Background(), p, nil) // a context that cannot fire
 		done <- err
 	}()
 	select {
@@ -92,17 +92,17 @@ func TestDelayFailAndPanicModes(t *testing.T) {
 	r.Sleep = 30 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := r.RoutePreparedCtx(ctx, p); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := r.Route(ctx, p, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("delay under deadline returned %v, want DeadlineExceeded", err)
 	}
 
 	r.Mode, r.Sleep = Fail, 0
-	if _, err := r.RoutePreparedCtx(context.Background(), p); !errors.Is(err, ErrInjected) {
+	if _, err := r.Route(context.Background(), p, nil); !errors.Is(err, ErrInjected) {
 		t.Errorf("Fail mode returned %v, want ErrInjected", err)
 	}
 	custom := errors.New("disk on fire")
 	r.Err = custom
-	if _, err := r.RoutePreparedCtx(context.Background(), p); !errors.Is(err, custom) {
+	if _, err := r.Route(context.Background(), p, nil); !errors.Is(err, custom) {
 		t.Errorf("Fail mode with custom Err returned %v, want it wrapped", err)
 	}
 
@@ -113,6 +113,6 @@ func TestDelayFailAndPanicModes(t *testing.T) {
 				t.Error("Panic mode did not panic")
 			}
 		}()
-		r.RoutePreparedCtx(context.Background(), p) //nolint:errcheck
+		r.Route(context.Background(), p, nil) //nolint:errcheck
 	}()
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -43,7 +44,7 @@ func PaddingAblation(dev *arch.Device, numSwaps int, totals []int, circuits int,
 				return nil, err
 			}
 			r := sabre.New(sabre.Options{Trials: trials, Seed: seed})
-			res, err := r.Route(b.Circuit, b.Device)
+			res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
 			if err != nil {
 				return nil, err
 			}
@@ -80,7 +81,7 @@ func TrialsAblation(dev *arch.Device, numSwaps, gates int, trialSweep []int, cir
 		pt := AblationPoint{X: float64(trials)}
 		for _, b := range benches {
 			r := sabre.New(sabre.Options{Trials: trials, Seed: seed})
-			res, err := r.Route(b.Circuit, b.Device)
+			res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
 			if err != nil {
 				return nil, err
 			}
@@ -115,7 +116,7 @@ func ExtendedSetAblation(dev *arch.Device, numSwaps, gates int, sizes []int, cir
 		pt := AblationPoint{X: float64(size)}
 		for _, b := range benches {
 			r := sabre.New(sabre.Options{Trials: trials, ExtendedSetSize: size, Seed: seed})
-			res, err := r.Route(b.Circuit, b.Device)
+			res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
 			if err != nil {
 				return nil, err
 			}

@@ -97,14 +97,14 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 	// uniform lookahead and capture decisions.
 	for i, b := range benches {
 		var steps []sabre.TraceStep
-		r := sabre.NewFixedMapping(sabre.Options{
+		r := sabre.New(sabre.Options{
 			Trials: 1,
 			Seed:   cfg.Seed,
 			Trace: func(ts sabre.TraceStep) {
 				steps = append(steps, ts)
 			},
-		}, paddedMapping(b, dev))
-		out, err := r.Route(b.Circuit, dev)
+		})
+		out, err := routePlanted(r, b)
 		if err != nil {
 			return nil, err
 		}
@@ -132,12 +132,12 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 	for _, decay := range cfg.DecaySweep {
 		line := DecayLine{Decay: decay}
 		for _, b := range benches {
-			r := sabre.NewFixedMapping(sabre.Options{
+			r := sabre.New(sabre.Options{
 				Trials:         1,
 				Seed:           cfg.Seed,
 				LookaheadDecay: decay,
-			}, paddedMapping(b, dev))
-			out, err := r.Route(b.Circuit, dev)
+			})
+			out, err := routePlanted(r, b)
 			if err != nil {
 				return nil, err
 			}
@@ -152,26 +152,6 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 		res.DecayLines = append(res.DecayLines, line)
 	}
 	return res, nil
-}
-
-// paddedMapping extends the benchmark's planted mapping to the device
-// register (identity on any ancilla; QUBIKOS instances are full-width so
-// this is a clone).
-func paddedMapping(b *qubikos.Benchmark, dev *arch.Device) router.Mapping {
-	m := b.InitialMapping.Clone()
-	if len(m) == dev.NumQubits() {
-		return m
-	}
-	used := make([]bool, dev.NumQubits())
-	for _, p := range m {
-		used[p] = true
-	}
-	for p := 0; p < dev.NumQubits(); p++ {
-		if !used[p] {
-			m = append(m, p)
-		}
-	}
-	return m
 }
 
 // pickIllustrativeDecision selects a decision where the chosen swap won

@@ -105,7 +105,7 @@ func TestStoredEvalPanicBecomesRowError(t *testing.T) {
 
 	var mu sync.Mutex
 	rowErrs := map[string][]string{}
-	fig, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:    cfg.Seed,
 		Workers: 2,
 		OnRow: func(r suite.Row) {
@@ -143,7 +143,7 @@ func TestStoredEvalWrongResultAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	tools := []ToolSpec{chaosSpec("liar", chaos.WrongResult, nil)}
-	_, err = RunStoredEval(store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
+	_, err = RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
 	if err == nil || !strings.Contains(err.Error(), "invalid result") {
 		t.Fatalf("err = %v, want invalid-result abort", err)
 	}
@@ -197,7 +197,7 @@ func TestStoredEvalCancelledMidRunResumes(t *testing.T) {
 	}
 }
 
-// The inline (EvaluateItems) path shares the same guard: hangs time out
+// The inline (EvaluateItemsCtx) path shares the same guard: hangs time out
 // into cell failures, and a pre-cancelled context is a hard error.
 func TestEvaluateItemsCtxTimeoutAndCancel(t *testing.T) {
 	cfg := tinyCfg()
@@ -227,7 +227,7 @@ func TestEvaluateItemsCtxTimeoutAndCancel(t *testing.T) {
 	}
 }
 
-// routeOneCtx unit coverage: the Delay mode finishes under a generous
+// routeOne unit coverage: the Delay mode finishes under a generous
 // timeout (slow is not dead), and an honest tool error stays a row-level
 // outcome.
 func TestRouteOneCtxOutcomes(t *testing.T) {
@@ -240,13 +240,13 @@ func TestRouteOneCtxOutcomes(t *testing.T) {
 	it.prepare()
 
 	slow := chaosSpec("slow", chaos.Delay, func(r *chaos.Router) { r.Sleep = 5 * time.Millisecond })
-	res, toolErr, err := routeOneCtx(context.Background(), slow, it, cfg.Seed, 5*time.Second, nil)
+	res, toolErr, err := routeOne(context.Background(), slow, it, cfg.Seed, 5*time.Second, nil)
 	if err != nil || toolErr != "" || res == nil {
 		t.Fatalf("slow tool under generous timeout: res=%v toolErr=%q err=%v", res, toolErr, err)
 	}
 
 	failing := chaosSpec("failing", chaos.Fail, nil)
-	res, toolErr, err = routeOneCtx(context.Background(), failing, it, cfg.Seed, 0, nil)
+	res, toolErr, err = routeOne(context.Background(), failing, it, cfg.Seed, 0, nil)
 	if err != nil {
 		t.Fatalf("honest tool error must stay row-level: %v", err)
 	}

@@ -3,9 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
-	"log"
 	"runtime"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/obs"
@@ -17,7 +15,7 @@ import (
 // orthogonal to what is evaluated: the tool-constructor seed and the
 // fault-isolation budget.
 type EvalConfig struct {
-	// Seed feeds each tool's constructor (offset per routeOne's schedule).
+	// Seed feeds each tool's constructor (offset per router.Guard's schedule).
 	Seed int64
 	// ToolTimeout bounds each single (tool, instance) routing attempt.
 	// Zero means no per-tool deadline: only the caller's context limits
@@ -40,28 +38,16 @@ func sweepBudget(total, reserved int) *pool.Budget {
 	return pool.NewBudget(total - reserved)
 }
 
-// routeOutcome carries one guarded tool run across its goroutine
-// boundary.
-type routeOutcome struct {
-	res      *router.Result
-	err      error
-	r        router.Router // the tool instance, for counter snapshots
-	panicked bool
-	panicVal any
-	stack    []byte
-}
-
-// routeOneCtx runs one tool on one item in a fault-isolated worker: the
-// tool executes in its own goroutine under the caller's context plus an
-// optional per-tool timeout. Three outcome classes keep a sweep alive:
+// routeOne routes one tool on one item through router.Guard under a
+// traced "eval"/"cell" span. Three outcome classes keep a sweep alive:
 //
 //   - tool failure, timeout, or panic → (nil, reason, nil): an
-//     aggregable per-row error (panics additionally log their stack);
+//     aggregable per-row error;
 //   - caller cancellation → a hard error, because the whole sweep is
 //     being abandoned and partial figures should not pretend otherwise;
 //   - an invalid or optimum-beating result → a hard error, because it
 //     falsifies the suite's guarantee.
-func routeOneCtx(ctx context.Context, tool ToolSpec, it EvalItem, seed int64, toolTimeout time.Duration, budget *pool.Budget) (*router.Result, string, error) {
+func routeOne(ctx context.Context, tool ToolSpec, it EvalItem, seed int64, toolTimeout time.Duration, budget *pool.Budget) (*router.Result, string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
 	}
@@ -69,84 +55,32 @@ func routeOneCtx(ctx context.Context, tool ToolSpec, it EvalItem, seed int64, to
 	defer sp.End()
 	sp.Arg("tool", tool.Name)
 	sp.Arg("instance", it.ID)
-	toolCtx, cancel := ctx, context.CancelFunc(func() {})
-	if toolTimeout > 0 {
-		toolCtx, cancel = context.WithTimeout(ctx, toolTimeout)
-	}
-	defer cancel()
-
-	ch := make(chan routeOutcome, 1)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				ch <- routeOutcome{panicked: true, panicVal: v, stack: debug.Stack()}
-			}
-		}()
-		r := tool.Make(seed + 7919)
-		if br, ok := r.(router.BudgetedRouter); ok && budget != nil {
-			br.SetWorkerBudget(budget)
+	p := it.prep
+	if p == nil {
+		var err error
+		if p, err = router.Prepare(it.Circuit, it.Device); err != nil {
+			sp.Arg("outcome", router.OutcomeError)
+			return nil, err.Error(), nil
 		}
-		out := routeOutcome{r: r}
-		if it.prep != nil {
-			out.res, out.err = router.RoutePreparedWithContext(toolCtx, r, it.prep)
-		} else {
-			out.res, out.err = router.RouteWithContext(toolCtx, r, it.Circuit, it.Device)
-		}
-		ch <- out
-	}()
-
-	var out routeOutcome
-	select {
-	case out = <-ch:
-	case <-toolCtx.Done():
-		// The tool overran its budget or the caller gave up. A cooperative
-		// tool unwinds through its context checks shortly after; a wedged
-		// one leaks its goroutine — the price of isolation without
-		// preemption. Either way this worker moves on immediately.
-		if err := ctx.Err(); err != nil {
-			sp.Arg("outcome", "cancelled")
-			return nil, "", err
-		}
-		sp.Arg("outcome", "timeout")
-		return nil, fmt.Sprintf("tool timed out after %v", toolTimeout), nil
 	}
-	if ins, ok := out.r.(router.Instrumented); ok {
-		c := ins.Counters()
-		sp.ArgInt("decisions", c.Decisions)
-		sp.ArgInt("candidates", c.Candidates)
-		sp.ArgInt("restarts", c.Restarts)
+	out := router.Guard(ctx, router.Attempt{
+		Tool:     tool.Name,
+		Make:     tool.Make,
+		Seed:     seed,
+		Prepared: p,
+		Timeout:  toolTimeout,
+		Budget:   budget,
+		Score:    it.Metric.Achieved,
+		Optimal:  it.Optimal,
+		Span:     &sp,
+	})
+	switch out.Kind {
+	case router.OutcomeOK:
+		return out.Result, "", nil
+	case router.OutcomeCancelled:
+		return nil, "", out.Err
+	case router.OutcomeInvalid:
+		return nil, "", fmt.Errorf("harness: %s on %s (%s): %w", tool.Name, it.Device.Name(), it.ID, out.Err)
 	}
-
-	if out.panicked {
-		log.Printf("harness: tool %s panicked on %s (%s): %v\n%s",
-			tool.Name, it.Device.Name(), it.ID, out.panicVal, out.stack)
-		sp.Arg("outcome", "panic")
-		return nil, fmt.Sprintf("tool panicked: %v", out.panicVal), nil
-	}
-	if out.err != nil {
-		if err := ctx.Err(); err != nil {
-			sp.Arg("outcome", "cancelled")
-			return nil, "", err
-		}
-		if toolCtx.Err() != nil {
-			// The per-tool deadline fired inside the tool and it unwound
-			// on its own before the select noticed.
-			sp.Arg("outcome", "timeout")
-			return nil, fmt.Sprintf("tool timed out after %v", toolTimeout), nil
-		}
-		sp.Arg("outcome", "error")
-		return nil, out.err.Error(), nil
-	}
-	if err := router.Validate(it.Circuit, it.Device, out.res); err != nil {
-		sp.Arg("outcome", "invalid")
-		return nil, "", fmt.Errorf("harness: %s produced invalid result on %s (%s): %w",
-			tool.Name, it.Device.Name(), it.ID, err)
-	}
-	if achieved := it.Metric.Achieved(out.res); achieved < it.Optimal {
-		sp.Arg("outcome", "invalid")
-		return nil, "", fmt.Errorf("harness: %s beat the proven optimal %s on %s (%s): %d < %d",
-			tool.Name, it.Metric, it.Device.Name(), it.ID, achieved, it.Optimal)
-	}
-	sp.Arg("outcome", "ok")
-	return out.res, "", nil
+	return nil, out.Err.Error(), nil
 }

@@ -8,13 +8,14 @@
 // labeled with the metric it scores, so mixed-family tables stay
 // unambiguous.
 //
-// Suites come from either of two paths. RunFigure generates inline — the
-// historical one-shot mode. RunStoredEval fans the tools over a suite
-// held in a content-addressed suite.Store, streaming per-instance rows
-// into a resumable JSONL log; the store guarantees repeated evaluations
-// of the same recipe reuse bit-identical benchmarks without
-// regenerating. Both paths aggregate through the same EvaluateItems /
-// Cell machinery, and a golden test pins them to identical figures.
+// Suites come from either of two paths. RunFigureCtx generates inline —
+// the historical one-shot mode. RunStoredEvalCtx fans the tools over a
+// suite held in a content-addressed suite.Store, streaming per-instance
+// rows into a resumable JSONL log; the store guarantees repeated
+// evaluations of the same recipe reuse bit-identical benchmarks without
+// regenerating. Both paths route every (tool, instance) pair through
+// the same router.Guard and aggregate into the same Cell shape, and a
+// golden test pins them to identical figures.
 package harness
 
 import (
@@ -217,15 +218,14 @@ type EvalItem struct {
 
 	// prep is the shared routing context (padded circuit, skeleton,
 	// DAGs, layers), built once per instance by the eval paths and
-	// handed read-only to every tool implementing
-	// router.PreparedRouter. nil means each tool derives its own.
+	// handed read-only to every tool. nil means routeOne prepares the
+	// item itself.
 	prep *router.Prepared
 }
 
 // prepare builds the item's shared routing context. A context that
-// cannot be built (circuit wider than the device) is left nil: every
-// tool then fails through its own Route guard, producing the same
-// per-tool failure rows the unshared path produced.
+// cannot be built (circuit wider than the device) is left nil: routeOne
+// then turns the Prepare error into a failure row for every tool.
 func (it *EvalItem) prepare() {
 	if it.prep != nil {
 		return
@@ -281,17 +281,13 @@ func GenerateItems(cfg SuiteConfig) ([]EvalItem, error) {
 	return items, nil
 }
 
-// RunFigure generates the suite inline and evaluates it — the historical
-// one-shot path. Production runs should generate through a suite.Store
-// and use RunStoredEval so repeated evaluations never regenerate.
-func RunFigure(cfg SuiteConfig, tools []ToolSpec) (*Figure, error) {
-	return RunFigureCtx(context.Background(), cfg, tools, EvalConfig{Seed: cfg.Seed})
-}
-
-// RunFigureCtx is RunFigure under a cancellation context and an explicit
-// evaluation config: generation is checked between instances, and every
+// RunFigureCtx generates the suite inline and evaluates it under a
+// cancellation context and an explicit evaluation config: every
 // (tool, instance) routing attempt runs fault-isolated under
-// ec.ToolTimeout.
+// ec.ToolTimeout, and a cancelled run returns the cancellation cause,
+// never a partial figure. Production runs should generate through a
+// suite.Store and use RunStoredEvalCtx so repeated evaluations never
+// regenerate.
 func RunFigureCtx(ctx context.Context, cfg SuiteConfig, tools []ToolSpec, ec EvalConfig) (*Figure, error) {
 	m := cfg.Manifest()
 	items, err := GenerateItems(cfg)
@@ -310,21 +306,15 @@ func RunFigureCtx(ctx context.Context, cfg SuiteConfig, tools []ToolSpec, ec Eva
 	return fig, nil
 }
 
-// EvaluateItems runs every tool over every item and aggregates per grid
-// value of the scored metric, in tool order then grid order. Every
-// result is audited with router.Validate and checked against the
-// optimality lower bound; violations are returned as errors because they
-// would falsify the benchmark's guarantee.
-func EvaluateItems(metric family.Metric, items []EvalItem, grid []int, tools []ToolSpec, seed int64) ([]Cell, error) {
-	return EvaluateItemsCtx(context.Background(), metric, items, grid, tools, EvalConfig{Seed: seed})
-}
-
-// EvaluateItemsCtx is EvaluateItems under a cancellation context and an
-// explicit evaluation config. Each (tool, instance) pair routes in a
-// fault-isolated worker bounded by ec.ToolTimeout: a tool that times
-// out, fails, or panics becomes a cell failure while the rest of the
-// sweep completes; cancelling ctx aborts the whole sweep with its
-// cause.
+// EvaluateItemsCtx runs every tool over every item and aggregates per
+// grid value of the scored metric, in tool order then grid order. Each
+// (tool, instance) pair routes through router.Guard bounded by
+// ec.ToolTimeout: a tool that times out, fails, or panics becomes a cell
+// failure while the rest of the sweep completes; cancelling ctx aborts
+// the whole sweep with its cause. Every result is audited with
+// router.Validate and checked against the optimality lower bound;
+// violations are returned as errors because they would falsify the
+// benchmark's guarantee.
 func EvaluateItemsCtx(ctx context.Context, metric family.Metric, items []EvalItem, grid []int, tools []ToolSpec, ec EvalConfig) ([]Cell, error) {
 	for _, it := range items {
 		if it.Optimal <= 0 {
@@ -350,7 +340,7 @@ func EvaluateItemsCtx(ctx context.Context, metric family.Metric, items []EvalIte
 				if it.Optimal != n {
 					continue
 				}
-				res, _, err := routeOneCtx(ctx, tool, it, ec.Seed, ec.ToolTimeout, budget)
+				res, _, err := routeOne(ctx, tool, it, ec.Seed, ec.ToolTimeout, budget)
 				if err != nil {
 					return nil, err
 				}
@@ -544,22 +534,16 @@ type OptimalityRow struct {
 	Deviation int // instances whose exact optimum differed (must be 0)
 }
 
-// RunOptimalityStudy generates capped instances and certifies each with
-// the exact SAT solver: UNSAT at n-1 and SAT at n. Instances are
+// RunOptimalityStudyCtx generates capped instances and certifies each
+// with the exact SAT solver: UNSAT at n-1 and SAT at n. Instances are
 // independent — every one carries its own deterministic seed and its own
 // persistent incremental solver — so certification fans out over a
 // bounded worker pool (cfg.Workers, defaulting to GOMAXPROCS) and the
-// aggregated rows are identical for any worker count.
-func RunOptimalityStudy(cfg OptimalityConfig) ([]OptimalityRow, error) {
-	return RunOptimalityStudyCtx(context.Background(), cfg)
-}
-
-// RunOptimalityStudyCtx is RunOptimalityStudy under a cancellation
-// context: the deadline propagates into every SAT search (alongside any
-// conflict budget) and into the worker pool's dispatch loop, so an
-// abandoned study stops certifying promptly instead of finishing the
-// sweep. A cancelled study returns the cancellation cause, never a
-// partial table.
+// aggregated rows are identical for any worker count. The context's
+// deadline propagates into every SAT search (alongside any conflict
+// budget) and into the pool's dispatch loop, so an abandoned study stops
+// certifying promptly; a cancelled study returns the cancellation
+// cause, never a partial table.
 func RunOptimalityStudyCtx(ctx context.Context, cfg OptimalityConfig) ([]OptimalityRow, error) {
 	type job struct {
 		dev *arch.Device

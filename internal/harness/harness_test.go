@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
+	"repro/internal/chaos"
 	"repro/internal/family"
 )
 
@@ -40,7 +44,8 @@ func TestGenerateSuiteDeterministic(t *testing.T) {
 }
 
 func TestRunFigureShape(t *testing.T) {
-	fig, err := RunFigure(smallSuite(), DefaultTools(2))
+	cfg := smallSuite()
+	fig, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2), EvalConfig{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,8 @@ func TestRunFigureShape(t *testing.T) {
 }
 
 func TestAbstractGapsAndDeviceGaps(t *testing.T) {
-	fig, err := RunFigure(smallSuite(), DefaultTools(2))
+	cfg := smallSuite()
+	fig, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2), EvalConfig{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,8 @@ func TestAbstractGapsAndDeviceGaps(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	fig, err := RunFigure(smallSuite(), DefaultTools(2)[:1])
+	cfg := smallSuite()
+	fig, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2)[:1], EvalConfig{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +120,7 @@ func TestOptimalityStudySmall(t *testing.T) {
 	}
 	cfg := DefaultOptimalityConfig(2, 5)
 	cfg.SwapCounts = []int{1, 2}
-	rows, err := RunOptimalityStudy(cfg)
+	rows, err := RunOptimalityStudyCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +151,63 @@ func TestOptimalityStudyParallelMatchesSerial(t *testing.T) {
 	cfg := DefaultOptimalityConfig(2, 5)
 	cfg.SwapCounts = []int{1, 2}
 	cfg.Workers = 1
-	serial, err := RunOptimalityStudy(cfg)
+	serial, err := RunOptimalityStudyCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 16} {
 		cfg.Workers = workers
-		parallel, err := RunOptimalityStudy(cfg)
+		parallel, err := RunOptimalityStudyCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("workers=%d rows differ:\nserial:   %+v\nparallel: %+v", workers, serial, parallel)
 		}
+	}
+}
+
+// A cancelled figure run returns the cancellation cause and no partial
+// figure, whether the context was dead on arrival or its deadline fires
+// while a tool is mid-route.
+func TestRunFigureCtxCancelledReturnsCauseOnly(t *testing.T) {
+	cfg := smallSuite()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	fig, err := RunFigureCtx(dead, cfg, DefaultTools(2), EvalConfig{Seed: cfg.Seed})
+	if !errors.Is(err, context.Canceled) || fig != nil {
+		t.Fatalf("dead context: fig=%v err=%v, want no figure and context.Canceled", fig, err)
+	}
+
+	ctx, cancelMid := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancelMid()
+	tools := []ToolSpec{healthySpec(), chaosSpec("hung", chaos.HangUntilCancel, nil)}
+	fig, err = RunFigureCtx(ctx, cfg, tools, EvalConfig{Seed: cfg.Seed})
+	if !errors.Is(err, context.DeadlineExceeded) || fig != nil {
+		t.Fatalf("deadline mid-run: fig=%v err=%v, want no figure and context.DeadlineExceeded", fig, err)
+	}
+}
+
+// A cancelled optimality study returns the cancellation cause and no
+// partial table, both before the first certification and mid-study.
+func TestRunOptimalityStudyCtxCancelledReturnsCauseOnly(t *testing.T) {
+	cfg := DefaultOptimalityConfig(4, 5)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err := RunOptimalityStudyCtx(dead, cfg)
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("dead context: rows=%v err=%v, want no rows and context.Canceled", rows, err)
+	}
+
+	ctx, cancelMid := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelMid()
+	start := time.Now()
+	rows, err = RunOptimalityStudyCtx(ctx, cfg)
+	if !errors.Is(err, context.DeadlineExceeded) || rows != nil {
+		t.Fatalf("deadline mid-study: rows=%v err=%v, want no rows and context.DeadlineExceeded", rows, err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("cancelled study took %v to stop", elapsed)
 	}
 }
 
@@ -239,7 +290,8 @@ func smallDepthSuite() SuiteConfig {
 // the depth metric, every ratio >= 1 (the structural lower bound makes
 // beating the optimum impossible), and mean depth >= the grid value.
 func TestRunFigureDepthFamily(t *testing.T) {
-	fig, err := RunFigure(smallDepthSuite(), DefaultTools(2))
+	cfg := smallDepthSuite()
+	fig, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2), EvalConfig{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

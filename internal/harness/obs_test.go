@@ -25,7 +25,7 @@ func TestDefaultToolsAreInstrumented(t *testing.T) {
 			t.Errorf("%s does not implement router.Instrumented", spec.Name)
 			continue
 		}
-		if _, err := r.Route(c, dev); err != nil {
+		if _, err := router.RouteWithContext(context.Background(), r, c, dev); err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		cnt := ins.Counters()
@@ -45,9 +45,9 @@ func TestRouteOneRecordsCellSpan(t *testing.T) {
 	it := EvalItem{ID: "inst0", Device: arch.Line(3), Circuit: c, Optimal: 1}
 	tr := obs.New(16)
 	ctx := obs.NewContext(context.Background(), tr)
-	res, failure, err := routeOneCtx(ctx, DefaultTools(1)[0], it, 1, 0, nil)
+	res, failure, err := routeOne(ctx, DefaultTools(1)[0], it, 1, 0, nil)
 	if err != nil || failure != "" || res == nil {
-		t.Fatalf("routeOneCtx: res=%v failure=%q err=%v", res, failure, err)
+		t.Fatalf("routeOne: res=%v failure=%q err=%v", res, failure, err)
 	}
 	if tr.Len() != 1 {
 		t.Fatalf("trace holds %d spans, want exactly the cell span", tr.Len())

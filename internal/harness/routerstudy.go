@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -26,7 +27,8 @@ type RouterRow struct {
 }
 
 // RunRouterStudy routes every suite instance from its planted optimal
-// mapping with every tool that supports placed routing.
+// mapping with every tool; a tool that cannot route from a fixed
+// placement fails the study.
 func RunRouterStudy(cfg RouterStudyConfig, tools []ToolSpec) ([]RouterRow, error) {
 	suite, err := GenerateSuite(cfg.Suite)
 	if err != nil {
@@ -34,20 +36,15 @@ func RunRouterStudy(cfg RouterStudyConfig, tools []ToolSpec) ([]RouterRow, error
 	}
 	var rows []RouterRow
 	for _, tool := range tools {
-		probe := tool.Make(0)
-		if _, ok := probe.(router.PlacedRouter); !ok {
-			continue
-		}
 		for _, n := range cfg.Suite.SwapCounts {
 			row := RouterRow{Tool: tool.Name, OptSwaps: n}
 			for _, b := range suite {
 				if b.OptSwaps != n {
 					continue
 				}
-				pr := tool.Make(cfg.Suite.Seed + 101).(router.PlacedRouter)
-				res, err := pr.RouteFrom(b.Circuit, b.Device, plantedMapping(b))
+				res, err := routePlanted(tool.Make(cfg.Suite.Seed+101), b)
 				if err != nil {
-					return nil, fmt.Errorf("harness: %s RouteFrom: %w", tool.Name, err)
+					return nil, fmt.Errorf("harness: %s from the planted mapping: %w", tool.Name, err)
 				}
 				if err := router.Validate(b.Circuit, b.Device, res); err != nil {
 					return nil, fmt.Errorf("harness: %s placed result invalid: %w", tool.Name, err)
@@ -70,8 +67,14 @@ func RunRouterStudy(cfg RouterStudyConfig, tools []ToolSpec) ([]RouterRow, error
 	return rows, nil
 }
 
-func plantedMapping(b *qubikos.Benchmark) router.Mapping {
-	return b.InitialMapping.Clone()
+// routePlanted routes the benchmark with r from its planted optimal
+// initial mapping.
+func routePlanted(r router.Router, b *qubikos.Benchmark) (*router.Result, error) {
+	p, err := router.Prepare(b.Circuit, b.Device)
+	if err != nil {
+		return nil, err
+	}
+	return r.Route(context.Background(), p, b.InitialMapping)
 }
 
 // RenderRouterStudy prints the study as a table.

@@ -1,17 +1,35 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/router"
 )
 
+// Every default tool must route from a fixed placement: starting from
+// the planted mapping, the result's initial mapping is that mapping.
 func TestAllDefaultToolsSupportPlacedRouting(t *testing.T) {
+	benches, err := GenerateSuite(SuiteConfig{
+		Device:              arch.RigettiAspen4(),
+		SwapCounts:          []int{2},
+		CircuitsPerCount:    1,
+		TargetTwoQubitGates: 40,
+		Seed:                3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := benches[0]
 	for _, spec := range DefaultTools(2) {
-		if _, ok := spec.Make(1).(router.PlacedRouter); !ok {
-			t.Errorf("%s does not implement PlacedRouter", spec.Name)
+		res, err := routePlanted(spec.Make(1), b)
+		if err != nil {
+			t.Errorf("%s cannot route from the planted mapping: %v", spec.Name, err)
+			continue
+		}
+		if !reflect.DeepEqual(res.InitialMapping, b.InitialMapping) {
+			t.Errorf("%s started from %v, not the planted %v", spec.Name, res.InitialMapping, b.InitialMapping)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -53,7 +54,7 @@ func RunSectionIIIC(dev *arch.Device, numSwaps, gates, instances int, seed int64
 		if err != nil {
 			return nil, err
 		}
-		out, err := tool.Route(b.Circuit, dev)
+		out, err := router.RouteWithContext(context.Background(), tool, b.Circuit, dev)
 		if err != nil {
 			return nil, err
 		}

@@ -37,9 +37,9 @@ func EvalKey(parts ...string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// StoredEvalOptions tunes RunStoredEval.
+// StoredEvalOptions tunes RunStoredEvalCtx.
 type StoredEvalOptions struct {
-	// Seed feeds each tool's constructor, matching RunFigure's schedule.
+	// Seed feeds each tool's constructor, matching RunFigureCtx's schedule.
 	Seed int64
 	// Workers bounds the evaluation worker pool; 0 means 1 (serial).
 	Workers int
@@ -60,25 +60,18 @@ type StoredEvalOptions struct {
 	ToolTimeout time.Duration
 }
 
-// RunStoredEval fans every tool over every instance of a stored suite,
-// streaming one JSONL row per (tool, instance) into the suite's
+// RunStoredEvalCtx fans every tool over every instance of a stored
+// suite, streaming one JSONL row per (tool, instance) into the suite's
 // evaluation log. Pairs already recorded by a previous run are skipped —
 // an interrupted evaluation resumes where it stopped and a finished one
 // is free — and the returned Figure aggregates all rows, old and new.
-// Tool failures become rows with a non-empty Error; results that are
-// invalid or beat the proven optimum abort with an error, because they
-// falsify the suite's guarantee.
-func RunStoredEval(store *suite.Store, st *suite.Suite, tools []ToolSpec, opts StoredEvalOptions) (*Figure, error) {
-	return RunStoredEvalCtx(context.Background(), store, st, tools, opts)
-}
-
-// RunStoredEvalCtx is RunStoredEval under a cancellation context. Each
-// (tool, instance) pair routes in a fault-isolated worker bounded by
-// opts.ToolTimeout — a hung or panicking tool becomes an error row, not
-// a wedged or crashed sweep. Cancelling ctx stops dispatching new pairs
-// and aborts with the cancellation cause; rows already appended stay
-// durable, so a later run with the same key resumes where this one
-// stopped.
+// Each pair routes through router.Guard bounded by opts.ToolTimeout: a
+// failing, hung or panicking tool becomes a row with a non-empty Error,
+// not a wedged or crashed sweep. Results that are invalid or beat the
+// proven optimum abort with an error, because they falsify the suite's
+// guarantee. Cancelling ctx stops dispatching new pairs and aborts with
+// the cancellation cause; rows already appended stay durable, so a
+// later run with the same key resumes where this one stopped.
 func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, tools []ToolSpec, opts StoredEvalOptions) (*Figure, error) {
 	key := opts.Key
 	if key == "" {
@@ -163,7 +156,7 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 	run := func(j job) error {
 		it := items[j.ref.Base]
 		t0 := time.Now()
-		res, toolErr, err := routeOneCtx(ctx, j.tool, it, opts.Seed, opts.ToolTimeout, budget)
+		res, toolErr, err := routeOne(ctx, j.tool, it, opts.Seed, opts.ToolTimeout, budget)
 		if err != nil {
 			return err
 		}
@@ -201,7 +194,7 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 }
 
 // FigureFromRows aggregates evaluation rows into the same per-cell shape
-// RunFigure produces, ordered by the given tool order then the suite's
+// RunFigureCtx produces, ordered by the given tool order then the suite's
 // metric grid. Rows from unknown tools are ignored, so a log shared
 // across tool subsets still aggregates correctly.
 func FigureFromRows(st *suite.Suite, rows []suite.Row, tools []ToolSpec) *Figure {

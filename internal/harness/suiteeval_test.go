@@ -1,13 +1,13 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/circuit"
 	"repro/internal/family"
 	"repro/internal/router"
 	"repro/internal/suite"
@@ -41,7 +41,7 @@ func TestStoredEvalMatchesInline(t *testing.T) {
 	cfg := tinyCfg()
 	tools := DefaultTools(2)
 
-	inline, err := RunFigure(cfg, tools)
+	inline, err := RunFigureCtx(context.Background(), cfg, tools, EvalConfig{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestStoredEvalMatchesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := RunStoredEval(store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
+	stored, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestStoredEvalSkipsGeneration(t *testing.T) {
 	}
 
 	var streamed1 int
-	fig1, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	fig1, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
 		OnRow: func(suite.Row) { streamed1++ },
 	})
@@ -102,7 +102,7 @@ func TestStoredEvalSkipsGeneration(t *testing.T) {
 	// A second identical evaluation resumes off the log: zero new rows,
 	// zero generation, identical figure.
 	var streamed2 int
-	fig2, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	fig2, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
 		OnRow: func(suite.Row) { streamed2++ },
 	})
@@ -133,7 +133,7 @@ func TestStoredEvalParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig, err := RunStoredEval(store, st, tools, StoredEvalOptions{Seed: cfg.Seed, Workers: workers})
+		fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{Seed: cfg.Seed, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestStoredEvalSharedPreparedParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWith := func(workers int, key string) *Figure {
-		fig, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+		fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 			Seed: cfg.Seed, Workers: workers, Key: key,
 		})
 		if err != nil {
@@ -176,12 +176,12 @@ func TestStoredEvalSharedPreparedParallel(t *testing.T) {
 	}
 }
 
-// failingRouter always errors; RunStoredEval must surface the real
+// failingRouter always errors; RunStoredEvalCtx must surface the real
 // message in the row, not a generic "tool failed to route".
 type failingRouter struct{}
 
 func (failingRouter) Name() string { return "failing" }
-func (failingRouter) Route(*circuit.Circuit, *arch.Device) (*router.Result, error) {
+func (failingRouter) Route(context.Context, *router.Prepared, router.Mapping) (*router.Result, error) {
 	return nil, errors.New("synthetic failure: boom")
 }
 
@@ -194,7 +194,7 @@ func TestStoredEvalPropagatesRouterError(t *testing.T) {
 	}
 	tools := []ToolSpec{{Name: "failing", Make: func(int64) router.Router { return failingRouter{} }}}
 	var rows []suite.Row
-	fig, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
 		OnRow: func(r suite.Row) { rows = append(rows, r) },
 	})
@@ -248,7 +248,7 @@ func TestStoredEvalDepthFamily(t *testing.T) {
 	}
 	tools := DefaultTools(2)
 
-	inline, err := RunFigure(cfg, tools)
+	inline, err := RunFigureCtx(context.Background(), cfg, tools, EvalConfig{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestStoredEvalDepthFamily(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rows []suite.Row
-	stored, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	stored, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
 		OnRow: func(r suite.Row) { rows = append(rows, r) },
 	})
@@ -304,14 +304,14 @@ func TestStoredEvalRejectsNonPositiveOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunStoredEval(store, st, DefaultTools(2)[:1], StoredEvalOptions{Seed: 4})
+	_, err = RunStoredEvalCtx(context.Background(), store, st, DefaultTools(2)[:1], StoredEvalOptions{Seed: 4})
 	if err == nil || !strings.Contains(err.Error(), "no positive optimal") {
 		t.Fatalf("0-swap suite evaluation: err = %v, want a no-positive-optimum error", err)
 	}
 	// The inline path makes the same promise.
 	cfg := SuiteConfig{Device: arch.Grid3x3(), SwapCounts: []int{0}, CircuitsPerCount: 1,
 		TargetTwoQubitGates: 10, Seed: 4}
-	if _, err := RunFigure(cfg, DefaultTools(2)[:1]); err == nil {
+	if _, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2)[:1], EvalConfig{Seed: cfg.Seed}); err == nil {
 		t.Fatal("inline 0-swap evaluation did not error")
 	}
 }

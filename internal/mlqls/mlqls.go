@@ -85,24 +85,6 @@ func (r *Router) Name() string { return "ml-qls" }
 // multilevel placement itself is serial.
 func (r *Router) SetWorkerBudget(b *pool.Budget) { r.budget = b }
 
-// RouteFrom implements router.PlacedRouter: ML-QLS's routing stage (the
-// SABRE-style engine with the tool's reduced trial budget) runs from the
-// supplied placement instead of the multilevel one.
-func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.Mapping) (*router.Result, error) {
-	eng := sabre.NewFixedMapping(sabre.Options{
-		Trials: r.opts.RoutingTrials,
-		Seed:   r.opts.Seed + 1,
-	}, router.PadMapping(initial, dev.NumQubits()))
-	eng.SetWorkerBudget(r.budget)
-	res, err := eng.Route(c, dev)
-	if err != nil {
-		return nil, fmt.Errorf("mlqls: %w", err)
-	}
-	r.stats.Add(eng.Counters())
-	res.Tool = r.Name()
-	return res, nil
-}
-
 // weightedGraph is an interaction graph with edge multiplicities, the
 // object the multilevel hierarchy coarsens. Edges live in one flat
 // array; the per-vertex adjacency keeps a parallel slice of indices
@@ -161,48 +143,30 @@ type level struct {
 	parent []int
 }
 
-// Route implements router.Router.
-func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
-}
-
-// RouteCtx implements router.RouterCtx.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	p, err := router.Prepare(c, dev)
-	if err != nil {
-		return nil, fmt.Errorf("mlqls: %w", err)
-	}
-	return r.RoutePreparedCtx(ctx, p)
-}
-
-// RoutePrepared implements router.PreparedRouter: the multilevel
-// placement runs over the shared skeleton and the SABRE routing stage
-// reuses the shared DAGs, producing exactly the result Route would.
-func (r *Router) RoutePrepared(p *router.Prepared) (*router.Result, error) {
-	return r.RoutePreparedCtx(context.Background(), p)
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx. The placement
-// hierarchy checks for cancellation between coarsening rounds and
-// refinement levels (its stages are polynomial and small, so latency is
-// bounded by one level's work); the SABRE routing stage polls inside
+// Route implements router.Router. Without an initial mapping the
+// multilevel placement runs over the shared skeleton, checking for
+// cancellation between coarsening rounds and refinement levels (its
+// stages are polynomial and small, so latency is bounded by one level's
+// work). Either placement is then routed by the tool's SABRE stage —
+// the reduced trial budget, pinned to the placement — which polls inside
 // its decision loop.
-func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
-	rng := rand.New(rand.NewSource(r.opts.Seed))
-	var check router.CtxChecker
-	check.Reset(ctx)
-	placement := r.multilevelPlace(p.Skeleton, p.Device, rng, &check)
-	if err := check.Err(); err != nil {
-		return nil, fmt.Errorf("mlqls: %w", err)
+func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
+	if initial == nil {
+		rng := rand.New(rand.NewSource(r.opts.Seed))
+		var check router.CtxChecker
+		check.Reset(ctx)
+		initial = r.multilevelPlace(p.Skeleton, p.Device, rng, &check)
+		if err := check.Err(); err != nil {
+			return nil, fmt.Errorf("mlqls: %w", err)
+		}
 	}
 
-	// Route with a SABRE engine pinned to the multilevel placement.
-	eng := sabre.NewFixedMapping(sabre.Options{
+	eng := sabre.New(sabre.Options{
 		Trials: r.opts.RoutingTrials,
 		Seed:   r.opts.Seed + 1,
-	}, placement)
+	})
 	eng.SetWorkerBudget(r.budget)
-	res, err := eng.RoutePreparedCtx(ctx, p)
+	res, err := eng.Route(ctx, p, initial)
 	if err != nil {
 		return nil, fmt.Errorf("mlqls: %w", err)
 	}

@@ -1,6 +1,7 @@
 package mlqls
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestRouteTriangleOnLine(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	dev := arch.Line(4)
-	res, err := New(Options{Seed: 1}).Route(c, dev)
+	res, err := router.RouteWithContext(context.Background(), New(Options{Seed: 1}), c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestRouteQubikosValidAndAboveOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(Options{Seed: seed}).Route(b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), New(Options{Seed: seed}), b.Circuit, b.Device)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,11 +122,11 @@ func TestRouteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(Options{Seed: 8}).Route(b.Circuit, b.Device)
+	a, err := router.RouteWithContext(context.Background(), New(Options{Seed: 8}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{Seed: 8}).Route(b.Circuit, b.Device)
+	c, err := router.RouteWithContext(context.Background(), New(Options{Seed: 8}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestRouteOnAllPaperDevices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(Options{Seed: 2}).Route(b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), New(Options{Seed: 2}), b.Circuit, b.Device)
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name(), err)
 		}
@@ -177,7 +178,7 @@ func TestRefineSteadyStateAllocsBounded(t *testing.T) {
 
 func TestRouteTooManyQubits(t *testing.T) {
 	c := circuit.New(9)
-	if _, err := New(Options{}).Route(c, arch.Line(4)); err == nil {
+	if _, err := router.RouteWithContext(context.Background(), New(Options{}), c, arch.Line(4)); err == nil {
 		t.Fatal("oversized circuit accepted")
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -92,7 +91,7 @@ type Options struct {
 	Metric family.Metric
 	// HedgeDelay staggers launch tiers; 0 launches everything at once.
 	HedgeDelay time.Duration
-	// Seed feeds each tool's constructor (offset by the harness schedule,
+	// Seed feeds each tool's constructor (offset by router.Guard's schedule,
 	// so a portfolio winner matches the evaluation pipeline's result for
 	// the same seed).
 	Seed int64
@@ -105,16 +104,17 @@ type Options struct {
 	Breakers *BreakerSet
 }
 
-// Racer outcome classes.
+// Racer outcome classes: router.Guard's six verdicts plus the two a
+// racer gets without ever running.
 const (
-	OutcomeOK        = "ok"        // validated result produced
-	OutcomeError     = "error"     // tool returned an error
-	OutcomeTimeout   = "timeout"   // racer or race budget expired on it
-	OutcomePanic     = "panic"     // tool panicked (contained)
-	OutcomeInvalid   = "invalid"   // result failed the independent audit
-	OutcomeCancelled = "cancelled" // race ended (win or caller cancel) first
-	OutcomeHedged    = "hedged"    // race ended before its hedge tier launched
-	OutcomeSkipped   = "skipped"   // circuit breaker open; never admitted
+	OutcomeOK        = router.OutcomeOK        // validated result produced
+	OutcomeError     = router.OutcomeError     // tool returned an error
+	OutcomeTimeout   = router.OutcomeTimeout   // racer or race budget expired on it
+	OutcomePanic     = router.OutcomePanic     // tool panicked (contained)
+	OutcomeInvalid   = router.OutcomeInvalid   // result failed the independent audit
+	OutcomeCancelled = router.OutcomeCancelled // race ended (win or caller cancel) first
+	OutcomeHedged    = "hedged"                // race ended before its hedge tier launched
+	OutcomeSkipped   = "skipped"               // circuit breaker open; never admitted
 )
 
 // Racer reports one tool's part in a race.
@@ -175,15 +175,6 @@ type racerDone struct {
 	outcome string
 	errStr  string
 	elapsed time.Duration
-}
-
-// toolOutcome crosses the inner tool goroutine boundary (the guard).
-type toolOutcome struct {
-	res      *router.Result
-	err      error
-	panicked bool
-	panicVal any
-	stack    []byte
 }
 
 // Run races the entries over the shared routing context and returns the
@@ -463,86 +454,37 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 	return res, nil
 }
 
-// runRacer executes one guarded racer: the tool runs in a further inner
-// goroutine so a wedged engine can be abandoned (the guard returns, the
-// goroutine leaks until its next ctx poll — the PR-6 isolation price),
-// and a panic is contained to this racer. Results are validated and
-// optimum-checked here, in parallel with the other racers.
+// runRacer runs one racer through router.Guard under a traced
+// "portfolio"/"racer" span, so a wedged tool is abandoned at its
+// timeout, a panic is contained to this racer, and results are
+// validated and optimum-checked here, in parallel with the other
+// racers.
 func runRacer(raceCtx context.Context, p *router.Prepared, e Entry, i int, opts Options, budget *pool.Budget, resCh chan<- racerDone) {
 	rsp, rctx := obs.Begin(raceCtx, "portfolio", "racer")
-	defer rsp.End()
 	rsp.Arg("tool", e.Name)
 	start := time.Now()
-	send := func(d racerDone) {
-		d.i = i
-		d.elapsed = time.Since(start)
-		rsp.Arg("outcome", d.outcome)
-		resCh <- d // buffered to len(admitted); never blocks
+	out := router.Guard(rctx, router.Attempt{
+		Tool:     e.Name,
+		Make:     e.Make,
+		Seed:     opts.Seed,
+		Prepared: p,
+		Timeout:  opts.ToolTimeout,
+		Budget:   budget,
+		Score:    opts.Metric.Achieved,
+		Optimal:  opts.Optimal,
+		Span:     &rsp,
+	})
+	d := racerDone{i: i, res: out.Result, score: out.Score, outcome: out.Kind, elapsed: time.Since(start)}
+	switch out.Kind {
+	case OutcomeOK:
+		rsp.ArgInt("score", int64(out.Score))
+	case OutcomeCancelled:
+		// The race ended first; apply words the report.
+	default:
+		d.errStr = out.Err.Error()
 	}
-
-	toolCtx, cancel := rctx, context.CancelFunc(func() {})
-	if opts.ToolTimeout > 0 {
-		toolCtx, cancel = context.WithTimeout(rctx, opts.ToolTimeout)
-	}
-	defer cancel()
-
-	ch := make(chan toolOutcome, 1)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				ch <- toolOutcome{panicked: true, panicVal: v, stack: debug.Stack()}
-			}
-		}()
-		r := e.Make(opts.Seed + 7919)
-		if br, ok := r.(router.BudgetedRouter); ok && budget != nil {
-			br.SetWorkerBudget(budget)
-		}
-		var out toolOutcome
-		out.res, out.err = router.RoutePreparedWithContext(toolCtx, r, p)
-		ch <- out
-	}()
-
-	var out toolOutcome
-	select {
-	case out = <-ch:
-	case <-toolCtx.Done():
-		if raceCtx.Err() != nil {
-			send(racerDone{outcome: OutcomeCancelled})
-			return
-		}
-		send(racerDone{outcome: OutcomeTimeout,
-			errStr: fmt.Sprintf("tool timed out after %v", opts.ToolTimeout)})
-		return
-	}
-	if out.panicked {
-		// The stack goes to the racer's span (if traced) and the error
-		// string; the process stays up — that is the whole point.
-		send(racerDone{outcome: OutcomePanic, errStr: fmt.Sprintf("tool panicked: %v", out.panicVal)})
-		return
-	}
-	if out.err != nil {
-		if raceCtx.Err() != nil {
-			send(racerDone{outcome: OutcomeCancelled})
-			return
-		}
-		if toolCtx.Err() != nil {
-			send(racerDone{outcome: OutcomeTimeout,
-				errStr: fmt.Sprintf("tool timed out after %v", opts.ToolTimeout)})
-			return
-		}
-		send(racerDone{outcome: OutcomeError, errStr: out.err.Error()})
-		return
-	}
-	if err := router.Validate(p.Circuit, p.Device, out.res); err != nil {
-		send(racerDone{outcome: OutcomeInvalid, errStr: "invalid result: " + err.Error()})
-		return
-	}
-	score := opts.Metric.Achieved(out.res)
-	if opts.Optimal > 0 && score < opts.Optimal {
-		send(racerDone{outcome: OutcomeInvalid,
-			errStr: fmt.Sprintf("result beats the proven optimal %s: %d < %d", opts.Metric, score, opts.Optimal)})
-		return
-	}
-	rsp.ArgInt("score", int64(score))
-	send(racerDone{res: out.res, score: score, outcome: OutcomeOK})
+	// The span ends before the verdict is delivered, so a race that
+	// returns on this verdict has already recorded it.
+	rsp.End()
+	resCh <- d // buffered to len(admitted); never blocks
 }

@@ -2,12 +2,15 @@ package portfolio
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/chaos"
+	"repro/internal/obs"
 	"repro/internal/qubikos"
 	"repro/internal/router"
 	"repro/internal/sabre"
@@ -169,6 +172,50 @@ func TestRunWinCancelsLosers(t *testing.T) {
 
 // Panicking and lying tools become racer outcomes; the audit keeps the
 // liar from winning and the panic never crosses the goroutine.
+// Racer spans carry the guard's outcome and the tool's work counters
+// next to the tool label that per-racer timings key on.
+func TestRunRacerSpansCarryOutcomeAndCounters(t *testing.T) {
+	p, _ := prep(t)
+	tr := obs.New(64)
+	ctx := obs.NewContext(context.Background(), tr)
+	entries := []Entry{healthyEntry("a", 0, 1), healthyEntry("b", 0, 2)}
+	if _, err := Run(ctx, p, entries, Options{Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := tr.WriteChrome(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	racers := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat != "portfolio" || ev.Name != "racer" {
+			continue
+		}
+		racers++
+		if ev.Args["outcome"] != OutcomeOK {
+			t.Errorf("racer %v outcome = %v, want %q", ev.Args["tool"], ev.Args["outcome"], OutcomeOK)
+		}
+		for _, k := range []string{"tool", "decisions", "candidates", "restarts", "score"} {
+			if _, ok := ev.Args[k]; !ok {
+				t.Errorf("racer span %v lacks %q: %v", ev.Args["tool"], k, ev.Args)
+			}
+		}
+	}
+	if racers != len(entries) {
+		t.Fatalf("trace holds %d racer spans, want %d", racers, len(entries))
+	}
+}
+
 func TestRunIsolatesPanicAndInvalid(t *testing.T) {
 	p, opt := prep(t)
 	entries := []Entry{

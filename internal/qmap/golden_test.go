@@ -1,6 +1,7 @@
 package qmap_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -73,12 +74,15 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := qmap.New(gc.opts)
-			var res *router.Result
+			var initial router.Mapping
 			if gc.placed {
-				res, err = r.RouteFrom(b.Circuit, dev, b.InitialMapping)
-			} else {
-				res, err = r.Route(b.Circuit, dev)
+				initial = b.InitialMapping
 			}
+			p, err := router.Prepare(b.Circuit, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Route(context.Background(), p, initial)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,11 +86,10 @@ func (o Options) withDefaults() Options {
 // across Route calls and is therefore not safe for concurrent use;
 // create one Router per goroutine (the harness builds one per job).
 type Router struct {
-	opts    Options
-	initial router.Mapping // non-nil: skip placement
-	eng     *engine        // A* scratch reused across calls
-	budget  *pool.Budget   // optional shared worker budget
-	stats   router.Counters
+	opts   Options
+	eng    *engine      // A* scratch reused across calls
+	budget *pool.Budget // optional shared worker budget
+	stats  router.Counters
 }
 
 // Counters implements router.Instrumented: Decisions are A* node
@@ -111,43 +110,15 @@ func New(opts Options) *Router { return &Router{opts: opts.withDefaults()} }
 // cores. Borrowed slots only change wall-clock time, never results.
 func (r *Router) SetWorkerBudget(b *pool.Budget) { r.budget = b }
 
-// RouteFrom implements router.PlacedRouter.
-func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.Mapping) (*router.Result, error) {
-	pinned := &Router{opts: r.opts, initial: router.PadMapping(initial, dev.NumQubits()), budget: r.budget}
-	res, err := pinned.Route(c, dev)
-	r.stats.Add(pinned.stats)
-	return res, err
-}
-
 // Name implements router.Router.
 func (r *Router) Name() string { return "qmap" }
 
-// Route implements router.Router.
-func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
-}
-
-// RouteCtx implements router.RouterCtx: Route under a cancellation
-// context, polled once per A* expansion wave.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	p, err := router.Prepare(c, dev)
-	if err != nil {
-		return nil, fmt.Errorf("qmap: %w", err)
-	}
-	return r.RoutePreparedCtx(ctx, p)
-}
-
-// RoutePrepared implements router.PreparedRouter: it routes from a
-// shared pre-built context, producing exactly the result Route would.
-func (r *Router) RoutePrepared(p *router.Prepared) (*router.Result, error) {
-	return r.RoutePreparedCtx(context.Background(), p)
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx. Cancellation
+// Route implements router.Router. An initial mapping replaces the
+// placement heuristic. Cancellation, polled once per A* expansion wave,
 // cuts the per-layer A* short exactly as node exhaustion would; the
 // layer loop then aborts before emitting anything from the truncated
 // search, so no partial result escapes.
-func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
+func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
 	dev := p.Device
 	skeleton := p.Skeleton
 	rng := rand.New(rand.NewSource(r.opts.Seed))
@@ -156,12 +127,12 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	layers := p.Layers()
 
 	var mapping router.Mapping
-	if r.initial != nil {
-		mapping = r.initial.Clone()
+	if initial != nil {
+		mapping = router.PadMapping(initial, dev.NumQubits())
 	} else {
 		mapping = initialPlacement(skeleton, dev, rng)
 	}
-	initial := mapping.Clone()
+	placed := mapping.Clone()
 
 	e := r.ensureEngine(dev, len(mapping))
 	e.check.Reset(ctx)
@@ -239,7 +210,7 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	r.stats.Restarts += int64(len(layers))
 	return &router.Result{
 		Tool:           r.Name(),
-		InitialMapping: initial,
+		InitialMapping: placed,
 		Transpiled:     woven,
 		SwapCount:      swaps,
 		Trials:         1,

@@ -1,6 +1,7 @@
 package qmap
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -13,7 +14,7 @@ func TestRouteTriangleOnLine(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	dev := arch.Line(4)
-	res, err := New(Options{Seed: 1}).Route(c, dev)
+	res, err := router.RouteWithContext(context.Background(), New(Options{Seed: 1}), c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestAStarFindsZeroSwapLayer(t *testing.T) {
 	c := circuit.New(4)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(2, 3))
 	dev := arch.Line(4)
-	res, err := New(Options{Seed: 1}).Route(c, dev)
+	res, err := router.RouteWithContext(context.Background(), New(Options{Seed: 1}), c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRouteQubikosValidAndAboveOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(Options{Seed: seed}).Route(b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), New(Options{Seed: seed}), b.Circuit, b.Device)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestTruncatedSearchStillValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Options{MaxNodes: 3, Seed: 7}).Route(b.Circuit, b.Device)
+	res, err := router.RouteWithContext(context.Background(), New(Options{MaxNodes: 3, Seed: 7}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestRouteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(Options{Seed: 4}).Route(b.Circuit, b.Device)
+	a, err := router.RouteWithContext(context.Background(), New(Options{Seed: 4}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{Seed: 4}).Route(b.Circuit, b.Device)
+	c, err := router.RouteWithContext(context.Background(), New(Options{Seed: 4}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRouteOnAllPaperDevices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(Options{MaxNodes: 4000, Seed: 2}).Route(b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), New(Options{MaxNodes: 4000, Seed: 2}), b.Circuit, b.Device)
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name(), err)
 		}
@@ -121,7 +122,7 @@ func TestRouteWithSingleQubitGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Options{Seed: 3}).Route(b.Circuit, b.Device)
+	res, err := router.RouteWithContext(context.Background(), New(Options{Seed: 3}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestRouterReuseAcrossSameSizeDevices(t *testing.T) {
 	}
 	r := New(Options{MaxNodes: 500, Seed: 5})
 	for _, dev := range []*arch.Device{arch.Ring(8), arch.Line(8), arch.Grid(2, 4)} {
-		res, err := r.Route(c, dev)
+		res, err := router.RouteWithContext(context.Background(), r, c, dev)
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name(), err)
 		}
@@ -152,7 +153,7 @@ func TestRouterReuseAcrossSameSizeDevices(t *testing.T) {
 
 func TestRouteTooManyQubits(t *testing.T) {
 	c := circuit.New(9)
-	if _, err := New(Options{}).Route(c, arch.Line(4)); err == nil {
+	if _, err := router.RouteWithContext(context.Background(), New(Options{}), c, arch.Line(4)); err == nil {
 		t.Fatal("oversized circuit accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package qmap_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -35,12 +36,15 @@ func TestGoldenCorpusWorkerInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				r := qmap.New(opts)
-				var res *router.Result
+				var initial router.Mapping
 				if gc.placed {
-					res, err = r.RouteFrom(b.Circuit, dev, b.InitialMapping)
-				} else {
-					res, err = r.Route(b.Circuit, dev)
+					initial = b.InitialMapping
 				}
+				p, err := router.Prepare(b.Circuit, dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := r.Route(context.Background(), p, initial)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +70,7 @@ func TestWorkerBudgetInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := qmap.Options{MaxNodes: 2000, Seed: 7}
-	ref, err := qmap.New(opts).Route(b.Circuit, dev)
+	ref, err := router.RouteWithContext(context.Background(), qmap.New(opts), b.Circuit, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +80,7 @@ func TestWorkerBudgetInvariant(t *testing.T) {
 		r := qmap.New(opts)
 		budget := pool.NewBudget(slots)
 		r.SetWorkerBudget(budget)
-		res, err := r.Route(b.Circuit, dev)
+		res, err := router.RouteWithContext(context.Background(), r, b.Circuit, dev)
 		if err != nil {
 			t.Fatal(err)
 		}

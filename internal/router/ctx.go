@@ -7,56 +7,21 @@ import (
 	"repro/internal/circuit"
 )
 
-// RouterCtx is a Router whose search can be cancelled. RouteCtx must
-// return promptly (within a bounded number of decision-loop iterations)
-// once ctx is done, reporting ctx.Err() — possibly wrapped — instead of
-// a Result. With a context that never fires, RouteCtx must be
-// behaviourally identical to Route: bit-identical results and no extra
-// allocations in the warm decision loop (the CtxChecker below is how
-// implementations meet that bar).
-type RouterCtx interface {
-	Router
-	RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*Result, error)
-}
-
-// PreparedRouterCtx is the cancellable analogue of PreparedRouter: it
-// routes from a shared pre-built context under a cancellation context.
-// The same contract applies — identical to RoutePrepared when ctx never
-// fires, prompt ctx.Err() when it does, and no mutation of p.
-type PreparedRouterCtx interface {
-	Router
-	RoutePreparedCtx(ctx context.Context, p *Prepared) (*Result, error)
-}
-
-// RouteWithContext routes c on dev through the most capable interface r
-// implements: RouterCtx when available, plain Route otherwise. Callers
-// that hold a context should always go through this helper (or
-// RoutePreparedWithContext) so cancellation reaches every tool that can
-// honour it.
+// RouteWithContext prepares (c, dev) and routes it with r, letting the
+// tool search for a placement. It is the plain entry point for callers
+// that hold no shared Prepared.
 func RouteWithContext(ctx context.Context, r Router, c *circuit.Circuit, dev *arch.Device) (*Result, error) {
-	if rc, ok := r.(RouterCtx); ok {
-		return rc.RouteCtx(ctx, c, dev)
-	}
-	if err := ctx.Err(); err != nil {
+	p, err := Prepare(c, dev)
+	if err != nil {
 		return nil, err
 	}
-	return r.Route(c, dev)
+	return r.Route(ctx, p, nil)
 }
 
-// RoutePreparedWithContext routes from a shared Prepared through the
-// most capable interface r implements, in preference order:
-// PreparedRouterCtx, PreparedRouter, RouterCtx, Router.
+// RoutePreparedWithContext routes a shared Prepared with r, letting the
+// tool search for a placement.
 func RoutePreparedWithContext(ctx context.Context, r Router, p *Prepared) (*Result, error) {
-	if pc, ok := r.(PreparedRouterCtx); ok {
-		return pc.RoutePreparedCtx(ctx, p)
-	}
-	if pr, ok := r.(PreparedRouter); ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return pr.RoutePrepared(p)
-	}
-	return RouteWithContext(ctx, r, p.Circuit, p.Device)
+	return r.Route(ctx, p, nil)
 }
 
 // ctxCheckInterval is how many Tick calls a CtxChecker lets pass between

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"repro/internal/arch"
-	"repro/internal/circuit"
 )
 
 func TestCtxCheckerZeroValueInert(t *testing.T) {
@@ -91,50 +88,5 @@ func TestCtxCheckerTickAllocFree(t *testing.T) {
 	c.Reset(ctx)
 	if a := testing.AllocsPerRun(1000, func() { c.Tick() }); a != 0 {
 		t.Fatalf("Tick allocates %.1f objects, want 0", a)
-	}
-}
-
-// plainRouter implements only the legacy interface.
-type plainRouter struct{ calls int }
-
-func (p *plainRouter) Name() string { return "plain" }
-func (p *plainRouter) Route(c *circuit.Circuit, dev *arch.Device) (*Result, error) {
-	p.calls++
-	return &Result{Tool: "plain", InitialMapping: IdentityMapping(c.NumQubits), Transpiled: c}, nil
-}
-
-func TestRouteWithContextFallbackChecksCtxFirst(t *testing.T) {
-	c := circuit.New(2)
-	dev := arch.Line(2)
-	r := &plainRouter{}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RouteWithContext(ctx, r, c, dev); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if r.calls != 0 {
-		t.Fatal("legacy Route invoked on a dead context")
-	}
-	if _, err := RouteWithContext(context.Background(), r, c, dev); err != nil || r.calls != 1 {
-		t.Fatalf("live-context fallback: err=%v calls=%d", err, r.calls)
-	}
-}
-
-func TestRoutePreparedWithContextFallback(t *testing.T) {
-	c := circuit.New(2)
-	c.MustAppend(circuit.NewCX(0, 1))
-	dev := arch.Line(2)
-	p, err := Prepare(c, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &plainRouter{}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RoutePreparedWithContext(ctx, r, p); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if r.calls != 0 {
-		t.Fatal("legacy Route invoked on a dead context")
 	}
 }

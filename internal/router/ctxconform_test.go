@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bmt"
+	"repro/internal/chaos"
 	"repro/internal/circuit"
 	"repro/internal/mlqls"
 	"repro/internal/qmap"
@@ -17,14 +21,18 @@ import (
 	"repro/internal/tket"
 )
 
-// ctxTools is every QLS tool in the repository; each must implement the
-// full cancellable contract.
+// ctxTools is every QLS tool in the repository plus a chaos Pass
+// wrapper; each must honour the cancellable contract. The VF2 +
+// token-swapping tool never polls mid-search, so it pins the weakest
+// form of the contract: a context that is already done is refused.
 func ctxTools() []router.Router {
 	return []router.Router{
 		sabre.New(sabre.Options{Trials: 2, Seed: 3}),
 		tket.New(tket.Options{Seed: 3}),
 		qmap.New(qmap.Options{Seed: 3}),
 		mlqls.New(mlqls.Options{Seed: 3}),
+		bmt.New(bmt.Options{}),
+		&chaos.Router{Inner: sabre.New(sabre.Options{Trials: 2, Seed: 3}), Mode: chaos.Pass},
 	}
 }
 
@@ -51,15 +59,19 @@ func resultPrint(res *router.Result) uint64 {
 	return h.Sum64()
 }
 
-// TestAllToolsImplementCtxInterfaces pins the tentpole contract: every
-// router exposes both cancellable entry points.
+// TestAllToolsImplementCtxInterfaces pins the one-method surface:
+// router.Router's ctx-aware Route is every tool's only routing method.
 func TestAllToolsImplementCtxInterfaces(t *testing.T) {
 	for _, r := range ctxTools() {
-		if _, ok := r.(router.RouterCtx); !ok {
-			t.Errorf("%s does not implement router.RouterCtx", r.Name())
+		typ := reflect.TypeOf(r)
+		var routing []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Route") {
+				routing = append(routing, name)
+			}
 		}
-		if _, ok := r.(router.PreparedRouterCtx); !ok {
-			t.Errorf("%s does not implement router.PreparedRouterCtx", r.Name())
+		if len(routing) != 1 || routing[0] != "Route" {
+			t.Errorf("%s routing methods = %v, want exactly [Route]", r.Name(), routing)
 		}
 	}
 }
@@ -76,13 +88,13 @@ func TestRouteCtxBitIdenticalWithLiveContext(t *testing.T) {
 	for i := range plain {
 		r := plain[i]
 		t.Run(r.Name(), func(t *testing.T) {
-			base, err := r.Route(c, dev)
+			base, err := router.RouteWithContext(context.Background(), r, c, dev)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			got, err := armed[i].(router.RouterCtx).RouteCtx(ctx, c, dev)
+			got, err := router.RouteWithContext(ctx, armed[i], c, dev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,27 +107,34 @@ func TestRouteCtxBitIdenticalWithLiveContext(t *testing.T) {
 }
 
 // TestRouteCtxCancelledBeforeStart asserts every tool reports a dead
-// context instead of routing.
+// context instead of routing, from a searched and from a pinned
+// placement alike.
 func TestRouteCtxCancelledBeforeStart(t *testing.T) {
 	dev := arch.Grid3x3()
 	c := conformCircuit()
+	p, err := router.Prepare(c, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, r := range ctxTools() {
 		t.Run(r.Name(), func(t *testing.T) {
-			res, err := r.(router.RouterCtx).RouteCtx(ctx, c, dev)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if res != nil {
-				t.Fatal("partial result escaped a cancelled route")
+			for _, initial := range []router.Mapping{nil, router.IdentityMapping(c.NumQubits)} {
+				res, err := r.Route(ctx, p, initial)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("initial=%v: err = %v, want context.Canceled", initial, err)
+				}
+				if res != nil {
+					t.Fatal("partial result escaped a cancelled route")
+				}
 			}
 		})
 	}
 }
 
-// TestRoutePreparedCtxCancelled exercises the prepared-path dispatch
-// helper against every tool with a dead context.
+// TestRoutePreparedCtxCancelled exercises the prepared-path helper
+// against every tool with a dead context.
 func TestRoutePreparedCtxCancelled(t *testing.T) {
 	dev := arch.Grid3x3()
 	c := conformCircuit()
@@ -133,6 +152,48 @@ func TestRoutePreparedCtxCancelled(t *testing.T) {
 			}
 			if res != nil {
 				t.Fatal("partial result escaped a cancelled route")
+			}
+		})
+	}
+}
+
+// TestRoutePinnedPlacement asserts that a short initial mapping is
+// padded to the device and pinned: every tool that routes from a fixed
+// placement reports exactly the padded mapping as its initial one, and
+// the result validates.
+func TestRoutePinnedPlacement(t *testing.T) {
+	dev := arch.Grid3x3()
+	c := circuit.New(7)
+	rng := rand.New(rand.NewSource(5))
+	for len(c.Gates) < 60 {
+		a, b := rng.Intn(7), rng.Intn(7)
+		if a != b {
+			c.MustAppend(circuit.NewCX(a, b))
+		}
+	}
+	p, err := router.Prepare(c, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := router.Mapping{4, 0, 8, 2, 6, 1, 3}
+	want := router.PadMapping(initial, dev.NumQubits())
+	for _, r := range ctxTools() {
+		t.Run(r.Name(), func(t *testing.T) {
+			res, err := r.Route(context.Background(), p, initial)
+			if r.Name() == "vf2-ts" {
+				if err == nil {
+					t.Fatal("vf2-ts accepted a fixed placement it cannot honour")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(res.InitialMapping) != fmt.Sprint(want) {
+				t.Errorf("initial mapping %v, want the padded placement %v", res.InitialMapping, want)
+			}
+			if err := router.Validate(c, dev, res); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -48,7 +48,7 @@ type Prepared struct {
 
 // Prepare builds the shared routing context for one (circuit, device)
 // instance. It fails when the circuit needs more qubits than the device
-// has — the same guard every tool's Route starts with.
+// has, so every tool's Route can rely on the instance fitting.
 func Prepare(c *circuit.Circuit, dev *arch.Device) (*Prepared, error) {
 	if c.NumQubits > dev.NumQubits() {
 		return nil, fmt.Errorf("router: circuit needs %d qubits, device has %d", c.NumQubits, dev.NumQubits())
@@ -92,15 +92,4 @@ func ReverseSkeleton(c *circuit.Circuit) *circuit.Circuit {
 		out.MustAppend(c.Gates[i])
 	}
 	return out
-}
-
-// PreparedRouter is a tool that can route from a shared pre-built
-// context instead of deriving its own. RoutePrepared must produce
-// exactly the Result Route would for (p.Circuit, p.Device) — the
-// prepared path is a pure performance channel, never a behavioural one
-// — and must not mutate p or anything reachable from it, because the
-// harness hands one Prepared to several tools, possibly concurrently.
-type PreparedRouter interface {
-	Router
-	RoutePrepared(p *Prepared) (*Result, error)
 }

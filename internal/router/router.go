@@ -1,11 +1,14 @@
 // Package router defines the shared vocabulary of quantum layout
 // synthesis tools: qubit mappings, transpiled-circuit results, the Router
-// interface implemented by every QLS tool in this repository, and an
+// interface implemented by every QLS tool in this repository, an
 // independent validator that audits any result against the device's
-// connectivity and the circuit's gate dependencies.
+// connectivity and the circuit's gate dependencies, and Guard, the one
+// fault-isolation guard every evaluation cell and portfolio racer runs
+// through.
 package router
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/arch"
@@ -91,9 +94,24 @@ func (r *Result) RoutedDepth() int { return r.Transpiled.TwoQubitDepth() }
 type Router interface {
 	// Name identifies the tool in experiment tables.
 	Name() string
-	// Route maps and routes the circuit for the device, returning a valid
-	// Result or an error.
-	Route(c *circuit.Circuit, dev *arch.Device) (*Result, error)
+	// Route maps and routes p's circuit onto p's device, returning a
+	// valid Result or an error. It must not mutate p, which callers
+	// share across tools, possibly concurrently.
+	//
+	// A nil initial lets the tool search for a placement (full layout
+	// synthesis). A non-nil initial is padded to the device with
+	// PadMapping and pinned: placement is not searched, which is how the
+	// paper evaluates standalone routers from the provably optimal
+	// placement (Section IV-C). A tool that cannot route from a fixed
+	// placement returns an error.
+	//
+	// Route must return promptly (within a bounded number of
+	// decision-loop iterations) once ctx is done, reporting ctx.Err() —
+	// possibly wrapped — instead of a Result. With a context that never
+	// fires, the armed path must match the uncancellable one bit for bit
+	// and add no allocations to the warm decision loop (CtxChecker is
+	// how implementations meet that bar).
+	Route(ctx context.Context, p *Prepared, initial Mapping) (*Result, error)
 }
 
 // BudgetedRouter is a tool whose internal parallelism (expansion waves,
@@ -110,18 +128,6 @@ type BudgetedRouter interface {
 	// SetWorkerBudget attaches the shared budget. A nil budget detaches
 	// it and restores the router's standalone worker policy.
 	SetWorkerBudget(b *pool.Budget)
-}
-
-// PlacedRouter is a tool that can route from a caller-supplied initial
-// mapping, which is how the paper proposes using QUBIKOS to evaluate
-// standalone routers: hand every router the provably optimal placement
-// and attribute any remaining gap to routing alone (Section IV-C).
-type PlacedRouter interface {
-	Router
-	// RouteFrom routes the circuit starting from the given initial
-	// mapping (placement is not searched). A short mapping is padded to
-	// the device with ancilla assignments.
-	RouteFrom(c *circuit.Circuit, dev *arch.Device, initial Mapping) (*Result, error)
 }
 
 // PadMapping extends a mapping to cover nPhys physical qubits by

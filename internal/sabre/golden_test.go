@@ -1,6 +1,7 @@
 package sabre_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -120,7 +121,7 @@ func TestGoldenCorpus(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			dev := gc.device()
 			c := gc.circ(t, dev)
-			res, err := sabre.New(gc.opts).Route(c, dev)
+			res, err := router.RouteWithContext(context.Background(), sabre.New(gc.opts), c, dev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +150,7 @@ func TestRouteAllocsFlatInTrials(t *testing.T) {
 	c := randomCircuit(9, 200, 5)
 	route := func(trials int) func() {
 		return func() {
-			if _, err := sabre.New(sabre.Options{Trials: trials, Seed: 3}).Route(c, dev); err != nil {
+			if _, err := router.RouteWithContext(context.Background(), sabre.New(sabre.Options{Trials: trials, Seed: 3}), c, dev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -175,13 +176,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			dev := gc.device()
 			c := gc.circ(t, dev)
-			par, err := sabre.New(gc.opts).Route(c, dev)
+			par, err := router.RouteWithContext(context.Background(), sabre.New(gc.opts), c, dev)
 			if err != nil {
 				t.Fatal(err)
 			}
 			serOpts := gc.opts
 			serOpts.Trace = func(sabre.TraceStep) {} // forces workers=1
-			ser, err := sabre.New(serOpts).Route(c, dev)
+			ser, err := router.RouteWithContext(context.Background(), sabre.New(serOpts), c, dev)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package sabre
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -154,11 +155,11 @@ func TestDisabledLookaheadChangesRouting(t *testing.T) {
 				c.MustAppend(circuit.NewCX(a, b))
 			}
 		}
-		on, err := New(Options{Trials: 2, Seed: seed}).Route(c, dev)
+		on, err := router.RouteWithContext(context.Background(), New(Options{Trials: 2, Seed: seed}), c, dev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := New(Options{Trials: 2, Seed: seed, ExtendedSetWeight: Disabled}).Route(c, dev)
+		off, err := router.RouteWithContext(context.Background(), New(Options{Trials: 2, Seed: seed, ExtendedSetWeight: Disabled}), c, dev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +217,7 @@ func TestTrialsIndependentOfScheduling(t *testing.T) {
 	dev := arch.Grid3x3()
 	var counts []int
 	for rep := 0; rep < 3; rep++ {
-		res, err := New(Options{Trials: 6, Seed: 4}).Route(c, dev)
+		res, err := router.RouteWithContext(context.Background(), New(Options{Trials: 6, Seed: 4}), c, dev)
 		if err != nil {
 			t.Fatal(err)
 		}

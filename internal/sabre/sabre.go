@@ -133,8 +133,7 @@ func (o Options) withDefaults() Options {
 type Router struct {
 	opts   Options
 	name   string
-	fixed  router.Mapping // non-nil: placement pinned, no restart search
-	budget *pool.Budget   // optional shared worker budget
+	budget *pool.Budget // optional shared worker budget
 
 	// Work counters since construction (router.Instrumented). Trial
 	// engines count into plain engine-local integers and merge here once
@@ -171,67 +170,43 @@ func New(opts Options) *Router {
 	return &Router{opts: opts.withDefaults(), name: name}
 }
 
-// NewFixedMapping returns a SABRE routing engine pinned to the given
-// initial mapping: trials reuse the placement and differ only in
-// tie-breaking randomness. Used by tools (e.g. ML-QLS) that construct
-// their own placement and only need the swap router. The mapping must
-// cover the device-padded register.
-func NewFixedMapping(opts Options, mapping router.Mapping) *Router {
-	o := opts.withDefaults()
-	o.MappingPasses = -1 // placement is pinned; no settling passes
-	return &Router{opts: o, name: "sabre-fixed", fixed: mapping}
-}
-
 // Name implements router.Router.
 func (r *Router) Name() string { return r.name }
 
-// Route implements router.Router.
-func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
-}
-
-// RouteCtx implements router.RouterCtx: Route under a cancellation
-// context. The trial engines poll the context with an amortized
-// CtxChecker, so an uncancellable context (the Route path) costs
-// nothing in the decision loop.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	p, err := router.Prepare(c, dev)
-	if err != nil {
-		return nil, fmt.Errorf("sabre: %w", err)
-	}
-	return r.RoutePreparedCtx(ctx, p)
-}
-
-// RoutePrepared implements router.PreparedRouter: it routes from a
-// shared pre-built context, producing exactly the result Route would.
-// The context's padded circuit, skeleton, and forward/backward DAGs are
-// deterministic functions of the circuit, so sharing them across tools
-// (and across this router's trial goroutines) is purely a performance
-// channel.
-func (r *Router) RoutePrepared(p *router.Prepared) (*router.Result, error) {
-	return r.RoutePreparedCtx(context.Background(), p)
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx. Cancellation is
-// observed inside every trial's routing loop; once ctx is done the
-// remaining trial work collapses to fast no-ops and ctx.Err() is
-// returned instead of a partial result.
-func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
+// Route implements router.Router. The shared context's padded circuit,
+// skeleton, and forward/backward DAGs are read-only across this
+// router's trial goroutines. With an initial mapping the placement
+// search and its settling passes are skipped: every trial routes from
+// the pinned placement and trials differ only in tie-breaking
+// randomness.
+//
+// Cancellation stops trial dispatch and is observed inside every
+// running trial's routing loop through an amortized CtxChecker, so an
+// uncancellable context costs nothing in the decision loop; once ctx is
+// done ctx.Err() is returned instead of a partial result.
+func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
 	dev := p.Device
 	work := p.Padded
 	skeleton := p.Skeleton
 	fwdDAG := p.DAG()
 	bwdDAG := p.ReversedDAG()
 
+	opts := r.opts
+	var fixed router.Mapping
+	if initial != nil {
+		fixed = router.PadMapping(initial, dev.NumQubits())
+		opts.MappingPasses = -1 // placement is pinned; no settling passes
+	}
+
 	// Trials are independent; run them across the available CPUs with
 	// per-trial deterministic seeds. Ties break toward the lower trial
 	// index so results do not depend on scheduling.
-	results := make([]*trialResult, r.opts.Trials)
+	results := make([]*trialResult, opts.Trials)
 	workers := runtime.GOMAXPROCS(0)
-	if workers > r.opts.Trials {
-		workers = r.opts.Trials
+	if workers > opts.Trials {
+		workers = opts.Trials
 	}
-	if r.opts.Trace != nil {
+	if opts.Trace != nil {
 		workers = 1 // keep trace callbacks single-threaded and ordered
 	}
 	if r.budget != nil && workers > 1 {
@@ -247,11 +222,11 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := newPassEngine(dev, r.opts, fwdDAG.N())
+			e := newPassEngine(dev, opts, fwdDAG.N())
 			e.check.Reset(ctx)
 			for trial := range next {
-				rng := rand.New(rand.NewSource(r.opts.Seed + 1000003*int64(trial)))
-				results[trial] = r.runTrial(e, skeleton, fwdDAG, bwdDAG, dev, rng, trial)
+				rng := rand.New(rand.NewSource(opts.Seed + 1000003*int64(trial)))
+				results[trial] = runTrial(e, fixed, skeleton, fwdDAG, bwdDAG, dev, rng, trial)
 			}
 			// One merge per worker, after all its trials: the engine's
 			// plain counters reach the router's atomics off the hot path.
@@ -259,19 +234,25 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 			r.candidates.Add(e.cntCandidates)
 		}()
 	}
-	for trial := 0; trial < r.opts.Trials; trial++ {
-		next <- trial
+dispatch:
+	for trial := 0; trial < opts.Trials; trial++ {
+		select {
+		case next <- trial:
+		case <-ctx.Done():
+			break dispatch
+		}
 	}
 	close(next)
 	wg.Wait()
 
 	// A trial cut short by cancellation leaves a partial (invalid)
-	// result; ctx.Err() is necessarily non-nil by then, so checking it
-	// here guarantees no truncated routing ever escapes.
+	// result, and an undispatched one none; ctx.Err() is necessarily
+	// non-nil by then, so checking it here guarantees no truncated
+	// routing ever escapes.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
 	}
-	r.restarts.Add(int64(r.opts.Trials))
+	r.restarts.Add(int64(opts.Trials))
 
 	best := results[0]
 	for _, tr := range results[1:] {
@@ -288,26 +269,8 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 		InitialMapping: best.initial,
 		Transpiled:     woven,
 		SwapCount:      best.swaps,
-		Trials:         r.opts.Trials,
+		Trials:         opts.Trials,
 	}, nil
-}
-
-// RouteFrom implements router.PlacedRouter: the placement search is
-// skipped and every trial routes from the supplied mapping.
-func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.Mapping) (*router.Result, error) {
-	pinned := &Router{opts: r.opts, name: r.name, fixed: router.PadMapping(initial, dev.NumQubits()), budget: r.budget}
-	pinned.opts.MappingPasses = -1
-	res, err := pinned.Route(c, dev)
-	if err != nil {
-		return nil, err
-	}
-	// The pinned clone did the work; fold its counters back into the
-	// router the caller holds.
-	r.decisions.Add(pinned.decisions.Load())
-	r.candidates.Add(pinned.candidates.Load())
-	r.restarts.Add(pinned.restarts.Load())
-	res.Tool = r.name
-	return res, nil
 }
 
 type trialResult struct {
@@ -317,23 +280,24 @@ type trialResult struct {
 }
 
 // runTrial performs one random-restart attempt: settle the initial
-// mapping with forward/backward passes, then record the final pass. The
-// engine's scratch buffers are reused across passes and trials.
-func (r *Router) runTrial(e *passEngine, skeleton *circuit.Circuit, fwdDAG, bwdDAG *circuit.DAG, dev *arch.Device, rng *rand.Rand, trial int) *trialResult {
+// mapping with forward/backward passes, then record the final pass. A
+// non-nil fixed mapping replaces the random placement. The engine's
+// scratch buffers are reused across passes and trials.
+func runTrial(e *passEngine, fixed router.Mapping, skeleton *circuit.Circuit, fwdDAG, bwdDAG *circuit.DAG, dev *arch.Device, rng *rand.Rand, trial int) *trialResult {
 	var mapping router.Mapping
-	if r.fixed != nil {
-		mapping = r.fixed.Clone()
+	if fixed != nil {
+		mapping = fixed.Clone()
 	} else {
 		mapping = router.Mapping(rng.Perm(dev.NumQubits())[:skeleton.NumQubits])
 	}
 
-	for pass := 0; pass < r.opts.MappingPasses; pass++ {
+	for pass := 0; pass < e.opts.MappingPasses; pass++ {
 		final := e.run(fwdDAG, mapping.Clone(), rng, false, nil, trial)
 		mapping = e.run(bwdDAG, final, rng, false, nil, trial)
 	}
 
 	initial := mapping.Clone()
-	e.run(fwdDAG, mapping, rng, true, r.opts.Trace, trial)
+	e.run(fwdDAG, mapping, rng, true, e.opts.Trace, trial)
 	return &trialResult{initial: initial, out: e.out, swaps: e.swaps}
 }
 
@@ -521,7 +485,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 
 	for executed < n {
 		// Cancellation point: abandon the pass mid-route. The caller
-		// (RoutePreparedCtx) discards the truncated output by checking
+		// (Route) discards the truncated output by checking
 		// ctx.Err() before assembling a Result.
 		if e.check.Tick() {
 			break

@@ -1,7 +1,10 @@
 package sabre
 
 import (
+	"context"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -14,7 +17,7 @@ func TestRouteTriangleOnLine(t *testing.T) {
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	dev := arch.Line(4)
 	r := New(Options{Trials: 8, Seed: 1})
-	res, err := r.Route(c, dev)
+	res, err := router.RouteWithContext(context.Background(), r, c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,7 @@ func TestRouteEmbeddableCircuitZeroSwaps(t *testing.T) {
 	)
 	dev := arch.Line(5)
 	r := New(Options{Trials: 32, Seed: 2})
-	res, err := r.Route(c, dev)
+	res, err := router.RouteWithContext(context.Background(), r, c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestRouteWithSingleQubitGates(t *testing.T) {
 	)
 	dev := arch.Grid3x3()
 	r := New(Options{Trials: 4, Seed: 3})
-	res, err := r.Route(c, dev)
+	res, err := router.RouteWithContext(context.Background(), r, c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +79,11 @@ func TestRouteDeterministic(t *testing.T) {
 	}
 	r1 := New(Options{Trials: 4, Seed: 9})
 	r2 := New(Options{Trials: 4, Seed: 9})
-	a, err := r1.Route(b.Circuit, b.Device)
+	a, err := router.RouteWithContext(context.Background(), r1, b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := r2.Route(b.Circuit, b.Device)
+	bb, err := router.RouteWithContext(context.Background(), r2, b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +104,7 @@ func TestRouteQubikosNeverBeatsOptimal(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := New(Options{Trials: 8, Seed: seed})
-		res, err := r.Route(b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +125,11 @@ func TestMoreTrialsNeverWorse(t *testing.T) {
 	}
 	few := New(Options{Trials: 2, Seed: 11})
 	many := New(Options{Trials: 16, Seed: 11})
-	fr, err := few.Route(b.Circuit, b.Device)
+	fr, err := router.RouteWithContext(context.Background(), few, b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := many.Route(b.Circuit, b.Device)
+	mr, err := router.RouteWithContext(context.Background(), many, b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestDecayLookaheadVariant(t *testing.T) {
 	if r.Name() != "lightsabre+decay" {
 		t.Errorf("name=%q", r.Name())
 	}
-	res, err := r.Route(b.Circuit, b.Device)
+	res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +178,7 @@ func TestTraceHookFires(t *testing.T) {
 			}
 		}
 	}})
-	if _, err := r.Route(b.Circuit, b.Device); err != nil {
+	if _, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device); err != nil {
 		t.Fatal(err)
 	}
 	if steps == 0 {
@@ -186,7 +189,7 @@ func TestTraceHookFires(t *testing.T) {
 func TestRouteTooManyQubits(t *testing.T) {
 	c := circuit.New(10)
 	r := New(Options{Trials: 1})
-	if _, err := r.Route(c, arch.Line(4)); err == nil {
+	if _, err := router.RouteWithContext(context.Background(), r, c, arch.Line(4)); err == nil {
 		t.Fatal("oversized circuit accepted")
 	}
 }
@@ -195,7 +198,7 @@ func TestRouteEmptyCircuit(t *testing.T) {
 	c := circuit.New(3)
 	dev := arch.Line(3)
 	r := New(Options{Trials: 2, Seed: 1})
-	res, err := r.Route(c, dev)
+	res, err := router.RouteWithContext(context.Background(), r, c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func TestRouteOnAllPaperDevices(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := New(Options{Trials: 2, Seed: 1})
-		res, err := r.Route(b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name(), err)
 		}
@@ -220,6 +223,42 @@ func TestRouteOnAllPaperDevices(t *testing.T) {
 		}
 		if res.SwapCount < b.OptSwaps {
 			t.Fatalf("%s: below optimal", dev.Name())
+		}
+	}
+}
+
+// Cancellation must stop trial dispatch, not just the running trials:
+// a trial handed out after ctx is done still pays its RNG seeding and
+// pass setup, so draining the whole Trials budget made cancellation
+// latency grow with Trials. Under a dead or 1 ms context, a very large
+// trial budget must come back promptly.
+func TestRouteCancellationLatencyIndependentOfTrials(t *testing.T) {
+	dev := arch.Grid3x3()
+	c := circuit.New(9)
+	rng := rand.New(rand.NewSource(11))
+	for len(c.Gates) < 2000 {
+		a, b := rng.Intn(9), rng.Intn(9)
+		if a != b {
+			c.MustAppend(circuit.NewCX(a, b))
+		}
+	}
+	p, err := router.Prepare(c, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	short, cancelShort := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancelShort()
+	for name, ctx := range map[string]context.Context{"dead": dead, "1ms": short} {
+		start := time.Now()
+		res, err := New(Options{Trials: 200_000, Seed: 1}).Route(ctx, p, nil)
+		elapsed := time.Since(start)
+		if err == nil || res != nil {
+			t.Fatalf("%s: res=%v err=%v, want a cancellation error", name, res, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s context: cancelled route took %v at 200000 trials, want well under 1s", name, elapsed)
 		}
 	}
 }

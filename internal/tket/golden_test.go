@@ -1,6 +1,7 @@
 package tket_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -29,7 +30,7 @@ type goldenCase struct {
 	gates  int   // padded two-qubit gate total
 	seed   int64 // qubikos generation seed
 	opts   tket.Options
-	placed bool   // route via RouteFrom from the planted optimal mapping
+	placed bool   // route via Route from the planted optimal mapping
 	want   int    // expected SwapCount
 	print  uint64 // FNV-1a fingerprint of mapping + gates
 	decide int64  // expected Counters().Decisions
@@ -77,12 +78,15 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := tket.New(gc.opts)
-			var res *router.Result
+			var initial router.Mapping
 			if gc.placed {
-				res, err = r.RouteFrom(b.Circuit, dev, b.InitialMapping)
-			} else {
-				res, err = r.Route(b.Circuit, dev)
+				initial = b.InitialMapping
 			}
+			p, err := router.Prepare(b.Circuit, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Route(context.Background(), p, initial)
 			if err != nil {
 				t.Fatal(err)
 			}

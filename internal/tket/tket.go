@@ -62,10 +62,9 @@ func (o Options) withDefaults() Options {
 // across Route calls and is therefore not safe for concurrent use;
 // create one Router per goroutine (the harness builds one per job).
 type Router struct {
-	opts    Options
-	initial router.Mapping // non-nil: skip placement
-	eng     *engine        // scratch reused across calls on one device size
-	stats   router.Counters
+	opts  Options
+	eng   *engine // scratch reused across calls on one device size
+	stats router.Counters
 }
 
 // Counters implements router.Instrumented: Decisions are swap decisions,
@@ -77,40 +76,12 @@ func (r *Router) Counters() router.Counters { return r.stats }
 // New returns a t|ket⟩-style router.
 func New(opts Options) *Router { return &Router{opts: opts.withDefaults()} }
 
-// RouteFrom implements router.PlacedRouter.
-func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.Mapping) (*router.Result, error) {
-	pinned := &Router{opts: r.opts, initial: router.PadMapping(initial, dev.NumQubits())}
-	res, err := pinned.Route(c, dev)
-	r.stats.Add(pinned.stats)
-	return res, err
-}
-
 // Name implements router.Router.
 func (r *Router) Name() string { return "tket" }
 
-// Route implements router.Router.
-func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
-}
-
-// RouteCtx implements router.RouterCtx: Route under a cancellation
-// context, polled once per swap decision.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	p, err := router.Prepare(c, dev)
-	if err != nil {
-		return nil, fmt.Errorf("tket: %w", err)
-	}
-	return r.RoutePreparedCtx(ctx, p)
-}
-
-// RoutePrepared implements router.PreparedRouter: it routes from a
-// shared pre-built context, producing exactly the result Route would.
-func (r *Router) RoutePrepared(p *router.Prepared) (*router.Result, error) {
-	return r.RoutePreparedCtx(context.Background(), p)
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx.
-func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
+// Route implements router.Router. An initial mapping replaces the
+// placement heuristic; cancellation is polled once per swap decision.
+func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tket: %w", err)
 	}
@@ -122,12 +93,12 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	slices := p.Layers()
 
 	var mapping router.Mapping
-	if r.initial != nil {
-		mapping = r.initial.Clone()
+	if initial != nil {
+		mapping = router.PadMapping(initial, dev.NumQubits())
 	} else {
 		mapping = place(skeleton, dev, rng)
 	}
-	initial := mapping.Clone()
+	placed := mapping.Clone()
 	lay := &layout{m: mapping, inv: mapping.Inverse(dev.NumQubits())}
 
 	// The cache key is the device's coupling graph (devices are
@@ -238,7 +209,7 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	r.stats.Restarts++
 	return &router.Result{
 		Tool:           r.Name(),
-		InitialMapping: initial,
+		InitialMapping: placed,
 		Transpiled:     woven,
 		SwapCount:      swaps,
 		Trials:         1,

@@ -1,6 +1,7 @@
 package tket
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -13,7 +14,7 @@ func TestRouteTriangleOnLine(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	dev := arch.Line(4)
-	res, err := New(Options{Seed: 1}).Route(c, dev)
+	res, err := router.RouteWithContext(context.Background(), New(Options{Seed: 1}), c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestRouteQubikosValidAndAboveOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(Options{Seed: seed}).Route(b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), New(Options{Seed: seed}), b.Circuit, b.Device)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestRouteWithSingleQubitGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Options{Seed: 3}).Route(b.Circuit, b.Device)
+	res, err := router.RouteWithContext(context.Background(), New(Options{Seed: 3}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestRouteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(Options{Seed: 9}).Route(b.Circuit, b.Device)
+	a, err := router.RouteWithContext(context.Background(), New(Options{Seed: 9}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{Seed: 9}).Route(b.Circuit, b.Device)
+	c, err := router.RouteWithContext(context.Background(), New(Options{Seed: 9}), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRouteOnAllPaperDevices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(Options{Seed: 2}).Route(b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), New(Options{Seed: 2}), b.Circuit, b.Device)
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name(), err)
 		}
@@ -105,7 +106,7 @@ func TestRouterReuseAcrossSameSizeDevices(t *testing.T) {
 	}
 	r := New(Options{Seed: 5})
 	for _, dev := range []*arch.Device{arch.Ring(8), arch.Line(8), arch.Grid(2, 4)} {
-		res, err := r.Route(c, dev)
+		res, err := router.RouteWithContext(context.Background(), r, c, dev)
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name(), err)
 		}
@@ -117,14 +118,14 @@ func TestRouterReuseAcrossSameSizeDevices(t *testing.T) {
 
 func TestRouteTooManyQubits(t *testing.T) {
 	c := circuit.New(9)
-	if _, err := New(Options{}).Route(c, arch.Line(4)); err == nil {
+	if _, err := router.RouteWithContext(context.Background(), New(Options{}), c, arch.Line(4)); err == nil {
 		t.Fatal("oversized circuit accepted")
 	}
 }
 
 func TestRouteEmptyCircuit(t *testing.T) {
 	c := circuit.New(4)
-	res, err := New(Options{}).Route(c, arch.Line(4))
+	res, err := router.RouteWithContext(context.Background(), New(Options{}), c, arch.Line(4))
 	if err != nil {
 		t.Fatal(err)
 	}
