@@ -10,6 +10,7 @@ package repro_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/arch"
@@ -22,9 +23,43 @@ import (
 	"repro/internal/router"
 	"repro/internal/sabre"
 	"repro/internal/sat"
+	"repro/internal/suite"
 	"repro/internal/tket"
 	"repro/internal/tokenswap"
 )
+
+// benchStore opens a temporary suite store and ensures each suite once,
+// so a timed iteration pays for evaluation only.
+func benchStore(b *testing.B, cfgs ...harness.SuiteConfig) (*suite.Store, []*suite.Suite) {
+	b.Helper()
+	store, err := suite.Open(b.TempDir(), suite.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sts []*suite.Suite
+	for _, cfg := range cfgs {
+		st, err := store.Ensure(cfg.Manifest())
+		if err != nil {
+			b.Fatal(err)
+		}
+		sts = append(sts, st)
+	}
+	return store, sts
+}
+
+// benchEval evaluates a stored suite into a fresh eval log, so the
+// iteration re-routes every cell instead of resuming a finished log.
+func benchEval(b *testing.B, store *suite.Store, st *suite.Suite, tools []harness.ToolSpec, seed int64) *harness.Figure {
+	b.Helper()
+	fig, err := harness.RunStoredEvalCtx(context.Background(), store, st, tools, harness.StoredEvalOptions{
+		Seed:    seed,
+		LogPath: filepath.Join(b.TempDir(), "eval.jsonl"),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fig
+}
 
 // benchFigure runs one reduced Figure 4 subplot per iteration.
 func benchFigure(b *testing.B, dev *arch.Device, gates int) {
@@ -35,14 +70,12 @@ func benchFigure(b *testing.B, dev *arch.Device, gates int) {
 		TargetTwoQubitGates: gates,
 		Seed:                1,
 	}
+	store, sts := benchStore(b, cfg)
 	tools := harness.DefaultTools(4)
 	var lastGap float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig, err := harness.RunFigureCtx(context.Background(), cfg, tools, harness.EvalConfig{Seed: cfg.Seed})
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := benchEval(b, store, sts[0], tools, cfg.Seed)
 		gaps := harness.AbstractGaps([]*harness.Figure{fig})
 		for _, g := range gaps {
 			if g.Tool == "lightsabre" {
@@ -95,17 +128,14 @@ func BenchmarkAbstractGaps(b *testing.B) {
 		{Device: arch.RigettiAspen4(), SwapCounts: []int{5, 10}, CircuitsPerCount: 1, TargetTwoQubitGates: 300, Seed: 1},
 		{Device: arch.IBMRochester53(), SwapCounts: []int{5, 10}, CircuitsPerCount: 1, TargetTwoQubitGates: 1500, Seed: 1},
 	}
+	store, sts := benchStore(b, cfgs...)
 	tools := harness.DefaultTools(4)
 	var best float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var figs []*harness.Figure
-		for _, cfg := range cfgs {
-			fig, err := harness.RunFigureCtx(context.Background(), cfg, tools, harness.EvalConfig{Seed: cfg.Seed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			figs = append(figs, fig)
+		for j, st := range sts {
+			figs = append(figs, benchEval(b, store, st, tools, cfgs[j].Seed))
 		}
 		gaps := harness.AbstractGaps(figs)
 		best = gaps[0].MeanRatio
@@ -410,16 +440,18 @@ func BenchmarkAblationExtendedSet(b *testing.B) {
 // paper's Section IV-C closing proposal): all four tools routing from the
 // planted optimal mapping.
 func BenchmarkRouterStudy(b *testing.B) {
-	cfg := harness.RouterStudyConfig{Suite: harness.SuiteConfig{
+	cfg := harness.SuiteConfig{
 		Device:              arch.RigettiAspen4(),
 		SwapCounts:          []int{5},
 		CircuitsPerCount:    2,
 		TargetTwoQubitGates: 300,
 		Seed:                31,
-	}}
+	}
+	store, sts := benchStore(b, cfg)
 	var sabreGap float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunRouterStudy(cfg, harness.DefaultTools(4))
+		rows, err := harness.RunRouterStudy(context.Background(), store, sts[0], harness.DefaultTools(4), cfg.Seed)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,13 +7,15 @@
 // every ratio scores depth instead of SWAPs; each table row is labeled
 // with its metric either way.
 //
-// With -cache-dir the suites come from the content-addressed store:
-// generated on the first run, reused bit-identically afterwards — a
-// second evaluation of the same configuration generates nothing. Each
-// evaluation streams per-instance rows into a JSONL log inside the suite
-// directory (keyed by tool set, trials and seed), so an interrupted run
-// resumes where it stopped; -jsonl additionally copies the rows to a
-// file of your choosing. With -suite the command evaluates one stored
+// Every run evaluates through the content-addressed suite store. With
+// -cache-dir the store persists: suites are generated on the first run
+// and reused bit-identically afterwards — a second evaluation of the
+// same configuration generates nothing. Without it the run uses a
+// temporary store, removed on exit. Each evaluation streams
+// per-instance rows into a JSONL log inside the suite directory (keyed
+// by tool set, trials and seed), so an interrupted run over a persistent
+// store resumes where it stopped; -jsonl additionally copies the rows to
+// a file of your choosing. With -suite the command evaluates one stored
 // suite by content hash instead of the Figure-4 configurations.
 //
 // Usage:
@@ -23,7 +25,7 @@
 //	qubikos-eval -arch rochester53 -csv out.csv   # one subplot, CSV export
 //	qubikos-eval -tools lightsabre,tket           # a tool subset
 //	qubikos-eval -family queko-depth -depths 8,16 # depth-objective suites
-//	qubikos-eval -cache-dir cache                 # store-backed, resumable
+//	qubikos-eval -cache-dir cache                 # persistent store, resumable
 //	qubikos-eval -cache-dir cache -suite <hash>   # one stored suite
 //	qubikos-eval -trace out.json                  # Chrome trace of the run
 //
@@ -53,6 +55,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "qubikos-eval:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns its error instead of exiting, so
+// its deferred cleanups (the temporary store, the profiles) run on every
+// exit path.
+func run() (err error) {
 	archName := flag.String("arch", "all", "device (aspen4, sycamore54, rochester53, eagle127) or all")
 	famName := flag.String("family", "qubikos", "benchmark family: qubikos (optimal swaps) or queko-depth (optimal depth)")
 	circuits := flag.Int("circuits", 3, "circuits per grid value (paper: 10)")
@@ -62,10 +74,10 @@ func main() {
 	depthList := flag.String("depths", "8,16,24", "comma-separated optimal routed depths (depth-metric families)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	csvPath := flag.String("csv", "", "also write the cells as CSV to this file")
-	cacheDir := flag.String("cache-dir", "", "suite store root; empty regenerates suites inline (legacy)")
+	cacheDir := flag.String("cache-dir", "", "suite store root; empty evaluates through a temporary store removed on exit")
 	suiteHash := flag.String("suite", "", "evaluate one stored suite by content hash (requires -cache-dir)")
-	jsonlPath := flag.String("jsonl", "", "also stream per-instance result rows to this JSONL file (store mode)")
-	workers := flag.Int("workers", 1, "parallel evaluation workers (store mode)")
+	jsonlPath := flag.String("jsonl", "", "also stream per-instance result rows to this JSONL file")
+	workers := flag.Int("workers", 1, "parallel evaluation workers")
 	toolTimeout := flag.Duration("tool-timeout", 0, "per-(tool, instance) routing budget; a tool over budget becomes a failure row instead of hanging the run (0 = unlimited)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto or chrome://tracing)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -73,39 +85,31 @@ func main() {
 	flag.Parse()
 
 	// Profiling hooks for perf work on real eval traffic: both flags are
-	// off by default and cost nothing when unset. fatal() exits without
-	// running defers, so an aborted run leaves a truncated CPU profile —
-	// acceptable for a diagnostics channel.
+	// off by default and cost nothing when unset.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live heap before snapshotting
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
+			if werr := writeHeapProfile(*memProfile); err == nil {
+				err = werr
 			}
 		}()
 	}
 
 	// Every run is traced: spans feed the wall-time summary printed at
 	// the end, and -trace additionally exports them as Chrome trace-event
-	// JSON. SIGINT/SIGTERM cancel the context: store-backed evaluation
-	// streams durable rows as it goes, so an interrupted run resumes
-	// where it stopped instead of losing the partial figure.
+	// JSON. SIGINT/SIGTERM cancel the context: evaluation streams durable
+	// rows as it goes, so an interrupted run over a persistent store
+	// resumes where it stopped instead of losing the partial figure.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	tr := obs.New(0)
@@ -113,7 +117,7 @@ func main() {
 
 	fam, err := family.Resolve(*famName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	gridFlag := *swapList
 	if fam.Metric == family.Depth {
@@ -121,36 +125,42 @@ func main() {
 	}
 	grid, err := parseGrid(gridFlag, fam.MinOptimal)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *suiteHash != "" && *cacheDir == "" {
-		fatal(fmt.Errorf("-suite requires -cache-dir"))
+		return fmt.Errorf("-suite requires -cache-dir")
 	}
-
-	var store *suite.Store
-	if *cacheDir != "" {
-		// Verify mirrors the inline path: PaperSuites runs the structural
-		// verifier on every generated benchmark, so store-backed
-		// generation does too (cache hits cost nothing either way).
-		if store, err = suite.Open(*cacheDir, suite.StoreOptions{Verify: true}); err != nil {
-			fatal(err)
+	root := *cacheDir
+	if root == "" {
+		if root, err = os.MkdirTemp("", "qubikos-eval-"); err != nil {
+			return err
 		}
+		defer os.RemoveAll(root)
+	}
+	// The store runs the structural verifier on every benchmark it
+	// generates; cache hits cost nothing.
+	store, err := suite.Open(root, suite.StoreOptions{Verify: true})
+	if err != nil {
+		return err
 	}
 	// Unknown tool names are a hard error listing the registered tools —
 	// never a silent skip that would quietly shrink the comparison.
 	tools, err := harness.SelectTools(*toolList, *trials)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var figs []*harness.Figure
 	if *suiteHash != "" {
 		st, err := store.Lookup(*suiteHash)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fig := evalStored(ctx, store, st, tools, *trials, *seed, *workers, *toolTimeout, *jsonlPath)
+		fig, err := evalStored(ctx, store, st, tools, *trials, *seed, *workers, *toolTimeout, *jsonlPath)
+		if err != nil {
+			return err
+		}
 		figs = append(figs, fig)
 		harness.RenderFigure(os.Stdout, fig)
 	} else {
@@ -158,7 +168,7 @@ func main() {
 		if *archName != "all" {
 			dev, err := arch.ByName(*archName)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			kept := suites[:0]
 			for _, s := range suites {
@@ -167,7 +177,7 @@ func main() {
 				}
 			}
 			if len(kept) == 0 {
-				fatal(fmt.Errorf("device %q is not part of the Figure 4 suites", *archName))
+				return fmt.Errorf("device %q is not part of the Figure 4 suites", *archName)
 			}
 			suites = kept
 		}
@@ -178,24 +188,18 @@ func main() {
 
 		for _, cfg := range suites {
 			t0 := time.Now()
-			var fig *harness.Figure
-			if store != nil {
-				st, err := store.EnsureCtx(ctx, cfg.Manifest())
-				if err != nil {
-					fatal(err)
-				}
-				status := "generated"
-				if st.Cached {
-					status = "cache hit"
-				}
-				fmt.Printf("suite %s (%s)\n", st.Hash, status)
-				fig = evalStored(ctx, store, st, tools, *trials, *seed, *workers, *toolTimeout, *jsonlPath)
-			} else {
-				fig, err = harness.RunFigureCtx(ctx, cfg, tools,
-					harness.EvalConfig{Seed: cfg.Seed, ToolTimeout: *toolTimeout})
-				if err != nil {
-					fatal(err)
-				}
+			st, err := store.EnsureCtx(ctx, cfg.Manifest())
+			if err != nil {
+				return err
+			}
+			status := "generated"
+			if st.Cached {
+				status = "cache hit"
+			}
+			fmt.Printf("suite %s (%s)\n", st.Hash, status)
+			fig, err := evalStored(ctx, store, st, tools, *trials, *seed, *workers, *toolTimeout, *jsonlPath)
+			if err != nil {
+				return err
 			}
 			figs = append(figs, fig)
 			harness.RenderFigure(os.Stdout, fig)
@@ -215,7 +219,7 @@ func main() {
 	}
 	if *tracePath != "" {
 		if err := writeTrace(tr, *tracePath); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Println("wrote", *tracePath)
 	}
@@ -223,7 +227,7 @@ func main() {
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		for i, fig := range figs {
@@ -241,6 +245,21 @@ func main() {
 		}
 		fmt.Println("wrote", *csvPath)
 	}
+	return nil
+}
+
+// writeHeapProfile snapshots the live heap into path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // materialize the live heap before snapshotting
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeTrace exports a trace as Chrome trace-event JSON, warning when
@@ -261,8 +280,9 @@ func writeTrace(tr *obs.Trace, path string) error {
 }
 
 // evalStored runs the resumable store-backed evaluation of one suite,
-// optionally mirroring new rows to an external JSONL file.
-func evalStored(ctx context.Context, store *suite.Store, st *suite.Suite, tools []harness.ToolSpec, trials int, seed int64, workers int, toolTimeout time.Duration, jsonlPath string) *harness.Figure {
+// optionally mirroring new rows to an external JSONL file. A failed
+// mirror write cancels the evaluation and is returned as its error.
+func evalStored(ctx context.Context, store *suite.Store, st *suite.Suite, tools []harness.ToolSpec, trials int, seed int64, workers int, toolTimeout time.Duration, jsonlPath string) (*harness.Figure, error) {
 	var keyParts []string
 	for _, t := range tools {
 		keyParts = append(keyParts, t.Name)
@@ -274,24 +294,26 @@ func evalStored(ctx context.Context, store *suite.Store, st *suite.Suite, tools 
 		Key:         harness.EvalKey(keyParts...),
 		ToolTimeout: toolTimeout,
 	}
-	var mirror *suite.EvalLog
 	if jsonlPath != "" {
-		var err error
-		if mirror, err = suite.OpenEvalLog(jsonlPath); err != nil {
-			fatal(err)
+		mirror, err := suite.OpenEvalLog(jsonlPath)
+		if err != nil {
+			return nil, err
 		}
 		defer mirror.Close()
+		var cancel context.CancelCauseFunc
+		ctx, cancel = context.WithCancelCause(ctx)
+		defer cancel(nil)
 		opts.OnRow = func(r suite.Row) {
 			if err := mirror.Append(r); err != nil {
-				fatal(fmt.Errorf("writing %s: %w", jsonlPath, err))
+				cancel(fmt.Errorf("writing %s: %w", jsonlPath, err))
 			}
 		}
 	}
 	fig, err := harness.RunStoredEvalCtx(ctx, store, st, tools, opts)
-	if err != nil {
-		fatal(err)
+	if cause := context.Cause(ctx); err != nil && cause != nil {
+		err = cause
 	}
-	return fig
+	return fig, err
 }
 
 func parseGrid(s string, min int) ([]int, error) {
@@ -304,9 +326,4 @@ func parseGrid(s string, min int) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qubikos-eval:", err)
-	os.Exit(1)
 }

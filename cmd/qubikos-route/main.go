@@ -4,7 +4,9 @@
 // qubikos instances, routed depth for queko-depth instances (both are
 // always printed). With -from-optimal it starts the router from the
 // instance's planted optimal mapping — the paper's standalone-router
-// evaluation mode.
+// evaluation mode. The tool is built, seeded and audited through
+// router.Guard exactly as an evaluation cell or a portfolio racer is, so
+// the same -seed routes the same in every mode.
 //
 // With -portfolio the command races the registered tools concurrently
 // under a -deadline budget and reports the best validated result plus a
@@ -26,12 +28,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -39,26 +39,10 @@ import (
 	"repro/internal/bmt"
 	"repro/internal/family"
 	"repro/internal/harness"
-	"repro/internal/mlqls"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
-	"repro/internal/qmap"
 	"repro/internal/router"
-	"repro/internal/sabre"
-	"repro/internal/tket"
 )
-
-// routeTools builds the tool registry for this command: the four paper
-// tools plus the Section III-C VF2 + token-swapping baseline.
-func routeTools(trials int, seed int64) map[string]router.Router {
-	return map[string]router.Router{
-		"lightsabre": sabre.New(sabre.Options{Trials: trials, Seed: seed}),
-		"ml-qls":     mlqls.New(mlqls.Options{Seed: seed}),
-		"qmap":       qmap.New(qmap.Options{MaxNodes: 2000, Seed: seed}),
-		"tket":       tket.New(tket.Options{Seed: seed}),
-		"vf2-ts":     bmt.New(bmt.Options{}),
-	}
-}
 
 func main() {
 	dir := flag.String("dir", ".", "directory holding the instance files")
@@ -106,27 +90,25 @@ func main() {
 		return
 	}
 
-	tools := routeTools(*trials, *seed)
-	r, ok := tools[*tool]
-	if !ok {
-		names := make([]string, 0, len(tools))
-		for name := range tools {
-			names = append(names, name)
+	// The harness's four paper tools plus the Section III-C VF2 +
+	// token-swapping baseline.
+	specs := append(harness.DefaultTools(*trials), harness.ToolSpec{
+		Name: "vf2-ts",
+		Make: func(int64) router.Router { return bmt.New(bmt.Options{}) },
+	})
+	var spec *harness.ToolSpec
+	names := make([]string, len(specs))
+	for i := range specs {
+		names[i] = specs[i].Name
+		if specs[i].Name == *tool {
+			spec = &specs[i]
 		}
-		sort.Strings(names)
+	}
+	if spec == nil {
 		// An unknown tool is rejected with the registry listed — never
 		// silently mapped to a default.
 		fatal(fmt.Errorf("unknown tool %q (registered: %s)", *tool, strings.Join(names, ", ")))
 	}
-
-	// In single-tool mode -timeout bounds the whole routing call.
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	sp, ctx := obs.Begin(ctx, "route", *tool)
-	sp.Arg("instance", *base)
 
 	var initial router.Mapping
 	if *fromOptimal {
@@ -136,28 +118,36 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := r.Route(ctx, p, initial)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			fatal(fmt.Errorf("routing exceeded the -timeout budget %v", *timeout))
-		}
-		fatal(err)
-	}
-	if ins, ok := r.(router.Instrumented); ok {
-		c := ins.Counters()
-		sp.ArgInt("decisions", c.Decisions)
-		sp.ArgInt("candidates", c.Candidates)
-		sp.ArgInt("restarts", c.Restarts)
-	}
+	metric := inst.Family.Metric
+	// The attempt runs guarded like an evaluation cell or a portfolio
+	// racer: the same seeded constructor, -timeout as its budget, and the
+	// result audited before it is reported.
+	sp, ctx := obs.Begin(ctx, "route", *tool)
+	sp.Arg("instance", *base)
+	out := router.Guard(ctx, router.Attempt{
+		Tool:     spec.Name,
+		Make:     spec.Make,
+		Seed:     *seed,
+		Prepared: p,
+		Initial:  initial,
+		Timeout:  *timeout,
+		Score:    metric.Achieved,
+		Optimal:  inst.Meta.Optimal(),
+		Span:     &sp,
+	})
 	sp.End()
 	if err := writeTrace(tr, *tracePath); err != nil {
 		fatal(err)
 	}
-	if err := router.Validate(inst.Circuit, inst.Device, res); err != nil {
-		fatal(fmt.Errorf("tool produced an invalid result: %w", err))
+	switch out.Kind {
+	case router.OutcomeOK:
+	case router.OutcomeTimeout:
+		fatal(fmt.Errorf("routing exceeded the -timeout budget %v", *timeout))
+	default:
+		fatal(fmt.Errorf("%s: %w", spec.Name, out.Err))
 	}
+	res := out.Result
 
-	metric := inst.Family.Metric
 	fmt.Printf("instance: %s on %s (family %s, %d two-qubit gates, optimal %s %d)\n",
 		*base, inst.Meta.Device, inst.Family.ID, inst.Meta.TwoQubitGates, metric, inst.Meta.Optimal())
 	mode := "full layout synthesis"

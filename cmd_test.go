@@ -4,22 +4,27 @@ package repro_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 )
 
-// buildCmds compiles the six commands into a temp dir, once per test
-// binary invocation.
-func buildCmds(t *testing.T) string {
+// buildCmds compiles the named commands (default: all six) into a temp
+// dir, once per test.
+func buildCmds(t *testing.T, names ...string) string {
 	t.Helper()
+	if len(names) == 0 {
+		names = []string{"qubikos-gen", "qubikos-eval", "qubikos-verify", "qubikos-route", "qubikos-serve", "qubikos-loadtest"}
+	}
 	dir := t.TempDir()
-	for _, name := range []string{"qubikos-gen", "qubikos-eval", "qubikos-verify", "qubikos-route", "qubikos-serve", "qubikos-loadtest"} {
+	for _, name := range names {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
 		cmd.Env = os.Environ()
@@ -125,6 +130,84 @@ func TestCommandPipeline(t *testing.T) {
 		"-circuits", "1", "-swaps", "1,2", "-seed", "3")
 	if !strings.Contains(out, "deviations: 0") {
 		t.Fatalf("study output unexpected:\n%s", out)
+	}
+}
+
+// qubikos-route -tool builds, seeds and audits its tool through
+// router.Guard exactly as a -portfolio racer, so one seed routes one
+// instance to the same SWAP count in both modes.
+func TestRouteSeedParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bins := buildCmds(t, "qubikos-gen", "qubikos-route")
+	work := t.TempDir()
+	run(t, filepath.Join(bins, "qubikos-gen"),
+		"-arch", "aspen4", "-swaps", "3", "-gates", "80", "-count", "2",
+		"-seed", "5", "-out", work)
+	swaps := regexp.MustCompile(`(\d+) SWAPs`)
+	route := func(args ...string) string {
+		args = append([]string{"-dir", work, "-base", "qubikos_aspen4_s3_g80_i000", "-trials", "8", "-seed", "1"}, args...)
+		out := run(t, filepath.Join(bins, "qubikos-route"), args...)
+		m := swaps.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("qubikos-route %v printed no SWAP count:\n%s", args, out)
+		}
+		return m[1]
+	}
+	for _, tool := range []string{"lightsabre", "ml-qls", "qmap", "tket"} {
+		single := route("-tool", tool)
+		raced := route("-portfolio", "-tools", tool, "-hedge", "0")
+		if single != raced {
+			t.Errorf("%s: -tool routes %s SWAPs, -portfolio routes %s with the same seed", tool, single, raced)
+		}
+	}
+}
+
+// Without -cache-dir, qubikos-eval runs the same store-backed evaluator
+// over a temporary store: -workers and -jsonl act as they do with a
+// cache, and the temporary store is removed on every exit, including a
+// run that fails after evaluating.
+func TestEvalWithoutCacheDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bins := buildCmds(t, "qubikos-eval")
+	work, tmp := t.TempDir(), t.TempDir()
+	eval := func(args ...string) (string, error) {
+		args = append([]string{"-arch", "aspen4", "-circuits", "1", "-trials", "2", "-swaps", "2,3", "-workers", "2"}, args...)
+		cmd := exec.Command(filepath.Join(bins, "qubikos-eval"), args...)
+		cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
+		out, err := cmd.CombinedOutput()
+		if left, _ := os.ReadDir(tmp); len(left) != 0 {
+			t.Errorf("qubikos-eval %v left %d entries in TMPDIR", args, len(left))
+		}
+		return string(out), err
+	}
+
+	rowsPath := filepath.Join(work, "rows.jsonl")
+	if out, err := eval("-jsonl", rowsPath); err != nil {
+		t.Fatalf("eval -jsonl: %v\n%s", err, out)
+	}
+	b, err := os.ReadFile(rowsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var r struct{ Tool, Instance string }
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("bad JSONL row %q: %v", line, err)
+		}
+		pairs[r.Tool+"/"+r.Instance] = true
+	}
+	if want := 4 * 2; len(pairs) != want { // 4 tools x 2 instances
+		t.Errorf("-jsonl holds %d (tool, instance) rows, want %d:\n%s", len(pairs), want, b)
+	}
+
+	out, err := eval("-csv", filepath.Join(work, "missing", "cells.csv"))
+	if err == nil || !strings.Contains(out, "Average optimality gap") {
+		t.Fatalf("eval -csv into a missing directory: err=%v, want a failure after evaluating\n%s", err, out)
 	}
 }
 

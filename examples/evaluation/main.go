@@ -1,7 +1,8 @@
 // Evaluation: a reduced Figure-4 run — all four QLS tools on two of the
 // paper's architectures (Aspen-4 and Rochester), printing the per-cell
-// optimality-gap tables and the cross-tool averages. Scale the constants
-// up (circuits, trials, devices) to approach the paper's full setting.
+// optimality-gap tables and the cross-tool averages. The suites live in
+// a temporary store for the run. Scale the constants up (circuits,
+// trials, devices) to approach the paper's full setting.
 package main
 
 import (
@@ -12,9 +13,16 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/harness"
+	"repro/internal/suite"
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	suites := []harness.SuiteConfig{
 		{
 			Device:              arch.RigettiAspen4(),
@@ -22,7 +30,6 @@ func main() {
 			CircuitsPerCount:    3,
 			TargetTwoQubitGates: 300,
 			Seed:                11,
-			Verify:              true,
 		},
 		{
 			Device:              arch.IBMRochester53(),
@@ -30,16 +37,30 @@ func main() {
 			CircuitsPerCount:    2,
 			TargetTwoQubitGates: 1500,
 			Seed:                11,
-			Verify:              true,
 		},
 	}
 	tools := harness.DefaultTools(8) // 8 LightSABRE trials; the paper uses 1000
 
+	dir, err := os.MkdirTemp("", "qubikos-evaluation-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	store, err := suite.Open(dir, suite.StoreOptions{Verify: true})
+	if err != nil {
+		return err
+	}
+
+	ctx := context.Background()
 	var figs []*harness.Figure
 	for _, cfg := range suites {
-		fig, err := harness.RunFigureCtx(context.Background(), cfg, tools, harness.EvalConfig{Seed: cfg.Seed})
+		st, err := store.EnsureCtx(ctx, cfg.Manifest())
 		if err != nil {
-			log.Fatal(err)
+			return err
+		}
+		fig, err := harness.RunStoredEvalCtx(ctx, store, st, tools, harness.StoredEvalOptions{Seed: cfg.Seed})
+		if err != nil {
+			return err
 		}
 		figs = append(figs, fig)
 		harness.RenderFigure(os.Stdout, fig)
@@ -50,4 +71,5 @@ func main() {
 	fmt.Println("\nExpected shape (paper Figure 4): LightSABRE smallest gap,")
 	fmt.Println("ML-QLS close behind, QMAP and t|ket| far larger; Rochester's")
 	fmt.Println("sparse heavy-hex structure shows a larger gap than Aspen-4.")
+	return nil
 }

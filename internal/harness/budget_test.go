@@ -3,9 +3,10 @@ package harness
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 
-	"repro/internal/family"
 	"repro/internal/mlqls"
 	"repro/internal/qmap"
 	"repro/internal/router"
@@ -17,10 +18,10 @@ import (
 // cells of a sweep whose budget lends nothing. Run under -race in CI,
 // this is the data-race coverage of the harness→router borrow path.
 func TestWorkerBudgetSeamDeterministic(t *testing.T) {
-	items, err := GenerateItems(smallSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Nine slots: a one-worker sweep lends the other eight to its
+	// routers, a nine-worker sweep keeps all nine for its own pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(9))
+	store, st := ensureSuite(t, smallSuite())
 	tools := []ToolSpec{
 		{"qmap", func(seed int64) router.Router {
 			return qmap.New(qmap.Options{MaxNodes: 2000, Seed: seed, Workers: 4})
@@ -30,15 +31,16 @@ func TestWorkerBudgetSeamDeterministic(t *testing.T) {
 		}},
 	}
 	run := func(workers int) []Cell {
-		cells, err := EvaluateItemsCtx(context.Background(), family.Swaps, items,
-			[]int{2, 3}, tools, EvalConfig{Seed: 5, Workers: workers})
+		fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
+			Seed: 5, Workers: workers, Key: "workers=" + strconv.Itoa(workers),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cells
+		return fig.Cells
 	}
-	serial := run(1)   // budget lends nothing: every router runs serially
-	budgeted := run(9) // budget lends up to 8 internal workers
+	budgeted := run(1) // budget lends up to 8 internal workers
+	serial := run(9)   // budget lends nothing: every router runs serially
 	if !reflect.DeepEqual(serial, budgeted) {
 		t.Errorf("cells diverge between budgeted and serial sweeps:\nserial:   %+v\nbudgeted: %+v",
 			serial, budgeted)

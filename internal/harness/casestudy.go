@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -231,4 +232,14 @@ func RenderCaseStudy(w io.Writer, r *CaseStudyResult) {
 		}
 		fmt.Fprintf(w, "    %-8s %9.2fx %11d\n", label, l.MeanRatio, l.Suboptimal)
 	}
+}
+
+// routePlanted routes the benchmark with r from its planted optimal
+// initial mapping.
+func routePlanted(r router.Router, b *qubikos.Benchmark) (*router.Result, error) {
+	p, err := router.Prepare(b.Circuit, b.Device)
+	if err != nil {
+		return nil, err
+	}
+	return r.Route(context.Background(), p, b.InitialMapping)
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -197,33 +198,36 @@ func TestStoredEvalCancelledMidRunResumes(t *testing.T) {
 	}
 }
 
-// The inline (EvaluateItemsCtx) path shares the same guard: hangs time out
-// into cell failures, and a pre-cancelled context is a hard error.
-func TestEvaluateItemsCtxTimeoutAndCancel(t *testing.T) {
+// A cell whose every attempt failed has no gap to report: its gaps read
+// zero rather than a sentinel, and the text table shows the failures.
+func TestStoredEvalFailedCellReportsZeroGap(t *testing.T) {
 	cfg := tinyCfg()
-	items, err := GenerateItems(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cfg.Manifest()
+	store, st := ensureSuite(t, cfg)
 	tools := []ToolSpec{chaosSpec("hung", chaos.HangUntilCancel, nil)}
-
-	cells, err := EvaluateItemsCtx(context.Background(), m.Metric(), items, m.Grid(), tools,
-		EvalConfig{Seed: cfg.Seed, ToolTimeout: 50 * time.Millisecond})
+	fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
+		Seed:        cfg.Seed,
+		ToolTimeout: 20 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cells {
-		if c.Failures == 0 || c.Circuits != 0 {
-			t.Errorf("cell n=%d: circuits=%d failures=%d, want all timeouts", c.Optimal, c.Circuits, c.Failures)
+	for _, c := range fig.Cells {
+		if c.Circuits != 0 || c.Failures != cfg.CircuitsPerCount ||
+			c.MeanRatio != 0 || c.MinRatio != 0 || c.MaxRatio != 0 {
+			t.Errorf("all-failed cell n=%d: %+v, want %d failures and zero gaps", c.Optimal, c, cfg.CircuitsPerCount)
 		}
 	}
-
-	dead, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if _, err := EvaluateItemsCtx(dead, m.Metric(), items, m.Grid(), tools,
-		EvalConfig{Seed: cfg.Seed}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	var sb strings.Builder
+	RenderFigure(&sb, fig)
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if !strings.HasSuffix(lines[1], "failures") {
+		t.Errorf("table header %q has no failures column", lines[1])
+	}
+	want := strconv.Itoa(cfg.CircuitsPerCount)
+	for _, line := range lines[2:] {
+		if f := strings.Fields(line); f[len(f)-1] != want || strings.Contains(line, "-1.00x") {
+			t.Errorf("row %q: want zero gaps and %s failures", line, want)
+		}
 	}
 }
 
@@ -232,12 +236,11 @@ func TestEvaluateItemsCtxTimeoutAndCancel(t *testing.T) {
 // outcome.
 func TestRouteOneCtxOutcomes(t *testing.T) {
 	cfg := tinyCfg()
-	items, err := GenerateItems(cfg)
+	store, st := ensureSuite(t, cfg)
+	it, _, err := loadItem(store, st, st.Instances[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := items[0]
-	it.prepare()
 
 	slow := chaosSpec("slow", chaos.Delay, func(r *chaos.Router) { r.Sleep = 5 * time.Millisecond })
 	res, toolErr, err := routeOne(context.Background(), slow, it, cfg.Seed, 5*time.Second, nil)

@@ -11,31 +11,11 @@ import (
 	"repro/internal/router"
 )
 
-// EvalConfig carries the runtime knobs of an evaluation sweep that are
-// orthogonal to what is evaluated: the tool-constructor seed and the
-// fault-isolation budget.
-type EvalConfig struct {
-	// Seed feeds each tool's constructor (offset per router.Guard's schedule).
-	Seed int64
-	// ToolTimeout bounds each single (tool, instance) routing attempt.
-	// Zero means no per-tool deadline: only the caller's context limits
-	// the run.
-	ToolTimeout time.Duration
-	// Workers is the sweep's total worker-slot budget, covering both the
-	// evaluation loop itself and any router-internal parallelism
-	// (router.BudgetedRouter tools borrow the idle remainder). 0 means
-	// GOMAXPROCS. The budget changes wall-clock time only, never results.
-	Workers int
-}
-
 // sweepBudget builds the shared worker budget for a sweep that keeps
-// `reserved` slots busy by itself out of a total of `total` (0 =
-// GOMAXPROCS). Budgeted routers borrow from what remains.
-func sweepBudget(total, reserved int) *pool.Budget {
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	return pool.NewBudget(total - reserved)
+// `reserved` slots busy by itself out of GOMAXPROCS. Budgeted routers
+// borrow from what remains.
+func sweepBudget(reserved int) *pool.Budget {
+	return pool.NewBudget(runtime.GOMAXPROCS(0) - reserved)
 }
 
 // routeOne routes one tool on one item through router.Guard under a
@@ -68,6 +48,7 @@ func routeOne(ctx context.Context, tool ToolSpec, it EvalItem, seed int64, toolT
 		Make:     tool.Make,
 		Seed:     seed,
 		Prepared: p,
+		Initial:  it.initial,
 		Timeout:  toolTimeout,
 		Budget:   budget,
 		Score:    it.Metric.Achieved,

@@ -8,14 +8,14 @@
 // labeled with the metric it scores, so mixed-family tables stay
 // unambiguous.
 //
-// Suites come from either of two paths. RunFigureCtx generates inline —
-// the historical one-shot mode. RunStoredEvalCtx fans the tools over a
-// suite held in a content-addressed suite.Store, streaming per-instance
-// rows into a resumable JSONL log; the store guarantees repeated
-// evaluations of the same recipe reuse bit-identical benchmarks without
-// regenerating. Both paths route every (tool, instance) pair through
-// the same router.Guard and aggregate into the same Cell shape, and a
-// golden test pins them to identical figures.
+// Every Figure-4 cell comes from one evaluator: RunStoredEvalCtx fans
+// the tools over a suite held in a content-addressed suite.Store,
+// streaming per-instance rows into a resumable JSONL log that
+// FigureFromRows aggregates. The store guarantees repeated evaluations
+// of the same recipe reuse bit-identical benchmarks without
+// regenerating; a one-shot run evaluates through a temporary store.
+// Every (tool, instance) pair, in the Figure-4 sweep and the
+// standalone-router study alike, routes through the same router.Guard.
 package harness
 
 import (
@@ -121,8 +121,6 @@ type SuiteConfig struct {
 	CircuitsPerCount    int
 	TargetTwoQubitGates int
 	Seed                int64
-	// Verify runs the structural verifier on every generated benchmark.
-	Verify bool
 }
 
 // FamilyID resolves the configured family, defaulting to qubikos.
@@ -143,7 +141,6 @@ func PaperSuites(circuitsPer int, seed int64) []SuiteConfig {
 			CircuitsPerCount:    circuitsPer,
 			TargetTwoQubitGates: gates,
 			Seed:                seed,
-			Verify:              true,
 		}
 	}
 	return []SuiteConfig{
@@ -152,31 +149,6 @@ func PaperSuites(circuitsPer int, seed int64) []SuiteConfig {
 		mk(arch.IBMRochester53(), 1500),
 		mk(arch.IBMEagle127(), 3000),
 	}
-}
-
-// GenerateSuite builds the benchmarks of a suite, deterministic in the
-// configured seed.
-func GenerateSuite(cfg SuiteConfig) ([]*qubikos.Benchmark, error) {
-	var out []*qubikos.Benchmark
-	for _, n := range cfg.SwapCounts {
-		for i := 0; i < cfg.CircuitsPerCount; i++ {
-			b, err := qubikos.Generate(cfg.Device, qubikos.Options{
-				NumSwaps:            n,
-				TargetTwoQubitGates: cfg.TargetTwoQubitGates,
-				Seed:                cfg.Seed + int64(n)*1_000_000 + int64(i),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("harness: generate %s n=%d i=%d: %w", cfg.Device.Name(), n, i, err)
-			}
-			if cfg.Verify {
-				if err := qubikos.Verify(b); err != nil {
-					return nil, fmt.Errorf("harness: verify %s n=%d i=%d: %w", cfg.Device.Name(), n, i, err)
-				}
-			}
-			out = append(out, b)
-		}
-	}
-	return out, nil
 }
 
 // Cell aggregates one (tool, optimal-metric-value) cell of a Figure-4
@@ -203,9 +175,8 @@ type Figure struct {
 	Cells  []Cell `json:"cells"`
 }
 
-// EvalItem is one benchmark to evaluate, decoupled from how it was
-// produced: inline generation, a stored suite, or a parsed file all
-// reduce to a circuit on a device with a proven optimum of some metric.
+// EvalItem is one benchmark to evaluate: a circuit on a device with a
+// proven optimum of some metric.
 type EvalItem struct {
 	// ID names the item in logs and errors (an instance base name).
 	ID      string
@@ -216,159 +187,14 @@ type EvalItem struct {
 	// Optimal is the proven optimal value of Metric.
 	Optimal int
 
+	// initial is the start mapping routeOne pins; nil lets each tool
+	// place the circuit.
+	initial router.Mapping
 	// prep is the shared routing context (padded circuit, skeleton,
-	// DAGs, layers), built once per instance by the eval paths and
-	// handed read-only to every tool. nil means routeOne prepares the
-	// item itself.
+	// DAGs, layers), built once per instance by loadItem and handed
+	// read-only to every tool. nil means routeOne prepares the item
+	// itself.
 	prep *router.Prepared
-}
-
-// prepare builds the item's shared routing context. A context that
-// cannot be built (circuit wider than the device) is left nil: routeOne
-// then turns the Prepare error into a failure row for every tool.
-func (it *EvalItem) prepare() {
-	if it.prep != nil {
-		return
-	}
-	if p, err := router.Prepare(it.Circuit, it.Device); err == nil {
-		it.prep = p
-	}
-}
-
-// Items converts generated qubikos benchmarks into evaluation items.
-func Items(benchmarks []*qubikos.Benchmark) []EvalItem {
-	items := make([]EvalItem, len(benchmarks))
-	for i, b := range benchmarks {
-		items[i] = EvalItem{
-			ID:      fmt.Sprintf("bench_%03d", i),
-			Device:  b.Device,
-			Circuit: b.Circuit,
-			Metric:  family.Swaps,
-			Optimal: b.OptSwaps,
-		}
-	}
-	return items
-}
-
-// GenerateItems builds the configuration's benchmarks through the family
-// registry, deterministic in the configured seed: exactly the instances
-// (and bytes) a suite.Store would generate from cfg.Manifest().
-func GenerateItems(cfg SuiteConfig) ([]EvalItem, error) {
-	m := cfg.Manifest()
-	fam, err := m.Family()
-	if err != nil {
-		return nil, err
-	}
-	var items []EvalItem
-	for _, ref := range m.InstanceRefs() {
-		inst, err := fam.Generate(cfg.Device, m.Options(ref.Optimal, ref.Index))
-		if err != nil {
-			return nil, fmt.Errorf("harness: generate %s %s: %w", cfg.Device.Name(), ref.Base, err)
-		}
-		if cfg.Verify {
-			if err := inst.Verify(); err != nil {
-				return nil, fmt.Errorf("harness: verify %s %s: %w", cfg.Device.Name(), ref.Base, err)
-			}
-		}
-		items = append(items, EvalItem{
-			ID:      ref.Base,
-			Device:  cfg.Device,
-			Circuit: inst.Circuit,
-			Metric:  fam.Metric,
-			Optimal: inst.Optimal,
-		})
-	}
-	return items, nil
-}
-
-// RunFigureCtx generates the suite inline and evaluates it under a
-// cancellation context and an explicit evaluation config: every
-// (tool, instance) routing attempt runs fault-isolated under
-// ec.ToolTimeout, and a cancelled run returns the cancellation cause,
-// never a partial figure. Production runs should generate through a
-// suite.Store and use RunStoredEvalCtx so repeated evaluations never
-// regenerate.
-func RunFigureCtx(ctx context.Context, cfg SuiteConfig, tools []ToolSpec, ec EvalConfig) (*Figure, error) {
-	m := cfg.Manifest()
-	items, err := GenerateItems(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		Device: cfg.Device.Name(),
-		Metric: string(m.Metric()),
-		Gates:  cfg.TargetTwoQubitGates,
-	}
-	fig.Cells, err = EvaluateItemsCtx(ctx, m.Metric(), items, m.Grid(), tools, ec)
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
-}
-
-// EvaluateItemsCtx runs every tool over every item and aggregates per
-// grid value of the scored metric, in tool order then grid order. Each
-// (tool, instance) pair routes through router.Guard bounded by
-// ec.ToolTimeout: a tool that times out, fails, or panics becomes a cell
-// failure while the rest of the sweep completes; cancelling ctx aborts
-// the whole sweep with its cause. Every result is audited with
-// router.Validate and checked against the optimality lower bound;
-// violations are returned as errors because they would falsify the
-// benchmark's guarantee.
-func EvaluateItemsCtx(ctx context.Context, metric family.Metric, items []EvalItem, grid []int, tools []ToolSpec, ec EvalConfig) ([]Cell, error) {
-	for _, it := range items {
-		if it.Optimal <= 0 {
-			return nil, fmt.Errorf("harness: instance %s has no positive optimal %s to score (got %d)",
-				it.ID, metric, it.Optimal)
-		}
-	}
-	// Build each instance's routing context once; every tool in the loop
-	// below shares it instead of re-padding, re-skeletonizing, and
-	// re-building DAGs per (tool, instance) pair.
-	for i := range items {
-		items[i].prepare()
-	}
-	// One shared worker budget for the whole sweep: this loop routes one
-	// (tool, instance) pair at a time, so it reserves a single slot and
-	// budgeted routers borrow the rest of the machine while idle.
-	budget := sweepBudget(ec.Workers, 1)
-	var cells []Cell
-	for _, tool := range tools {
-		for _, n := range grid {
-			cell := Cell{Tool: tool.Name, Metric: string(metric), Optimal: n, MinRatio: -1}
-			for _, it := range items {
-				if it.Optimal != n {
-					continue
-				}
-				res, _, err := routeOne(ctx, tool, it, ec.Seed, ec.ToolTimeout, budget)
-				if err != nil {
-					return nil, err
-				}
-				if res == nil {
-					cell.Failures++
-					continue
-				}
-				ratio := metric.Ratio(metric.Achieved(res), it.Optimal)
-				cell.Circuits++
-				cell.MeanSwaps += float64(res.SwapCount)
-				cell.MeanDepth += float64(res.RoutedDepth())
-				cell.MeanRatio += ratio
-				if cell.MinRatio < 0 || ratio < cell.MinRatio {
-					cell.MinRatio = ratio
-				}
-				if ratio > cell.MaxRatio {
-					cell.MaxRatio = ratio
-				}
-			}
-			if cell.Circuits > 0 {
-				cell.MeanSwaps /= float64(cell.Circuits)
-				cell.MeanDepth /= float64(cell.Circuits)
-				cell.MeanRatio /= float64(cell.Circuits)
-			}
-			cells = append(cells, cell)
-		}
-	}
-	return cells, nil
 }
 
 // ToolAverage is one row of the abstract's summary (63x / 117x / 250x /
@@ -457,14 +283,15 @@ func DeviceGaps(figs []*Figure) []DeviceAverage {
 // RenderFigure prints the figure as an aligned text table (the repository
 // equivalent of one Figure 4 subplot). Each row is labeled with the
 // metric its optimum and gap columns score, so tables concatenated
-// across families stay unambiguous.
+// across families stay unambiguous, and counts the attempts that
+// failed, so a timed-out tool shows as failures rather than a short row.
 func RenderFigure(w io.Writer, f *Figure) {
 	fmt.Fprintf(w, "Figure: %s (target %d two-qubit gates)\n", f.Device, f.Gates)
-	fmt.Fprintf(w, "%-14s %-7s %8s %9s %11s %11s %10s %10s %9s\n",
-		"tool", "metric", "optimum", "circuits", "mean-swaps", "mean-depth", "mean-gap", "min-gap", "max-gap")
+	fmt.Fprintf(w, "%-14s %-7s %8s %9s %11s %11s %10s %10s %9s %9s\n",
+		"tool", "metric", "optimum", "circuits", "mean-swaps", "mean-depth", "mean-gap", "min-gap", "max-gap", "failures")
 	for _, c := range f.Cells {
-		fmt.Fprintf(w, "%-14s %-7s %8d %9d %11.1f %11.1f %9.2fx %9.2fx %8.2fx\n",
-			c.Tool, cellMetric(c), c.Optimal, c.Circuits, c.MeanSwaps, c.MeanDepth, c.MeanRatio, c.MinRatio, c.MaxRatio)
+		fmt.Fprintf(w, "%-14s %-7s %8d %9d %11.1f %11.1f %9.2fx %9.2fx %8.2fx %9d\n",
+			c.Tool, cellMetric(c), c.Optimal, c.Circuits, c.MeanSwaps, c.MeanDepth, c.MeanRatio, c.MinRatio, c.MaxRatio, c.Failures)
 	}
 }
 

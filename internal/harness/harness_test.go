@@ -20,35 +20,11 @@ func smallSuite() SuiteConfig {
 		CircuitsPerCount:    2,
 		TargetTwoQubitGates: 60,
 		Seed:                1,
-		Verify:              true,
-	}
-}
-
-func TestGenerateSuiteDeterministic(t *testing.T) {
-	a, err := GenerateSuite(smallSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateSuite(smallSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("suite sizes %d, %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Circuit.NumGates() != b[i].Circuit.NumGates() {
-			t.Fatal("suite not deterministic")
-		}
 	}
 }
 
 func TestRunFigureShape(t *testing.T) {
-	cfg := smallSuite()
-	fig, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2), EvalConfig{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := evalFigure(t, smallSuite(), DefaultTools(2))
 	if len(fig.Cells) != 4*2 { // 4 tools x 2 swap counts
 		t.Fatalf("cells=%d want 8", len(fig.Cells))
 	}
@@ -66,11 +42,7 @@ func TestRunFigureShape(t *testing.T) {
 }
 
 func TestAbstractGapsAndDeviceGaps(t *testing.T) {
-	cfg := smallSuite()
-	fig, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2), EvalConfig{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := evalFigure(t, smallSuite(), DefaultTools(2))
 	gaps := AbstractGaps([]*Figure{fig})
 	if len(gaps) != 4 {
 		t.Fatalf("gaps=%d want 4 tools", len(gaps))
@@ -90,11 +62,7 @@ func TestAbstractGapsAndDeviceGaps(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	cfg := smallSuite()
-	fig, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2)[:1], EvalConfig{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := evalFigure(t, smallSuite(), DefaultTools(2)[:1])
 	var sb strings.Builder
 	RenderFigure(&sb, fig)
 	if !strings.Contains(sb.String(), "lightsabre") {
@@ -167,14 +135,15 @@ func TestOptimalityStudyParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// A cancelled figure run returns the cancellation cause and no partial
+// A cancelled evaluation returns the cancellation cause and no partial
 // figure, whether the context was dead on arrival or its deadline fires
 // while a tool is mid-route.
-func TestRunFigureCtxCancelledReturnsCauseOnly(t *testing.T) {
+func TestStoredEvalCancelledReturnsCauseOnly(t *testing.T) {
 	cfg := smallSuite()
+	store, st := ensureSuite(t, cfg)
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	fig, err := RunFigureCtx(dead, cfg, DefaultTools(2), EvalConfig{Seed: cfg.Seed})
+	fig, err := RunStoredEvalCtx(dead, store, st, DefaultTools(2), StoredEvalOptions{Seed: cfg.Seed})
 	if !errors.Is(err, context.Canceled) || fig != nil {
 		t.Fatalf("dead context: fig=%v err=%v, want no figure and context.Canceled", fig, err)
 	}
@@ -182,7 +151,7 @@ func TestRunFigureCtxCancelledReturnsCauseOnly(t *testing.T) {
 	ctx, cancelMid := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancelMid()
 	tools := []ToolSpec{healthySpec(), chaosSpec("hung", chaos.HangUntilCancel, nil)}
-	fig, err = RunFigureCtx(ctx, cfg, tools, EvalConfig{Seed: cfg.Seed})
+	fig, err = RunStoredEvalCtx(ctx, store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
 	if !errors.Is(err, context.DeadlineExceeded) || fig != nil {
 		t.Fatalf("deadline mid-run: fig=%v err=%v, want no figure and context.DeadlineExceeded", fig, err)
 	}
@@ -282,7 +251,6 @@ func smallDepthSuite() SuiteConfig {
 		CircuitsPerCount:    2,
 		TargetTwoQubitGates: 40,
 		Seed:                1,
-		Verify:              true,
 	}
 }
 
@@ -290,11 +258,7 @@ func smallDepthSuite() SuiteConfig {
 // the depth metric, every ratio >= 1 (the structural lower bound makes
 // beating the optimum impossible), and mean depth >= the grid value.
 func TestRunFigureDepthFamily(t *testing.T) {
-	cfg := smallDepthSuite()
-	fig, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2), EvalConfig{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := evalFigure(t, smallDepthSuite(), DefaultTools(2))
 	if fig.Metric != string(family.Depth) {
 		t.Fatalf("figure metric = %q, want depth", fig.Metric)
 	}

@@ -5,17 +5,9 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/qubikos"
 	"repro/internal/router"
+	"repro/internal/suite"
 )
-
-// RouterStudyConfig drives the standalone-router evaluation the paper
-// proposes at the end of Section IV-C: every tool receives the provably
-// optimal initial mapping, so any remaining SWAP gap is attributable to
-// routing quality alone rather than placement.
-type RouterStudyConfig struct {
-	Suite SuiteConfig
-}
 
 // RouterRow aggregates one (tool, swap-count) cell of the router study.
 type RouterRow struct {
@@ -26,35 +18,48 @@ type RouterRow struct {
 	Optimal   int // instances routed with exactly the optimal count
 }
 
-// RunRouterStudy routes every suite instance from its planted optimal
-// mapping with every tool; a tool that cannot route from a fixed
-// placement fails the study.
-func RunRouterStudy(cfg RouterStudyConfig, tools []ToolSpec) ([]RouterRow, error) {
-	suite, err := GenerateSuite(cfg.Suite)
-	if err != nil {
+// RunRouterStudy is the standalone-router evaluation the paper proposes
+// at the end of Section IV-C: every tool routes every instance of a
+// stored suite from its planted optimal mapping, so any remaining gap is
+// attributable to routing quality alone rather than placement. Each
+// (tool, instance) pair routes through router.Guard like an evaluation
+// cell, seeded the same way. A tool that cannot route from a fixed
+// placement fails the study, as does a result that is invalid or beats
+// the proven optimum; cancelling ctx aborts with the cancellation cause.
+func RunRouterStudy(ctx context.Context, store *suite.Store, st *suite.Suite, tools []ToolSpec, seed int64) ([]RouterRow, error) {
+	if err := scorable(st); err != nil {
 		return nil, err
 	}
+	metric := st.Manifest.Metric()
+	items := make([]EvalItem, 0, len(st.Instances))
+	for _, ref := range st.Instances {
+		it, li, err := loadItem(store, st, ref)
+		if err != nil {
+			return nil, err
+		}
+		it.initial = router.Mapping(li.Meta.InitialMapping)
+		items = append(items, it)
+	}
+	budget := sweepBudget(1)
 	var rows []RouterRow
 	for _, tool := range tools {
-		for _, n := range cfg.Suite.SwapCounts {
+		for _, n := range st.Manifest.Grid() {
 			row := RouterRow{Tool: tool.Name, OptSwaps: n}
-			for _, b := range suite {
-				if b.OptSwaps != n {
+			for _, it := range items {
+				if it.Optimal != n {
 					continue
 				}
-				res, err := routePlanted(tool.Make(cfg.Suite.Seed+101), b)
+				res, toolErr, err := routeOne(ctx, tool, it, seed, 0, budget)
 				if err != nil {
-					return nil, fmt.Errorf("harness: %s from the planted mapping: %w", tool.Name, err)
+					return nil, err
 				}
-				if err := router.Validate(b.Circuit, b.Device, res); err != nil {
-					return nil, fmt.Errorf("harness: %s placed result invalid: %w", tool.Name, err)
+				if res == nil {
+					return nil, fmt.Errorf("harness: %s from the planted mapping on %s: %s", tool.Name, it.ID, toolErr)
 				}
-				if res.SwapCount < b.OptSwaps {
-					return nil, fmt.Errorf("harness: %s beat the optimum from the planted mapping", tool.Name)
-				}
+				achieved := metric.Achieved(res)
 				row.Circuits++
-				row.MeanRatio += router.SwapRatio(res.SwapCount, b.OptSwaps)
-				if res.SwapCount == b.OptSwaps {
+				row.MeanRatio += metric.Ratio(achieved, n)
+				if achieved == n {
 					row.Optimal++
 				}
 			}
@@ -65,16 +70,6 @@ func RunRouterStudy(cfg RouterStudyConfig, tools []ToolSpec) ([]RouterRow, error
 		}
 	}
 	return rows, nil
-}
-
-// routePlanted routes the benchmark with r from its planted optimal
-// initial mapping.
-func routePlanted(r router.Router, b *qubikos.Benchmark) (*router.Result, error) {
-	p, err := router.Prepare(b.Circuit, b.Device)
-	if err != nil {
-		return nil, err
-	}
-	return r.Route(context.Background(), p, b.InitialMapping)
 }
 
 // RenderRouterStudy prints the study as a table.

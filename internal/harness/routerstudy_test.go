@@ -1,48 +1,52 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/router"
 )
 
 // Every default tool must route from a fixed placement: starting from
 // the planted mapping, the result's initial mapping is that mapping.
 func TestAllDefaultToolsSupportPlacedRouting(t *testing.T) {
-	benches, err := GenerateSuite(SuiteConfig{
+	store, st := ensureSuite(t, SuiteConfig{
 		Device:              arch.RigettiAspen4(),
 		SwapCounts:          []int{2},
 		CircuitsPerCount:    1,
 		TargetTwoQubitGates: 40,
 		Seed:                3,
 	})
+	it, li, err := loadItem(store, st, st.Instances[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := benches[0]
+	it.initial = router.Mapping(li.Meta.InitialMapping)
 	for _, spec := range DefaultTools(2) {
-		res, err := routePlanted(spec.Make(1), b)
-		if err != nil {
-			t.Errorf("%s cannot route from the planted mapping: %v", spec.Name, err)
+		res, toolErr, err := routeOne(context.Background(), spec, it, 1, 0, nil)
+		if err != nil || res == nil {
+			t.Errorf("%s cannot route from the planted mapping: %v %s", spec.Name, err, toolErr)
 			continue
 		}
-		if !reflect.DeepEqual(res.InitialMapping, b.InitialMapping) {
-			t.Errorf("%s started from %v, not the planted %v", spec.Name, res.InitialMapping, b.InitialMapping)
+		if !reflect.DeepEqual(res.InitialMapping, it.initial) {
+			t.Errorf("%s started from %v, not the planted %v", spec.Name, res.InitialMapping, it.initial)
 		}
 	}
 }
 
 func TestRunRouterStudy(t *testing.T) {
-	cfg := RouterStudyConfig{Suite: SuiteConfig{
+	cfg := SuiteConfig{
 		Device:              arch.RigettiAspen4(),
 		SwapCounts:          []int{2},
 		CircuitsPerCount:    2,
 		TargetTwoQubitGates: 60,
 		Seed:                3,
-	}}
-	rows, err := RunRouterStudy(cfg, DefaultTools(2))
+	}
+	store, st := ensureSuite(t, cfg)
+	rows, err := RunRouterStudy(context.Background(), store, st, DefaultTools(2), cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +72,15 @@ func TestRunRouterStudy(t *testing.T) {
 // instances optimally far more often than the slice router — the paper's
 // point that QUBIKOS isolates routing quality.
 func TestRouterStudySeparatesToolQuality(t *testing.T) {
-	cfg := RouterStudyConfig{Suite: SuiteConfig{
+	cfg := SuiteConfig{
 		Device:              arch.RigettiAspen4(),
 		SwapCounts:          []int{5},
 		CircuitsPerCount:    4,
 		TargetTwoQubitGates: 300,
 		Seed:                9,
-	}}
-	rows, err := RunRouterStudy(cfg, DefaultTools(4))
+	}
+	store, st := ensureSuite(t, cfg)
+	rows, err := RunRouterStudy(context.Background(), store, st, DefaultTools(4), cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,15 +11,12 @@ import (
 
 	"repro/internal/family"
 	"repro/internal/pool"
+	"repro/internal/router"
 	"repro/internal/suite"
 )
 
 // Manifest converts a suite configuration into the content-addressed
-// recipe the store keys on. The manifest's per-instance seed schedule
-// matches GenerateSuite's, so store-generated suites are the same
-// benchmarks the harness historically generated inline. Runtime knobs
-// that do not change the bytes (Verify) are excluded, so configs
-// differing only there share stored suites.
+// recipe the store keys on.
 func (cfg SuiteConfig) Manifest() suite.Manifest {
 	return suite.NewFamilyManifest(cfg.FamilyID(), cfg.Device.Name(), cfg.SwapCounts, cfg.CircuitsPerCount,
 		family.Options{
@@ -39,9 +36,11 @@ func EvalKey(parts ...string) string {
 
 // StoredEvalOptions tunes RunStoredEvalCtx.
 type StoredEvalOptions struct {
-	// Seed feeds each tool's constructor, matching RunFigureCtx's schedule.
+	// Seed feeds each tool's constructor (offset per router.Guard's schedule).
 	Seed int64
 	// Workers bounds the evaluation worker pool; 0 means 1 (serial).
+	// Budgeted routers borrow the GOMAXPROCS slots the pool leaves idle.
+	// The worker count changes wall-clock time only, never results.
 	Workers int
 	// Key selects the evaluation log; empty derives one from the tool
 	// names and seed (callers whose ToolSpec closures carry extra state,
@@ -92,16 +91,10 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 	}
 	defer log.Close()
 
-	// A suite whose scored optima include non-positive values (a 0-swap
-	// degenerate suite, say) cannot be ratio-scored; fail cleanly here
-	// rather than panicking inside a worker.
-	metric := st.Manifest.Metric()
-	for _, ref := range st.Instances {
-		if ref.Optimal <= 0 {
-			return nil, fmt.Errorf("harness: suite %s instance %s has no positive optimal %s to score (got %d)",
-				st.Hash, ref.Base, metric, ref.Optimal)
-		}
+	if err := scorable(st); err != nil {
+		return nil, err
 	}
+	metric := st.Manifest.Metric()
 
 	// Load each needed instance once and share it across tools; routing
 	// never mutates the circuit.
@@ -125,21 +118,10 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 		if !needed[ref.Base] {
 			continue
 		}
-		li, err := store.LoadInstance(st.Hash, ref)
+		it, _, err := loadItem(store, st, ref)
 		if err != nil {
 			return nil, err
 		}
-		it := EvalItem{
-			ID:      ref.Base,
-			Device:  li.Device,
-			Circuit: li.Circuit,
-			Metric:  metric,
-			Optimal: li.Meta.Optimal(),
-		}
-		// One shared routing context per instance: every tool's worker
-		// routes from the same read-only Prepared instead of re-deriving
-		// the padded circuit, skeleton, and DAGs per (tool, instance) job.
-		it.prepare()
 		items[ref.Base] = it
 	}
 
@@ -147,11 +129,7 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 	// implementing router.BudgetedRouter borrow whatever the machine has
 	// left, so instance-level and router-internal parallelism share one
 	// core budget instead of multiplying.
-	sweepWorkers := opts.Workers
-	if sweepWorkers < 1 {
-		sweepWorkers = 1
-	}
-	budget := sweepBudget(0, sweepWorkers)
+	budget := sweepBudget(max(opts.Workers, 1))
 
 	run := func(j job) error {
 		it := items[j.ref.Base]
@@ -193,10 +171,11 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 	return FigureFromRows(st, log.Rows(), tools), nil
 }
 
-// FigureFromRows aggregates evaluation rows into the same per-cell shape
-// RunFigureCtx produces, ordered by the given tool order then the suite's
-// metric grid. Rows from unknown tools are ignored, so a log shared
-// across tool subsets still aggregates correctly.
+// FigureFromRows aggregates evaluation rows into per-cell statistics,
+// ordered by the given tool order then the suite's metric grid. Rows
+// from unknown tools are ignored, so a log shared across tool subsets
+// still aggregates correctly. A cell where every attempt failed reports
+// zero for its gaps and counts the attempts as failures.
 func FigureFromRows(st *suite.Suite, rows []suite.Row, tools []ToolSpec) *Figure {
 	metric := st.Manifest.Metric()
 	fig := &Figure{
@@ -215,7 +194,7 @@ func FigureFromRows(st *suite.Suite, rows []suite.Row, tools []ToolSpec) *Figure
 	sort.Ints(counts)
 	for _, tool := range tools {
 		for _, n := range counts {
-			cell := Cell{Tool: tool.Name, Metric: string(metric), Optimal: n, MinRatio: -1}
+			cell := Cell{Tool: tool.Name, Metric: string(metric), Optimal: n}
 			// Rows logged before multi-metric scoring carry no depth (or
 			// metric) field; averaging their zero Depth would silently
 			// deflate the depth column, so they are excluded from it.
@@ -232,7 +211,7 @@ func FigureFromRows(st *suite.Suite, rows []suite.Row, tools []ToolSpec) *Figure
 					depthRows++
 				}
 				cell.MeanRatio += r.Ratio
-				if cell.MinRatio < 0 || r.Ratio < cell.MinRatio {
+				if cell.Circuits == 1 || r.Ratio < cell.MinRatio {
 					cell.MinRatio = r.Ratio
 				}
 				if r.Ratio > cell.MaxRatio {
@@ -250,4 +229,43 @@ func FigureFromRows(st *suite.Suite, rows []suite.Row, tools []ToolSpec) *Figure
 		}
 	}
 	return fig
+}
+
+// scorable rejects a suite whose scored optima include a non-positive
+// value (a 0-swap degenerate suite, say): it cannot be ratio-scored, so
+// it fails cleanly here rather than panicking inside a worker.
+func scorable(st *suite.Suite) error {
+	for _, ref := range st.Instances {
+		if ref.Optimal <= 0 {
+			return fmt.Errorf("harness: suite %s instance %s has no positive optimal %s to score (got %d)",
+				st.Hash, ref.Base, st.Manifest.Metric(), ref.Optimal)
+		}
+	}
+	return nil
+}
+
+// loadItem loads one stored instance as an evaluation item and builds
+// its shared routing context once: every tool routes from the same
+// read-only Prepared instead of re-deriving the padded circuit,
+// skeleton, and DAGs per (tool, instance) job. Routing never mutates
+// the circuit. The loaded instance is returned for its sidecar.
+func loadItem(store *suite.Store, st *suite.Suite, ref suite.InstanceRef) (EvalItem, *family.Loaded, error) {
+	li, err := store.LoadInstance(st.Hash, ref)
+	if err != nil {
+		return EvalItem{}, nil, err
+	}
+	it := EvalItem{
+		ID:      ref.Base,
+		Device:  li.Device,
+		Circuit: li.Circuit,
+		Metric:  st.Manifest.Metric(),
+		Optimal: li.Meta.Optimal(),
+	}
+	// A context that cannot be built (circuit wider than the device) is
+	// left nil: routeOne then turns the Prepare error into a failure row
+	// for every tool.
+	if p, err := router.Prepare(li.Circuit, li.Device); err == nil {
+		it.prep = p
+	}
+	return it, li, nil
 }

@@ -34,33 +34,66 @@ func openStore(t *testing.T) *suite.Store {
 	return s
 }
 
-// The store-backed evaluation must agree exactly with the historical
-// inline path: same benchmarks (same seed schedule), same routing seeds,
-// same aggregated cells.
-func TestStoredEvalMatchesInline(t *testing.T) {
-	cfg := tinyCfg()
-	tools := DefaultTools(2)
-
-	inline, err := RunFigureCtx(context.Background(), cfg, tools, EvalConfig{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// ensureSuite stores cfg's suite in a fresh store.
+func ensureSuite(t *testing.T, cfg SuiteConfig) (*suite.Store, *suite.Suite) {
+	t.Helper()
 	store := openStore(t)
 	st, err := store.Ensure(cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
+	return store, st
+}
+
+// evalFigure evaluates cfg's suite from a fresh store, seeding the tools
+// from cfg.Seed.
+func evalFigure(t *testing.T, cfg SuiteConfig, tools []ToolSpec) *Figure {
+	t.Helper()
+	store, st := ensureSuite(t, cfg)
+	fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inline.Device != stored.Device || inline.Gates != stored.Gates {
-		t.Fatalf("figure header mismatch: inline %s/%d, stored %s/%d",
-			inline.Device, inline.Gates, stored.Device, stored.Gates)
+	return fig
+}
+
+// goldenTinyCells are tinyCfg's cells under DefaultTools(2), recorded
+// from the retired inline evaluator: the same benchmarks, routing seeds
+// and aggregation the stored path must keep reproducing.
+var goldenTinyCells = []Cell{
+	{Tool: "lightsabre", Metric: "swaps", Optimal: 1, Circuits: 2, MeanSwaps: 1, MeanDepth: 13.5, MeanRatio: 1, MinRatio: 1, MaxRatio: 1},
+	{Tool: "lightsabre", Metric: "swaps", Optimal: 2, Circuits: 2, MeanSwaps: 2, MeanDepth: 23, MeanRatio: 1, MinRatio: 1, MaxRatio: 1},
+	{Tool: "ml-qls", Metric: "swaps", Optimal: 1, Circuits: 2, MeanSwaps: 4, MeanDepth: 19.5, MeanRatio: 4, MinRatio: 2, MaxRatio: 6},
+	{Tool: "ml-qls", Metric: "swaps", Optimal: 2, Circuits: 2, MeanSwaps: 14, MeanDepth: 48.5, MeanRatio: 7, MinRatio: 6.5, MaxRatio: 7.5},
+	{Tool: "qmap", Metric: "swaps", Optimal: 1, Circuits: 2, MeanSwaps: 15.5, MeanDepth: 40, MeanRatio: 15.5, MinRatio: 11, MaxRatio: 20},
+	{Tool: "qmap", Metric: "swaps", Optimal: 2, Circuits: 2, MeanSwaps: 19, MeanDepth: 51.5, MeanRatio: 9.5, MinRatio: 9, MaxRatio: 10},
+	{Tool: "tket", Metric: "swaps", Optimal: 1, Circuits: 2, MeanSwaps: 9.5, MeanDepth: 33.5, MeanRatio: 9.5, MinRatio: 8, MaxRatio: 11},
+	{Tool: "tket", Metric: "swaps", Optimal: 2, Circuits: 2, MeanSwaps: 16.5, MeanDepth: 49, MeanRatio: 8.25, MinRatio: 8, MaxRatio: 8.5},
+}
+
+// goldenDepthCells are TestStoredEvalDepthFamily's cells, recorded the
+// same way.
+var goldenDepthCells = []Cell{
+	{Tool: "lightsabre", Metric: "depth", Optimal: 3, Circuits: 2, MeanSwaps: 1.5, MeanDepth: 7.5, MeanRatio: 2.5, MinRatio: 2.3333333333333335, MaxRatio: 2.6666666666666665},
+	{Tool: "lightsabre", Metric: "depth", Optimal: 5, Circuits: 2, MeanSwaps: 1.5, MeanDepth: 8, MeanRatio: 1.6, MinRatio: 1.6, MaxRatio: 1.6},
+	{Tool: "ml-qls", Metric: "depth", Optimal: 3, Circuits: 2, MeanSwaps: 3.5, MeanDepth: 12.5, MeanRatio: 4.166666666666666, MinRatio: 3, MaxRatio: 5.333333333333333},
+	{Tool: "ml-qls", Metric: "depth", Optimal: 5, Circuits: 2, MeanSwaps: 4, MeanDepth: 15, MeanRatio: 3, MinRatio: 3, MaxRatio: 3},
+	{Tool: "qmap", Metric: "depth", Optimal: 3, Circuits: 2, MeanSwaps: 6.5, MeanDepth: 19.5, MeanRatio: 6.5, MinRatio: 6, MaxRatio: 7},
+	{Tool: "qmap", Metric: "depth", Optimal: 5, Circuits: 2, MeanSwaps: 6.5, MeanDepth: 18, MeanRatio: 3.5999999999999996, MinRatio: 2.6, MaxRatio: 4.6},
+	{Tool: "tket", Metric: "depth", Optimal: 3, Circuits: 2, MeanSwaps: 6, MeanDepth: 15.5, MeanRatio: 5.166666666666667, MinRatio: 4.666666666666667, MaxRatio: 5.666666666666667},
+	{Tool: "tket", Metric: "depth", Optimal: 5, Circuits: 2, MeanSwaps: 4, MeanDepth: 11, MeanRatio: 2.2, MinRatio: 1.8, MaxRatio: 2.6},
+}
+
+// The stored evaluation must reproduce the pinned cells exactly: same
+// benchmarks (same seed schedule), same routing seeds, same aggregation.
+func TestStoredEvalGoldenCells(t *testing.T) {
+	cfg := tinyCfg()
+	fig := evalFigure(t, cfg, DefaultTools(2))
+	if fig.Device != "grid-3x3" || fig.Metric != "swaps" || fig.Gates != cfg.TargetTwoQubitGates {
+		t.Fatalf("figure header %s/%s/%d, want grid-3x3/swaps/%d", fig.Device, fig.Metric, fig.Gates, cfg.TargetTwoQubitGates)
 	}
-	if !reflect.DeepEqual(inline.Cells, stored.Cells) {
-		t.Errorf("cells differ:\ninline: %+v\nstored: %+v", inline.Cells, stored.Cells)
+	if !reflect.DeepEqual(fig.Cells, goldenTinyCells) {
+		t.Errorf("cells differ from the golden:\ngot:  %+v\nwant: %+v", fig.Cells, goldenTinyCells)
 	}
 }
 
@@ -236,7 +269,7 @@ func TestEvalKeyStable(t *testing.T) {
 
 // A depth-family stored evaluation must score depth ratios end to end:
 // rows labeled with the metric, both achieved values recorded, and the
-// aggregate equal to the inline path.
+// aggregate equal to the golden cells.
 func TestStoredEvalDepthFamily(t *testing.T) {
 	cfg := SuiteConfig{
 		Device:              arch.Grid3x3(),
@@ -247,17 +280,7 @@ func TestStoredEvalDepthFamily(t *testing.T) {
 		Seed:                11,
 	}
 	tools := DefaultTools(2)
-
-	inline, err := RunFigureCtx(context.Background(), cfg, tools, EvalConfig{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, st := ensureSuite(t, cfg)
 	var rows []suite.Row
 	stored, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
@@ -269,8 +292,8 @@ func TestStoredEvalDepthFamily(t *testing.T) {
 	if stored.Metric != string(family.Depth) {
 		t.Fatalf("stored figure metric = %q, want depth", stored.Metric)
 	}
-	if !reflect.DeepEqual(inline.Cells, stored.Cells) {
-		t.Errorf("depth cells differ:\ninline: %+v\nstored: %+v", inline.Cells, stored.Cells)
+	if !reflect.DeepEqual(stored.Cells, goldenDepthCells) {
+		t.Errorf("depth cells differ from the golden:\ngot:  %+v\nwant: %+v", stored.Cells, goldenDepthCells)
 	}
 	if len(rows) != len(tools)*st.Manifest.NumInstances() {
 		t.Fatalf("streamed %d rows, want %d", len(rows), len(tools)*st.Manifest.NumInstances())
@@ -308,11 +331,10 @@ func TestStoredEvalRejectsNonPositiveOptimum(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no positive optimal") {
 		t.Fatalf("0-swap suite evaluation: err = %v, want a no-positive-optimum error", err)
 	}
-	// The inline path makes the same promise.
-	cfg := SuiteConfig{Device: arch.Grid3x3(), SwapCounts: []int{0}, CircuitsPerCount: 1,
-		TargetTwoQubitGates: 10, Seed: 4}
-	if _, err := RunFigureCtx(context.Background(), cfg, DefaultTools(2)[:1], EvalConfig{Seed: cfg.Seed}); err == nil {
-		t.Fatal("inline 0-swap evaluation did not error")
+	// The router study makes the same promise.
+	_, err = RunRouterStudy(context.Background(), store, st, DefaultTools(2)[:1], 4)
+	if err == nil || !strings.Contains(err.Error(), "no positive optimal") {
+		t.Fatalf("0-swap router study: err = %v, want a no-positive-optimum error", err)
 	}
 }
 

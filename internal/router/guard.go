@@ -36,8 +36,11 @@ type Attempt struct {
 	// the guarded goroutine, so a panicking constructor is contained too.
 	Make func(seed int64) Router
 	Seed int64
-	// Prepared is the instance; the tool searches its own placement.
+	// Prepared is the instance.
 	Prepared *Prepared
+	// Initial is Route's start mapping: nil lets the tool search its own
+	// placement, a non-nil mapping is padded and pinned.
+	Initial Mapping
 	// Timeout bounds the attempt; 0 leaves only the caller's context.
 	Timeout time.Duration
 	// Budget, when non-nil, is lent to a BudgetedRouter tool.
@@ -106,7 +109,7 @@ func Guard(ctx context.Context, a Attempt) (out Outcome) {
 		if br, ok := ret.r.(BudgetedRouter); ok && a.Budget != nil {
 			br.SetWorkerBudget(a.Budget)
 		}
-		ret.res, ret.err = ret.r.Route(toolCtx, a.Prepared, nil)
+		ret.res, ret.err = ret.r.Route(toolCtx, a.Prepared, a.Initial)
 	}()
 
 	timedOut := Outcome{Kind: OutcomeTimeout, Err: fmt.Errorf("tool timed out after %v", a.Timeout)}
