@@ -13,11 +13,12 @@
 // counts are reported but advisory only: worker goroutines make them
 // vary with GOMAXPROCS, and CI runs the smoke at more than one setting.
 //
-// Snapshot numbers are recorded at a longer -benchtime than the CI
-// smoke's -benchtime=1x, and CI machines differ from the recording
-// machine, so the threshold is a coarse tripwire for order-of-magnitude
-// mistakes (an accidental O(n^2), a lost cache), not a microbenchmark
-// judge. Loosen it with -threshold on noisy runners.
+// The gated snapshot rows are recorded the way the CI smoke measures
+// them (-benchtime=1x on one pinned seed, the slower of two GOMAXPROCS
+// settings), but CI machines differ from the recording machine, so the
+// threshold is a coarse tripwire for order-of-magnitude mistakes (an
+// accidental O(n^2), a lost cache), not a microbenchmark judge. Loosen
+// it with -threshold on noisy runners.
 //
 // Usage:
 //

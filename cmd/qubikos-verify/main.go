@@ -59,6 +59,17 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "qubikos-verify:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns its error instead of exiting, so
+// deferred cleanups (the trace, the depth study's temporary directory)
+// run on every exit path and every mode reports an elapsed -timeout or
+// an interrupt through the same budgetErr rewrite.
+func run() (err error) {
 	circuits := flag.Int("circuits", 5, "circuits per (device, grid value) cell (paper: 100)")
 	seed := flag.Int64("seed", 7, "base random seed")
 	famName := flag.String("family", "qubikos", "benchmark family for the study: qubikos or queko-depth")
@@ -86,64 +97,54 @@ func main() {
 		defer cancel()
 	}
 	// -trace attaches a span buffer to the run's context; every certified
-	// instance becomes one span carrying its SAT-search counters. fatal()
-	// exits without running defers, so a failed run loses its trace —
-	// acceptable for a diagnostics channel (cpuprofile behaves the same
-	// way in qubikos-eval).
+	// instance becomes one span carrying its SAT-search counters. The
+	// trace is written on every exit path, a failed run's included.
 	if *tracePath != "" {
 		tr := obs.New(0)
 		ctx = obs.NewContext(ctx, tr)
 		defer func() {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fatal(err)
+			if werr := writeTrace(*tracePath, tr); err == nil {
+				err = werr
 			}
-			defer f.Close()
-			if err := tr.WriteChrome(f); err != nil {
-				fatal(err)
-			}
-			fmt.Println("wrote", *tracePath)
 		}()
 	}
+	defer func() { err = budgetErr(ctx, err, *timeout) }()
 
 	if *suiteHash != "" {
 		if *cacheDir == "" {
-			fatal(fmt.Errorf("-suite requires -cache-dir"))
+			return fmt.Errorf("-suite requires -cache-dir")
 		}
-		verifySuite(ctx, *cacheDir, *suiteHash, *workers)
-		return
+		return verifySuite(ctx, *cacheDir, *suiteHash, *workers)
 	}
 
 	if *qasm != "" {
-		verifyFile(ctx, *qasm, *archName, *claim, *maxK)
-		return
+		return verifyFile(ctx, *qasm, *archName, *claim, *maxK)
 	}
 
 	fam, err := family.Resolve(*famName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if fam.Metric == family.Depth {
 		counts, err := parseCounts(*depthList)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		runDepthStudy(ctx, fam, counts, *circuits, *seed, *workers)
-		return
+		return runDepthStudy(ctx, fam, counts, *circuits, *seed, *workers)
 	}
 
 	cfg := harness.DefaultOptimalityConfig(*circuits, *seed)
 	cfg.Workers = *workers
 	counts, err := parseCounts(*swapList)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg.SwapCounts = counts
 
 	t0 := time.Now()
 	rows, err := harness.RunOptimalityStudyCtx(ctx, cfg)
 	if err != nil {
-		fatal(budgetErr(ctx, err, *timeout))
+		return err
 	}
 	harness.RenderOptimality(os.Stdout, rows)
 	total, dev := 0, 0
@@ -153,15 +154,32 @@ func main() {
 	}
 	fmt.Printf("\n%d circuits verified in %v; deviations: %d\n", total, time.Since(t0).Round(time.Millisecond), dev)
 	if dev > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d of %d circuits deviate from their claimed optimum", dev, total)
 	}
+	return nil
+}
+
+func writeTrace(path string, tr *obs.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Println("wrote", path)
+	return nil
 }
 
 // runDepthStudy is the depth family's analogue of the Section IV-A
 // study: generate instances on the study devices and re-check each one's
 // structural depth certificate through a serialize/parse round trip — the
 // exact path a stored suite takes.
-func runDepthStudy(ctx context.Context, fam *family.Family, depths []int, circuits int, seed int64, workers int) {
+func runDepthStudy(ctx context.Context, fam *family.Family, depths []int, circuits int, seed int64, workers int) error {
 	devices := []*arch.Device{arch.RigettiAspen4(), arch.Grid3x3()}
 	type job struct {
 		dev *arch.Device
@@ -182,7 +200,7 @@ func runDepthStudy(ctx context.Context, fam *family.Family, depths []int, circui
 	t0 := time.Now()
 	dir, err := os.MkdirTemp("", "queko-study-*")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	err = pool.ParallelForCtx(ctx, len(jobs), workers, func(ji int) error {
@@ -212,7 +230,7 @@ func runDepthStudy(ctx context.Context, fam *family.Family, depths []int, circui
 		return nil
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("Depth-certificate study (family %s):\n", fam.ID)
 	fmt.Printf("%-10s %9s %9s %9s\n", "device", "depths", "circuits", "certified")
@@ -220,24 +238,25 @@ func runDepthStudy(ctx context.Context, fam *family.Family, depths []int, circui
 		fmt.Printf("%-10s %9v %9d %9d\n", dev.Name(), depths, len(depths)*circuits, len(depths)*circuits)
 	}
 	fmt.Printf("\n%d circuits certified in %v; deviations: 0\n", len(jobs), time.Since(t0).Round(time.Millisecond))
+	return nil
 }
 
 // verifySuite certifies a stored suite end to end: the checksum index
 // first (the bytes are the bytes that were generated), then each
 // instance per its family's metric — the exact SAT solver for
 // swap-metric suites, the structural depth certificate for depth-metric
-// ones — fanned over a worker pool. Any deviation exits non-zero.
-func verifySuite(ctx context.Context, cacheDir, hash string, workers int) {
+// ones — fanned over a worker pool. Any deviation is an error.
+func verifySuite(ctx context.Context, cacheDir, hash string, workers int) error {
 	store, err := suite.Open(cacheDir, suite.StoreOptions{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	st, err := store.Lookup(hash)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := store.VerifyChecksums(hash); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("suite %s: checksums OK (%d instances, metric %s)\n", hash, len(st.Instances), st.Metric)
 
@@ -290,7 +309,7 @@ func verifySuite(ctx context.Context, cacheDir, hash string, workers int) {
 		return nil
 	})
 	if poolErr != nil {
-		fatal(budgetErr(ctx, poolErr, 0))
+		return poolErr
 	}
 	bad := 0
 	for _, err := range errs {
@@ -306,40 +325,42 @@ func verifySuite(ctx context.Context, cacheDir, hash string, workers int) {
 	fmt.Printf("%d/%d instances certified %s in %v\n",
 		len(st.Instances)-bad, len(st.Instances), how, time.Since(t0).Round(time.Millisecond))
 	if bad > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d of %d instances failed certification", bad, len(st.Instances))
 	}
+	return nil
 }
 
-func verifyFile(ctx context.Context, path, archName string, claim, maxK int) {
+func verifyFile(ctx context.Context, path, archName string, claim, maxK int) error {
 	devc, err := arch.ByName(archName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	c, err := circuit.ParseQASM(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	s, err := olsq.New(c, devc, olsq.Options{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if claim >= 0 {
 		if err := s.VerifyOptimalCtx(ctx, claim); err != nil {
-			fatal(budgetErr(ctx, err, 0))
+			return err
 		}
 		fmt.Printf("%s: optimal SWAP count is exactly %d (verified)\n", path, claim)
-		return
+		return nil
 	}
 	res, err := s.MinSwapsCtx(ctx, maxK)
 	if err != nil {
-		fatal(budgetErr(ctx, err, 0))
+		return err
 	}
 	fmt.Printf("%s: optimal SWAP count is %d (searched up to %d)\n", path, res.SwapCount, maxK)
+	return nil
 }
 
 func parseCounts(s string) ([]int, error) {
@@ -369,9 +390,4 @@ func budgetErr(ctx context.Context, err error, timeout time.Duration) error {
 	default:
 		return err
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qubikos-verify:", err)
-	os.Exit(1)
 }

@@ -230,16 +230,7 @@ func TestSuitePipeline(t *testing.T) {
 	if !strings.Contains(out, "(generated)") {
 		t.Fatalf("first suite gen should generate:\n%s", out)
 	}
-	var hash string
-	for _, f := range strings.Fields(out) {
-		if len(f) == 64 {
-			hash = f
-			break
-		}
-	}
-	if hash == "" {
-		t.Fatalf("no suite hash in output:\n%s", out)
-	}
+	hash := suiteHashOf(t, out)
 
 	// Second identical request: cache hit, same hash.
 	out = run(t, filepath.Join(bins, "qubikos-gen"), genArgs...)
@@ -271,6 +262,50 @@ func TestSuitePipeline(t *testing.T) {
 		"-cache-dir", cache, "-suite", hash)
 	if !strings.Contains(out, "checksums OK") || !strings.Contains(out, "2/2 instances certified exactly") {
 		t.Fatalf("suite verify output unexpected:\n%s", out)
+	}
+}
+
+// suiteHashOf returns the suite content hash qubikos-gen -suite printed.
+func suiteHashOf(t *testing.T, out string) string {
+	t.Helper()
+	for _, f := range strings.Fields(out) {
+		if len(f) == 64 {
+			return f
+		}
+	}
+	t.Fatalf("no suite hash in output:\n%s", out)
+	return ""
+}
+
+// An elapsed -timeout is reported as the budget it is in every
+// certification mode, not as a raw context error.
+func TestVerifyTimeoutNamesBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bins := buildCmds(t, "qubikos-gen", "qubikos-verify")
+	work, cache := t.TempDir(), t.TempDir()
+	run(t, filepath.Join(bins, "qubikos-gen"),
+		"-arch", "aspen4", "-swaps", "3", "-gates", "30", "-count", "1", "-seed", "5", "-out", work)
+	qasms, err := filepath.Glob(filepath.Join(work, "*[0-9].qasm"))
+	if err != nil || len(qasms) != 1 {
+		t.Fatalf("generated circuits %v (err %v), want one", qasms, err)
+	}
+	hash := suiteHashOf(t, run(t, filepath.Join(bins, "qubikos-gen"),
+		"-suite", "-cache-dir", cache, "-arch", "grid3x3", "-swaps", "1", "-gates", "20",
+		"-max-gates", "30", "-prefer-high-degree", "-count", "1", "-seed", "3"))
+
+	for mode, args := range map[string][]string{
+		"study":       {"-circuits", "1", "-swaps", "1"},
+		"qasm":        {"-qasm", qasms[0], "-arch", "aspen4", "-claim", "3"},
+		"suite":       {"-cache-dir", cache, "-suite", hash},
+		"depth study": {"-family", "queko-depth", "-depths", "2", "-circuits", "1"},
+	} {
+		cmd := exec.Command(filepath.Join(bins, "qubikos-verify"), append(args, "-timeout", "1ns")...)
+		b, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(b), "certification exceeded the -timeout budget 1ns") {
+			t.Errorf("%s mode with -timeout 1ns: err=%v, want a non-zero exit naming the budget\n%s", mode, err, b)
+		}
 	}
 }
 
@@ -349,16 +384,7 @@ func TestDepthSuitePipeline(t *testing.T) {
 	if !strings.Contains(out, "(generated)") || !strings.Contains(out, "metric=depth") {
 		t.Fatalf("first depth-suite gen unexpected:\n%s", out)
 	}
-	var hash string
-	for _, f := range strings.Fields(out) {
-		if len(f) == 64 {
-			hash = f
-			break
-		}
-	}
-	if hash == "" {
-		t.Fatalf("no suite hash in output:\n%s", out)
-	}
+	hash := suiteHashOf(t, out)
 	out = run(t, filepath.Join(bins, "qubikos-gen"), genArgs...)
 	if !strings.Contains(out, "(cache hit)") || !strings.Contains(out, hash) {
 		t.Fatalf("second depth-suite gen should hit the cache:\n%s", out)

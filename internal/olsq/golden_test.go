@@ -53,7 +53,8 @@ func goldenDevice(t *testing.T, name string) *arch.Device {
 	return dev
 }
 
-func runGoldenCase(t *testing.T, gc goldenCase, opts olsq.Options) {
+// goldenInstance generates a golden case's instance.
+func goldenInstance(t *testing.T, gc goldenCase) (*arch.Device, *qubikos.Benchmark) {
 	t.Helper()
 	dev := goldenDevice(t, gc.device)
 	b, err := qubikos.Generate(dev, qubikos.Options{
@@ -66,6 +67,12 @@ func runGoldenCase(t *testing.T, gc goldenCase, opts olsq.Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dev, b
+}
+
+func runGoldenCase(t *testing.T, gc goldenCase, opts olsq.Options) {
+	t.Helper()
+	dev, b := goldenInstance(t, gc)
 	s, err := olsq.New(b.Circuit, dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -121,5 +128,34 @@ func TestGoldenCorpusPerKReencode(t *testing.T) {
 		gc := gc
 		name := fmt.Sprintf("%s/n%d/i%d", gc.device, gc.numSwaps, gc.instance)
 		t.Run(name, func(t *testing.T) { runGoldenCase(t, gc, olsq.Options{NonIncremental: true}) })
+	}
+}
+
+// maxGoldenConflicts bounds the summed SAT conflicts of VerifyOptimal(n)
+// over the golden corpus. Conflict counts are exact for a given encoding
+// and solver, so this guards search effort on any host: the corpus took
+// 9,529 conflicts with sequential-counter mapping constraints and 4,820
+// with pairwise ones.
+const maxGoldenConflicts = 5_000
+
+func TestGoldenCorpusSearchEffort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exact golden corpus in -short mode")
+	}
+	var total int64
+	for _, gc := range goldenCorpus {
+		dev, b := goldenInstance(t, gc)
+		s, err := olsq.New(b.Circuit, dev, olsq.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.VerifyOptimal(gc.numSwaps); err != nil {
+			t.Fatalf("%s n=%d i=%d: %v", gc.device, gc.numSwaps, gc.instance, err)
+		}
+		total += s.SolverStats().Conflicts
+	}
+	t.Logf("golden corpus VerifyOptimal conflicts: %d", total)
+	if total > maxGoldenConflicts {
+		t.Errorf("golden corpus VerifyOptimal took %d conflicts, bound %d", total, maxGoldenConflicts)
 	}
 }

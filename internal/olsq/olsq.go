@@ -376,6 +376,14 @@ func (s *Solver) newEncoding() *encoding {
 	}
 }
 
+// pairwiseMappingMaxQubits is the largest device whose per-block mapping
+// constraints are encoded pairwise. Pairwise clauses grow as nQ·nP² per
+// block against the counter's linear size. At paper scale (3000 gates,
+// n = 20, encoded to k = 19) the counter encoding of an Eagle-127
+// instance holds 0.79 GB of heap and a pairwise one about 2.5 GB; on
+// Sycamore-54 (1500 gates) pairwise grows it only from 155 to 274 MB.
+const pairwiseMappingMaxQubits = 64
+
 // growEncoding appends blocks enc.k+1 .. k (and the transitions between
 // them) to the formula. Growth is strictly additive — no existing clause
 // is retracted, and per-bound constraints (which transitions may swap,
@@ -395,6 +403,17 @@ func (s *Solver) growEncoding(enc *encoding, sv sat.ClauseAdder, k int) {
 		}
 	}
 
+	// Each block's mapping is an injection: every program qubit sits on
+	// at least one physical qubit, and every row and column holds at most
+	// one true literal. Up to pairwiseMappingMaxQubits the at-most-ones
+	// are direct pairwise exclusions, which the solver propagates without
+	// branching or learning on auxiliary variables; above it they are
+	// sequential counters, whose clauses grow linearly.
+	amo := sat.AddAtMostOne
+	if nP <= pairwiseMappingMaxQubits {
+		amo = sat.AddAtMostOnePairwise
+	}
+
 	for b := enc.k + 1; b <= k; b++ {
 		// Mapping variables and bijectivity for block b.
 		xb := make([][]sat.Lit, nQ)
@@ -403,14 +422,15 @@ func (s *Solver) growEncoding(enc *encoding, sv sat.ClauseAdder, k int) {
 			for p := 0; p < nP; p++ {
 				xb[q][p] = newLit()
 			}
-			check(sat.AddExactlyOne(sv, xb[q]))
+			check(sv.AddClause(xb[q]...))
+			check(amo(sv, xb[q]))
 		}
 		for p := 0; p < nP; p++ {
 			col := make([]sat.Lit, nQ)
 			for q := 0; q < nQ; q++ {
 				col[q] = xb[q][p]
 			}
-			check(sat.AddAtMostOne(sv, col))
+			check(amo(sv, col))
 		}
 		enc.x = append(enc.x, xb)
 
