@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/family"
 	"repro/internal/harness"
 	"repro/internal/olsq"
 	"repro/internal/qubikos"
@@ -93,7 +94,8 @@ func TestEndToEndExactAgreement(t *testing.T) {
 }
 
 // TestEndToEndInstanceFiles exercises the on-disk workflow of the
-// command-line tools: write, re-read, route the re-read circuit.
+// command-line tools: write with the legacy qubikos writer, re-read with
+// family.ReadInstance, route the re-read circuit.
 func TestEndToEndInstanceFiles(t *testing.T) {
 	dir := t.TempDir()
 	b, err := qubikos.Generate(arch.RigettiAspen4(), qubikos.Options{
@@ -105,7 +107,7 @@ func TestEndToEndInstanceFiles(t *testing.T) {
 	if _, err := qubikos.WriteInstance(dir, "inst", b); err != nil {
 		t.Fatal(err)
 	}
-	li, err := qubikos.ReadInstance(dir, "inst")
+	li, err := family.ReadInstance(dir, "inst")
 	if err != nil {
 		t.Fatal(err)
 	}

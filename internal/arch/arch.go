@@ -282,28 +282,45 @@ func IBMEagle127() *Device {
 // round-trips through ByName. Benchmark sidecars and suite manifests
 // rely on that round trip. Unknown names return an error listing the
 // fixed choices.
+//
+// A fixed name (aliases included) returns one shared Device per
+// process, so its coupling graph and distance matrix are built once
+// however many instances name it. Devices are immutable, which makes
+// the sharing safe. A parametric name builds a fresh Device on every
+// call, so no cache grows with the names a caller sends.
 func ByName(name string) (*Device, error) {
 	switch name {
 	case "aspen4":
-		return RigettiAspen4(), nil
+		return sharedAspen4(), nil
 	case "sycamore54", "sycamore":
-		return GoogleSycamore54(), nil
+		return sharedSycamore54(), nil
 	case "rochester53", "rochester":
-		return IBMRochester53(), nil
+		return sharedRochester53(), nil
 	case "eagle127", "eagle":
-		return IBMEagle127(), nil
+		return sharedEagle127(), nil
 	case "grid3x3":
-		return Grid3x3(), nil
+		return sharedGrid3x3(), nil
 	case "falcon27", "falcon":
-		return IBMFalcon27(), nil
+		return sharedFalcon27(), nil
 	case "hummingbird65", "hummingbird":
-		return IBMHummingbird65(), nil
+		return sharedHummingbird65(), nil
 	}
 	if dev, ok := parametricByName(name); ok {
 		return dev, nil
 	}
 	return nil, fmt.Errorf("arch: unknown device %q (valid: aspen4, sycamore54, rochester53, eagle127, grid3x3, falcon27, hummingbird65, or a parametric name like grid-3x3, line-16, ring-12, star-8, complete-5, heavyhex-2x5)", name)
 }
+
+// The devices ByName shares, each built on first use.
+var (
+	sharedAspen4        = sync.OnceValue(RigettiAspen4)
+	sharedSycamore54    = sync.OnceValue(GoogleSycamore54)
+	sharedRochester53   = sync.OnceValue(IBMRochester53)
+	sharedEagle127      = sync.OnceValue(IBMEagle127)
+	sharedGrid3x3       = sync.OnceValue(Grid3x3)
+	sharedFalcon27      = sync.OnceValue(IBMFalcon27)
+	sharedHummingbird65 = sync.OnceValue(IBMHummingbird65)
+)
 
 // MaxParametricQubits bounds the device size ByName will construct for a
 // parametric name. Names reach ByName from untrusted inputs (suite

@@ -1,6 +1,9 @@
 package arch
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // Every canonical Device.Name() this package emits must resolve back
 // through ByName — benchmark sidecars and suite manifests depend on the
@@ -39,6 +42,56 @@ func TestByNameRejectsBadParametricNames(t *testing.T) {
 	} {
 		if _, err := ByName(name); err == nil {
 			t.Errorf("ByName(%q) succeeded, want error", name)
+		}
+	}
+}
+
+// A fixed name, under any alias, resolves to one shared device, so its
+// distance matrix is built once per process. A parametric name builds a
+// fresh device on every call: nothing caches what callers send.
+func TestByNameSharesFixedDevices(t *testing.T) {
+	for _, names := range [][]string{
+		{"aspen4"}, {"sycamore54", "sycamore"}, {"rochester53", "rochester"},
+		{"eagle127", "eagle"}, {"grid3x3"}, {"falcon27", "falcon"},
+		{"hummingbird65", "hummingbird"},
+	} {
+		first, err := ByName(names[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if dev, _ := ByName(name); dev != first {
+				t.Errorf("ByName(%q) built a second device; want the shared %s", name, first.Name())
+			}
+		}
+	}
+	// Concurrent requests share one device, so resolving it and reading
+	// its distance matrix from many goroutines at once must be safe.
+	var wg sync.WaitGroup
+	got := make([]*Device, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dev, _ := ByName("eagle")
+			dev.Distances()
+			got[i] = dev
+		}()
+	}
+	wg.Wait()
+	for _, dev := range got {
+		if want, _ := ByName("eagle127"); dev != want {
+			t.Fatal("concurrent ByName calls returned different devices")
+		}
+	}
+	for _, name := range []string{"line-5", "grid-3x3", "heavyhex-2x5"} {
+		a, errA := ByName(name)
+		b, errB := ByName(name)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if a == b {
+			t.Errorf("ByName(%q) returned a shared device; parametric names must build fresh", name)
 		}
 	}
 }

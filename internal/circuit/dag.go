@@ -18,29 +18,43 @@ type DAG struct {
 	Preds     [][]int // immediate predecessors
 }
 
-// NewDAG builds the dependency DAG of c's two-qubit gates.
+// NewDAG builds the dependency DAG of c's two-qubit gates. A node's
+// predecessors are the last gates on its two qubits and its successors
+// the next ones, so it has at most two of each: every Succs and Preds
+// list is carved, capped at two entries, out of one flat buffer.
 func NewDAG(c *Circuit) *DAG {
-	d := &DAG{circ: c}
-	d.NodeOf = make([]int, len(c.Gates))
-	for i := range d.NodeOf {
-		d.NodeOf[i] = -1
+	n := 0
+	for _, g := range c.Gates {
+		if g.TwoQubit() {
+			n++
+		}
+	}
+	d := &DAG{
+		circ:      c,
+		GateIndex: make([]int, 0, n),
+		NodeOf:    make([]int, len(c.Gates)),
+		Succs:     make([][]int, n),
+		Preds:     make([][]int, n),
 	}
 	for i, g := range c.Gates {
+		d.NodeOf[i] = -1
 		if g.TwoQubit() {
 			d.NodeOf[i] = len(d.GateIndex)
 			d.GateIndex = append(d.GateIndex, i)
 		}
 	}
-	n := len(d.GateIndex)
-	d.Succs = make([][]int, n)
-	d.Preds = make([][]int, n)
+	adj := make([]int, 4*n)
+	for v := range n {
+		d.Succs[v] = adj[4*v : 4*v : 4*v+2]
+		d.Preds[v] = adj[4*v+2 : 4*v+2 : 4*v+4]
+	}
 	last := make([]int, c.NumQubits) // last node touching each qubit, -1 none
 	for q := range last {
 		last[q] = -1
 	}
 	for node, gi := range d.GateIndex {
 		g := c.Gates[gi]
-		for _, q := range []int{g.Q0, g.Q1} {
+		for _, q := range [2]int{g.Q0, g.Q1} {
 			if p := last[q]; p != -1 {
 				// Avoid duplicate edge when both qubits shared with the
 				// same predecessor.
@@ -128,9 +142,13 @@ func (r *Reachability) AncestorCount(v int) int { return r.Anc[v].count() }
 // and each node sits one past its deepest predecessor. Two-qubit gates in
 // the same layer act on disjoint qubits only if the circuit permits it;
 // layering here is purely dependency-driven, which is what slice-based
-// routers (t|ket⟩-style) consume.
+// routers (t|ket⟩-style) consume. Every layer lists its nodes in
+// circuit order, carved out of one flat buffer.
 func (d *DAG) Layers() [][]int {
 	n := d.N()
+	if n == 0 {
+		return nil
+	}
 	depth := make([]int, n)
 	maxDepth := 0
 	for v := 0; v < n; v++ {
@@ -145,12 +163,21 @@ func (d *DAG) Layers() [][]int {
 			maxDepth = dep
 		}
 	}
+	// start[l] is where layer l begins in the flat buffer.
+	start := make([]int, maxDepth+2)
+	for _, dep := range depth {
+		start[dep+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	flat := make([]int, n)
 	layers := make([][]int, maxDepth+1)
+	for l := range layers {
+		layers[l] = flat[start[l]:start[l]:start[l+1]]
+	}
 	for v := 0; v < n; v++ {
 		layers[depth[v]] = append(layers[depth[v]], v)
-	}
-	if n == 0 {
-		return nil
 	}
 	return layers
 }

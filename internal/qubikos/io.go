@@ -2,14 +2,11 @@ package qubikos
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
-	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/router"
 )
 
 // Instance is the serialized form of a benchmark: the circuit as
@@ -22,6 +19,7 @@ import (
 // store (package suite), which relies on WriteInstance being
 // deterministic: for a fixed benchmark the emitted bytes are identical
 // across runs and machines. docs/suite-format.md specifies the schema.
+// family.ReadInstance reads these files back.
 type Instance struct {
 	Device         string   `json:"device"`
 	OptimalSwaps   int      `json:"optimal_swaps"`
@@ -68,69 +66,6 @@ func WriteInstance(dir, base string, b *Benchmark) (*Instance, error) {
 		return nil, err
 	}
 	return inst, nil
-}
-
-// LoadedInstance pairs a parsed circuit with its sidecar metadata.
-type LoadedInstance struct {
-	Meta    Instance
-	Device  *arch.Device
-	Circuit *circuit.Circuit
-}
-
-// ReadInstance loads <base>.qasm and <base>.json from the directory and
-// cross-checks the sidecar against the circuit.
-func ReadInstance(dir, base string) (*LoadedInstance, error) {
-	mf, err := os.Open(filepath.Join(dir, base+".json"))
-	if err != nil {
-		return nil, err
-	}
-	defer mf.Close()
-	var meta Instance
-	if err := json.NewDecoder(mf).Decode(&meta); err != nil {
-		return nil, fmt.Errorf("qubikos: sidecar %s.json: %w", base, err)
-	}
-	dev, err := arch.ByName(meta.Device)
-	if err != nil {
-		return nil, err
-	}
-	qf, err := os.Open(filepath.Join(dir, base+".qasm"))
-	if err != nil {
-		return nil, err
-	}
-	defer qf.Close()
-	c, err := circuit.ParseQASM(qf)
-	if err != nil {
-		return nil, fmt.Errorf("qubikos: %s.qasm: %w", base, err)
-	}
-	li := &LoadedInstance{Meta: meta, Device: dev, Circuit: c}
-	if err := li.Check(); err != nil {
-		return nil, err
-	}
-	return li, nil
-}
-
-// Check cross-validates the sidecar against the circuit: gate counts,
-// register width, mapping well-formedness, and — using the swap schedule
-// and mapping — that the claimed optimum at least matches the number of
-// scheduled SWAPs.
-func (li *LoadedInstance) Check() error {
-	if li.Circuit.NumQubits > li.Device.NumQubits() {
-		return fmt.Errorf("qubikos: circuit register %d exceeds device %s", li.Circuit.NumQubits, li.Meta.Device)
-	}
-	if got := li.Circuit.TwoQubitGateCount(); got != li.Meta.TwoQubitGates {
-		return fmt.Errorf("qubikos: sidecar claims %d two-qubit gates, circuit has %d", li.Meta.TwoQubitGates, got)
-	}
-	if got := li.Circuit.NumGates(); got != li.Meta.TotalGates {
-		return fmt.Errorf("qubikos: sidecar claims %d gates, circuit has %d", li.Meta.TotalGates, got)
-	}
-	if len(li.Meta.SwapSchedule) != li.Meta.OptimalSwaps {
-		return fmt.Errorf("qubikos: schedule length %d != optimal %d", len(li.Meta.SwapSchedule), li.Meta.OptimalSwaps)
-	}
-	m := router.Mapping(li.Meta.InitialMapping)
-	if len(m) != li.Circuit.NumQubits {
-		return fmt.Errorf("qubikos: mapping covers %d qubits, circuit has %d", len(m), li.Circuit.NumQubits)
-	}
-	return m.Validate(li.Device.NumQubits())
 }
 
 func writeQASMFile(path string, c *circuit.Circuit) error {

@@ -1,4 +1,4 @@
-package qubikos
+package qubikos_test
 
 import (
 	"os"
@@ -6,13 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/family"
+	"repro/internal/qubikos"
 )
 
+// The legacy writer's files are read back by family.ReadInstance, which
+// resolves a sidecar without a family field to the qubikos family.
 func TestInstanceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	b := gen(t, arch.RigettiAspen4(), Options{NumSwaps: 3, TargetTwoQubitGates: 60, SingleQubitGates: 5, Seed: 4})
+	b := generate(t, arch.RigettiAspen4(), qubikos.Options{NumSwaps: 3, TargetTwoQubitGates: 60, SingleQubitGates: 5, Seed: 4})
 
-	inst, err := WriteInstance(dir, "case", b)
+	inst, err := qubikos.WriteInstance(dir, "case", b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,9 +29,12 @@ func TestInstanceRoundTrip(t *testing.T) {
 		}
 	}
 
-	li, err := ReadInstance(dir, "case")
+	li, err := family.ReadInstance(dir, "case")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if li.Family != family.Qubikos {
+		t.Fatalf("legacy sidecar resolved to family %s", li.Family.ID)
 	}
 	if li.Circuit.NumGates() != b.Circuit.NumGates() {
 		t.Fatalf("gates %d vs %d", li.Circuit.NumGates(), b.Circuit.NumGates())
@@ -47,8 +54,8 @@ func TestInstanceRoundTrip(t *testing.T) {
 
 func TestReadInstanceCatchesTampering(t *testing.T) {
 	dir := t.TempDir()
-	b := gen(t, arch.Grid3x3(), Options{NumSwaps: 2, TargetTwoQubitGates: 30, Seed: 9})
-	if _, err := WriteInstance(dir, "x", b); err != nil {
+	b := generate(t, arch.Grid3x3(), qubikos.Options{NumSwaps: 2, TargetTwoQubitGates: 30, Seed: 9})
+	if _, err := qubikos.WriteInstance(dir, "x", b); err != nil {
 		t.Fatal(err)
 	}
 	// Append a gate to the QASM: the sidecar gate counts must catch it.
@@ -60,13 +67,22 @@ func TestReadInstanceCatchesTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := ReadInstance(dir, "x"); err == nil {
+	if _, err := family.ReadInstance(dir, "x"); err == nil {
 		t.Fatal("tampered instance accepted")
 	}
 }
 
 func TestReadInstanceMissingFiles(t *testing.T) {
-	if _, err := ReadInstance(t.TempDir(), "nope"); err == nil {
+	if _, err := family.ReadInstance(t.TempDir(), "nope"); err == nil {
 		t.Fatal("missing instance accepted")
 	}
+}
+
+func generate(t *testing.T, dev *arch.Device, opts qubikos.Options) *qubikos.Benchmark {
+	t.Helper()
+	b, err := qubikos.Generate(dev, opts)
+	if err != nil {
+		t.Fatalf("Generate(%s, %+v): %v", dev.Name(), opts, err)
+	}
+	return b
 }

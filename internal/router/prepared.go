@@ -88,6 +88,7 @@ func (p *Prepared) ReversedDAG() *circuit.DAG {
 // dependency DAG reversed — on the same register.
 func ReverseSkeleton(c *circuit.Circuit) *circuit.Circuit {
 	out := circuit.New(c.NumQubits)
+	out.Gates = make([]circuit.Gate, 0, len(c.Gates))
 	for i := len(c.Gates) - 1; i >= 0; i-- {
 		out.MustAppend(c.Gates[i])
 	}

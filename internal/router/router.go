@@ -10,6 +10,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -226,7 +227,10 @@ func Validate(orig *circuit.Circuit, dev *arch.Device, res *Result) error {
 		}
 		oi := queues[q0][heads[q0]]
 		want := orig.Gates[oi]
-		if gate.Kind != want.Kind || gate.Q0 != want.Q0 || gate.Q1 != want.Q1 || gate.Param != want.Param {
+		// Angles compare by bits: a NaN angle, which ParseQASM accepts,
+		// never equals itself.
+		if gate.Kind != want.Kind || gate.Q0 != want.Q0 || gate.Q1 != want.Q1 ||
+			math.Float64bits(gate.Param) != math.Float64bits(want.Param) {
 			return fmt.Errorf("router: gate %d is %v, but qubit %d's next original gate is %v", i, gate, q0, want)
 		}
 		if gate.TwoQubit() {

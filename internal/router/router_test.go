@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -214,5 +216,29 @@ func TestValidateWithSingleQubitGates(t *testing.T) {
 	}
 	if err := Validate(orig, dev, res); err != nil {
 		t.Fatalf("1q gates broke validation: %v", err)
+	}
+}
+
+// ParseQASM accepts rz(nan), and a NaN angle never equals itself, so
+// Validate compares angles by bits: a correct routing of a NaN-angle
+// circuit is accepted, and a changed angle is still caught.
+func TestValidateAcceptsNaNAngles(t *testing.T) {
+	orig, err := circuit.ParseQASM(strings.NewReader("qreg q[3]; rz(nan) q[0]; cx q[0],q[2]; rz(-0) q[2];"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := arch.Line(3)
+	trans := circuit.New(3)
+	trans.MustAppend(orig.Gates[0], circuit.NewSwap(1, 2), orig.Gates[1], orig.Gates[2])
+	res := &Result{InitialMapping: IdentityMapping(3), Transpiled: trans, SwapCount: 1}
+	if err := Validate(orig, dev, res); err != nil {
+		t.Fatalf("correct routing of an rz(nan) circuit rejected: %v", err)
+	}
+	for _, param := range []float64{0, math.Inf(1)} {
+		bad := trans.Clone()
+		bad.Gates[3].Param = param
+		if err := Validate(orig, dev, &Result{InitialMapping: IdentityMapping(3), Transpiled: bad, SwapCount: 1}); err == nil {
+			t.Errorf("rz(-0) routed as rz(%v) accepted", param)
+		}
 	}
 }

@@ -117,6 +117,7 @@ func onDistinctQubits(g circuit.Gate, n int) bool {
 // two-qubit gates, which is what the routing engines operate on.
 func TwoQubitSkeleton(c *circuit.Circuit) *circuit.Circuit {
 	out := circuit.New(c.NumQubits)
+	out.Gates = make([]circuit.Gate, 0, c.TwoQubitGateCount())
 	for _, g := range c.Gates {
 		if g.TwoQubit() {
 			out.MustAppend(g)

@@ -288,6 +288,33 @@ func TestRouteRawQASM(t *testing.T) {
 	}
 }
 
+// A NaN angle is valid input: ParseQASM accepts rz(nan), and validation
+// compares angles by bits, so every tool's routing of it is accepted.
+// Were those routings judged invalid, three such requests would trip
+// every default tool's breaker and refuse the clean request after them.
+func TestRouteRawNaNAngleKeepsBreakersClosed(t *testing.T) {
+	ts, _ := newTestServer(t)
+	req := func(qasm string) string {
+		body, err := json.Marshal(map[string]any{"device": "line-3", "qasm": qasm, "trials": 2, "seed": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	nan := req("qreg q[3]; rz(nan) q[0]; cx q[0],q[2]; cx q[1],q[2]; rz(nan) q[2];")
+	for i := 0; i < 3; i++ {
+		if resp := post(t, ts.URL+"/v1/route", nan); resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			t.Fatalf("rz(nan) request %d: status %d: %s", i, resp.StatusCode, b)
+		}
+	}
+	resp := post(t, ts.URL+"/v1/route", req("qreg q[3]; cx q[0],q[2]; cx q[1],q[2];"))
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("clean request after the rz(nan) ones: status %d: %s", resp.StatusCode, b)
+	}
+}
+
 // Malformed requests are rejected up front.
 func TestRouteRejectsBadRequests(t *testing.T) {
 	ts, _, _, st := routeTestServer(t, 100, time.Minute)
