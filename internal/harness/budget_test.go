@@ -8,23 +8,24 @@ import (
 	"testing"
 
 	"repro/internal/mlqls"
-	"repro/internal/qmap"
 	"repro/internal/router"
+	"repro/internal/sabre"
 )
 
 // TestWorkerBudgetSeamDeterministic pins the shared worker-budget seam
-// end to end: a sweep whose budget lends router-internal workers (qmap
-// expansion gang, ml-qls's SABRE trial pool) must aggregate exactly the
-// cells of a sweep whose budget lends nothing. Run under -race in CI,
-// this is the data-race coverage of the harness→router borrow path.
+// end to end: a sweep whose budget lends router-internal workers
+// (LightSABRE's trial pool, and the SABRE trial pool ml-qls inherits)
+// must aggregate exactly the cells of a sweep whose budget lends
+// nothing. Run under -race in CI, this is the data-race coverage of the
+// harness→router borrow path.
 func TestWorkerBudgetSeamDeterministic(t *testing.T) {
 	// Nine slots: a one-worker sweep lends the other eight to its
 	// routers, a nine-worker sweep keeps all nine for its own pool.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(9))
 	store, st := ensureSuite(t, smallSuite())
 	tools := []ToolSpec{
-		{"qmap", func(seed int64) router.Router {
-			return qmap.New(qmap.Options{MaxNodes: 2000, Seed: seed, Workers: 4})
+		{"lightsabre", func(seed int64) router.Router {
+			return sabre.New(sabre.Options{Trials: 8, Seed: seed})
 		}},
 		{"ml-qls", func(seed int64) router.Router {
 			return mlqls.New(mlqls.Options{Seed: seed})

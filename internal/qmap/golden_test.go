@@ -18,33 +18,45 @@ import (
 // engine (pointer-based A* states, container/heap, map-backed closed
 // set and touch lists, per-layer Zobrist tables); the allocation-free
 // engine must reproduce them exactly on both the seeds-varied and
-// placed-mapping paths.
+// placed-mapping paths. decisions, candidates and restarts pin the
+// search effort as Counters reports it (node pops, deduplicated
+// successors generated, layer searches), so an engine change that keeps
+// the output but does different work also fails.
 type goldenCase struct {
-	name   string
-	device func() *arch.Device
-	swaps  int
-	gates  int
-	seed   int64
-	opts   qmap.Options
-	placed bool
-	want   int
-	print  uint64
+	name       string
+	device     func() *arch.Device
+	swaps      int
+	gates      int
+	seed       int64
+	opts       qmap.Options
+	placed     bool
+	want       int
+	print      uint64
+	decisions  int64
+	candidates int64
+	restarts   int64
 }
 
 func goldenCases() []goldenCase {
 	return []goldenCase{
 		{name: "aspen4-route", device: arch.RigettiAspen4, swaps: 5, gates: 300, seed: 9,
-			opts: qmap.Options{MaxNodes: 2000, Seed: 7}, want: 267, print: 0xccb0f0cd3c0d9a2c},
+			opts: qmap.Options{MaxNodes: 2000, Seed: 7}, want: 267, print: 0xccb0f0cd3c0d9a2c,
+			decisions: 1223, candidates: 12927, restarts: 121},
 		{name: "sycamore54-route", device: arch.GoogleSycamore54, swaps: 8, gates: 500, seed: 11,
-			opts: qmap.Options{MaxNodes: 2000, Seed: 13}, want: 763, print: 0xbe38d4581bc57463},
+			opts: qmap.Options{MaxNodes: 2000, Seed: 13}, want: 763, print: 0xbe38d4581bc57463,
+			decisions: 9995, candidates: 428870, restarts: 143},
 		{name: "eagle127-route", device: arch.IBMEagle127, swaps: 5, gates: 600, seed: 17,
-			opts: qmap.Options{MaxNodes: 2000, Seed: 21}, want: 3013, print: 0xda984ccfa977f3c5},
+			opts: qmap.Options{MaxNodes: 2000, Seed: 21}, want: 3013, print: 0xda984ccfa977f3c5,
+			decisions: 53108, candidates: 1438477, restarts: 220},
 		{name: "aspen4-truncated", device: arch.RigettiAspen4, swaps: 3, gates: 80, seed: 7,
-			opts: qmap.Options{MaxNodes: 3, Seed: 7}, want: 85, print: 0xd0c90317290ccd23},
+			opts: qmap.Options{MaxNodes: 3, Seed: 7}, want: 85, print: 0xd0c90317290ccd23,
+			decisions: 78, candidates: 692, restarts: 35},
 		{name: "aspen4-placed", device: arch.RigettiAspen4, swaps: 5, gates: 300, seed: 9,
-			opts: qmap.Options{MaxNodes: 2000, Seed: 7}, placed: true, want: 8, print: 0x419eba7b38760eb6},
+			opts: qmap.Options{MaxNodes: 2000, Seed: 7}, placed: true, want: 8, print: 0x419eba7b38760eb6,
+			decisions: 16, candidates: 91, restarts: 121},
 		{name: "eagle127-placed", device: arch.IBMEagle127, swaps: 5, gates: 600, seed: 17,
-			opts: qmap.Options{MaxNodes: 2000, Seed: 21}, placed: true, want: 11, print: 0x24c13b1c50f37a19},
+			opts: qmap.Options{MaxNodes: 2000, Seed: 21}, placed: true, want: 11, print: 0x24c13b1c50f37a19,
+			decisions: 21, candidates: 54, restarts: 220},
 	}
 }
 
@@ -92,6 +104,11 @@ func TestGoldenCorpus(t *testing.T) {
 			if res.SwapCount != gc.want || fingerprint(res) != gc.print {
 				t.Errorf("swaps=%d print=%#x, pre-refactor engine produced swaps=%d print=%#x",
 					res.SwapCount, fingerprint(res), gc.want, gc.print)
+			}
+			c := r.Counters()
+			if c.Decisions != gc.decisions || c.Candidates != gc.candidates || c.Restarts != gc.restarts {
+				t.Errorf("decisions/candidates/restarts = %d/%d/%d, want %d/%d/%d",
+					c.Decisions, c.Candidates, c.Restarts, gc.decisions, gc.candidates, gc.restarts)
 			}
 		})
 	}

@@ -133,7 +133,7 @@ func TestSearchLayerGoalAtStart(t *testing.T) {
 	dev := arch.Line(2)
 	r := New(Options{Seed: 1})
 	dag := circuit.NewDAG(c)
-	seq, final := r.searchLayer(router.IdentityMapping(2), []int{0}, nil, dag, dev)
+	seq, final := r.ensureEngine(dev, 2).searchLayer(r.opts, router.IdentityMapping(2), []int{0}, nil, dag)
 	if len(seq) != 0 {
 		t.Fatalf("swaps inserted for an executable layer: %v", seq)
 	}
@@ -150,7 +150,7 @@ func TestSearchLayerSolvesDistanceTwo(t *testing.T) {
 	r := New(Options{Seed: 1})
 	dag := circuit.NewDAG(c)
 	start := router.Mapping{0, 2, 1} // q1 at p2, q2 (unused) at p1
-	seq, final := r.searchLayer(start, []int{0}, nil, dag, dev)
+	seq, final := r.ensureEngine(dev, 3).searchLayer(r.opts, start, []int{0}, nil, dag)
 	if len(seq) != 1 {
 		t.Fatalf("expected exactly 1 swap, got %v", seq)
 	}

@@ -12,18 +12,13 @@
 // container/heap's ordering exactly with the f-cost stored inline in the
 // heap entry, the closed set is a reusable open-addressed hash table with
 // fused key/stamp slots, and per-layer gate tables are flattened to one
-// gate per qubit (ASAP layers are qubit-disjoint). Expansion is
-// wave-structured: each popped node's candidate successors are first
-// enumerated in canonical order, then evaluated by pure side-effect-free
-// work (closed-set probe against the pre-wave snapshot plus the heuristic
-// delta), and finally merged — closed-set inserts, arena appends, heap
-// pushes — by a single reducer in the same canonical order. The merge
-// replays exactly the serial engine's decisions, so the evaluation phase
-// can be chunked across a bounded pool.Gang at any worker count while
-// heap contents, closed-set state, and tie-breaking stay bit-identical
-// to Workers == 1 (pinned by TestGoldenCorpus and the worker-count
-// sweep). The node budget is a single counter owned by the reducer loop,
-// and cancellation is polled once per wave, so steady-state expansion
+// gate per qubit (ASAP layers are qubit-disjoint). The search is one
+// serial pass: each popped node's candidate SWAPs are enumerated in
+// canonical order, and every candidate not yet in the closed set is
+// scored by an exact integer heuristic delta and pushed as soon as it is
+// found, so heap contents and tie-breaking are fixed by that order
+// (pinned by TestGoldenCorpus). The node budget is a single counter and
+// cancellation is polled once per pop, so steady-state expansion
 // performs zero heap allocations with or without a deadline armed.
 package qmap
 
@@ -37,7 +32,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/graph"
-	"repro/internal/pool"
 	"repro/internal/router"
 )
 
@@ -53,23 +47,6 @@ type Options struct {
 	LookaheadWeight float64
 	// Seed drives the initial placement shuffle.
 	Seed int64
-	// Workers bounds the engine's internal expansion parallelism: each
-	// expansion wave's candidate evaluation is chunked across this many
-	// gang workers and merged in canonical order, so results are
-	// bit-identical to Workers == 1 at any GOMAXPROCS. 0 or 1 evaluates
-	// on the calling goroutine. When a worker budget is attached (see
-	// SetWorkerBudget), Workers is a cap and idle budget slots decide
-	// the actual count.
-	Workers int
-	// StrongHeuristic replaces the summed-excess heuristic with the
-	// admissible layer bound max(max-gate excess, ceil(sum-excess/2)) —
-	// one SWAP moves two qubits, so it can cut a single gate's distance
-	// by at most one and the disjoint layer's summed excess by at most
-	// two — plus the usual discounted lookahead term. The tighter bound
-	// prunes expansions before they reach the heap but changes search
-	// order, so it is opt-in and off by default (the golden corpus pins
-	// the default engine).
-	StrongHeuristic bool
 }
 
 func (o Options) withDefaults() Options {
@@ -86,38 +63,30 @@ func (o Options) withDefaults() Options {
 // across Route calls and is therefore not safe for concurrent use;
 // create one Router per goroutine (the harness builds one per job).
 type Router struct {
-	opts   Options
-	eng    *engine      // A* scratch reused across calls
-	budget *pool.Budget // optional shared worker budget
-	stats  router.Counters
+	opts  Options
+	eng   *engine // A* scratch reused across calls
+	stats router.Counters
 }
 
 // Counters implements router.Instrumented: Decisions are A* node
 // expansions (pops), Candidates the successor states generated,
 // Restarts the per-layer searches run. The engine counts into plain
-// fields owned by the serial reducer loop; deltas fold into the Router
-// once per Route, so the wave loop stays atomic-free and 0 B/op. Like
-// Route itself, not safe to call concurrently with Route.
+// fields; deltas fold into the Router once per Route, so the search loop
+// stays atomic-free and 0 B/op. Like Route itself, not safe to call
+// concurrently with Route.
 func (r *Router) Counters() router.Counters { return r.stats }
 
 // New returns a QMAP-style router.
 func New(opts Options) *Router { return &Router{opts: opts.withDefaults()} }
 
-// SetWorkerBudget implements router.BudgetedRouter: the router borrows
-// idle slots from b (up to Options.Workers-1 of them) for the duration
-// of each Route call, so its internal expansion parallelism and the
-// caller's own worker pool draw on one budget and never oversubscribe
-// cores. Borrowed slots only change wall-clock time, never results.
-func (r *Router) SetWorkerBudget(b *pool.Budget) { r.budget = b }
-
 // Name implements router.Router.
 func (r *Router) Name() string { return "qmap" }
 
 // Route implements router.Router. An initial mapping replaces the
-// placement heuristic. Cancellation, polled once per A* expansion wave,
-// cuts the per-layer A* short exactly as node exhaustion would; the
-// layer loop then aborts before emitting anything from the truncated
-// search, so no partial result escapes.
+// placement heuristic. Cancellation, polled once per A* pop, cuts the
+// per-layer A* short exactly as node exhaustion would; the layer loop
+// then aborts before emitting anything from the truncated search, so no
+// partial result escapes.
 func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
 	dev := p.Device
 	skeleton := p.Skeleton
@@ -136,23 +105,6 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 
 	e := r.ensureEngine(dev, len(mapping))
 	e.check.Reset(ctx)
-
-	// Resolve the expansion worker count: Options.Workers is the cap,
-	// and an attached budget lends only slots that are actually idle.
-	// The count affects wall-clock time only — never results.
-	workers := r.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 && r.budget != nil {
-		borrowed := r.budget.TryAcquire(workers - 1)
-		defer r.budget.Release(borrowed)
-		workers = 1 + borrowed
-	}
-	if workers > 1 {
-		e.gang = pool.NewGang(workers)
-		defer func() { e.gang.Close(); e.gang = nil }()
-	}
 
 	g := e.g
 	dist := e.dist
@@ -217,13 +169,6 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 	}, nil
 }
 
-// searchLayer keeps the historical entry point used by internal tests:
-// it runs the arena A* on a throwaway engine-backed search.
-func (r *Router) searchLayer(start router.Mapping, layer, next []int, dag *circuit.DAG, dev *arch.Device) ([][2]int, router.Mapping) {
-	e := r.ensureEngine(dev, len(start))
-	return e.searchLayer(r.opts, start, layer, next, dag)
-}
-
 func (r *Router) ensureEngine(dev *arch.Device, nQ int) *engine {
 	// Keyed on the device's coupling graph (immutable, so pointer
 	// identity suffices), not just sizes: a same-size different device
@@ -270,12 +215,11 @@ type engine struct {
 	nQ   int // program register size (== padded device size)
 	nP   int // physical qubit count
 
-	// check polls for cancellation once per expansion wave; the zero
-	// value (direct engine users, background contexts) is inert.
+	// check polls for cancellation once per pop; the zero value (direct
+	// engine users, background contexts) is inert.
 	check router.CtxChecker
 
-	// Work counters owned by the serial reducer loop (identical at any
-	// gang worker count): node pops and successors generated.
+	// Work counters: node pops and deduplicated successors generated.
 	cntPops int64
 	cntGen  int64
 
@@ -298,29 +242,13 @@ type engine struct {
 	layerEpoch int32
 
 	// Per-pop current distance of each layer / lookahead gate, shared by
-	// every candidate of the wave as the "before" side of the delta.
+	// every candidate of the pop as the "before" side of the delta.
 	curLD []int32
 	curND []int32
 
 	// Per-expansion candidate dedup on the program-qubit pair.
 	candSeen    []int32
 	expandEpoch int32
-
-	// Wave buffers: phase 1 enumerates candidates in canonical order,
-	// phase 2 fills the evaluation columns (pure, chunkable across the
-	// gang), phase 3 merges serially in the same canonical order.
-	wA, wB []int32  // normalized swap pair, a < b
-	wHash  []uint64 // child Zobrist hash
-	wSlot  []int32  // closed-set probe: first-empty slot, or -1 if present
-	wH4    []int32  // child heuristic, quarter units
-	wDX    []int32  // child layer-excess delta
-	wDL    []int32  // child lookahead-excess delta
-
-	// Strong-heuristic per-pop scratch: the three largest layer-gate
-	// excesses with their gate indices (a candidate touches at most two
-	// layer gates, so the max over the untouched rest is always here).
-	topV [3]int32
-	topI [3]int32
 
 	// Swap-path replay scratch: the currently materialized path (swaps
 	// and node indices, root-first) and the target-path staging buffer.
@@ -329,8 +257,6 @@ type engine struct {
 	applied  [][2]int16
 	appliedN []int32
 	path     []int32
-
-	gang *pool.Gang // non-nil while a Route call runs with Workers > 1
 }
 
 func newEngine(dev *arch.Device, nQ int) *engine {
@@ -354,12 +280,6 @@ func newEngine(dev *arch.Device, nQ int) *engine {
 // layer gate is executable. Candidate moves are SWAPs on coupler edges
 // touching the layer's qubits. Returns the swap sequence and final
 // mapping; on node exhaustion, the most promising frontier state.
-//
-// The loop is wave-structured: each pop expands through enumerate →
-// evaluate → merge phases. Only the evaluate phase runs off the calling
-// goroutine (when a gang is attached), so the node counter and the
-// cancellation poll are owned by this single reducer loop in serial and
-// parallel mode alike.
 func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []int, dag *circuit.DAG) ([][2]int, router.Mapping) {
 	g := e.g
 	dist := e.dist
@@ -407,13 +327,9 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	for q, p := range start {
 		hash0 ^= e.zob[q*nP+p]
 	}
-	rootX, rootLK, rootMax := int32(0), int32(0), int32(0)
+	rootX, rootLK := int32(0), int32(0)
 	for gi := 0; gi < nL; gi++ {
-		x := int32(dist.At(start[e.lq0[gi]], start[e.lq1[gi]]) - 1)
-		rootX += x
-		if x > rootMax {
-			rootMax = x
-		}
+		rootX += int32(dist.At(start[e.lq0[gi]], start[e.lq1[gi]]) - 1)
 	}
 	for gi := 0; gi < nN; gi++ {
 		rootLK += int32(dist.At(start[e.nq0[gi]], start[e.nq1[gi]]) - 1)
@@ -427,9 +343,6 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	// default, where the quantization is exact).
 	w4 := int32(math.Round(4 * opts.LookaheadWeight))
 	root := astate{parent: -1, h4: 4*rootX + w4*rootLK, hash: hash0, excess: int16(rootX), look: int16(rootLK)}
-	if opts.StrongHeuristic {
-		root.h4 = strongH4(w4, rootX, rootLK, rootMax)
-	}
 	e.states = append(e.states, root)
 	e.heapPush(heapEntry{f4: root.h4, idx: 0})
 	e.closed.addIfAbsent(hash0)
@@ -450,8 +363,7 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	// Cancellation cuts the search short through the same exit as node
 	// exhaustion: the most promising frontier state is handed back, and
 	// the Route-level layer loop aborts before using it. nodes is the
-	// single MaxNodes counter, owned by this reducer loop and counted
-	// identically at any worker count; Tick polls once per wave.
+	// single MaxNodes counter; Tick polls once per pop.
 	bestFrontier := int32(0)
 	nodes := 0
 	for len(e.heap) > 0 && nodes < opts.MaxNodes && !e.check.Tick() {
@@ -468,47 +380,32 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 			bestFrontier = cur
 		}
 
-		// The wave's shared "before" side: current gate distances.
+		// The pop's shared "before" side: current gate distances.
 		for gi := 0; gi < nL; gi++ {
 			e.curLD[gi] = int32(dist.At(m[e.lq0[gi]], m[e.lq1[gi]]))
 		}
 		for gi := 0; gi < nN; gi++ {
 			e.curND[gi] = int32(dist.At(m[e.nq0[gi]], m[e.nq1[gi]]))
 		}
-		if opts.StrongHeuristic {
-			e.topV = [3]int32{-1, -1, -1}
-			e.topI = [3]int32{-1, -1, -1}
-			for gi := 0; gi < nL; gi++ {
-				x := e.curLD[gi] - 1
-				switch {
-				case x > e.topV[0]:
-					e.topV[2], e.topI[2] = e.topV[1], e.topI[1]
-					e.topV[1], e.topI[1] = e.topV[0], e.topI[0]
-					e.topV[0], e.topI[0] = x, int32(gi)
-				case x > e.topV[1]:
-					e.topV[2], e.topI[2] = e.topV[1], e.topI[1]
-					e.topV[1], e.topI[1] = x, int32(gi)
-				case x > e.topV[2]:
-					e.topV[2], e.topI[2] = x, int32(gi)
-				}
-			}
-		}
 
-		// Phase 1 — enumerate: SWAPs on coupler edges touching active
-		// qubits, deduplicated on the program pair, in canonical order.
+		// Expand: SWAPs on coupler edges touching active qubits,
+		// deduplicated on the program pair, in canonical order. Each
+		// candidate whose mapping is new enters the closed set, the arena
+		// and the heap at once.
 		e.expandEpoch++
 		curHash := e.states[cur].hash
-		e.wA, e.wB, e.wHash = e.wA[:0], e.wB[:0], e.wHash[:0]
+		curH4 := e.states[cur].h4
+		curX := int32(e.states[cur].excess)
+		curLK := int32(e.states[cur].look)
+		curDepth := e.states[cur].depth
 		for gi := 0; gi < nL; gi++ {
 			for k := 0; k < 2; k++ {
 				q := int(e.lq0[gi])
 				if k == 1 {
 					q = int(e.lq1[gi])
 				}
-				p := m[q]
-				for _, pn := range g.Neighbors(p) {
-					qn := inv[pn]
-					a, b := q, qn
+				for _, pn := range g.Neighbors(m[q]) {
+					a, b := q, inv[pn]
 					if a > b {
 						a, b = b, a
 					}
@@ -516,83 +413,27 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 						continue
 					}
 					e.candSeen[a*e.nQ+b] = e.expandEpoch
+					e.cntGen++
 					pa, pb := m[a], m[b]
 					nh := curHash ^ e.zob[a*nP+pa] ^ e.zob[a*nP+pb] ^ e.zob[b*nP+pb] ^ e.zob[b*nP+pa]
-					e.wA = append(e.wA, int32(a))
-					e.wB = append(e.wB, int32(b))
-					e.wHash = append(e.wHash, nh)
+					if !e.closed.addIfAbsent(nh) {
+						continue
+					}
+					dx, dl := e.swapDelta(a, b)
+					ns := astate{
+						parent: cur,
+						swap:   [2]int16{int16(a), int16(b)},
+						depth:  curDepth + 1,
+						excess: int16(curX + dx),
+						look:   int16(curLK + dl),
+						h4:     curH4 + 4*dx + w4*dl,
+						hash:   nh,
+					}
+					idx := int32(len(e.states))
+					e.states = append(e.states, ns)
+					e.heapPush(heapEntry{f4: 4*ns.depth + ns.h4, idx: idx})
 				}
 			}
-		}
-		nw := len(e.wA)
-		e.cntGen += int64(nw)
-		if cap(e.wSlot) < nw {
-			e.wSlot = make([]int32, nw)
-			e.wH4 = make([]int32, nw)
-			e.wDX = make([]int32, nw)
-			e.wDL = make([]int32, nw)
-		}
-		e.wSlot = e.wSlot[:nw]
-		e.wH4 = e.wH4[:nw]
-		e.wDX = e.wDX[:nw]
-		e.wDL = e.wDL[:nw]
-
-		// Phase 2 — evaluate: pure per-candidate work against the
-		// pre-wave closed-set snapshot and the unmutated mapping. The
-		// chunking (or lack of it) cannot change any output value.
-		curH4 := e.states[cur].h4
-		curX := int32(e.states[cur].excess)
-		curLK := int32(e.states[cur].look)
-		if e.gang != nil && nw >= 48 {
-			parts := e.gang.Workers()
-			chunk := (nw + parts - 1) / parts
-			e.gang.Run(parts, func(part int) {
-				lo := part * chunk
-				hi := lo + chunk
-				if hi > nw {
-					hi = nw
-				}
-				if lo < hi {
-					e.evalWave(opts, w4, lo, hi, curH4, curX, curLK)
-				}
-			})
-		} else {
-			e.evalWave(opts, w4, 0, nw, curH4, curX, curLK)
-		}
-
-		// Phase 3 — merge: replay the serial engine's closed-set inserts,
-		// arena appends, and heap pushes in canonical order. A candidate
-		// whose snapshot probe missed can still lose to an earlier
-		// same-wave insert of the same key; addAt resumes the probe at
-		// the cached slot, which linear probing keeps exact.
-		curDepth := e.states[cur].depth
-		grown := false
-		for i := 0; i < nw; i++ {
-			slot := e.wSlot[i]
-			if slot < 0 {
-				continue
-			}
-			var added bool
-			if grown {
-				added = e.closed.addIfAbsent(e.wHash[i])
-			} else {
-				added, grown = e.closed.addAt(e.wHash[i], slot)
-			}
-			if !added {
-				continue
-			}
-			ns := astate{
-				parent: cur,
-				swap:   [2]int16{int16(e.wA[i]), int16(e.wB[i])},
-				depth:  curDepth + 1,
-				excess: int16(curX + e.wDX[i]),
-				look:   int16(curLK + e.wDL[i]),
-				h4:     e.wH4[i],
-				hash:   e.wHash[i],
-			}
-			idx := int32(len(e.states))
-			e.states = append(e.states, ns)
-			e.heapPush(heapEntry{f4: 4*ns.depth + ns.h4, idx: idx})
 		}
 	}
 	// Exhausted: hand the most promising state back; the caller finishes
@@ -601,154 +442,52 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	return e.appliedSeq(), m.Clone()
 }
 
-// evalWave fills the evaluation columns for wave candidates [lo, hi):
-// the closed-set snapshot probe and, for absent candidates, the child's
-// heuristic and integer excess deltas. It reads only pre-wave state —
-// the mapping is never mutated mid-wave — so disjoint ranges can run on
-// gang workers concurrently and produce bit-identical columns.
-func (e *engine) evalWave(opts Options, w4 int32, lo, hi int, curH4, curX, curLK int32) {
-	dist := e.dist
+// swapDelta scores swapping program qubits a and b against the popped
+// node's mapping e.m: the change in summed layer excess (dx) and in
+// summed lookahead excess (dl). Only gates on a or b can move, at most
+// one layer and one lookahead gate per endpoint, each counted once when
+// a and b share it.
+func (e *engine) swapDelta(a, b int) (dx, dl int32) {
 	m := e.m
-
-	// First probe step for every candidate up front: the home-slot loads
-	// are independent, so the out-of-order core overlaps their cache
-	// misses instead of serializing one probe per candidate. Probes that
-	// don't resolve at the home slot record where to resume (encoded as
-	// ^(next slot), always <= -2) and finish below on warm lines.
-	slots := e.closed.slots
-	mask := len(slots) - 1
-	epoch := e.closed.epoch
-	for i := lo; i < hi; i++ {
-		h := int(splitmix64(e.wHash[i])) & mask
-		sl := slots[h]
-		if sl.stamp != epoch {
-			e.wSlot[i] = int32(h) // absent; home is the first empty slot
-		} else if sl.key == e.wHash[i] {
-			e.wSlot[i] = -1 // present
-		} else {
-			e.wSlot[i] = ^int32(h + 1) // resume at h+1
-		}
+	pa, pb := m[a], m[b]
+	gLa, gNa, gLb, gNb := int32(-1), int32(-1), int32(-1), int32(-1)
+	if e.qStamp[a] == e.layerEpoch {
+		gLa, gNa = e.qLGate[a], e.qNGate[a]
 	}
-
-	for i := lo; i < hi; i++ {
-		if s0 := e.wSlot[i]; s0 < -1 {
-			// Finish the collision chain; the lines are warm now.
-			j := int(^s0) & mask
-			for {
-				sl := slots[j]
-				if sl.stamp != epoch {
-					e.wSlot[i] = int32(j)
-					break
-				}
-				if sl.key == e.wHash[i] {
-					e.wSlot[i] = -1
-					break
-				}
-				j = (j + 1) & mask
-			}
-		}
-		if e.wSlot[i] < 0 {
-			continue
-		}
-		a, b := int(e.wA[i]), int(e.wB[i])
-		pa, pb := m[a], m[b]
-
-		// The gates that can move: at most one layer and one lookahead
-		// gate per endpoint, deduplicated when a and b share one. The
-		// accumulation order (a's layer gate, a's lookahead gate, b's
-		// layer gate, b's lookahead gate) and every float operation
-		// replicate the reference hDelta exactly.
-		gLa, gNa, gLb, gNb := int32(-1), int32(-1), int32(-1), int32(-1)
-		if e.qStamp[a] == e.layerEpoch {
-			gLa, gNa = e.qLGate[a], e.qNGate[a]
-		}
-		if e.qStamp[b] == e.layerEpoch {
-			gLb, gNb = e.qLGate[b], e.qNGate[b]
-		}
-		if gLb >= 0 && gLb == gLa {
-			gLb = -1
-		}
-		if gNb >= 0 && gNb == gNa {
-			gNb = -1
-		}
-
-		// newPos applies the candidate swap positionally: a moves to
-		// b's position and vice versa; everyone else stays put.
-		newPos := func(q int) int {
-			switch q {
-			case a:
-				return pb
-			case b:
-				return pa
-			}
-			return m[q]
-		}
-		dh4 := int32(0)
-		dx, dl := int32(0), int32(0)
-		newXa, newXb := int32(-1), int32(-1)
-		if gLa >= 0 {
-			nd := dist.At(newPos(int(e.lq0[gLa])), newPos(int(e.lq1[gLa])))
-			di := int32(nd) - e.curLD[gLa]
-			dh4 += 4 * di
-			dx += di
-			newXa = int32(nd - 1)
-		}
-		if gNa >= 0 {
-			nd := dist.At(newPos(int(e.nq0[gNa])), newPos(int(e.nq1[gNa])))
-			di := int32(nd) - e.curND[gNa]
-			dh4 += w4 * di
-			dl += di
-		}
-		if gLb >= 0 {
-			nd := dist.At(newPos(int(e.lq0[gLb])), newPos(int(e.lq1[gLb])))
-			di := int32(nd) - e.curLD[gLb]
-			dh4 += 4 * di
-			dx += di
-			newXb = int32(nd - 1)
-		}
-		if gNb >= 0 {
-			nd := dist.At(newPos(int(e.nq0[gNb])), newPos(int(e.nq1[gNb])))
-			di := int32(nd) - e.curND[gNb]
-			dh4 += w4 * di
-			dl += di
-		}
-		e.wDX[i] = dx
-		e.wDL[i] = dl
-		if opts.StrongHeuristic {
-			// Max gate excess after the swap: the best untouched gate is
-			// among the pop's top three (at most two gates are touched),
-			// then the touched gates' new excesses compete.
-			maxG := int32(0)
-			for t := 0; t < 3; t++ {
-				if e.topV[t] < 0 {
-					break
-				}
-				if e.topI[t] != gLa && e.topI[t] != gLb {
-					maxG = e.topV[t]
-					break
-				}
-			}
-			if newXa > maxG {
-				maxG = newXa
-			}
-			if newXb > maxG {
-				maxG = newXb
-			}
-			e.wH4[i] = strongH4(w4, curX+dx, curLK+dl, maxG)
-		} else {
-			e.wH4[i] = curH4 + dh4
-		}
+	if e.qStamp[b] == e.layerEpoch {
+		gLb, gNb = e.qLGate[b], e.qNGate[b]
 	}
-}
-
-// strongH4 is the opt-in admissible layer bound plus discounted
-// lookahead, in quarter units.
-func strongH4(w4, sumX, lookX, maxX int32) int32 {
-	h := maxX
-	if c := (sumX + 1) / 2; c > h {
-		h = c
+	if gLb == gLa {
+		gLb = -1
 	}
-	return 4*h + w4*lookX
+	if gNb == gNa {
+		gNb = -1
+	}
+	// pos applies the swap positionally: a moves to b's position and
+	// vice versa; everyone else stays put.
+	pos := func(q int32) int {
+		switch int(q) {
+		case a:
+			return pb
+		case b:
+			return pa
+		}
+		return m[q]
+	}
+	dist := e.dist
+	if gLa >= 0 {
+		dx += int32(dist.At(pos(e.lq0[gLa]), pos(e.lq1[gLa]))) - e.curLD[gLa]
+	}
+	if gLb >= 0 {
+		dx += int32(dist.At(pos(e.lq0[gLb]), pos(e.lq1[gLb]))) - e.curLD[gLb]
+	}
+	if gNa >= 0 {
+		dl += int32(dist.At(pos(e.nq0[gNa]), pos(e.nq1[gNa]))) - e.curND[gNa]
+	}
+	if gNb >= 0 {
+		dl += int32(dist.At(pos(e.nq0[gNb]), pos(e.nq1[gNb]))) - e.curND[gNb]
+	}
+	return dx, dl
 }
 
 func (e *engine) goal(layer []int, m router.Mapping, dag *circuit.DAG) bool {
@@ -927,33 +666,13 @@ func (s *u64set) insert(k uint64) {
 	s.slots[i] = kslot{key: k, stamp: s.epoch}
 }
 
-// probe reports whether k is present; when absent, it returns the first
-// empty slot on k's probe path (a later addAt resumes there).
-func (s *u64set) probe(k uint64) (int32, bool) {
+// addIfAbsent inserts k and reports true when it was not present.
+func (s *u64set) addIfAbsent(k uint64) bool {
 	mask := len(s.slots) - 1
 	i := int(splitmix64(k)) & mask
 	for s.slots[i].stamp == s.epoch {
 		if s.slots[i].key == k {
-			return int32(i), true
-		}
-		i = (i + 1) & mask
-	}
-	return int32(i), false
-}
-
-// addAt inserts k resuming the probe at slot (a first-empty position
-// previously returned by probe). Inserts that landed between the probe
-// and this call sit at or after slot on k's probe path — linear probing
-// never moves a key — so resuming is exact: a duplicate inserted since
-// the probe is still found, and the first empty slot is still the slot
-// the serial engine would have chosen. Reports whether k was inserted
-// and whether the table grew (growth invalidates other cached slots).
-func (s *u64set) addAt(k uint64, slot int32) (added, grew bool) {
-	mask := len(s.slots) - 1
-	i := int(slot)
-	for s.slots[i].stamp == s.epoch {
-		if s.slots[i].key == k {
-			return false, false
+			return false
 		}
 		i = (i + 1) & mask
 	}
@@ -961,15 +680,8 @@ func (s *u64set) addAt(k uint64, slot int32) (added, grew bool) {
 	s.count++
 	if s.count*8 > len(s.slots)*7 {
 		s.grow(len(s.slots) * 2)
-		return true, true
 	}
-	return true, false
-}
-
-// addIfAbsent inserts k and reports true when it was not present.
-func (s *u64set) addIfAbsent(k uint64) bool {
-	added, _ := s.addAt(k, int32(int(splitmix64(k))&(len(s.slots)-1)))
-	return added
+	return true
 }
 
 func splitmix64(x uint64) uint64 {

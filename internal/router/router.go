@@ -115,8 +115,8 @@ type Router interface {
 	Route(ctx context.Context, p *Prepared, initial Mapping) (*Result, error)
 }
 
-// BudgetedRouter is a tool whose internal parallelism (expansion waves,
-// trial pools) can borrow idle worker slots from a shared pool.Budget.
+// BudgetedRouter is a tool whose internal parallelism (a trial pool)
+// can borrow idle worker slots from a shared pool.Budget.
 // The harness attaches one budget per sweep so router-internal workers
 // and the cross-instance pool never oversubscribe the machine: the
 // sweep pool reserves its slots up front and routers opportunistically

@@ -14,7 +14,10 @@ func steadyStateSetup(n int) (*Solver, []Lit) {
 	v := make([][]Lit, n)
 	for i := range v {
 		v[i] = newVars(s, 3)
-		if err := s.AddExactlyOne(v[i]); err != nil {
+		if err := s.AddClause(v[i]...); err != nil {
+			panic(err)
+		}
+		if err := s.AddAtMostOne(v[i]); err != nil {
 			panic(err)
 		}
 	}

@@ -69,17 +69,6 @@ func AddAtMostOne(s ClauseAdder, lits []Lit) error {
 	return AddAtMostOneSeq(s, lits)
 }
 
-// AddExactlyOne constrains exactly one of the literals to be true.
-func AddExactlyOne(s ClauseAdder, lits []Lit) error {
-	if len(lits) == 0 {
-		return s.AddClause() // empty clause: unsatisfiable
-	}
-	if err := s.AddClause(lits...); err != nil {
-		return err
-	}
-	return AddAtMostOne(s, lits)
-}
-
 // AddImplies adds a -> b.
 func AddImplies(s ClauseAdder, a, b Lit) error { return s.AddClause(a.Neg(), b) }
 
@@ -125,9 +114,6 @@ func (s *Solver) AddAtMostOneSeq(lits []Lit) error { return AddAtMostOneSeq(s, l
 
 // AddAtMostOne picks an encoding based on set size.
 func (s *Solver) AddAtMostOne(lits []Lit) error { return AddAtMostOne(s, lits) }
-
-// AddExactlyOne constrains exactly one literal to be true.
-func (s *Solver) AddExactlyOne(lits []Lit) error { return AddExactlyOne(s, lits) }
 
 // AddImplies adds a -> b.
 func (s *Solver) AddImplies(a, b Lit) error { return AddImplies(s, a, b) }

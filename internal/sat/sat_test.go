@@ -167,7 +167,10 @@ func TestGraphColoring(t *testing.T) {
 		v := make([][]Lit, 5)
 		for i := range v {
 			v[i] = newVars(s, k)
-			if err := s.AddExactlyOne(v[i]); err != nil {
+			if err := s.AddClause(v[i]...); err != nil {
+				return Unsat
+			}
+			if err := s.AddAtMostOne(v[i]); err != nil {
 				return Unsat
 			}
 		}
@@ -520,25 +523,6 @@ func TestAtMostOneSeq(t *testing.T) {
 	got := countSolutions(7, func(s *Solver, l []Lit) error { return s.AddAtMostOneSeq(l) })
 	if got != 8 {
 		t.Fatalf("AMO seq solutions=%d want 8", got)
-	}
-}
-
-func TestExactlyOne(t *testing.T) {
-	for _, n := range []int{1, 3, 5, 8} {
-		got := countSolutions(n, func(s *Solver, l []Lit) error { return s.AddExactlyOne(l) })
-		if got != n {
-			t.Fatalf("EO(%d) solutions=%d want %d", n, got, n)
-		}
-	}
-}
-
-func TestExactlyOneEmpty(t *testing.T) {
-	s := NewSolver()
-	if err := s.AddExactlyOne(nil); err != nil {
-		t.Errorf("exactly-one over empty set should absorb, got error %v", err)
-	}
-	if s.Solve() != Unsat {
-		t.Fatal("expected UNSAT")
 	}
 }
 
