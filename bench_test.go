@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/family"
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/mlqls"
@@ -113,7 +114,7 @@ func BenchmarkOptimalityStudy(b *testing.B) {
 		verified = 0
 		for _, r := range rows {
 			if r.Deviation != 0 {
-				b.Fatalf("%s n=%d deviated", r.Device, r.OptSwaps)
+				b.Fatalf("%s n=%d deviated", r.Device, r.Optimal)
 			}
 			verified += r.Verified
 		}
@@ -225,7 +226,7 @@ func benchRoute(b *testing.B, mk func(seed int64) router.Router, dev *arch.Devic
 		if err != nil {
 			b.Fatal(err)
 		}
-		gap = router.SwapRatio(res.SwapCount, bench.OptSwaps)
+		gap = family.Swaps.Ratio(res.SwapCount, bench.OptSwaps)
 	}
 	b.ReportMetric(gap, "gap-x")
 }
@@ -312,15 +313,12 @@ func BenchmarkExactDecideGrid3x3(b *testing.B) {
 	}
 }
 
-// BenchmarkOlsqVerify compares the incremental exact-verification path
-// (one persistent solver, grown encoding, assumption-selected bounds)
-// against the legacy per-k re-encode baseline on the paper's Section IV-A
-// style instances: VerifyOptimal's UNSAT(n-1)+SAT(n) certificate and
-// MinSwaps' full linear sweep. Run with -benchmem; docs/performance.md
-// records the numbers. The incremental path about halves the sweep, where
-// every bound reuses what the bounds below it learned, but runs even with
-// the per-k baseline on the two-bound certificate, whose short UNSAT
-// proof leaves the SAT call little to reuse.
+// BenchmarkOlsqVerify measures the exact-verification engine (one
+// persistent solver, grown encoding, assumption-selected bounds) on the
+// paper's Section IV-A style instances: VerifyOptimal's UNSAT(n-1)+SAT(n)
+// certificate and MinSwaps' full linear sweep. Run with -benchmem;
+// docs/performance.md records the numbers, including the per-k
+// re-encode baseline these rows were once compared against.
 func BenchmarkOlsqVerify(b *testing.B) {
 	verify, err := qubikos.Generate(arch.Grid3x3(), qubikos.Options{
 		NumSwaps: 2, MaxTwoQubitGates: 30, TargetTwoQubitGates: 30, PreferHighDegree: true, Seed: 5,
@@ -334,9 +332,9 @@ func BenchmarkOlsqVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runVerify := func(b *testing.B, opts olsq.Options) {
+	b.Run("verify-optimal/incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, err := olsq.New(verify.Circuit, verify.Device, opts)
+			s, err := olsq.New(verify.Circuit, verify.Device, olsq.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -344,10 +342,10 @@ func BenchmarkOlsqVerify(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	runSweep := func(b *testing.B, opts olsq.Options) {
+	})
+	b.Run("min-swaps/incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, err := olsq.New(sweep.Circuit, sweep.Device, opts)
+			s, err := olsq.New(sweep.Circuit, sweep.Device, olsq.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -359,11 +357,7 @@ func BenchmarkOlsqVerify(b *testing.B) {
 				b.Fatalf("MinSwaps=%d want %d", res.SwapCount, sweep.OptSwaps)
 			}
 		}
-	}
-	b.Run("verify-optimal/incremental", func(b *testing.B) { runVerify(b, olsq.Options{}) })
-	b.Run("verify-optimal/per-k-reencode", func(b *testing.B) { runVerify(b, olsq.Options{NonIncremental: true}) })
-	b.Run("min-swaps/incremental", func(b *testing.B) { runSweep(b, olsq.Options{}) })
-	b.Run("min-swaps/per-k-reencode", func(b *testing.B) { runSweep(b, olsq.Options{NonIncremental: true}) })
+	})
 }
 
 func BenchmarkVF2SectionCheck(b *testing.B) {

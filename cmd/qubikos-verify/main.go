@@ -5,25 +5,29 @@
 // zero-deviation table reproduces the paper's "no deviations observed"
 // result. It can also verify a single QASM file against a claimed count.
 //
-// With -family queko-depth it instead runs the depth family's study:
-// generated instances are re-checked against their structural depth
-// certificate (the planted mapping executes every gate in place and the
-// dependency depth equals the claimed optimum — lower bound meets upper
-// bound, no solver needed).
+// With -family queko-depth it runs the same study over the depth family:
+// each instance's structural depth certificate is re-checked (the
+// planted mapping executes every gate in place and the dependency depth
+// equals the claimed optimum — lower bound meets upper bound, no solver
+// needed).
 //
-// Certification fans out over a worker pool (-workers, default all
-// CPUs); each instance owns its verification state, so the table is
-// identical for any worker count. The whole run is governed by one
-// context: -timeout bounds it and SIGINT/SIGTERM cancels it — the SAT
-// solver polls the context between conflicts, so even a deep UNSAT
-// search stops promptly instead of hanging the process.
+// Every study instance is written and read back through the on-disk
+// instance format before it is certified, and the study and -suite share
+// one certifier (harness.CertifySuite, harness.RunOptimalityStudyCtx):
+// the family's certificate, including the stored witness, then the exact
+// SAT check for swap optima. Certification fans out over a worker pool
+// (-workers, default all CPUs); each instance owns its verification
+// state, so the table is identical for any worker count. The whole run
+// is governed by one context: -timeout bounds it and SIGINT/SIGTERM
+// cancels it — the SAT solver polls the context between conflicts, so
+// even a deep UNSAT search stops promptly instead of hanging the
+// process.
 //
 // With -suite and -cache-dir it certifies every instance of a stored
-// suite from the content-addressed store, dispatching on the suite's
-// family: swap-metric suites get the exact SAT check of each claimed
-// optimum, depth-metric suites get their structural depth certificate —
-// plus the store's checksum index either way, end-to-end assurance that
-// the cached bytes still carry the guarantee they were generated with.
+// suite from the content-addressed store: the store's checksum index
+// first, then each instance and its stored witness — end-to-end
+// assurance that the cached bytes still carry the guarantee they were
+// generated with.
 //
 // Usage:
 //
@@ -43,7 +47,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -54,7 +57,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/olsq"
-	"repro/internal/pool"
 	"repro/internal/suite"
 )
 
@@ -66,8 +68,7 @@ func main() {
 }
 
 // run is the whole command. It returns its error instead of exiting, so
-// deferred cleanups (the trace, the depth study's temporary directory)
-// run on every exit path and every mode reports an elapsed -timeout or
+// deferred cleanups (the trace) run on every exit path and every mode reports an elapsed -timeout or
 // an interrupt through the same budgetErr rewrite.
 func run() (err error) {
 	circuits := flag.Int("circuits", 5, "circuits per (device, grid value) cell (paper: 100)")
@@ -125,21 +126,16 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
+	grid := *swapList
 	if fam.Metric == family.Depth {
-		counts, err := parseCounts(*depthList)
-		if err != nil {
-			return err
-		}
-		return runDepthStudy(ctx, fam, counts, *circuits, *seed, *workers)
+		grid = *depthList
 	}
-
 	cfg := harness.DefaultOptimalityConfig(*circuits, *seed)
+	cfg.Family = fam.ID
 	cfg.Workers = *workers
-	counts, err := parseCounts(*swapList)
-	if err != nil {
+	if cfg.SwapCounts, err = parseCounts(grid); err != nil {
 		return err
 	}
-	cfg.SwapCounts = counts
 
 	t0 := time.Now()
 	rows, err := harness.RunOptimalityStudyCtx(ctx, cfg)
@@ -175,77 +171,9 @@ func writeTrace(path string, tr *obs.Trace) error {
 	return nil
 }
 
-// runDepthStudy is the depth family's analogue of the Section IV-A
-// study: generate instances on the study devices and re-check each one's
-// structural depth certificate through a serialize/parse round trip — the
-// exact path a stored suite takes.
-func runDepthStudy(ctx context.Context, fam *family.Family, depths []int, circuits int, seed int64, workers int) error {
-	devices := []*arch.Device{arch.RigettiAspen4(), arch.Grid3x3()}
-	type job struct {
-		dev *arch.Device
-		d   int
-		i   int
-	}
-	var jobs []job
-	for _, dev := range devices {
-		for _, d := range depths {
-			for i := 0; i < circuits; i++ {
-				jobs = append(jobs, job{dev: dev, d: d, i: i})
-			}
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t0 := time.Now()
-	dir, err := os.MkdirTemp("", "queko-study-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	err = pool.ParallelForCtx(ctx, len(jobs), workers, func(ji int) error {
-		j := jobs[ji]
-		inst, err := fam.Generate(j.dev, family.Options{
-			Optimal:             j.d,
-			TargetTwoQubitGates: 30,
-			Seed:                seed + int64(j.d)*100_000 + int64(j.i),
-		})
-		if err != nil {
-			return fmt.Errorf("generate %s depth=%d: %w", j.dev.Name(), j.d, err)
-		}
-		if err := inst.Verify(); err != nil {
-			return fmt.Errorf("structural verify %s depth=%d: %w", j.dev.Name(), j.d, err)
-		}
-		base := fmt.Sprintf("j%06d", ji)
-		if _, err := family.WriteInstance(dir, base, inst); err != nil {
-			return err
-		}
-		li, err := family.ReadInstanceWithSolution(dir, base)
-		if err != nil {
-			return err
-		}
-		if err := li.Certify(); err != nil {
-			return fmt.Errorf("depth certificate %s depth=%d: %w", j.dev.Name(), j.d, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Depth-certificate study (family %s):\n", fam.ID)
-	fmt.Printf("%-10s %9s %9s %9s\n", "device", "depths", "circuits", "certified")
-	for _, dev := range devices {
-		fmt.Printf("%-10s %9v %9d %9d\n", dev.Name(), depths, len(depths)*circuits, len(depths)*circuits)
-	}
-	fmt.Printf("\n%d circuits certified in %v; deviations: 0\n", len(jobs), time.Since(t0).Round(time.Millisecond))
-	return nil
-}
-
-// verifySuite certifies a stored suite end to end: the checksum index
-// first (the bytes are the bytes that were generated), then each
-// instance per its family's metric — the exact SAT solver for
-// swap-metric suites, the structural depth certificate for depth-metric
-// ones — fanned over a worker pool. Any deviation is an error.
+// verifySuite certifies a stored suite end to end through
+// harness.CertifySuite and prints its verdicts. Any deviation is an
+// error.
 func verifySuite(ctx context.Context, cacheDir, hash string, workers int) error {
 	store, err := suite.Open(cacheDir, suite.StoreOptions{})
 	if err != nil {
@@ -255,71 +183,21 @@ func verifySuite(ctx context.Context, cacheDir, hash string, workers int) error 
 	if err != nil {
 		return err
 	}
-	if err := store.VerifyChecksums(hash); err != nil {
+	t0 := time.Now()
+	verdicts, err := harness.CertifySuite(ctx, store, st, workers)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("suite %s: checksums OK (%d instances, metric %s)\n", hash, len(st.Instances), st.Metric)
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	depthMetric := st.Metric == family.Depth
-	t0 := time.Now()
-	// Every instance is attempted (certification failures are collected,
-	// not fail-fast), so the per-index fn always returns nil and the only
-	// pool-level error is a cancellation.
-	errs := make([]error, len(st.Instances))
-	poolErr := pool.ParallelForCtx(ctx, len(st.Instances), workers, func(ji int) error {
-		ref := st.Instances[ji]
-		sp, ctx := obs.Begin(ctx, "verify", "instance")
-		defer sp.End()
-		sp.Arg("instance", ref.Base)
-		sp.ArgInt("optimal", int64(ref.Optimal))
-		if depthMetric {
-			li, err := store.LoadInstanceWithSolution(hash, ref)
-			if err == nil {
-				err = li.Certify()
-			}
-			if err != nil {
-				errs[ji] = fmt.Errorf("%s: %w", ref.Base, err)
-			}
-			return nil
-		}
-		li, err := store.LoadInstance(hash, ref)
-		if err != nil {
-			errs[ji] = err
-			return nil
-		}
-		s, err := olsq.New(li.Circuit, li.Device, olsq.Options{})
-		if err != nil {
-			errs[ji] = fmt.Errorf("%s: %w", ref.Base, err)
-			return nil
-		}
-		verr := s.VerifyOptimalCtx(ctx, li.Meta.OptimalSwaps)
-		stats := s.SolverStats()
-		sp.ArgInt("conflicts", stats.Conflicts)
-		sp.ArgInt("restarts", stats.Restarts)
-		sp.ArgInt("learned", stats.Learned)
-		if verr != nil {
-			if ctx.Err() != nil {
-				return verr
-			}
-			errs[ji] = fmt.Errorf("%s: %w", ref.Base, verr)
-		}
-		return nil
-	})
-	if poolErr != nil {
-		return poolErr
-	}
 	bad := 0
-	for _, err := range errs {
-		if err != nil {
+	for _, v := range verdicts {
+		if v != nil {
 			bad++
-			fmt.Fprintln(os.Stderr, "qubikos-verify:", err)
+			fmt.Fprintln(os.Stderr, "qubikos-verify:", v)
 		}
 	}
 	how := "exactly"
-	if depthMetric {
+	if st.Metric == family.Depth {
 		how = "by depth certificate"
 	}
 	fmt.Printf("%d/%d instances certified %s in %v\n",

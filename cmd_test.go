@@ -4,7 +4,9 @@ package repro_test
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -262,6 +264,49 @@ func TestSuitePipeline(t *testing.T) {
 		"-cache-dir", cache, "-suite", hash)
 	if !strings.Contains(out, "checksums OK") || !strings.Contains(out, "2/2 instances certified exactly") {
 		t.Fatalf("suite verify output unexpected:\n%s", out)
+	}
+
+	// Overwrite one stored witness with its own unrouted circuit (0 SWAPs)
+	// and re-stamp its checksum: the checksum index passes, so only the
+	// witness check can reject the suite.
+	witnesses, err := filepath.Glob(filepath.Join(instDir, "*.solution.qasm"))
+	if err != nil || len(witnesses) != 2 {
+		t.Fatalf("stored witnesses %v (err %v), want two", witnesses, err)
+	}
+	witness := witnesses[len(witnesses)-1]
+	circ, err := os.ReadFile(strings.TrimSuffix(witness, ".solution.qasm") + ".qasm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restampInstanceFile(t, filepath.Dir(instDir), filepath.Base(witness), circ)
+	b, err := exec.Command(filepath.Join(bins, "qubikos-verify"), "-cache-dir", cache, "-suite", hash).CombinedOutput()
+	if err == nil || !strings.Contains(string(b), "witness uses 0 SWAPs") {
+		t.Fatalf("suite with a 0-SWAP witness: err=%v, want a non-zero exit naming the witness\n%s", err, b)
+	}
+}
+
+// restampInstanceFile overwrites one instance file of the suite stored in
+// suiteDir and updates its checksums.json entry to match.
+func restampInstanceFile(t *testing.T, suiteDir, name string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(suiteDir, "instances", name), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	index := filepath.Join(suiteDir, "checksums.json")
+	raw, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]string{}
+	if err := json.Unmarshal(raw, &sums); err != nil {
+		t.Fatal(err)
+	}
+	sums[name] = fmt.Sprintf("%x", sha256.Sum256(b))
+	if raw, err = json.MarshalIndent(sums, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(index, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"repro/internal/arch"
+	"repro/internal/family"
 	"repro/internal/qubikos"
 	"repro/internal/router"
 	"repro/internal/sabre"
@@ -44,6 +45,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %d SWAPs inserted -> optimality gap %.2fx\n",
-		res.Tool, res.SwapCount, router.SwapRatio(res.SwapCount, bench.OptSwaps))
+		res.Tool, res.SwapCount, family.Swaps.Ratio(res.SwapCount, bench.OptSwaps))
 	fmt.Println("the known-optimal solution uses", bench.Solution.SwapCount, "SWAPs")
 }

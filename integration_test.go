@@ -172,8 +172,8 @@ func TestQuickGeneratorAlwaysVerifiable(t *testing.T) {
 	}
 }
 
-// Property (testing/quick): SwapRatio and Mapping primitives obey their
-// algebraic contracts.
+// Property (testing/quick): Mapping primitives obey their algebraic
+// contracts.
 func TestQuickMappingAlgebra(t *testing.T) {
 	f := func(permSeed uint8, a, b uint8) bool {
 		n := 6

@@ -2,11 +2,14 @@
 // a deterministic, seed-driven generator with the metric its instances
 // carry a known optimum for (SWAP count or routed depth) and a structural
 // per-instance certificate checker that re-validates the optimality
-// argument on every load. The content-addressed suite store, the
-// evaluation harness, the HTTP server and every CLI dispatch on family
-// IDs registered here, so adding a benchmark family (noise-aware,
-// near-optimal QUEKNO-style, ...) is one Register call plus a generator —
-// no changes to the storage, scoring or serving layers.
+// argument from an instance's serialized form. Loading runs only the
+// sidecar cross-checks (Loaded.Check); the certificate runs in the
+// harness certifier, on every instance the Section IV-A study generates
+// and every instance qubikos-verify -suite loads. The content-addressed
+// suite store, the evaluation harness, the HTTP server and every CLI
+// dispatch on family IDs registered here, so adding a benchmark family
+// (noise-aware, near-optimal QUEKNO-style, ...) is one Register call plus
+// a generator — no changes to the storage, scoring or serving layers.
 //
 // Two families ship today:
 //
@@ -110,7 +113,8 @@ type Instance struct {
 	SwapSchedule [][2]int
 	Seed         int64
 	// Verify re-runs the family's full structural optimality check using
-	// generation-time metadata (deeper than the load-time Certify).
+	// generation-time metadata (deeper than Certify, which sees only the
+	// serialized form).
 	Verify func() error
 }
 

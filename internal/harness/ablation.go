@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/arch"
+	"repro/internal/family"
 	"repro/internal/qubikos"
 	"repro/internal/router"
 	"repro/internal/sabre"
@@ -33,59 +34,45 @@ type AblationPoint struct {
 func PaddingAblation(dev *arch.Device, numSwaps int, totals []int, circuits int, trials int, seed int64) ([]AblationPoint, error) {
 	var out []AblationPoint
 	for _, total := range totals {
-		pt := AblationPoint{X: float64(total)}
-		for i := 0; i < circuits; i++ {
-			b, err := qubikos.Generate(dev, qubikos.Options{
-				NumSwaps:            numSwaps,
-				TargetTwoQubitGates: total,
-				Seed:                seed + int64(total)*1000 + int64(i),
-			})
-			if err != nil {
-				return nil, err
-			}
-			r := sabre.New(sabre.Options{Trials: trials, Seed: seed})
-			res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
-			if err != nil {
-				return nil, err
-			}
-			if err := router.Validate(b.Circuit, b.Device, res); err != nil {
-				return nil, err
-			}
-			pt.MeanRatio += router.SwapRatio(res.SwapCount, b.OptSwaps)
-			pt.Circuits++
+		pts, err := sabreSweep(dev, numSwaps, total, circuits, seed+int64(total)*1000, []int{total},
+			func(int) sabre.Options { return sabre.Options{Trials: trials, Seed: seed} })
+		if err != nil {
+			return nil, err
 		}
-		if pt.Circuits > 0 {
-			pt.MeanRatio /= float64(pt.Circuits)
-		}
-		out = append(out, pt)
+		out = append(out, pts...)
 	}
 	return out, nil
 }
 
 // TrialsAblation sweeps LightSABRE's trial budget on a fixed suite.
 func TrialsAblation(dev *arch.Device, numSwaps, gates int, trialSweep []int, circuits int, seed int64) ([]AblationPoint, error) {
-	benches := make([]*qubikos.Benchmark, 0, circuits)
-	for i := 0; i < circuits; i++ {
-		b, err := qubikos.Generate(dev, qubikos.Options{
-			NumSwaps:            numSwaps,
-			TargetTwoQubitGates: gates,
-			Seed:                seed + int64(i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		benches = append(benches, b)
+	return sabreSweep(dev, numSwaps, gates, circuits, seed, trialSweep,
+		func(trials int) sabre.Options { return sabre.Options{Trials: trials, Seed: seed} })
+}
+
+// ExtendedSetAblation sweeps SABRE's lookahead window size (the paper's
+// case study pivots on the Qiskit default of 20).
+func ExtendedSetAblation(dev *arch.Device, numSwaps, gates int, sizes []int, circuits, trials int, seed int64) ([]AblationPoint, error) {
+	return sabreSweep(dev, numSwaps, gates, circuits, seed, sizes,
+		func(size int) sabre.Options { return sabre.Options{Trials: trials, ExtendedSetSize: size, Seed: seed} })
+}
+
+// sabreSweep generates one fixed suite and, for each x, routes all of it
+// with the LightSABRE configuration opts(x), averaging the gaps.
+func sabreSweep(dev *arch.Device, numSwaps, gates, circuits int, seed int64, xs []int, opts func(x int) sabre.Options) ([]AblationPoint, error) {
+	items, err := experimentItems(dev, numSwaps, gates, circuits, seed, false)
+	if err != nil {
+		return nil, err
 	}
-	var out []AblationPoint
-	for _, trials := range trialSweep {
-		pt := AblationPoint{X: float64(trials)}
-		for _, b := range benches {
-			r := sabre.New(sabre.Options{Trials: trials, Seed: seed})
-			res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
+	out := make([]AblationPoint, 0, len(xs))
+	for _, x := range xs {
+		pt, tool := AblationPoint{X: float64(x)}, sabreTool(opts(x))
+		for _, it := range items {
+			res, err := routeExperiment(tool, it)
 			if err != nil {
 				return nil, err
 			}
-			pt.MeanRatio += router.SwapRatio(res.SwapCount, b.OptSwaps)
+			pt.MeanRatio += family.Swaps.Ratio(res.SwapCount, it.Optimal)
 			pt.Circuits++
 		}
 		if pt.Circuits > 0 {
@@ -96,39 +83,53 @@ func TrialsAblation(dev *arch.Device, numSwaps, gates int, trialSweep []int, cir
 	return out, nil
 }
 
-// ExtendedSetAblation sweeps SABRE's lookahead window size (the paper's
-// case study pivots on the Qiskit default of 20).
-func ExtendedSetAblation(dev *arch.Device, numSwaps, gates int, sizes []int, circuits, trials int, seed int64) ([]AblationPoint, error) {
-	benches := make([]*qubikos.Benchmark, 0, circuits)
-	for i := 0; i < circuits; i++ {
+// experimentItems generates n QUBIKOS instances on dev, seeded seed,
+// seed+1, …, as evaluation items carrying their planted optima. planted
+// pins each item to its planted optimal initial mapping, Section IV-C's
+// standalone-router mode.
+func experimentItems(dev *arch.Device, numSwaps, gates, n int, seed int64, planted bool) ([]EvalItem, error) {
+	items := make([]EvalItem, 0, n)
+	for i := 0; i < n; i++ {
+		s := seed + int64(i)
 		b, err := qubikos.Generate(dev, qubikos.Options{
 			NumSwaps:            numSwaps,
 			TargetTwoQubitGates: gates,
-			Seed:                seed + int64(i),
+			Seed:                s,
 		})
 		if err != nil {
 			return nil, err
 		}
-		benches = append(benches, b)
-	}
-	var out []AblationPoint
-	for _, size := range sizes {
-		pt := AblationPoint{X: float64(size)}
-		for _, b := range benches {
-			r := sabre.New(sabre.Options{Trials: trials, ExtendedSetSize: size, Seed: seed})
-			res, err := router.RouteWithContext(context.Background(), r, b.Circuit, b.Device)
-			if err != nil {
-				return nil, err
-			}
-			pt.MeanRatio += router.SwapRatio(res.SwapCount, b.OptSwaps)
-			pt.Circuits++
+		it := EvalItem{
+			ID:      fmt.Sprintf("%s_s%d_g%d_seed%d", dev.Name(), numSwaps, gates, s),
+			Device:  dev,
+			Circuit: b.Circuit,
+			Optimal: b.OptSwaps,
 		}
-		if pt.Circuits > 0 {
-			pt.MeanRatio /= float64(pt.Circuits)
+		if planted {
+			it.initial = b.InitialMapping
 		}
-		out = append(out, pt)
+		items = append(items, it)
 	}
-	return out, nil
+	return items, nil
+}
+
+// sabreTool wraps one LightSABRE configuration as a ToolSpec whose Make
+// ignores router.Guard's seed offset, so an experiment keeps the seed it
+// configured.
+func sabreTool(opts sabre.Options) ToolSpec {
+	return ToolSpec{Name: "lightsabre", Make: func(int64) router.Router { return sabre.New(opts) }}
+}
+
+// routeExperiment routes one experiment item through routeOne, the
+// guarded path every Figure-4 cell takes, so each result is validated
+// and checked against the planted optimum. A tool failure fails the
+// experiment.
+func routeExperiment(tool ToolSpec, it EvalItem) (*router.Result, error) {
+	res, failure, err := routeOne(context.Background(), tool, it, 0, 0, nil)
+	if err == nil && res == nil {
+		err = fmt.Errorf("harness: %s on %s: %s", tool.Name, it.ID, failure)
+	}
+	return res, err
 }
 
 // RenderAblation prints a sweep with a caption.

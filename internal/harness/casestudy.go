@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/arch"
-	"repro/internal/qubikos"
-	"repro/internal/router"
+	"repro/internal/family"
 	"repro/internal/sabre"
 )
 
@@ -78,47 +76,33 @@ type DecayLine struct {
 
 // RunCaseStudy executes the experiment.
 func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
-	dev := arch.RigettiAspen4()
-	res := &CaseStudyResult{}
-
-	benches := make([]*qubikos.Benchmark, 0, cfg.Instances)
-	for i := 0; i < cfg.Instances; i++ {
-		b, err := qubikos.Generate(dev, qubikos.Options{
-			NumSwaps:            cfg.NumSwaps,
-			TargetTwoQubitGates: cfg.TargetTwoQubitGates,
-			Seed:                cfg.Seed + int64(i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		benches = append(benches, b)
+	items, err := experimentItems(arch.RigettiAspen4(), cfg.NumSwaps, cfg.TargetTwoQubitGates, cfg.Instances, cfg.Seed, true)
+	if err != nil {
+		return nil, err
 	}
+	res := &CaseStudyResult{}
 
 	// Phase 1: route from the planted optimal initial mapping with the
 	// uniform lookahead and capture decisions.
-	for i, b := range benches {
+	for i, it := range items {
 		var steps []sabre.TraceStep
-		r := sabre.New(sabre.Options{
+		out, err := routeExperiment(sabreTool(sabre.Options{
 			Trials: 1,
 			Seed:   cfg.Seed,
 			Trace: func(ts sabre.TraceStep) {
 				steps = append(steps, ts)
 			},
-		})
-		out, err := routePlanted(r, b)
+		}), it)
 		if err != nil {
 			return nil, err
 		}
-		if err := router.Validate(b.Circuit, dev, out); err != nil {
-			return nil, fmt.Errorf("harness: case study result invalid: %w", err)
-		}
 		res.Instances++
-		ratio := router.SwapRatio(out.SwapCount, b.OptSwaps)
+		ratio := family.Swaps.Ratio(out.SwapCount, it.Optimal)
 		res.MeanRatio += ratio
 		res.PerInstance = append(res.PerInstance, InstanceOutcome{
-			Instance: i, Optimal: b.OptSwaps, Achieved: out.SwapCount,
+			Instance: i, Optimal: it.Optimal, Achieved: out.SwapCount,
 		})
-		if out.SwapCount > b.OptSwaps {
+		if out.SwapCount > it.Optimal {
 			res.Suboptimal++
 			if res.FirstMiss == nil && len(steps) > 0 {
 				res.FirstMiss = pickIllustrativeDecision(i, steps)
@@ -132,23 +116,19 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 	// Phase 2: lookahead-decay ablation over the same instances.
 	for _, decay := range cfg.DecaySweep {
 		line := DecayLine{Decay: decay}
-		for _, b := range benches {
-			r := sabre.New(sabre.Options{
-				Trials:         1,
-				Seed:           cfg.Seed,
-				LookaheadDecay: decay,
-			})
-			out, err := routePlanted(r, b)
+		tool := sabreTool(sabre.Options{Trials: 1, Seed: cfg.Seed, LookaheadDecay: decay})
+		for _, it := range items {
+			out, err := routeExperiment(tool, it)
 			if err != nil {
 				return nil, err
 			}
-			line.MeanRatio += router.SwapRatio(out.SwapCount, b.OptSwaps)
-			if out.SwapCount > b.OptSwaps {
+			line.MeanRatio += family.Swaps.Ratio(out.SwapCount, it.Optimal)
+			if out.SwapCount > it.Optimal {
 				line.Suboptimal++
 			}
 		}
-		if len(benches) > 0 {
-			line.MeanRatio /= float64(len(benches))
+		if len(items) > 0 {
+			line.MeanRatio /= float64(len(items))
 		}
 		res.DecayLines = append(res.DecayLines, line)
 	}
@@ -232,14 +212,4 @@ func RenderCaseStudy(w io.Writer, r *CaseStudyResult) {
 		}
 		fmt.Fprintf(w, "    %-8s %9.2fx %11d\n", label, l.MeanRatio, l.Suboptimal)
 	}
-}
-
-// routePlanted routes the benchmark with r from its planted optimal
-// initial mapping.
-func routePlanted(r router.Router, b *qubikos.Benchmark) (*router.Result, error) {
-	p, err := router.Prepare(b.Circuit, b.Device)
-	if err != nil {
-		return nil, err
-	}
-	return r.Route(context.Background(), p, b.InitialMapping)
 }

@@ -14,15 +14,16 @@
 // FigureFromRows aggregates. The store guarantees repeated evaluations
 // of the same recipe reuse bit-identical benchmarks without
 // regenerating; a one-shot run evaluates through a temporary store.
-// Every (tool, instance) pair, in the Figure-4 sweep and the
-// standalone-router study alike, routes through the same router.Guard.
+// Every (tool, instance) pair, in the Figure-4 sweep, the
+// standalone-router study and the ablation and case-study experiments
+// alike, routes through the same router.Guard. Every planted optimum,
+// in the Section IV-A study and in a stored suite (CertifySuite), is
+// checked by one certifier (certify.go).
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -30,11 +31,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/family"
 	"repro/internal/mlqls"
-	"repro/internal/obs"
-	"repro/internal/olsq"
-	"repro/internal/pool"
 	"repro/internal/qmap"
-	"repro/internal/qubikos"
 	"repro/internal/router"
 	"repro/internal/sabre"
 	"repro/internal/suite"
@@ -320,146 +317,6 @@ func RenderAbstract(w io.Writer, gaps []ToolAverage) {
 	fmt.Fprintln(w, "Average optimality gap per tool (paper abstract analogue):")
 	for _, g := range gaps {
 		fmt.Fprintf(w, "  %-14s %9.2fx  (over %d cells)\n", g.Tool, g.MeanRatio, g.Cells)
-	}
-}
-
-// --- Section IV-A optimality study -----------------------------------
-
-// OptimalityConfig mirrors the paper's exact-verification experiment:
-// small devices, SWAP counts 1-4, a 30 two-qubit-gate budget, exact SAT
-// checks of every instance.
-type OptimalityConfig struct {
-	Devices          []*arch.Device
-	SwapCounts       []int
-	CircuitsPerCount int
-	MaxTwoQubitGates int
-	Seed             int64
-	// Workers bounds the certification worker pool; 0 means GOMAXPROCS.
-	// Each instance gets its own SAT solver, so results are identical for
-	// any worker count (the instance seeds are fixed up front).
-	Workers int
-}
-
-// DefaultOptimalityConfig returns the paper's Section IV-A setting with a
-// configurable instance count (the paper uses 100 per count).
-func DefaultOptimalityConfig(circuitsPer int, seed int64) OptimalityConfig {
-	return OptimalityConfig{
-		Devices:          []*arch.Device{arch.RigettiAspen4(), arch.Grid3x3()},
-		SwapCounts:       []int{1, 2, 3, 4},
-		CircuitsPerCount: circuitsPer,
-		MaxTwoQubitGates: 30,
-		Seed:             seed,
-	}
-}
-
-// OptimalityRow is one (device, swap-count) row of the study.
-type OptimalityRow struct {
-	Device    string
-	OptSwaps  int
-	Circuits  int
-	Verified  int
-	Deviation int // instances whose exact optimum differed (must be 0)
-}
-
-// RunOptimalityStudyCtx generates capped instances and certifies each
-// with the exact SAT solver: UNSAT at n-1 and SAT at n. Instances are
-// independent — every one carries its own deterministic seed and its own
-// persistent incremental solver — so certification fans out over a
-// bounded worker pool (cfg.Workers, defaulting to GOMAXPROCS) and the
-// aggregated rows are identical for any worker count. The context's
-// deadline propagates into every SAT search (alongside any conflict
-// budget) and into the pool's dispatch loop, so an abandoned study stops
-// certifying promptly; a cancelled study returns the cancellation
-// cause, never a partial table.
-func RunOptimalityStudyCtx(ctx context.Context, cfg OptimalityConfig) ([]OptimalityRow, error) {
-	type job struct {
-		dev *arch.Device
-		n   int
-		i   int
-		row int
-	}
-	type outcome struct {
-		verified bool
-		err      error
-	}
-	var jobs []job
-	var rows []OptimalityRow
-	for _, dev := range cfg.Devices {
-		for _, n := range cfg.SwapCounts {
-			rows = append(rows, OptimalityRow{Device: dev.Name(), OptSwaps: n})
-			for i := 0; i < cfg.CircuitsPerCount; i++ {
-				jobs = append(jobs, job{dev: dev, n: n, i: i, row: len(rows) - 1})
-			}
-		}
-	}
-
-	run := func(j job) outcome {
-		sp, ctx := obs.Begin(ctx, "verify", "instance")
-		defer sp.End()
-		sp.Arg("device", j.dev.Name())
-		sp.ArgInt("optimal", int64(j.n))
-		b, err := qubikos.Generate(j.dev, qubikos.Options{
-			NumSwaps:            j.n,
-			MaxTwoQubitGates:    cfg.MaxTwoQubitGates,
-			TargetTwoQubitGates: cfg.MaxTwoQubitGates,
-			PreferHighDegree:    true,
-			Seed:                cfg.Seed + int64(j.n)*100_000 + int64(j.i),
-		})
-		if err != nil {
-			return outcome{err: fmt.Errorf("harness: optimality generate %s n=%d: %w", j.dev.Name(), j.n, err)}
-		}
-		if err := qubikos.Verify(b); err != nil {
-			return outcome{err: fmt.Errorf("harness: optimality structural verify: %w", err)}
-		}
-		s, err := olsq.New(b.Circuit, j.dev, olsq.Options{})
-		if err != nil {
-			return outcome{err: err}
-		}
-		verr := s.VerifyOptimalCtx(ctx, j.n)
-		st := s.SolverStats()
-		sp.ArgInt("conflicts", st.Conflicts)
-		sp.ArgInt("restarts", st.Restarts)
-		sp.ArgInt("learned", st.Learned)
-		if verr != nil && ctx.Err() != nil {
-			// Cancellation mid-proof, not a deviation: abort the study.
-			return outcome{err: verr}
-		}
-		return outcome{verified: verr == nil}
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// A failed instance aborts the pool: remaining jobs are skipped
-	// rather than paying their certifications. ParallelFor surfaces the
-	// lowest-indexed error, so success/failure (and, on success, every
-	// row) is deterministic for any worker count.
-	outcomes := make([]outcome, len(jobs))
-	if err := pool.ParallelForCtx(ctx, len(jobs), workers, func(ji int) error {
-		outcomes[ji] = run(jobs[ji])
-		return outcomes[ji].err
-	}); err != nil {
-		return nil, err
-	}
-	for ji, o := range outcomes {
-		r := &rows[jobs[ji].row]
-		r.Circuits++
-		if o.verified {
-			r.Verified++
-		} else {
-			r.Deviation++
-		}
-	}
-	return rows, nil
-}
-
-// RenderOptimality prints the study as a table.
-func RenderOptimality(w io.Writer, rows []OptimalityRow) {
-	fmt.Fprintln(w, "Optimality study (exact SAT verification, Section IV-A analogue):")
-	fmt.Fprintf(w, "%-10s %9s %9s %9s %10s\n", "device", "opt-swap", "circuits", "verified", "deviation")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %9d %9d %9d %10d\n", r.Device, r.OptSwaps, r.Circuits, r.Verified, r.Deviation)
 	}
 }
 

@@ -82,31 +82,49 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
+// studyConfigs are the small Section IV-A configurations the study tests
+// run: the qubikos swap study and the queko-depth study.
+func studyConfigs() []OptimalityConfig {
+	swaps := DefaultOptimalityConfig(2, 5)
+	swaps.SwapCounts = []int{1, 2}
+	depth := DefaultOptimalityConfig(2, 5)
+	depth.Family = family.QuekoDepthID
+	depth.SwapCounts = []int{4, 8}
+	return []OptimalityConfig{swaps, depth}
+}
+
 func TestOptimalityStudySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SAT study in -short mode")
 	}
-	cfg := DefaultOptimalityConfig(2, 5)
-	cfg.SwapCounts = []int{1, 2}
-	rows, err := RunOptimalityStudyCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // 2 devices x 2 counts
-		t.Fatalf("rows=%d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Deviation != 0 {
-			t.Errorf("%s n=%d: %d deviations — generator optimality broken", r.Device, r.OptSwaps, r.Deviation)
+	for _, cfg := range studyConfigs() {
+		rows, err := RunOptimalityStudyCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Verified != r.Circuits {
-			t.Errorf("%s n=%d: verified %d of %d", r.Device, r.OptSwaps, r.Verified, r.Circuits)
+		if len(rows) != 4 { // 2 devices x 2 optima
+			t.Fatalf("rows=%d", len(rows))
 		}
-	}
-	var sb strings.Builder
-	RenderOptimality(&sb, rows)
-	if !strings.Contains(sb.String(), "grid-3x3") && !strings.Contains(sb.String(), "grid") {
-		t.Error("optimality table missing grid device")
+		wantMetric := "swaps"
+		if cfg.Family != "" {
+			wantMetric = "depth"
+		}
+		for _, r := range rows {
+			if r.Metric != wantMetric {
+				t.Errorf("%s n=%d: metric %q, want %q", r.Device, r.Optimal, r.Metric, wantMetric)
+			}
+			if r.Deviation != 0 {
+				t.Errorf("%s n=%d: %d deviations — generator optimality broken", r.Device, r.Optimal, r.Deviation)
+			}
+			if r.Circuits != 2 || r.Verified != r.Circuits {
+				t.Errorf("%s n=%d: verified %d of %d", r.Device, r.Optimal, r.Verified, r.Circuits)
+			}
+		}
+		var sb strings.Builder
+		RenderOptimality(&sb, rows)
+		if !strings.Contains(sb.String(), "grid-3x3") || !strings.Contains(sb.String(), wantMetric) {
+			t.Errorf("optimality table missing grid device or metric:\n%s", sb.String())
+		}
 	}
 }
 
@@ -116,21 +134,21 @@ func TestOptimalityStudyParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SAT study in -short mode")
 	}
-	cfg := DefaultOptimalityConfig(2, 5)
-	cfg.SwapCounts = []int{1, 2}
-	cfg.Workers = 1
-	serial, err := RunOptimalityStudyCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4, 16} {
-		cfg.Workers = workers
-		parallel, err := RunOptimalityStudyCtx(context.Background(), cfg)
+	for _, cfg := range studyConfigs() {
+		cfg.Workers = 1
+		serial, err := RunOptimalityStudyCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("workers=%d rows differ:\nserial:   %+v\nparallel: %+v", workers, serial, parallel)
+		for _, workers := range []int{4, 16} {
+			cfg.Workers = workers
+			parallel, err := RunOptimalityStudyCtx(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Fatalf("workers=%d rows differ:\nserial:   %+v\nparallel: %+v", workers, serial, parallel)
+			}
 		}
 	}
 }

@@ -1,13 +1,12 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/arch"
 	"repro/internal/bmt"
-	"repro/internal/qubikos"
+	"repro/internal/family"
 	"repro/internal/router"
 )
 
@@ -39,34 +38,25 @@ type SectionIIICResult struct {
 // RunSectionIIIC generates Aspen-4-style instances and runs the VF2-TS
 // tool on them.
 func RunSectionIIIC(dev *arch.Device, numSwaps, gates, instances int, seed int64) (*SectionIIICResult, error) {
+	items, err := experimentItems(dev, numSwaps, gates, instances, seed, false)
+	if err != nil {
+		return nil, err
+	}
 	res := &SectionIIICResult{Device: dev.Name(), MinSegments: -1}
 	tool := bmt.New(bmt.Options{})
-	for i := 0; i < instances; i++ {
-		b, err := qubikos.Generate(dev, qubikos.Options{
-			NumSwaps:            numSwaps,
-			TargetTwoQubitGates: gates,
-			Seed:                seed + int64(i),
-		})
+	spec := ToolSpec{Name: tool.Name(), Make: func(int64) router.Router { return tool }}
+	for i, it := range items {
+		segs, err := tool.SegmentCount(it.Circuit, dev)
 		if err != nil {
 			return nil, err
 		}
-		segs, err := tool.SegmentCount(b.Circuit, dev)
+		out, err := routeExperiment(spec, it)
 		if err != nil {
 			return nil, err
 		}
-		out, err := router.RouteWithContext(context.Background(), tool, b.Circuit, dev)
-		if err != nil {
-			return nil, err
-		}
-		if err := router.Validate(b.Circuit, dev, out); err != nil {
-			return nil, fmt.Errorf("harness: vf2-ts invalid on instance %d: %w", i, err)
-		}
-		if out.SwapCount < b.OptSwaps {
-			return nil, fmt.Errorf("harness: vf2-ts beat the optimum on instance %d", i)
-		}
-		ratio := router.SwapRatio(out.SwapCount, b.OptSwaps)
+		ratio := family.Swaps.Ratio(out.SwapCount, it.Optimal)
 		res.Rows = append(res.Rows, SectionIIICRow{
-			Instance: i, OptSwaps: b.OptSwaps, Segments: segs,
+			Instance: i, OptSwaps: it.Optimal, Segments: segs,
 			SwapsUsed: out.SwapCount, Ratio: ratio,
 		})
 		res.MeanRatio += ratio

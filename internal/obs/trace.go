@@ -7,11 +7,11 @@ import (
 )
 
 // maxSpanArgs is the fixed per-span label capacity. Spans carry at most
-// this many key/value args; extra ones are dropped silently. Six covers
-// every call site in the repository (a harness cell attaches tool,
-// instance, outcome and three router counters) without ever allocating
-// a map.
-const maxSpanArgs = 6
+// this many key/value args; extra ones are dropped silently. Seven
+// covers every call site in the repository (a certified SWAP instance
+// attaches instance, device, optimum, outcome and three SAT counters)
+// without ever allocating a map.
+const maxSpanArgs = 7
 
 // Arg is one span label: a key with either a string or an integer value.
 type Arg struct {
@@ -51,7 +51,7 @@ type Trace struct {
 }
 
 // DefaultCapacity is the record capacity New(0) preallocates: 64 Ki
-// records ≈ 20 MiB, enough for every (tool, instance) cell of the
+// records ≈ 25 MiB, enough for every (tool, instance) cell of the
 // largest paper sweep with room for store and phase spans.
 const DefaultCapacity = 1 << 16
 

@@ -2,19 +2,21 @@ package olsq_test
 
 // Golden corpus for the exact-verification engine. The expected values
 // below were recorded from the pre-refactor engine (per-k re-encode, cold
-// solver per bound, pointer-based CDCL core) on a fixed QUBIKOS corpus;
-// the flat-arena incremental engine must reproduce every SAT/UNSAT
-// verdict, MinSwaps value, and extracted swap count bit-for-bit, on both
-// the incremental and the legacy per-k path.
+// solver per bound, pointer-based CDCL core) on a fixed QUBIKOS corpus.
+// The incremental engine must reproduce every SAT/UNSAT verdict, MinSwaps
+// value, and extracted swap count bit-for-bit, and a cold solve of each
+// bound's exported DIMACS formula must reproduce the verdicts.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/olsq"
 	"repro/internal/qubikos"
 	"repro/internal/router"
+	"repro/internal/sat"
 )
 
 type goldenCase struct {
@@ -70,10 +72,10 @@ func goldenInstance(t *testing.T, gc goldenCase) (*arch.Device, *qubikos.Benchma
 	return dev, b
 }
 
-func runGoldenCase(t *testing.T, gc goldenCase, opts olsq.Options) {
+func runGoldenCase(t *testing.T, gc goldenCase) {
 	t.Helper()
 	dev, b := goldenInstance(t, gc)
-	s, err := olsq.New(b.Circuit, dev, opts)
+	s, err := olsq.New(b.Circuit, dev, olsq.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +118,13 @@ func TestGoldenCorpusIncremental(t *testing.T) {
 	for _, gc := range goldenCorpus {
 		gc := gc
 		name := fmt.Sprintf("%s/n%d/i%d", gc.device, gc.numSwaps, gc.instance)
-		t.Run(name, func(t *testing.T) { runGoldenCase(t, gc, olsq.Options{}) })
+		t.Run(name, func(t *testing.T) { runGoldenCase(t, gc) })
 	}
 }
 
+// TestGoldenCorpusPerKReencode re-derives the corpus's Decide verdicts
+// the way the pre-refactor engine did: encode each bound on its own and
+// solve it cold, here through ExportDIMACS on a fresh parsed formula.
 func TestGoldenCorpusPerKReencode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exact golden corpus in -short mode")
@@ -127,7 +132,26 @@ func TestGoldenCorpusPerKReencode(t *testing.T) {
 	for _, gc := range goldenCorpus {
 		gc := gc
 		name := fmt.Sprintf("%s/n%d/i%d", gc.device, gc.numSwaps, gc.instance)
-		t.Run(name, func(t *testing.T) { runGoldenCase(t, gc, olsq.Options{NonIncremental: true}) })
+		t.Run(name, func(t *testing.T) {
+			dev, b := goldenInstance(t, gc)
+			s, err := olsq.New(b.Circuit, dev, olsq.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, want := range map[int]bool{gc.numSwaps - 1: gc.decideLow, gc.numSwaps: gc.decideAt} {
+				var sb strings.Builder
+				if err := s.ExportDIMACS(&sb, k); err != nil {
+					t.Fatal(err)
+				}
+				f, err := sat.ParseDIMACS(strings.NewReader(sb.String()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := f.Solve() == sat.Sat; got != want {
+					t.Errorf("cold solve at k=%d: satisfiable=%v want %v", k, got, want)
+				}
+			}
+		})
 	}
 }
 

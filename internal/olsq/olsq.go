@@ -37,17 +37,6 @@ import (
 type Options struct {
 	// MaxConflicts bounds the SAT search per Decide call; 0 = unlimited.
 	MaxConflicts int64
-	// UseLowerBound starts MinSwaps' linear search at LowerBound() instead
-	// of 0. Off by default: the paper's optimality study certifies with a
-	// full UNSAT sweep from zero, so skipping provably-infeasible bounds is
-	// an opt-in shortcut.
-	UseLowerBound bool
-	// NonIncremental restores the legacy search strategy: every Decide call
-	// re-encodes the formula at its own bound and solves it on a cold
-	// solver. Kept as the baseline for benchmarks and cross-checks; the
-	// default incremental path encodes once at the largest bound and
-	// re-solves under activation assumptions.
-	NonIncremental bool
 }
 
 // Solver is the exact layout-synthesis engine for one circuit/device pair.
@@ -132,9 +121,6 @@ func (s *Solver) DecideCtx(ctx context.Context, k int) (bool, *Result, error) {
 	if k < 0 {
 		return false, nil, fmt.Errorf("olsq: negative swap bound %d", k)
 	}
-	if s.opts.NonIncremental {
-		return s.decideFresh(ctx, k)
-	}
 	enc := s.ensureEncoded(k)
 	enc.solver.Budget = s.opts.MaxConflicts
 	// Transitions below k are enabled, transitions k..enc.k-1 disabled (a
@@ -167,43 +153,11 @@ func (s *Solver) DecideCtx(ctx context.Context, k int) (bool, *Result, error) {
 	}
 }
 
-// decideFresh is the legacy per-bound path: encode at exactly k, assert
-// every activation and the finalization literal, and solve on a cold
-// solver.
-func (s *Solver) decideFresh(ctx context.Context, k int) (bool, *Result, error) {
-	enc := s.encode(k)
-	for _, a := range enc.act {
-		if err := enc.solver.AddClause(a); err != nil {
-			return false, nil, err
-		}
-	}
-	if err := enc.solver.AddClause(enc.fin[k]); err != nil {
-		return false, nil, err
-	}
-	enc.solver.Budget = s.opts.MaxConflicts
-	switch enc.solver.SolveCtx(ctx) {
-	case sat.Sat:
-		res, err := s.extract(enc, k)
-		if err != nil {
-			return false, nil, err
-		}
-		return true, res, nil
-	case sat.Unsat:
-		return false, nil, nil
-	default:
-		if err := ctx.Err(); err != nil {
-			return false, nil, fmt.Errorf("olsq: solve cancelled at k=%d: %w", k, err)
-		}
-		return false, nil, fmt.Errorf("olsq: conflict budget exhausted at k=%d", k)
-	}
-}
-
 // MinSwaps finds the minimal SWAP count in [0, maxK] by linear search
 // (each infeasible k is a full UNSAT proof, matching how OLSQ2 certifies
-// optimality). The default incremental path grows one persistent encoding
-// block by block, so each bound reuses everything learned at the bounds
-// below it. With Options.UseLowerBound the search starts at LowerBound()
-// instead of 0. It returns an error if even maxK is infeasible.
+// optimality). One persistent encoding grows block by block, so each
+// bound reuses everything learned at the bounds below it. It returns an
+// error if even maxK is infeasible.
 func (s *Solver) MinSwaps(maxK int) (*Result, error) {
 	return s.MinSwapsCtx(context.Background(), maxK)
 }
@@ -211,15 +165,7 @@ func (s *Solver) MinSwaps(maxK int) (*Result, error) {
 // MinSwapsCtx is MinSwaps under a cancellation context, checked before
 // each bound and propagated into each Decide's SAT search.
 func (s *Solver) MinSwapsCtx(ctx context.Context, maxK int) (*Result, error) {
-	start := 0
-	if s.opts.UseLowerBound {
-		lb := s.LowerBound()
-		if lb > maxK {
-			return nil, fmt.Errorf("olsq: no solution with at most %d swaps (lower bound %d)", maxK, lb)
-		}
-		start = lb
-	}
-	for k := start; k <= maxK; k++ {
+	for k := 0; k <= maxK; k++ {
 		ok, res, err := s.DecideCtx(ctx, k)
 		if err != nil {
 			return nil, err
@@ -230,67 +176,6 @@ func (s *Solver) MinSwapsCtx(ctx context.Context, maxK int) (*Result, error) {
 	}
 	return nil, fmt.Errorf("olsq: no solution with at most %d swaps", maxK)
 }
-
-// LowerBound returns a sound initial-mapping-free lower bound on the
-// optimal SWAP count, the mapping-free analogue of the token-swapping
-// distance bound (max of Σd/2 and max d): since the minimum over initial
-// placements of the summed gate distances is the layout problem itself,
-// the bound combines its computable relaxations.
-//
-//   - Embeddability (the zero test of the distance minimum): if the
-//     circuit's interaction graph embeds into the coupling graph, some
-//     placement runs every gate at distance 1 and the bound is 0; if VF2
-//     proves no embedding exists, at least one SWAP is required. When the
-//     VF2 search exhausts its node budget this term falls back to 0.
-//   - Adjacency-capacity counting (the Σd/2 analogue): a mapping realizes
-//     at most M (coupling edges) adjacent program pairs, and one swap
-//     creates at most 2Δ-2 new adjacent pairs (the edges incident to the
-//     two moved qubits, minus the swapped edge itself whose occupant pair
-//     survives the swap), so k ≥ ⌈(m_I - M) / (2Δ-2)⌉.
-//   - Degree excess (the max d analogue): a program qubit sees at most Δ
-//     partners per placement, and one transition changes its partner set
-//     by at most max(Δ-1, 2) (Δ-1 fresh neighbors when it moves; two
-//     refreshed neighbors when both swapped vertices are adjacent to its
-//     stationary position), so k ≥ ⌈(deg_I(q) - Δ) / max(Δ-1, 2)⌉.
-func (s *Solver) LowerBound() int {
-	ig := s.circ.InteractionGraph()
-	if ig.M() == 0 {
-		return 0
-	}
-	g := s.dev.Graph()
-	lb := 0
-	if _, ok, truncated := graph.SubgraphIsomorphism(ig, g, lowerBoundVF2Nodes); !ok && !truncated {
-		lb = 1
-	}
-	maxDeg := 0
-	for p := 0; p < g.N(); p++ {
-		if d := len(g.Neighbors(p)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if maxDeg >= 2 {
-		if excess := ig.M() - g.M(); excess > 0 {
-			if b := (excess + 2*maxDeg - 3) / (2*maxDeg - 2); b > lb {
-				lb = b
-			}
-		}
-		growth := maxDeg - 1
-		if growth < 2 {
-			growth = 2
-		}
-		for q := 0; q < ig.N(); q++ {
-			if excess := len(ig.Neighbors(q)) - maxDeg; excess > 0 {
-				if b := (excess + growth - 1) / growth; b > lb {
-					lb = b
-				}
-			}
-		}
-	}
-	return lb
-}
-
-// lowerBoundVF2Nodes caps the VF2 search used by LowerBound.
-const lowerBoundVF2Nodes = 2_000_000
 
 // VerifyOptimal certifies that the circuit's optimal SWAP count is exactly
 // n: satisfiable at n and (for n > 0) unsatisfiable at n-1. Because the
@@ -324,9 +209,10 @@ func (s *Solver) VerifyOptimalCtx(ctx context.Context, n int) error {
 	return nil
 }
 
-// encoding holds the SAT variables of one Decide call.
+// encoding holds the SAT variables of the block formula: the solver's
+// persistent incremental encoding, or one DIMACS export's.
 type encoding struct {
-	solver *sat.Solver // nil when encoding into a plain ClauseAdder
+	solver *sat.Solver // nil when encoding into a DIMACS Recorder
 	k      int
 	// x[b][q][p]: program qubit q is at physical p in block b.
 	x [][][]sat.Lit
@@ -349,21 +235,6 @@ type encoding struct {
 	// clause learned at smaller bounds stays sound.
 	fin   []sat.Lit
 	edges []graph.Edge
-}
-
-func (s *Solver) encode(k int) *encoding {
-	sv := sat.NewSolver()
-	enc := s.encodeInto(sv, k)
-	enc.solver = sv
-	return enc
-}
-
-// encodeInto builds the ≤k-SWAP decision formula against any clause sink
-// (a live solver for Decide, a Recorder for DIMACS export).
-func (s *Solver) encodeInto(sv sat.ClauseAdder, k int) *encoding {
-	enc := s.newEncoding()
-	s.growEncoding(enc, sv, k)
-	return enc
 }
 
 func (s *Solver) newEncoding() *encoding {
@@ -542,7 +413,8 @@ func (s *Solver) ExportDIMACS(w io.Writer, k int) error {
 		return fmt.Errorf("olsq: negative swap bound %d", k)
 	}
 	rec := sat.NewRecorder()
-	enc := s.encodeInto(rec, k)
+	enc := s.newEncoding()
+	s.growEncoding(enc, rec, k)
 	for _, a := range enc.act {
 		if err := rec.AddClause(a); err != nil {
 			return err
@@ -555,8 +427,8 @@ func (s *Solver) ExportDIMACS(w io.Writer, k int) error {
 }
 
 // extract reads the SAT model into a Result with a transpiled circuit.
-// The encoding may be built at a larger bound than the decided k (the
-// incremental path), but the assumed fin[k] forces u[g][k] true for every
+// The encoding may be built at a larger bound than the decided k, but
+// the assumed fin[k] forces u[g][k] true for every
 // gate, so no gate is scheduled past block k and transitions at and
 // beyond k are disabled — only blocks 0..k need reading.
 func (s *Solver) extract(enc *encoding, k int) (*Result, error) {

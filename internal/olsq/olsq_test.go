@@ -256,9 +256,25 @@ func TestBlockScheduleConsistent(t *testing.T) {
 	}
 }
 
+// coldSolve decides the ≤k formula from scratch: export it as DIMACS,
+// re-parse it, and solve it on a fresh solver that shares no state with
+// the incremental engine.
+func coldSolve(t *testing.T, s *Solver, k int) bool {
+	t.Helper()
+	var sb strings.Builder
+	if err := s.ExportDIMACS(&sb, k); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sat.ParseDIMACS(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("k=%d: reparse: %v", k, err)
+	}
+	return f.Solve() == sat.Sat
+}
+
 // The incremental engine (one persistent solver, grown encoding,
-// assumption-selected bounds) and the legacy per-k re-encode path must
-// agree on every verdict and every minimal swap count.
+// assumption-selected bounds) and a cold solve of each bound's exported
+// formula must agree on every verdict and every minimal swap count.
 func TestIncrementalMatchesPerKReencode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exact cross-check in -short mode")
@@ -279,107 +295,29 @@ func TestIncrementalMatchesPerKReencode(t *testing.T) {
 			continue
 		}
 		inc := mustSolver(t, c, dev)
-		fresh, err := New(c, dev, Options{NonIncremental: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Query bounds out of order to exercise assumption re-selection.
 		for _, k := range []int{2, 0, 3, 1, 2} {
 			okI, _, err := inc.Decide(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			okF, _, err := fresh.Decide(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if okI != okF {
-				t.Fatalf("iter %d (%s) k=%d: incremental=%v per-k=%v", iter, dev.Name(), k, okI, okF)
+			if okC := coldSolve(t, inc, k); okI != okC {
+				t.Fatalf("iter %d (%s) k=%d: incremental=%v cold=%v", iter, dev.Name(), k, okI, okC)
 			}
 		}
-		resI, errI := inc.MinSwaps(5)
-		resF, errF := fresh.MinSwaps(5)
-		if (errI == nil) != (errF == nil) {
-			t.Fatalf("iter %d: MinSwaps err mismatch: %v vs %v", iter, errI, errF)
-		}
-		if errI == nil && resI.SwapCount != resF.SwapCount {
-			t.Fatalf("iter %d: MinSwaps %d vs %d", iter, resI.SwapCount, resF.SwapCount)
-		}
-	}
-}
-
-// MinSwaps with the lower-bound shortcut must find the same minimum as
-// the paper-faithful full sweep, and LowerBound itself must never exceed
-// the true optimum.
-func TestMinSwapsLowerBoundAgrees(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exact search in -short mode")
-	}
-	rng := rand.New(rand.NewSource(43))
-	devices := []*arch.Device{arch.Line(4), arch.Line(5), arch.Grid3x3()}
-	for iter := 0; iter < 10; iter++ {
-		dev := devices[iter%len(devices)]
-		nq := dev.NumQubits()
-		c := circuit.New(nq)
-		for i := 0; i < 5+rng.Intn(6); i++ {
-			a, b := rng.Intn(nq), rng.Intn(nq)
-			if a != b {
-				c.MustAppend(circuit.NewCX(a, b))
+		coldMin := -1
+		for k := 0; k <= 5 && coldMin < 0; k++ {
+			if coldSolve(t, inc, k) {
+				coldMin = k
 			}
 		}
-		if c.NumGates() == 0 {
-			continue
+		res, err := inc.MinSwaps(5)
+		if (err == nil) != (coldMin >= 0) {
+			t.Fatalf("iter %d: MinSwaps err %v, cold minimum %d", iter, err, coldMin)
 		}
-		full := mustSolver(t, c, dev)
-		resFull, err := full.MinSwaps(6)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
+		if err == nil && res.SwapCount != coldMin {
+			t.Fatalf("iter %d: MinSwaps %d vs cold %d", iter, res.SwapCount, coldMin)
 		}
-		shortcut, err := New(c, dev, Options{UseLowerBound: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lb := shortcut.LowerBound(); lb > resFull.SwapCount {
-			t.Fatalf("iter %d: LowerBound()=%d exceeds optimum %d", iter, lb, resFull.SwapCount)
-		}
-		resLB, err := shortcut.MinSwaps(6)
-		if err != nil {
-			t.Fatalf("iter %d (lower-bound path): %v", iter, err)
-		}
-		if resLB.SwapCount != resFull.SwapCount {
-			t.Fatalf("iter %d: lower-bound path found %d, full sweep %d",
-				iter, resLB.SwapCount, resFull.SwapCount)
-		}
-	}
-}
-
-func TestLowerBoundTriangleOnLine(t *testing.T) {
-	// The Figure 1 triangle cannot embed in a line: bound must be 1.
-	c := circuit.New(3)
-	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
-	if lb := mustSolver(t, c, arch.Line(4)).LowerBound(); lb != 1 {
-		t.Errorf("LowerBound=%d want 1", lb)
-	}
-	// A path circuit embeds directly: bound must be 0.
-	p := circuit.New(3)
-	p.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2))
-	if lb := mustSolver(t, p, arch.Line(4)).LowerBound(); lb != 0 {
-		t.Errorf("LowerBound=%d want 0", lb)
-	}
-}
-
-func TestLowerBoundDenseCircuit(t *testing.T) {
-	// All-pairs interactions over 9 qubits on grid3x3: the interaction
-	// graph has 36 edges against 12 coupling edges with max degree 4, so
-	// the adjacency-capacity bound gives ceil((36-12)/(2*4-2)) = 4.
-	c := circuit.New(9)
-	for a := 0; a < 9; a++ {
-		for b := a + 1; b < 9; b++ {
-			c.MustAppend(circuit.NewCX(a, b))
-		}
-	}
-	if lb := mustSolver(t, c, arch.Grid3x3()).LowerBound(); lb != 4 {
-		t.Errorf("LowerBound=%d want 4", lb)
 	}
 }
 
@@ -392,17 +330,9 @@ func TestExportDIMACSAgreesWithDecide(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	s := mustSolver(t, c, arch.Line(4))
-	for k, want := range map[int]sat.Status{0: sat.Unsat, 1: sat.Sat} {
-		var sb strings.Builder
-		if err := s.ExportDIMACS(&sb, k); err != nil {
-			t.Fatal(err)
-		}
-		f, err := sat.ParseDIMACS(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := f.Solve(); got != want {
-			t.Fatalf("k=%d: DIMACS says %v, want %v", k, got, want)
+	for k, want := range map[int]bool{0: false, 1: true} {
+		if got := coldSolve(t, s, k); got != want {
+			t.Fatalf("k=%d: DIMACS satisfiable=%v, want %v", k, got, want)
 		}
 	}
 	if err := s.ExportDIMACS(&strings.Builder{}, -1); err == nil {
@@ -412,8 +342,7 @@ func TestExportDIMACSAgreesWithDecide(t *testing.T) {
 
 // Round-trip drift check: the exported formula (incremental encoding with
 // activation and finalization assumptions asserted as unit clauses) must
-// reparse cleanly and reproduce the live engine's verdict at every bound,
-// on both the incremental and the per-k path.
+// reparse cleanly and reproduce the live engine's verdict at every bound.
 func TestExportDIMACSRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DIMACS round-trip in -short mode")
@@ -434,37 +363,14 @@ func TestExportDIMACSRoundTrip(t *testing.T) {
 			continue
 		}
 		inc := mustSolver(t, c, dev)
-		fresh, err := New(c, dev, Options{NonIncremental: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for k := 0; k <= 2; k++ {
-			var sb strings.Builder
-			if err := inc.ExportDIMACS(&sb, k); err != nil {
-				t.Fatal(err)
-			}
-			f, err := sat.ParseDIMACS(strings.NewReader(sb.String()))
-			if err != nil {
-				t.Fatalf("iter %d k=%d: reparse: %v", iter, k, err)
-			}
-			got := f.Solve()
+			got := coldSolve(t, inc, k)
 			okI, _, err := inc.Decide(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			okF, _, err := fresh.Decide(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := sat.Unsat
-			if okI {
-				want = sat.Sat
-			}
-			if got != want {
-				t.Fatalf("iter %d k=%d: DIMACS says %v, incremental Decide says %v", iter, k, got, want)
-			}
-			if okI != okF {
-				t.Fatalf("iter %d k=%d: incremental=%v per-k=%v", iter, k, okI, okF)
+			if got != okI {
+				t.Fatalf("iter %d k=%d: DIMACS satisfiable=%v, incremental Decide says %v", iter, k, got, okI)
 			}
 		}
 	}

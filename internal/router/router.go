@@ -270,13 +270,3 @@ func FinalMapping(res *Result) Mapping {
 	}
 	return cur
 }
-
-// SwapRatio returns the paper's optimality-gap metric for one instance:
-// achieved SWAP count divided by the known optimal count. The paper's
-// figures plot the average of this ratio over instances.
-func SwapRatio(achieved, optimal int) float64 {
-	if optimal <= 0 {
-		panic("router: SwapRatio needs a positive optimal count")
-	}
-	return float64(achieved) / float64(optimal)
-}

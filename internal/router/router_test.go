@@ -189,21 +189,6 @@ func TestFinalMapping(t *testing.T) {
 	}
 }
 
-func TestSwapRatio(t *testing.T) {
-	if r := SwapRatio(10, 5); r != 2 {
-		t.Errorf("ratio=%v want 2", r)
-	}
-	if r := SwapRatio(5, 5); r != 1 {
-		t.Errorf("ratio=%v want 1", r)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero optimal should panic")
-		}
-	}()
-	SwapRatio(1, 0)
-}
-
 // Single-qubit gates must ride along without connectivity checks.
 func TestValidateWithSingleQubitGates(t *testing.T) {
 	orig := circuit.New(3)
