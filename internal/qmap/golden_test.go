@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -111,5 +112,49 @@ func TestGoldenCorpus(t *testing.T) {
 					c.Decisions, c.Candidates, c.Restarts, gc.decisions, gc.candidates, gc.restarts)
 			}
 		})
+	}
+}
+
+// TestRouteBytesBounded guards the per-node footprint of the A* search.
+// Routing the eagle127-route golden case once on a fresh Router
+// allocated 18,103,040 bytes when every generated node got a 32-byte
+// arena record, an 8-byte heap entry and a 16-byte closed-set slot, and
+// 8,619,128 bytes with 8-byte successor records, arena records only for
+// popped nodes and 9-byte closed-set slots (go1.24, linux/amd64). The
+// bound is 60% of the former, so a per-node arena record coming back
+// fails it.
+func TestRouteBytesBounded(t *testing.T) {
+	const bound = 18_103_040 * 6 / 10
+	var gc goldenCase
+	for _, c := range goldenCases() {
+		if c.name == "eagle127-route" {
+			gc = c
+		}
+	}
+	dev := gc.device()
+	b, err := qubikos.Generate(dev, qubikos.Options{
+		NumSwaps: gc.swaps, TargetTwoQubitGates: gc.gates, Seed: gc.seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := router.Prepare(b.Circuit, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Layers() // built on first use; not part of the route
+	r := qmap.New(gc.opts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := r.Route(context.Background(), p, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SwapCount != gc.want {
+		t.Fatalf("swaps=%d, want %d", res.SwapCount, gc.want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("routing allocated %d bytes, want at most %d", got, bound)
 	}
 }

@@ -96,33 +96,52 @@ func TestApplyReconstructsSwapPath(t *testing.T) {
 	}
 }
 
+// TestU64SetMembership runs the closed set against a map[uint64]bool
+// model through 600 resets, past two wraps of its one-byte epoch. Most
+// layers are small, so a key from 255 or 256 resets earlier usually
+// still sits in its slot under its old stamp. Each layer adds again key
+// 0 of the layer 255 resets back and key 1 of the layer 256 back; no
+// layer in between wrote either, so only the stamp clear at the wrap
+// keeps them absent. Two layers grow the table mid-layer, one of them
+// after a wrap, and key 0 recurs.
 func TestU64SetMembership(t *testing.T) {
+	layerKey := func(layer, i int) uint64 { return splitmix64(uint64(layer)<<32 | uint64(i)) }
 	var s u64set
-	s.reset()
-	keys := []uint64{0, 1, 42, 1 << 63, 0x9E3779B97F4A7C15}
-	for _, k := range keys {
-		if !s.addIfAbsent(k) {
-			t.Fatalf("fresh key %#x reported present", k)
+	for layer := 0; layer < 600; layer++ {
+		s.reset()
+		model := map[uint64]bool{}
+		add := func(k uint64) {
+			want := !model[k]
+			model[k] = true
+			if got := s.addIfAbsent(k); got != want {
+				t.Fatalf("layer %d: addIfAbsent(%#x) = %v, want %v", layer, k, got, want)
+			}
 		}
-		if s.addIfAbsent(k) {
-			t.Fatalf("inserted key %#x reported absent", k)
+		n := 2 + layer%7
+		switch layer {
+		case 3:
+			n = 5000
+		case 520:
+			n = 8000
 		}
-	}
-	// Reset empties the set without reallocating.
-	s.reset()
-	for _, k := range keys {
-		if !s.addIfAbsent(k) {
-			t.Fatalf("key %#x survived reset", k)
+		size := len(s.keys)
+		for i := 0; i < n; i++ {
+			add(layerKey(layer, i))
 		}
-	}
-	// Growth keeps every inserted key.
-	s.reset()
-	for i := uint64(0); i < 5000; i++ {
-		s.addIfAbsent(i * 0x9E3779B97F4A7C15)
-	}
-	for i := uint64(0); i < 5000; i++ {
-		if s.addIfAbsent(i * 0x9E3779B97F4A7C15) {
-			t.Fatalf("key %d lost across growth", i)
+		if n > 1000 && len(s.keys) == size {
+			t.Fatalf("layer %d: %d keys did not grow the %d-slot table", layer, n, size)
+		}
+		if layer >= 255 {
+			add(layerKey(layer-255, 0))
+		}
+		if layer >= 256 {
+			add(layerKey(layer-256, 1))
+		}
+		if layer%5 == 0 {
+			add(0)
+		}
+		for i := 0; i < n; i++ {
+			add(layerKey(layer, i))
 		}
 	}
 }
@@ -160,10 +179,10 @@ func TestSearchLayerSolvesDistanceTwo(t *testing.T) {
 }
 
 // TestSearchLayerSteadyStateAllocs pins the arena rewrite: once the
-// engine's scratch (state arena, open-list heap, closed set, touch
-// lists) has grown to fit a layer, repeated layer searches allocate
-// only their returned swap sequence and final mapping — node expansion
-// itself is allocation-free.
+// engine's scratch (state arena, successor list, open-list heap, closed
+// set, touch lists) has grown to fit a layer, repeated layer searches
+// allocate only their returned swap sequence and final mapping — node
+// expansion itself is allocation-free.
 func TestSearchLayerSteadyStateAllocs(t *testing.T) {
 	dev := arch.RigettiAspen4()
 	nQ := dev.NumQubits()

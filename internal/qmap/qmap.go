@@ -7,12 +7,16 @@
 // the behaviour behind QMAP's large optimality gaps in the paper.
 //
 // The A* search is built for throughput in the SABRE-engine style (see
-// docs/performance.md): search nodes live in a flat arena addressed by
-// index (no *state pointers), the open list is an index heap replicating
-// container/heap's ordering exactly with the f-cost stored inline in the
-// heap entry, the closed set is a reusable open-addressed hash table with
-// fused key/stamp slots, and per-layer gate tables are flattened to one
-// gate per qubit (ASAP layers are qubit-disjoint). The search is one
+// docs/performance.md): a generated node is only an 8-byte (parent, swap)
+// successor record that its 8-byte heap entry points to, and a node gets
+// its full record in a flat arena addressed by index (no *state pointers)
+// only when it is popped, which few generated nodes ever are. The open
+// list is an index heap replicating container/heap's ordering exactly
+// with the f-cost stored inline in the heap entry, the closed set is a
+// reusable open-addressed hash table with its keys and one-byte epoch
+// stamps in separate arrays, candidate SWAPs are deduplicated per
+// coupler, and per-layer gate tables are flattened to one gate per
+// qubit (ASAP layers are qubit-disjoint). The search is one
 // serial pass: each popped node's candidate SWAPs are enumerated in
 // canonical order, and every candidate not yet in the closed set is
 // scored by an exact integer heuristic delta and pushed as soon as it is
@@ -179,31 +183,36 @@ func (r *Router) ensureEngine(dev *arch.Device, nQ int) *engine {
 	return r.eng
 }
 
-// astate is an A* node in the flat arena. To keep expansion cheap on
-// 127-qubit devices the mapping is not stored per node: each node
-// records only the swap that produced it and its parent index, plus an
-// incrementally maintained heuristic, integer excess-distance sums, and
-// a Zobrist hash. The full mapping is re-materialized by replaying the
-// swap path when the node is popped. The f-cost lives in the node's
-// heap entry, not here, so heap sifting never loads the arena.
+// astate is a popped A* node in the flat arena. To keep expansion cheap
+// on 127-qubit devices the mapping is not stored per node: each node
+// records only the swap that produced it and its parent's arena index,
+// plus its heuristic and Zobrist hash. All of these follow from its
+// successor record, its heap entry and its parent's record (see
+// materialize), so only popped nodes need one. The full mapping is
+// re-materialized by replaying the swap path when the node is popped.
 type astate struct {
 	parent int32 // arena index; -1 for the root
 	swap   [2]int16
 	depth  int32
 	h4     int32 // heuristic at this node, in quarter units
-	excess int16 // summed layer excess distance; 0 ⇔ goal
-	look   int16 // summed lookahead excess distance
 	hash   uint64
 }
 
+// succ is a generated node waiting in the open list: the arena index of
+// the popped node it was expanded from and the swap that produced it.
+type succ struct {
+	parent int32
+	swap   [2]int16
+}
+
 // heapEntry is one open-list slot: the f-cost is duplicated here so
-// sifting compares adjacent heap memory instead of random arena loads.
+// sifting compares adjacent heap memory instead of random record loads.
 // Every cost is an exact multiple of 0.25, so f is held as an int32 in
 // quarter units — the map f -> 4f is strictly monotone and exact, so
 // ordering and ties match the reference float engine bit for bit.
 type heapEntry struct {
 	f4  int32 // 4*(depth + h), exact
-	idx int32 // arena index
+	idx int32 // successor index
 }
 
 // engine owns every piece of search scratch, sized once and reused
@@ -225,7 +234,8 @@ type engine struct {
 
 	zob []uint64 // Zobrist keys, (program qubit, physical qubit) pairs
 
-	states []astate
+	states []astate // popped nodes
+	succs  []succ   // generated nodes, indexed by heapEntry.idx
 	heap   []heapEntry
 	closed u64set
 
@@ -246,8 +256,9 @@ type engine struct {
 	curLD []int32
 	curND []int32
 
-	// Per-expansion candidate dedup on the program-qubit pair.
-	candSeen    []int32
+	// Per-expansion candidate dedup on the coupler id.
+	candSeen    []int32   // coupler id -> expandEpoch it was last enumerated in
+	nbrEdge     [][]int32 // physical qubit -> coupler ids parallel to Neighbors
 	expandEpoch int32
 
 	// Swap-path replay scratch: the currently materialized path (swaps
@@ -270,7 +281,8 @@ func newEngine(dev *arch.Device, nQ int) *engine {
 		qStamp:   make([]int32, nQ),
 		qLGate:   make([]int32, nQ),
 		qNGate:   make([]int32, nQ),
-		candSeen: make([]int32, nQ*nQ),
+		candSeen: make([]int32, dev.NumCouplers()),
+		nbrEdge:  dev.Graph().NeighborEdgeIDs(),
 		m:        make(router.Mapping, nQ),
 		inv:      make([]int, nP),
 	}
@@ -336,14 +348,18 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	}
 
 	e.states = e.states[:0]
+	e.succs = e.succs[:0]
 	e.heap = e.heap[:0]
 	e.closed.reset()
 	// Costs are exact quarter-unit integers: a layer excess step is worth
 	// 4 and a lookahead step w4 = round(4*LookaheadWeight) (3 at the 0.75
 	// default, where the quantization is exact).
 	w4 := int32(math.Round(4 * opts.LookaheadWeight))
-	root := astate{parent: -1, h4: 4*rootX + w4*rootLK, hash: hash0, excess: int16(rootX), look: int16(rootLK)}
+	// The root is in the arena before its first pop, so an exit before
+	// that pop still has a frontier state to hand back.
+	root := astate{parent: -1, h4: 4*rootX + w4*rootLK, hash: hash0}
 	e.states = append(e.states, root)
+	e.succs = append(e.succs, succ{parent: -1})
 	e.heapPush(heapEntry{f4: root.h4, idx: 0})
 	e.closed.addIfAbsent(hash0)
 
@@ -367,71 +383,65 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	bestFrontier := int32(0)
 	nodes := 0
 	for len(e.heap) > 0 && nodes < opts.MaxNodes && !e.check.Tick() {
-		cur := e.heapPop()
+		cur := e.materialize(e.heapPop(), m, inv)
 		nodes++
 		e.cntPops++
-		if e.states[cur].excess == 0 {
-			// Integer excess is exact: 0 ⇔ every layer gate at distance 1.
-			e.apply(cur, m, inv)
+
+		// The pop's shared "before" side: current gate distances. Their
+		// summed excess is exact: 0 ⇔ every layer gate at distance 1.
+		x := int32(0)
+		for gi := 0; gi < nL; gi++ {
+			d := int32(dist.At(m[e.lq0[gi]], m[e.lq1[gi]]))
+			e.curLD[gi] = d
+			x += d - 1
+		}
+		if x == 0 {
 			return e.appliedSeq(), m.Clone()
 		}
-		e.apply(cur, m, inv)
 		if e.states[cur].h4 < e.states[bestFrontier].h4 {
 			bestFrontier = cur
-		}
-
-		// The pop's shared "before" side: current gate distances.
-		for gi := 0; gi < nL; gi++ {
-			e.curLD[gi] = int32(dist.At(m[e.lq0[gi]], m[e.lq1[gi]]))
 		}
 		for gi := 0; gi < nN; gi++ {
 			e.curND[gi] = int32(dist.At(m[e.nq0[gi]], m[e.nq1[gi]]))
 		}
 
 		// Expand: SWAPs on coupler edges touching active qubits,
-		// deduplicated on the program pair, in canonical order. Each
-		// candidate whose mapping is new enters the closed set, the arena
-		// and the heap at once.
+		// deduplicated per coupler, in canonical order. Under the padded
+		// layout couplers and program pairs are in bijection, so this
+		// keeps the first-seen order of a program-pair table. Each
+		// candidate whose mapping is new enters the closed set, the
+		// successor list and the heap at once.
 		e.expandEpoch++
 		curHash := e.states[cur].hash
 		curH4 := e.states[cur].h4
-		curX := int32(e.states[cur].excess)
-		curLK := int32(e.states[cur].look)
-		curDepth := e.states[cur].depth
+		childDepth4 := 4 * (e.states[cur].depth + 1)
 		for gi := 0; gi < nL; gi++ {
 			for k := 0; k < 2; k++ {
 				q := int(e.lq0[gi])
 				if k == 1 {
 					q = int(e.lq1[gi])
 				}
-				for _, pn := range g.Neighbors(m[q]) {
+				p := m[q]
+				eids := e.nbrEdge[p]
+				for j, pn := range g.Neighbors(p) {
+					if e.candSeen[eids[j]] == e.expandEpoch {
+						continue
+					}
+					e.candSeen[eids[j]] = e.expandEpoch
+					e.cntGen++
 					a, b := q, inv[pn]
 					if a > b {
 						a, b = b, a
 					}
-					if e.candSeen[a*e.nQ+b] == e.expandEpoch {
-						continue
-					}
-					e.candSeen[a*e.nQ+b] = e.expandEpoch
-					e.cntGen++
 					pa, pb := m[a], m[b]
 					nh := curHash ^ e.zob[a*nP+pa] ^ e.zob[a*nP+pb] ^ e.zob[b*nP+pb] ^ e.zob[b*nP+pa]
 					if !e.closed.addIfAbsent(nh) {
 						continue
 					}
 					dx, dl := e.swapDelta(a, b)
-					ns := astate{
-						parent: cur,
-						swap:   [2]int16{int16(a), int16(b)},
-						depth:  curDepth + 1,
-						excess: int16(curX + dx),
-						look:   int16(curLK + dl),
-						h4:     curH4 + 4*dx + w4*dl,
-						hash:   nh,
-					}
-					idx := int32(len(e.states))
-					e.states = append(e.states, ns)
-					e.heapPush(heapEntry{f4: 4*ns.depth + ns.h4, idx: idx})
+					idx := int32(len(e.succs))
+					e.succs = append(e.succs, succ{parent: cur, swap: [2]int16{int16(a), int16(b)}})
+					e.heapPush(heapEntry{f4: childDepth4 + curH4 + 4*dx + w4*dl, idx: idx})
 				}
 			}
 		}
@@ -440,6 +450,28 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	// greedily.
 	e.apply(bestFrontier, m, inv)
 	return e.appliedSeq(), m.Clone()
+}
+
+// materialize gives the popped entry x its arena record, applies its
+// mapping to m/inv and returns its arena index. The record is rebuilt
+// from x and the parent's record: depth is one more than the parent's,
+// h4 is f4 less the path cost 4*depth, and the hash is the parent's
+// XOR the four Zobrist keys the swap changes — the same keys before and
+// after the swap, so they are read from m once it is applied.
+func (e *engine) materialize(x heapEntry, m router.Mapping, inv []int) int32 {
+	s := e.succs[x.idx]
+	if s.parent < 0 {
+		return 0 // the root: the first pop, already in the arena and in m
+	}
+	par := e.states[s.parent]
+	depth := par.depth + 1
+	cur := int32(len(e.states))
+	e.states = append(e.states, astate{parent: s.parent, swap: s.swap, depth: depth, h4: x.f4 - 4*depth})
+	e.apply(cur, m, inv)
+	a, b := int(s.swap[0]), int(s.swap[1])
+	pa, pb := m[a], m[b]
+	e.states[cur].hash = par.hash ^ e.zob[a*e.nP+pa] ^ e.zob[a*e.nP+pb] ^ e.zob[b*e.nP+pb] ^ e.zob[b*e.nP+pa]
+	return cur
 }
 
 // swapDelta scores swapping program qubits a and b against the popped
@@ -588,13 +620,13 @@ func (e *engine) heapPush(x heapEntry) {
 	}
 }
 
-func (e *engine) heapPop() int32 {
+func (e *engine) heapPop() heapEntry {
 	n := len(e.heap) - 1
 	e.heap[0], e.heap[n] = e.heap[n], e.heap[0]
 	e.heapDown(0, n)
 	x := e.heap[n]
 	e.heap = e.heap[:n]
-	return x.idx
+	return x
 }
 
 func (e *engine) heapDown(i0, n int) {
@@ -621,65 +653,71 @@ func (e *engine) heapDown(i0, n int) {
 // u64set is an open-addressed hash set of uint64 keys with epoch-based
 // clearing: reset invalidates every slot in O(1), and the table only
 // grows (amortized) until it fits the largest layer's search, after
-// which membership tests allocate nothing. Key and epoch stamp share a
-// slot, so a probe touches one cache line. The load factor is kept at
-// 7/8 — probe runs get longer, but the table stays half the size and
-// largely cache-resident, which wins on big searches; membership
-// decisions are load-factor-independent, so pinned outputs don't move.
-// Presence is tracked by the stamp, so a stored key of 0 is
-// representable.
+// which membership tests allocate nothing. Keys and one-byte epoch
+// stamps live in separate arrays, so a slot costs 9 bytes and a probe
+// that meets an empty slot reads only the stamp byte. The load factor
+// is kept at 7/8 — probe runs get longer, but the table stays half the
+// size, which wins on big searches; membership decisions are
+// load-factor-independent, so pinned outputs don't move. Presence is
+// tracked by the stamp, so a stored key of 0 is representable. Stamp 0
+// marks a slot empty in every epoch; when the epoch byte wraps, every
+// stamp is cleared so that a key from 255 resets ago cannot read as
+// present.
 type u64set struct {
-	slots []kslot
-	epoch int32
-	count int
-}
-
-type kslot struct {
-	key   uint64
-	stamp int32
+	keys   []uint64
+	stamps []uint8
+	epoch  uint8
+	count  int
 }
 
 func (s *u64set) reset() {
 	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamps)
+		s.epoch = 1
+	}
 	s.count = 0
-	if len(s.slots) == 0 {
+	if len(s.keys) == 0 {
 		s.grow(1024)
 	}
 }
 
 func (s *u64set) grow(n int) {
-	old := s.slots
-	s.slots = make([]kslot, n)
-	for _, sl := range old {
-		if sl.stamp == s.epoch {
-			s.insert(sl.key)
+	oldKeys, oldStamps := s.keys, s.stamps
+	s.keys = make([]uint64, n)
+	s.stamps = make([]uint8, n)
+	for i, st := range oldStamps {
+		if st == s.epoch {
+			s.insert(oldKeys[i])
 		}
 	}
 }
 
 func (s *u64set) insert(k uint64) {
-	mask := len(s.slots) - 1
+	mask := len(s.keys) - 1
 	i := int(splitmix64(k)) & mask
-	for s.slots[i].stamp == s.epoch {
+	for s.stamps[i] == s.epoch {
 		i = (i + 1) & mask
 	}
-	s.slots[i] = kslot{key: k, stamp: s.epoch}
+	s.keys[i] = k
+	s.stamps[i] = s.epoch
 }
 
 // addIfAbsent inserts k and reports true when it was not present.
 func (s *u64set) addIfAbsent(k uint64) bool {
-	mask := len(s.slots) - 1
+	mask := len(s.keys) - 1
 	i := int(splitmix64(k)) & mask
-	for s.slots[i].stamp == s.epoch {
-		if s.slots[i].key == k {
+	for s.stamps[i] == s.epoch {
+		if s.keys[i] == k {
 			return false
 		}
 		i = (i + 1) & mask
 	}
-	s.slots[i] = kslot{key: k, stamp: s.epoch}
+	s.keys[i] = k
+	s.stamps[i] = s.epoch
 	s.count++
-	if s.count*8 > len(s.slots)*7 {
-		s.grow(len(s.slots) * 2)
+	if s.count*8 > len(s.keys)*7 {
+		s.grow(len(s.keys) * 2)
 	}
 	return true
 }
