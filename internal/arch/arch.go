@@ -329,32 +329,42 @@ var (
 // a one-request out-of-memory. The bound is far above every real device.
 const MaxParametricQubits = 4096
 
+// MaxParametricCouplers bounds the coupler count ByName will construct
+// for a parametric name, beside MaxParametricQubits: a device costs about
+// 120 bytes per coupler, so complete-2048 (2,096,128 couplers) would
+// allocate about 300 MB for one request. At this bound every admitted
+// name builds in about 3 MB or less; grid-64x64 has 8,064 couplers and
+// complete-181, the largest complete device admitted, 16,290.
+const MaxParametricCouplers = 16384
+
 // parametricByName parses the canonical names of the parametric device
 // families. Construction panics on out-of-range sizes, so bounds —
-// including the MaxParametricQubits allocation guard — are checked here
-// and bad sizes fall through to ByName's error.
+// including the MaxParametricQubits and MaxParametricCouplers allocation
+// guards — are checked here, before any construction, and bad sizes fall
+// through to ByName's error.
 func parametricByName(name string) (dev *Device, ok bool) {
 	var a, b int
-	inBounds := func(n int) bool { return n <= MaxParametricQubits }
-	// Check factors individually before multiplying so huge parses cannot
-	// overflow the product.
-	inBounds2 := func(a, b, per int) bool {
-		return inBounds(a) && inBounds(b) && inBounds(a*b*per)
+	fits := func(qubits, couplers int) bool {
+		return qubits <= MaxParametricQubits && couplers <= MaxParametricCouplers
 	}
+	// Check factors individually before multiplying so huge parses cannot
+	// overflow the products.
+	small := func(a, b int) bool { return a <= MaxParametricQubits && b <= MaxParametricQubits }
 	switch {
-	case scan2(name, "grid-%dx%d", &a, &b) && a >= 1 && b >= 1 && inBounds2(a, b, 1):
+	case scan2(name, "grid-%dx%d", &a, &b) && a >= 1 && b >= 1 && small(a, b) && fits(a*b, a*(b-1)+b*(a-1)):
 		return Grid(a, b), true
 	// HeavyHex panics below 2 rows × 5 columns; a cell block is well
-	// under 16 qubits, bounding the cell grid.
-	case scan2(name, "heavyhex-%dx%d", &a, &b) && a >= 2 && b >= 5 && inBounds2(a, b, 16):
+	// under 16 qubits, bounding the cell grid, and no qubit has more than
+	// three couplers.
+	case scan2(name, "heavyhex-%dx%d", &a, &b) && a >= 2 && b >= 5 && small(a, b) && fits(16*a*b, 24*a*b):
 		return HeavyHex(a, b), true
-	case scan1(name, "line-%d", &a) && a >= 1 && inBounds(a):
+	case scan1(name, "line-%d", &a) && a >= 1 && fits(a, a-1):
 		return Line(a), true
-	case scan1(name, "ring-%d", &a) && a >= 3 && inBounds(a):
+	case scan1(name, "ring-%d", &a) && a >= 3 && fits(a, a):
 		return Ring(a), true
-	case scan1(name, "star-%d", &a) && a >= 2 && inBounds(a):
+	case scan1(name, "star-%d", &a) && a >= 2 && fits(a, a-1):
 		return Star(a), true
-	case scan1(name, "complete-%d", &a) && a >= 1 && inBounds(a):
+	case scan1(name, "complete-%d", &a) && a >= 1 && small(a, a) && fits(a, a*(a-1)/2):
 		return FullyConnected(a), true
 	}
 	return nil, false

@@ -35,6 +35,8 @@ func TestByNameRejectsBadParametricNames(t *testing.T) {
 		"grid-100000x100000", // would allocate ~10^19 adjacency bits
 		"line-999999999",
 		"complete-1000000",
+		"complete-2048", "complete-4096", // 2,096,128 and 8,386,560 couplers
+		"complete-182", // one past the coupler bound
 		"heavyhex-99999x99999",
 		"grid-0x5", "grid--1x3", "ring-2", "star-1",
 		"grid-3x3junk", "line-", "grid-3", "warp-core",
@@ -42,6 +44,11 @@ func TestByNameRejectsBadParametricNames(t *testing.T) {
 	} {
 		if _, err := ByName(name); err == nil {
 			t.Errorf("ByName(%q) succeeded, want error", name)
+		}
+	}
+	for _, name := range []string{"complete-181", "grid-64x64", "line-4096"} {
+		if dev, err := ByName(name); err != nil || dev.NumCouplers() > MaxParametricCouplers {
+			t.Errorf("ByName(%q) at the bounds: %v", name, err)
 		}
 	}
 }

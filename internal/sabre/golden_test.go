@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/pool"
 	"repro/internal/qubikos"
 	"repro/internal/router"
 	"repro/internal/sabre"
@@ -140,8 +141,9 @@ func TestGoldenCorpus(t *testing.T) {
 
 // TestRouteAllocsFlatInTrials pins the acceptance criterion that the
 // swap-decision loop allocates nothing in steady state: adding trials
-// must add only fixed per-trial setup (seed RNG, initial permutation,
-// mapping clones, recorded output circuit), never per-decision garbage.
+// must never add per-decision garbage. (Trials now reuse their worker's
+// RNG, placement, mapping and recording buffers, so an extra trial
+// allocates no objects at all; TestRouteBytesFlatInTrials pins bytes.)
 // GOMAXPROCS is pinned to 1 so worker-goroutine scheduling noise doesn't
 // enter the allocation count.
 func TestRouteAllocsFlatInTrials(t *testing.T) {
@@ -163,6 +165,37 @@ func TestRouteAllocsFlatInTrials(t *testing.T) {
 	// decision, so a bound this tight fails on any per-decision garbage.
 	if perTrial > 300 {
 		t.Fatalf("each extra trial allocates %.0f objects; the decision loop is allocating again", perTrial)
+	}
+}
+
+// TestRouteBytesFlatInTrials pins LightSABRE's memory flat in the trial
+// count: a trial worker keeps only its best trial and records the next
+// one into the loser's buffers, re-seeding one RNG and reusing its
+// placement and mapping scratch, so 64 trials may allocate at most 1.5×
+// what 4 trials do (keeping every trial's recorded pass read 10.9×). A
+// zero-slot worker budget keeps Route on one worker.
+func TestRouteBytesFlatInTrials(t *testing.T) {
+	dev := arch.RigettiAspen4()
+	p, err := router.Prepare(qubikosCircuit(5, 300, 1)(t, dev), dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.DAG() // built on first use; not part of the route
+	p.ReversedDAG()
+	routeBytes := func(trials int) uint64 {
+		r := sabre.New(sabre.Options{Trials: trials})
+		r.SetWorkerBudget(pool.NewBudget(0))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := r.Route(context.Background(), p, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	few, many := routeBytes(4), routeBytes(64)
+	if float64(many) > 1.5*float64(few) {
+		t.Fatalf("64 trials allocated %d bytes, 4 trials %d (%.1f×), want at most 1.5×", many, few, float64(many)/float64(few))
 	}
 }
 

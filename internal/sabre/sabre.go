@@ -199,9 +199,10 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 	}
 
 	// Trials are independent; run them across the available CPUs with
-	// per-trial deterministic seeds. Ties break toward the lower trial
-	// index so results do not depend on scheduling.
-	results := make([]*trialResult, opts.Trials)
+	// per-trial deterministic seeds. Each worker keeps only its best
+	// trial, and ties break toward the lower trial index, so results do
+	// not depend on scheduling and memory does not grow with the trial
+	// count.
 	workers := runtime.GOMAXPROCS(0)
 	if workers > opts.Trials {
 		workers = opts.Trials
@@ -216,23 +217,36 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 		defer r.budget.Release(borrowed)
 		workers = 1 + borrowed
 	}
+	bests := make([]trialBest, workers)
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := range bests {
 		wg.Add(1)
-		go func() {
+		go func(best *trialBest) {
 			defer wg.Done()
 			e := newPassEngine(dev, opts, fwdDAG.N())
 			e.check.Reset(ctx)
+			rng := rand.New(rand.NewSource(0))
+			best.trial = -1
 			for trial := range next {
-				rng := rand.New(rand.NewSource(opts.Seed + 1000003*int64(trial)))
-				results[trial] = runTrial(e, fixed, skeleton, fwdDAG, bwdDAG, dev, rng, trial)
+				// Re-seeding restarts exactly the stream of
+				// rand.New(rand.NewSource(seed)).
+				rng.Seed(opts.Seed + 1000003*int64(trial))
+				runTrial(e, fixed, skeleton.NumQubits, fwdDAG, bwdDAG, rng, trial)
+				// Trials reach a worker in increasing order, so a later one
+				// wins only with strictly fewer SWAPs. The next trial
+				// records into the loser's buffers.
+				if best.trial < 0 || e.swaps < best.swaps {
+					best.trial, best.swaps = trial, e.swaps
+					best.out, e.out = e.out, best.out
+					best.initial, e.initial = e.initial, best.initial
+				}
 			}
 			// One merge per worker, after all its trials: the engine's
 			// plain counters reach the router's atomics off the hot path.
 			r.decisions.Add(e.cntDecisions)
 			r.candidates.Add(e.cntCandidates)
-		}()
+		}(&bests[w])
 	}
 dispatch:
 	for trial := 0; trial < opts.Trials; trial++ {
@@ -254,10 +268,11 @@ dispatch:
 	}
 	r.restarts.Add(int64(opts.Trials))
 
-	best := results[0]
-	for _, tr := range results[1:] {
-		if tr.swaps < best.swaps {
-			best = tr
+	// A worker may have received no trial at all.
+	best := trialBest{trial: -1}
+	for _, b := range bests {
+		if b.trial >= 0 && (best.trial < 0 || b.swaps < best.swaps || b.swaps == best.swaps && b.trial < best.trial) {
+			best = b
 		}
 	}
 	woven, err := router.WeaveSingleQubitGates(work, best.out)
@@ -273,32 +288,46 @@ dispatch:
 	}, nil
 }
 
-type trialResult struct {
+// trialBest is one worker's best trial so far: fewest SWAPs, then
+// lowest trial index (trial is -1 until the worker finishes one).
+type trialBest struct {
+	trial   int
+	swaps   int
 	initial router.Mapping
 	out     *circuit.Circuit
-	swaps   int
 }
 
 // runTrial performs one random-restart attempt: settle the initial
-// mapping with forward/backward passes, then record the final pass. A
-// non-nil fixed mapping replaces the random placement. The engine's
-// scratch buffers are reused across passes and trials.
-func runTrial(e *passEngine, fixed router.Mapping, skeleton *circuit.Circuit, fwdDAG, bwdDAG *circuit.DAG, dev *arch.Device, rng *rand.Rand, trial int) *trialResult {
-	var mapping router.Mapping
+// mapping with forward/backward passes, then record the final pass,
+// leaving its starting mapping in e.initial, its output in e.out and its
+// SWAP count in e.swaps. A non-nil fixed mapping replaces the random
+// placement. The engine's scratch buffers, e.initial and e.out included,
+// are reused across passes and trials.
+func runTrial(e *passEngine, fixed router.Mapping, nProg int, fwdDAG, bwdDAG *circuit.DAG, rng *rand.Rand, trial int) {
+	mapping := e.mapping[:nProg]
 	if fixed != nil {
-		mapping = fixed.Clone()
+		copy(mapping, fixed)
 	} else {
-		mapping = router.Mapping(rng.Perm(dev.NumQubits())[:skeleton.NumQubits])
+		// rng.Perm(e.nQ)'s exact loop, into reused scratch.
+		perm := e.perm
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
+		copy(mapping, perm)
 	}
 
 	for pass := 0; pass < e.opts.MappingPasses; pass++ {
-		final := e.run(fwdDAG, mapping.Clone(), rng, false, nil, trial)
-		mapping = e.run(bwdDAG, final, rng, false, nil, trial)
+		e.run(fwdDAG, mapping, rng, false, nil, trial)
+		e.run(bwdDAG, mapping, rng, false, nil, trial)
 	}
 
-	initial := mapping.Clone()
+	if e.initial == nil {
+		e.initial = make(router.Mapping, nProg)
+	}
+	copy(e.initial, mapping)
 	e.run(fwdDAG, mapping, rng, true, e.opts.Trace, trial)
-	return &trialResult{initial: initial, out: e.out, swaps: e.swaps}
 }
 
 // passEngine routes one circuit per run call. All scratch is sized once
@@ -362,12 +391,19 @@ type passEngine struct {
 	frontOther []int32 // program qubit -> other endpoint of its front gate
 	frontStmp  []int32 // program qubit -> front epoch frontGi is valid for
 
-	// Recorded output of the last run with record=true. outCap
-	// remembers the previous recorded size so the next recording
-	// preallocates instead of growing through append.
+	// Recorded output of the last run with record=true; its gate buffer
+	// is reused by the next recording. outCap remembers the longest
+	// recording so a new buffer preallocates instead of growing through
+	// append.
 	out    *circuit.Circuit
 	outCap int
 	swaps  int
+
+	// Per-trial scratch (see runTrial): the random placement, the
+	// mapping the passes move, and the recorded pass's start.
+	perm    []int
+	mapping router.Mapping
+	initial router.Mapping
 }
 
 func newPassEngine(dev *arch.Device, opts Options, dagN int) *passEngine {
@@ -406,6 +442,9 @@ func newPassEngine(dev *arch.Device, opts Options, dagN int) *passEngine {
 		frontGi:    make([]int32, nQ),
 		frontOther: make([]int32, nQ),
 		frontStmp:  make([]int32, nQ),
+
+		perm:    make([]int, nQ),
+		mapping: make(router.Mapping, nQ),
 	}
 }
 
@@ -442,10 +481,10 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 	lay := &layout{m: mapping, inv: inv}
 
 	if record {
-		e.out = circuit.New(e.nQ)
-		if e.outCap > 0 {
-			e.out.Gates = make([]circuit.Gate, 0, e.outCap)
+		if e.out == nil {
+			e.out = &circuit.Circuit{NumQubits: e.nQ, Gates: make([]circuit.Gate, 0, e.outCap)}
 		}
+		e.out.Gates = e.out.Gates[:0]
 		e.swaps = 0
 	}
 
@@ -801,7 +840,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 	}
 	e.front = front[:0]
 	if record {
-		e.outCap = len(e.out.Gates)
+		e.outCap = max(e.outCap, len(e.out.Gates))
 	}
 	return mapping
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,11 +12,11 @@ import (
 )
 
 // bigFiles builds n in-memory "instance files" sized so that only fit of
-// them fit inside one suite's byte budget. The backing arrays are shared
-// by every reader, so the test's real memory footprint is one set of
-// buffers no matter how many cache entries exist.
-func bigFiles(n, fit int) map[string][]byte {
-	size := maxCachedBytesPerSuite/int64(fit) + 1
+// them fit inside a byte budget. The backing arrays are shared by every
+// reader, so the test's real memory footprint is one set of buffers no
+// matter how many cache entries exist.
+func bigFiles(n, fit int, budget int64) map[string][]byte {
+	size := budget/int64(fit) + 1
 	files := make(map[string][]byte, n)
 	for i := 0; i < n; i++ {
 		b := make([]byte, size)
@@ -24,7 +26,10 @@ func bigFiles(n, fit int) map[string][]byte {
 	return files
 }
 
-func entryOver(files map[string][]byte, hash string, reads *atomic.Int64) *cachedSuite {
+// entryOver builds a cache entry over in-memory files whose archive is
+// the given bytes, written in tar-sized pieces. reads, when non-nil,
+// counts file reads and archive writes.
+func entryOver(files map[string][]byte, archive []byte, budget int64, hash string, reads *atomic.Int64) *cachedSuite {
 	return &cachedSuite{
 		suite: &suite.Suite{Hash: hash},
 		read: func(name string) ([]byte, error) {
@@ -37,18 +42,33 @@ func entryOver(files map[string][]byte, hash string, reads *atomic.Int64) *cache
 			}
 			return b, nil
 		},
-		files: map[string][]byte{},
+		writeArchive: func(w io.Writer) error {
+			if reads != nil {
+				reads.Add(1)
+			}
+			for b := archive; len(b) > 0; {
+				n := min(len(b), 512)
+				if _, err := w.Write(b[:n]); err != nil {
+					return err
+				}
+				b = b[n:]
+			}
+			return nil
+		},
+		budget: budget,
+		files:  map[string][]byte{},
 	}
 }
 
 // TestLRUByteBudgetUnderConcurrentHammer drives the suite LRU and its
 // per-entry byte accounting from many goroutines at once — gets, puts
-// (with eviction), reads of files that together overflow the per-suite
-// budget — while a watchdog goroutine continuously asserts that no entry
-// ever pins more than maxCachedBytesPerSuite. Run it under -race: the
-// interleavings are the test.
+// (with eviction), reads of files and archive builds that together
+// overflow the per-suite budget — while a watchdog goroutine
+// continuously asserts that no entry ever pins more than its budget.
+// Run it under -race: the interleavings are the test.
 func TestLRUByteBudgetUnderConcurrentHammer(t *testing.T) {
 	const (
+		budget  = 64 << 10
 		nFiles  = 5
 		fitN    = 4 // files per suite that fit the budget; the 5th must be refused
 		nHashes = 8
@@ -56,8 +76,11 @@ func TestLRUByteBudgetUnderConcurrentHammer(t *testing.T) {
 		workers = 16
 		iters   = 150
 	)
-	files := bigFiles(nFiles, fitN)
-	var reads atomic.Int64
+	files := bigFiles(nFiles, fitN, budget)
+	// The archive takes one file's room, so whether it is cached depends
+	// on how many files reached the entry first.
+	archive := bytes.Repeat([]byte{0xA5}, budget/fitN+1)
+	var reads, fromMemory atomic.Int64
 	l := newSuiteLRU(lruCap)
 
 	stop := make(chan struct{})
@@ -82,8 +105,8 @@ func TestLRUByteBudgetUnderConcurrentHammer(t *testing.T) {
 				t.Errorf("LRU holds %d suites, cap is %d", n, lruCap)
 			}
 			for _, cs := range entries {
-				if b := cs.cachedBytes(); b > maxCachedBytesPerSuite {
-					t.Errorf("entry %s pins %d bytes, budget is %d", cs.suite.Hash, b, maxCachedBytesPerSuite)
+				if b := cs.cachedBytes(); b > budget {
+					t.Errorf("entry %s pins %d bytes, budget is %d", cs.suite.Hash, b, budget)
 				}
 			}
 		}
@@ -98,7 +121,22 @@ func TestLRUByteBudgetUnderConcurrentHammer(t *testing.T) {
 				hash := fmt.Sprintf("suite-%02d", (w+i)%nHashes)
 				cs, ok := l.get(hash)
 				if !ok {
-					cs = l.put(hash, entryOver(files, hash, &reads))
+					cs = l.put(hash, entryOver(files, archive, budget, hash, &reads))
+				}
+				if i%4 == 3 {
+					b, err := cs.archiveBytes()
+					if err == nil && b == nil {
+						var streamed bytes.Buffer
+						err = cs.writeArchive(&streamed)
+						b = streamed.Bytes()
+					} else if err == nil {
+						fromMemory.Add(1)
+					}
+					if err != nil || !bytes.Equal(b, archive) {
+						t.Errorf("archive of %s: %d bytes, %v; want the %d archive bytes", hash, len(b), err, len(archive))
+						return
+					}
+					continue
 				}
 				name := fmt.Sprintf("f%02d.qasm", (w*iters+i)%nFiles)
 				b, err := cs.file(name)
@@ -117,11 +155,27 @@ func TestLRUByteBudgetUnderConcurrentHammer(t *testing.T) {
 	close(stop)
 	watchdog.Wait()
 
-	if total, budget := l.totalBytes(), int64(lruCap)*maxCachedBytesPerSuite; total > budget {
-		t.Fatalf("LRU pins %d bytes total, fleet budget is %d", total, budget)
+	if total, fleet := l.totalBytes(), int64(lruCap)*budget; total > fleet {
+		t.Fatalf("LRU pins %d bytes total, fleet budget is %d", total, fleet)
+	}
+	for _, cs := range l.data {
+		cs.archiveMu.Lock()
+		cs.mu.Lock()
+		pinned := int64(len(cs.archive))
+		for _, b := range cs.files {
+			pinned += int64(len(b))
+		}
+		if pinned != cs.bytes {
+			t.Errorf("entry %s pins %d file and archive bytes but counts %d", cs.suite.Hash, pinned, cs.bytes)
+		}
+		cs.mu.Unlock()
+		cs.archiveMu.Unlock()
 	}
 	if reads.Load() == 0 {
 		t.Fatal("hammer never read through to the store")
+	}
+	if fromMemory.Load() == 0 {
+		t.Fatal("hammer never served an archive from memory")
 	}
 }
 
@@ -133,7 +187,7 @@ func TestLRUEvictionDuringActiveStream(t *testing.T) {
 	files := map[string][]byte{"a.qasm": []byte("OPENQASM 2.0;")}
 	l := newSuiteLRU(1)
 
-	held := l.put("victim", entryOver(files, "victim", nil))
+	held := l.put("victim", entryOver(files, nil, maxCachedBytesPerSuite, "victim", nil))
 	if _, err := held.file("a.qasm"); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +199,7 @@ func TestLRUEvictionDuringActiveStream(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			l.put(fmt.Sprintf("filler-%d", i), entryOver(files, "filler", nil))
+			l.put(fmt.Sprintf("filler-%d", i), entryOver(files, nil, maxCachedBytesPerSuite, "filler", nil))
 		}
 	}()
 	go func() {

@@ -57,7 +57,7 @@ func (s *Server) registerServerFamilies() {
 		"Suites resident in the in-memory LRU.",
 		func() int64 { return int64(s.lru.len()) })
 	reg.GaugeFunc("qubikos_lru_cached_bytes",
-		"Instance-file bytes pinned by resident suites.",
+		"Instance-file and archive bytes pinned by resident suites.",
 		func() int64 { return s.lru.totalBytes() })
 	for _, g := range []struct {
 		name, help string
@@ -73,7 +73,7 @@ func (s *Server) registerServerFamilies() {
 			func(st suite.Stats) int64 { return st.InstancesGenerated }},
 		{"qubikos_store_remote_fetches_total", "Suites fetched from a remote tier.",
 			func(st suite.Stats) int64 { return st.RemoteFetches }},
-		{"qubikos_store_file_reads_total", "Instance-file reads served by the store.",
+		{"qubikos_store_file_reads_total", "Instance-file reads served by the store, archive builds included.",
 			func(st suite.Stats) int64 { return st.FileReads }},
 		{"qubikos_store_remote_retries_total", "Transient remote-fetch retries across all tiers.",
 			func(st suite.Stats) int64 { return st.RemoteRetries }},

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -341,24 +342,43 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	writeObj(w, http.StatusOK, cs.suite)
 }
 
-// handleArchive streams a completed suite as a deterministic tar — the
+// handleArchive serves a completed suite as a deterministic tar — the
 // wire format of the peer-replica blob tier. It serves LOCAL bytes only
 // (never triggering a remote fetch or a generation), which is what keeps
 // two mutually peered replicas from recursing into each other when
-// neither holds the suite.
+// neither holds the suite. The archive is built once into the suite's
+// LRU entry and served from memory with a Content-Length, so a failed
+// build is answered 500 before any body byte. An archive over the
+// entry's byte budget streams from disk on every request; there a
+// mid-stream error can only truncate the tar, which the fetcher's
+// checksum verification rejects. Like a 304, the archive sets no X-Cache
+// header and counts nothing in the suite cache metrics.
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if s.immutable(w, r, hash, "archive") {
 		return
 	}
-	if _, err := s.store.LookupLocal(hash); err != nil {
-		notFoundOr500(w, err)
+	cs, ok := s.lru.get(hash)
+	if !ok {
+		st, err := s.store.LookupLocal(hash)
+		if err != nil {
+			notFoundOr500(w, err)
+			return
+		}
+		cs = s.admit(st)
+	}
+	b, err := cs.archiveBytes()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-tar")
-	// Headers are committed on first write; a mid-stream error can only
-	// truncate the tar, which the fetcher's checksum verification rejects.
-	s.store.WriteArchive(hash, w)
+	if b == nil {
+		cs.writeArchive(w)
+		return
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
 }
 
 func (s *Server) handleInstance(w http.ResponseWriter, r *http.Request) {
@@ -569,9 +589,11 @@ func (s *Server) resident(ctx context.Context, hash string) (*cachedSuite, strin
 func (s *Server) admit(st *suite.Suite) *cachedSuite {
 	hash := st.Hash
 	return s.lru.put(hash, &cachedSuite{
-		suite: st,
-		read:  func(name string) ([]byte, error) { return s.store.ReadInstanceFile(hash, name) },
-		files: map[string][]byte{},
+		suite:        st,
+		read:         func(name string) ([]byte, error) { return s.store.ReadInstanceFile(hash, name) },
+		writeArchive: func(w io.Writer) error { return s.store.WriteSuiteArchive(st, w) },
+		budget:       maxCachedBytesPerSuite,
+		files:        map[string][]byte{},
 	})
 }
 

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"archive/tar"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -34,24 +35,35 @@ func (s *Store) WriteArchive(hash string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tw := tar.NewWriter(w)
-	names := []string{"manifest.json", "checksums.json"}
-	entries, err := os.ReadDir(filepath.Join(st.Dir, "instances"))
+	return s.WriteSuiteArchive(st, w)
+}
+
+// WriteSuiteArchive is WriteArchive for a suite this store already
+// resolved (by LookupLocal, LookupCtx or EnsureCtx), so it skips the
+// lookup's manifest re-hash. The instance files archived are those the
+// suite's checksum index lists, so a missing one is an error rather than
+// a shorter archive. They are read through ReadInstanceFile and so
+// counted in Stats.FileReads.
+func (s *Store) WriteSuiteArchive(st *Suite, w io.Writer) error {
+	manifest, err := os.ReadFile(filepath.Join(st.Dir, "manifest.json"))
 	if err != nil {
 		return err
 	}
-	var insts []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			insts = append(insts, "instances/"+e.Name())
-		}
+	sums, err := os.ReadFile(filepath.Join(st.Dir, "checksums.json"))
+	if err != nil {
+		return err
+	}
+	var index map[string]string
+	if err := json.Unmarshal(sums, &index); err != nil {
+		return fmt.Errorf("suite: %s checksums: %w", st.Hash, err)
+	}
+	insts := make([]string, 0, len(index))
+	for name := range index {
+		insts = append(insts, name)
 	}
 	sort.Strings(insts)
-	for _, name := range append(names, insts...) {
-		b, err := os.ReadFile(filepath.Join(st.Dir, filepath.FromSlash(name)))
-		if err != nil {
-			return err
-		}
+	tw := tar.NewWriter(w)
+	add := func(name string, b []byte) error {
 		if err := tw.WriteHeader(&tar.Header{
 			Name: name,
 			Mode: 0o644,
@@ -59,7 +71,21 @@ func (s *Store) WriteArchive(hash string, w io.Writer) error {
 		}); err != nil {
 			return err
 		}
-		if _, err := tw.Write(b); err != nil {
+		_, err := tw.Write(b)
+		return err
+	}
+	if err := add("manifest.json", manifest); err != nil {
+		return err
+	}
+	if err := add("checksums.json", sums); err != nil {
+		return err
+	}
+	for _, name := range insts {
+		b, err := s.ReadInstanceFile(st.Hash, name)
+		if err != nil {
+			return err
+		}
+		if err := add("instances/"+name, b); err != nil {
 			return err
 		}
 	}

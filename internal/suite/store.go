@@ -96,9 +96,10 @@ type Stats struct {
 	// (checksum-verified and committed locally instead of generated).
 	// Ensure calls satisfied remotely count here, not in Hits or Misses.
 	RemoteFetches int64
-	// FileReads counts instance-file reads served by ReadInstanceFile —
-	// the serving layer's "a 304 touches the store zero times" assertions
-	// key off this counter.
+	// FileReads counts instance-file reads served by ReadInstanceFile,
+	// including those WriteArchive and WriteSuiteArchive make — the
+	// serving layer's "a 304 (or a resident suite's archive) touches the
+	// store zero times" assertions key off this counter.
 	FileReads int64
 	// RemoteRetries sums transient-failure retries across every remote
 	// tier that exposes BlobMetrics (peer fetches that hit a connection
@@ -292,9 +293,9 @@ func (s *Store) InstanceDir(hash string) string {
 }
 
 // ReadInstanceFile returns one stored instance file's bytes, counted in
-// Stats.FileReads. The serving layer funnels every instance-file read
-// through here so "a conditional GET answered 304 touched the store zero
-// times" is assertable from stats alone.
+// Stats.FileReads. The serving layer and the archive writer funnel every
+// instance-file read through here so "a conditional GET answered 304
+// touched the store zero times" is assertable from stats alone.
 func (s *Store) ReadInstanceFile(hash, name string) ([]byte, error) {
 	if strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
 		return nil, fmt.Errorf("suite: bad instance file name %q", name)
