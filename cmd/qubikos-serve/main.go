@@ -35,7 +35,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -57,7 +56,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests to finish")
 	drainGrace := flag.Duration("drain-grace", time.Second, "how long readiness reports 503 before the listener closes, so load balancers can deroute")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for the net/http/pprof debug mux (empty = disabled)")
-	peers := flag.String("peer", "", "comma-separated base URLs of peer replicas (http://host:port); missing suites are fetched from the first peer holding them, checksum-verified, before generating locally")
 	metrics := flag.Bool("metrics", true, "expose Prometheus text metrics on /metrics")
 	routeDeadline := flag.Duration("route-deadline", 30*time.Second, "cap on a POST /v1/route race budget; requests may ask for less, never more")
 	routeHedge := flag.Duration("route-hedge", 100*time.Millisecond, "default hedge stagger between tool cost tiers for POST /v1/route")
@@ -88,13 +86,7 @@ func main() {
 		}()
 	}
 
-	var remotes []suite.Blob
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			remotes = append(remotes, suite.NewPeerBlob(p, nil))
-		}
-	}
-	store, err := suite.Open(*cacheDir, suite.StoreOptions{Workers: *genWorkers, Verify: *verify, Remotes: remotes})
+	store, err := suite.Open(*cacheDir, suite.StoreOptions{Workers: *genWorkers, Verify: *verify})
 	if err != nil {
 		fatal(err)
 	}

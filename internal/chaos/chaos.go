@@ -41,9 +41,8 @@ const (
 	// Fail returns Err without routing. Models an honest tool error.
 	Fail
 	// FailFirstN errors (with Err) for the first N calls recorded by
-	// FirstN, then delegates cleanly. Models a flaky tool or peer that
-	// recovers — the shape circuit-breaker half-open probes and
-	// peer-fetch retries must survive.
+	// FirstN, then delegates cleanly. Models a flaky tool that recovers —
+	// the shape circuit-breaker half-open probes must survive.
 	FailFirstN
 )
 

@@ -3,9 +3,9 @@ package chaos
 import "sync/atomic"
 
 // FlakyGate counts attempts and fails the first N of them — the shared
-// state behind FailFirstN mode, and directly usable by HTTP handlers in
-// peer-retry tests. The zero value never fails; NewFlakyGate(n) fails
-// the first n calls to Fail.
+// state behind FailFirstN mode, which one gate can drive across races
+// and requests in breaker tests. The zero value never fails;
+// NewFlakyGate(n) fails the first n calls to Fail.
 type FlakyGate struct {
 	n     int64
 	count atomic.Int64

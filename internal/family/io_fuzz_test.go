@@ -12,10 +12,9 @@ import (
 )
 
 // FuzzReadInstance writes arbitrary sidecar and circuit bytes to disk and
-// reads them back with ReadInstance, which loads instances from the
-// store and from peer replicas. ReadInstance must never panic, and every
-// instance it accepts must pass Check and keep its circuit, bit for bit,
-// through WriteQASM → ParseQASM.
+// reads them back with ReadInstance, which loads every stored instance.
+// ReadInstance must never panic, and every instance it accepts must pass
+// Check and keep its circuit, bit for bit, through WriteQASM → ParseQASM.
 //
 //	go test ./internal/family -run '^$' -fuzz '^FuzzReadInstance$' -fuzztime 15s
 func FuzzReadInstance(f *testing.F) {

@@ -483,10 +483,7 @@ type StoreStats struct {
 	Misses             int64
 	SuitesGenerated    int64
 	InstancesGenerated int64
-	RemoteFetches      int64
 	FileReads          int64
-	RemoteRetries      int64
-	RemoteFailures     int64
 }
 
 // FetchStats reads one replica's suite-store counters from its /healthz

@@ -129,8 +129,7 @@ type LabeledValue struct {
 
 // funcVecFamily exposes a labeled family whose children are computed at
 // scrape time — the labeled sibling of funcFamily, for components that
-// keep their own per-key counters (per-peer fetch stats, per-tool
-// breaker states).
+// keep their own per-key state (per-tool breaker states).
 type funcVecFamily struct {
 	name, help, typ string
 	labels          []string
@@ -151,12 +150,6 @@ func (f *funcVecFamily) writeExposition(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// CounterVecFunc registers a labeled counter family whose children are
-// read at scrape time.
-func (r *Registry) CounterVecFunc(name, help string, labels []string, fn func() []LabeledValue) {
-	r.register(name, &funcVecFamily{name: name, help: help, typ: "counter", labels: labels, fn: fn})
 }
 
 // GaugeVecFunc registers a labeled gauge family whose children are read

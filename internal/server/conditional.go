@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"strings"
+
+	"repro/internal/suite"
 )
 
 // Suite-derived resources are content-addressed: the hash in the URL is a
@@ -22,8 +24,6 @@ const (
 	// immutableCacheControl marks content-addressed responses as safe to
 	// cache forever: a hash's bytes can never change, only cease to exist.
 	immutableCacheControl = "public, max-age=31536000, immutable"
-	// hashHexLen is the length of a suite content address (sha256 hex).
-	hashHexLen = 64
 )
 
 // suiteETag builds the strong ETag for a suite-derived resource:
@@ -37,7 +37,7 @@ func suiteETag(parts ...string) string {
 // Modified. It must run before any store or LRU access — that ordering is
 // what makes a repeat conditional GET cost zero store reads.
 func (s *Server) immutable(w http.ResponseWriter, r *http.Request, hash string, extra ...string) bool {
-	if len(hash) != hashHexLen {
+	if !suite.ValidHash(hash) {
 		return false // malformed address: let the handler report it
 	}
 	etag := suiteETag(append([]string{hash}, extra...)...)

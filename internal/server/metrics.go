@@ -71,36 +71,12 @@ func (s *Server) registerServerFamilies() {
 			func(st suite.Stats) int64 { return st.SuitesGenerated }},
 		{"qubikos_store_instances_generated_total", "Individual benchmark generations.",
 			func(st suite.Stats) int64 { return st.InstancesGenerated }},
-		{"qubikos_store_remote_fetches_total", "Suites fetched from a remote tier.",
-			func(st suite.Stats) int64 { return st.RemoteFetches }},
 		{"qubikos_store_file_reads_total", "Instance-file reads served by the store, archive builds included.",
 			func(st suite.Stats) int64 { return st.FileReads }},
-		{"qubikos_store_remote_retries_total", "Transient remote-fetch retries across all tiers.",
-			func(st suite.Stats) int64 { return st.RemoteRetries }},
-		{"qubikos_store_remote_failures_total", "Remote fetches that exhausted their retry budget.",
-			func(st suite.Stats) int64 { return st.RemoteFailures }},
 	} {
 		fn := g.fn
 		reg.CounterFunc(g.name, g.help, func() int64 { return fn(s.store.Stats()) })
 	}
-	reg.CounterVecFunc("qubikos_store_peer_fetch_retries_total",
-		"Transient fetch retries by remote tier.", []string{"peer"},
-		func() []obs.LabeledValue {
-			var out []obs.LabeledValue
-			for _, r := range s.store.RemoteStats() {
-				out = append(out, obs.LabeledValue{Values: []string{r.Name}, V: r.Retries})
-			}
-			return out
-		})
-	reg.CounterVecFunc("qubikos_store_peer_fetch_failures_total",
-		"Exhausted fetches by remote tier.", []string{"peer"},
-		func() []obs.LabeledValue {
-			var out []obs.LabeledValue
-			for _, r := range s.store.RemoteStats() {
-				out = append(out, obs.LabeledValue{Values: []string{r.Name}, V: r.Failures})
-			}
-			return out
-		})
 	reg.GaugeVecFunc("qubikos_breaker_state",
 		"Per-tool circuit-breaker state (0 closed, 1 half-open, 2 open).", []string{"tool"},
 		func() []obs.LabeledValue {
@@ -134,7 +110,7 @@ func (m *metrics) observeRequest(route string, code int, elapsed time.Duration) 
 	m.duration.With(route).Observe(elapsed.Seconds())
 }
 
-// observeCache counts one X-Cache outcome (hit, miss, remote).
+// observeCache counts one X-Cache outcome (hit or miss).
 func (m *metrics) observeCache(label string) {
 	m.cache.With(label).Inc()
 }

@@ -48,7 +48,6 @@ func TestMetricsExposition(t *testing.T) {
 		"qubikos_lru_cached_bytes",
 		"qubikos_store_suite_misses_total 1",
 		"qubikos_store_file_reads_total 1",
-		"qubikos_store_remote_fetches_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

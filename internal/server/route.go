@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,7 +93,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad route request: %w", err))
 		return
 	}
-	inst, err := s.resolveRouteInstance(r.Context(), &req)
+	inst, err := s.resolveRouteInstance(&req)
 	if err != nil {
 		notFoundOr400(w, err)
 		return
@@ -199,9 +198,9 @@ type routeInstance struct {
 }
 
 // resolveRouteInstance materializes the request's instance: either a
-// stored suite instance (resident through the LRU/peer path, then read
-// and cross-checked from the store) or a raw device + QASM payload.
-func (s *Server) resolveRouteInstance(ctx context.Context, req *routeRequest) (*routeInstance, error) {
+// stored suite instance (resident through the LRU, then read and
+// cross-checked from the store) or a raw device + QASM payload.
+func (s *Server) resolveRouteInstance(req *routeRequest) (*routeInstance, error) {
 	stored := req.Suite != "" || req.Instance != ""
 	raw := req.Device != "" || req.QASM != ""
 	switch {
@@ -214,7 +213,7 @@ func (s *Server) resolveRouteInstance(ctx context.Context, req *routeRequest) (*
 		if strings.ContainsAny(req.Instance, "/\\") || strings.Contains(req.Instance, "..") {
 			return nil, fmt.Errorf("bad instance name %q", req.Instance)
 		}
-		if _, _, err := s.resident(ctx, req.Suite); err != nil {
+		if _, _, err := s.resident(req.Suite); err != nil {
 			return nil, err
 		}
 		li, err := family.ReadInstance(s.store.InstanceDir(req.Suite), req.Instance)

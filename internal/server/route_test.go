@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -337,6 +338,18 @@ func TestRouteRejectsBadRequests(t *testing.T) {
 	if resp := post(t, ts.URL+"/v1/route",
 		fmt.Sprintf(`{"suite": %q, "instance": "x"}`, missing)); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing suite: status = %d, want 404", resp.StatusCode)
+	}
+	// routeTestServer's store root is a t.TempDir, and every TempDir of
+	// one test shares a parent.
+	parent := filepath.Dir(t.TempDir())
+	resp := post(t, ts.URL+"/v1/route",
+		fmt.Sprintf(`{"suite": %q, "instance": "x"}`, plantEscapedSuite(t, parent)))
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("traversal suite: status = %d, want 404", resp.StatusCode)
+	}
+	if strings.Contains(string(body), parent) {
+		t.Errorf("traversal suite: body names the store's parent directory: %s", body)
 	}
 }
 

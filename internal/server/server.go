@@ -22,12 +22,11 @@
 //	POST /v1/suites/{hash}/eval                    run tools, stream JSONL rows
 //
 // Responses that consulted the store carry an X-Cache header: "hit" when
-// the suite was already resident, "miss" when it was loaded or generated,
-// "remote" when it was fetched from a peer replica. Suite-derived
-// responses additionally carry X-Suite-Hash and — being content-addressed
-// and therefore immutable — a strong ETag with Cache-Control immutable;
-// a conditional GET whose If-None-Match matches is answered 304 before
-// the store is touched at all (see conditional.go).
+// the suite was already resident, "miss" when it was loaded or generated.
+// Suite-derived responses additionally carry X-Suite-Hash and — being
+// content-addressed and therefore immutable — a strong ETag with
+// Cache-Control immutable; a conditional GET whose If-None-Match matches
+// is answered 304 before the store is touched at all (see conditional.go).
 package server
 
 import (
@@ -201,9 +200,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"lru_suites": s.lru.len(),
 		"families":   family.IDs(),
 	}
-	if remotes := s.store.RemoteStats(); len(remotes) > 0 {
-		out["remotes"] = remotes
-	}
 	if breakers := s.breakers.States(); len(breakers) > 0 {
 		out["breakers"] = breakers
 	}
@@ -333,7 +329,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	if s.immutable(w, r, hash) {
 		return
 	}
-	cs, label, err := s.resident(r.Context(), hash)
+	cs, label, err := s.resident(hash)
 	if err != nil {
 		notFoundOr500(w, err)
 		return
@@ -342,17 +338,14 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	writeObj(w, http.StatusOK, cs.suite)
 }
 
-// handleArchive serves a completed suite as a deterministic tar — the
-// wire format of the peer-replica blob tier. It serves LOCAL bytes only
-// (never triggering a remote fetch or a generation), which is what keeps
-// two mutually peered replicas from recursing into each other when
-// neither holds the suite. The archive is built once into the suite's
-// LRU entry and served from memory with a Content-Length, so a failed
-// build is answered 500 before any body byte. An archive over the
-// entry's byte budget streams from disk on every request; there a
-// mid-stream error can only truncate the tar, which the fetcher's
-// checksum verification rejects. Like a 304, the archive sets no X-Cache
-// header and counts nothing in the suite cache metrics.
+// handleArchive serves a completed suite as a deterministic tar. It
+// serves stored bytes only and never generates. The archive is built once
+// into the suite's LRU entry and served from memory with a
+// Content-Length, so a failed build is answered 500 before any body byte.
+// An archive over the entry's byte budget streams from disk on every
+// request; there a mid-stream error can only truncate the tar, which a
+// tar reader reports as an unexpected EOF. Like a 304, the archive sets
+// no X-Cache header and counts nothing in the suite cache metrics.
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if s.immutable(w, r, hash, "archive") {
@@ -360,7 +353,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	}
 	cs, ok := s.lru.get(hash)
 	if !ok {
-		st, err := s.store.LookupLocal(hash)
+		st, err := s.store.Lookup(hash)
 		if err != nil {
 			notFoundOr500(w, err)
 			return
@@ -406,7 +399,7 @@ func (s *Server) serveInstanceFile(w http.ResponseWriter, r *http.Request, name,
 	if s.immutable(w, r, hash, name) {
 		return
 	}
-	cs, label, err := s.resident(r.Context(), hash)
+	cs, label, err := s.resident(hash)
 	if err != nil {
 		notFoundOr500(w, err)
 		return
@@ -427,7 +420,7 @@ func (s *Server) serveInstanceFile(w http.ResponseWriter, r *http.Request, name,
 // same configuration are not re-run and not re-streamed; they are folded
 // into the summary.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	cs, _, err := s.resident(r.Context(), r.PathValue("hash"))
+	cs, _, err := s.resident(r.PathValue("hash"))
 	if err != nil {
 		notFoundOr500(w, err)
 		return
@@ -565,22 +558,16 @@ func (s *Server) evalLock(key string) chan struct{} {
 
 // resident returns the suite's in-memory entry, loading it through the
 // store on first touch, with the X-Cache label for the response: "hit"
-// when already resident, "miss" when loaded from the local store,
-// "remote" when the lookup fetched it from a peer tier. The context
-// bounds any such fetch.
-func (s *Server) resident(ctx context.Context, hash string) (*cachedSuite, string, error) {
+// when already resident, "miss" when loaded from the local store.
+func (s *Server) resident(hash string) (*cachedSuite, string, error) {
 	if cs, ok := s.lru.get(hash); ok {
 		return cs, "hit", nil
 	}
-	st, err := s.store.LookupCtx(ctx, hash)
+	st, err := s.store.Lookup(hash)
 	if err != nil {
 		return nil, "", err
 	}
-	label := "miss"
-	if st.Source == suite.SourceRemote {
-		label = "remote"
-	}
-	return s.admit(st), label, nil
+	return s.admit(st), "miss", nil
 }
 
 // admit inserts a suite into the LRU. File reads funnel through the
@@ -608,17 +595,13 @@ func intParam(s string, def int) (int, error) {
 	return n, nil
 }
 
-// ensureLabel is the X-Cache label for an Ensure outcome: where the
-// store says the suite came from.
+// ensureLabel is the X-Cache label for an Ensure outcome: "hit" when the
+// store already held the suite, "miss" when this call generated it.
 func ensureLabel(st *suite.Suite) string {
-	switch st.Source {
-	case suite.SourceRemote:
-		return "remote"
-	case suite.SourceGenerated:
-		return "miss"
-	default:
+	if st.Cached {
 		return "hit"
 	}
+	return "miss"
 }
 
 // setCache stamps the X-Cache header and counts the outcome.

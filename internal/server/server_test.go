@@ -2,8 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -90,7 +94,7 @@ func TestEnsureTwiceSecondIsCacheHit(t *testing.T) {
 }
 
 func TestInstanceEndpoints(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, store := newTestServer(t)
 	var st suite.Suite
 	if err := json.NewDecoder(post(t, ts.URL+"/v1/suites", tinyManifestJSON).Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -130,6 +134,36 @@ func TestInstanceEndpoints(t *testing.T) {
 	if r := get(t, ts.URL+"/v1/suites/"+strings.Repeat("0", 64)); r.StatusCode != http.StatusNotFound {
 		t.Errorf("missing suite: status %d, want 404", r.StatusCode)
 	}
+	parent := filepath.Dir(store.Root())
+	for _, addr := range []string{"short", plantEscapedSuite(t, parent)} {
+		for _, rest := range []string{"", "/archive", "/instances/" + base, "/instances/" + base + "/qasm"} {
+			r := get(t, ts.URL+"/v1/suites/"+url.PathEscape(addr)+rest)
+			body, _ := io.ReadAll(r.Body)
+			if r.StatusCode != http.StatusNotFound {
+				t.Errorf("malformed address %q%s: status %d, want 404", addr, rest, r.StatusCode)
+			}
+			if strings.Contains(string(body), parent) {
+				t.Errorf("malformed address %q%s: body names the store's parent directory: %s", addr, rest, body)
+			}
+		}
+	}
+}
+
+// plantEscapedSuite plants a COMPLETE marker in parent, the directory
+// above a test store's root, and returns the 64-character address
+// "../<61 chars>" that the store's directory layout would resolve to it.
+// A store that built a path from that address would find the marker and
+// fail to read the manifest beside it.
+func plantEscapedSuite(t *testing.T, parent string) string {
+	t.Helper()
+	name := strings.Repeat("e", 61)
+	if err := os.MkdirAll(filepath.Join(parent, name), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(parent, name, "COMPLETE"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return "../" + name
 }
 
 func TestEvalStreamsRowsAndSummary(t *testing.T) {

@@ -8,30 +8,18 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
-// The suite archive is the wire format of the peer-replica Blob tier: a
-// plain tar stream holding manifest.json, checksums.json, and
-// instances/* in deterministic order with zeroed metadata, so the same
-// stored suite always archives to the same bytes. The COMPLETE marker is
-// deliberately absent — a fetcher writes its own only after verifying the
-// manifest hash and every checksum.
-
-// maxArchiveFileBytes bounds any single file extracted from an archive,
-// and maxArchiveTotalBytes the whole extraction, so a misbehaving peer
-// cannot disk-bomb a replica. Real instance files are kilobytes.
-const (
-	maxArchiveFileBytes  = 64 << 20
-	maxArchiveTotalBytes = 1 << 30
-)
+// The suite archive is a plain tar stream holding manifest.json,
+// checksums.json, and instances/* in deterministic order with zeroed
+// metadata, so the same stored suite always archives to the same bytes.
+// The COMPLETE marker is deliberately absent: it is the store's commit
+// point, not part of the suite.
 
 // WriteArchive streams the completed local suite as a tar archive. It
-// never consults remote tiers (the server's archive endpoint serves
-// local bytes only, which is what keeps mutually peered replicas from
-// recursing into each other).
+// never generates.
 func (s *Store) WriteArchive(hash string, w io.Writer) error {
-	st, err := s.LookupLocal(hash)
+	st, err := s.Lookup(hash)
 	if err != nil {
 		return err
 	}
@@ -39,11 +27,11 @@ func (s *Store) WriteArchive(hash string, w io.Writer) error {
 }
 
 // WriteSuiteArchive is WriteArchive for a suite this store already
-// resolved (by LookupLocal, LookupCtx or EnsureCtx), so it skips the
-// lookup's manifest re-hash. The instance files archived are those the
-// suite's checksum index lists, so a missing one is an error rather than
-// a shorter archive. They are read through ReadInstanceFile and so
-// counted in Stats.FileReads.
+// resolved (by Lookup or EnsureCtx), so it skips the lookup's manifest
+// re-hash. The instance files archived are those the suite's checksum
+// index lists, so a missing one is an error rather than a shorter
+// archive. They are read through ReadInstanceFile and so counted in
+// Stats.FileReads.
 func (s *Store) WriteSuiteArchive(st *Suite, w io.Writer) error {
 	manifest, err := os.ReadFile(filepath.Join(st.Dir, "manifest.json"))
 	if err != nil {
@@ -90,63 +78,4 @@ func (s *Store) WriteSuiteArchive(st *Suite, w io.Writer) error {
 		}
 	}
 	return tw.Close()
-}
-
-// extractArchive unpacks a suite archive into dir, enforcing the layout:
-// only manifest.json, checksums.json, and flat instances/<file> entries
-// are accepted, with per-file and total size caps. Content is NOT
-// verified here; the Store checks the manifest hash and checksums before
-// committing anything it extracted.
-func extractArchive(r io.Reader, dir string) error {
-	if err := os.MkdirAll(filepath.Join(dir, "instances"), 0o755); err != nil {
-		return err
-	}
-	tr := tar.NewReader(r)
-	var total int64
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("suite: archive: %w", err)
-		}
-		if hdr.Typeflag != tar.TypeReg {
-			return fmt.Errorf("suite: archive holds non-regular entry %q", hdr.Name)
-		}
-		if err := validArchiveName(hdr.Name); err != nil {
-			return err
-		}
-		if hdr.Size < 0 || hdr.Size > maxArchiveFileBytes {
-			return fmt.Errorf("suite: archive entry %q is %d bytes, cap is %d", hdr.Name, hdr.Size, maxArchiveFileBytes)
-		}
-		total += hdr.Size
-		if total > maxArchiveTotalBytes {
-			return fmt.Errorf("suite: archive exceeds total size cap %d", maxArchiveTotalBytes)
-		}
-		dst := filepath.Join(dir, filepath.FromSlash(hdr.Name))
-		f, err := os.OpenFile(dst, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		_, err = io.Copy(f, io.LimitReader(tr, hdr.Size+1))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("suite: archive entry %q: %w", hdr.Name, err)
-		}
-	}
-}
-
-// validArchiveName accepts exactly the files a suite archive may carry.
-func validArchiveName(name string) error {
-	if name == "manifest.json" || name == "checksums.json" {
-		return nil
-	}
-	base, ok := strings.CutPrefix(name, "instances/")
-	if !ok || base == "" || strings.ContainsAny(base, "/\\") || strings.Contains(base, "..") {
-		return fmt.Errorf("suite: archive holds unexpected entry %q", name)
-	}
-	return nil
 }

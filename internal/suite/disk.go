@@ -11,9 +11,8 @@ import (
 // disk is the local on-disk layout backend of a Store: it owns the
 // directory scheme (v<schema>/<hh>/<hash>/{manifest.json, checksums.json,
 // COMPLETE, instances/*}), staging, and the atomic rename commit. The
-// Store layers counters, single-flight, the cross-process lease, and the
-// remote Blob tier on top; everything that touches bytes on the local
-// filesystem lives here.
+// Store layers counters, single-flight and the cross-process lease on
+// top; everything that touches bytes on the local filesystem lives here.
 type disk struct {
 	root string
 }
@@ -81,7 +80,6 @@ func (d disk) open(hash string) (*Suite, error) {
 		Dir:       dir,
 		Instances: m.InstanceRefs(),
 		Cached:    true,
-		Source:    SourceDisk,
 	}, nil
 }
 
@@ -111,30 +109,6 @@ func (d disk) list() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// verifyStaged checks a fully staged (or fetched) suite directory before
-// it is committed under hash: the manifest must hash to the directory's
-// claimed address and every instance file must match the checksum index.
-// This is what makes any Blob backend trustworthy — bytes from a peer are
-// verified exactly like bytes we generated.
-func verifyStaged(dir, hash string) error {
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return err
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("manifest: %w", err)
-	}
-	m.normalize()
-	if got := m.Hash(); got != hash {
-		return fmt.Errorf("manifest hashes to %s, want %s", got, hash)
-	}
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	return verifyChecksumIndex(dir)
 }
 
 // verifyChecksumIndex re-hashes every instance file in dir against its

@@ -190,6 +190,22 @@ func (m Manifest) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// ValidHash reports whether s has the form Hash emits: exactly 64
+// lowercase hex characters. Addresses arrive from URLs and request
+// bodies, and the store builds paths from them, so nothing else may
+// reach the disk layer.
+func ValidHash(s string) bool {
+	if len(s) != sha256.Size*2 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // NumInstances is the size of the manifest's grid × circuits product.
 func (m Manifest) NumInstances() int {
 	return len(m.Grid()) * m.CircuitsPerCount

@@ -44,12 +44,6 @@ type StoreOptions struct {
 	// workspace. 0 means DefaultTmpMaxAge; negative disables the janitor
 	// (the lease gate then falls back to DefaultTmpMaxAge).
 	TmpMaxAge time.Duration
-	// Remotes configures the remote Blob tiers consulted, in order, when
-	// the local disk misses: Ensure fetches from the first tier holding
-	// the suite before generating locally, and Lookup before reporting
-	// ErrNotFound. Everything fetched is checksum-verified against its
-	// manifest hash before being committed locally.
-	Remotes []Blob
 	// Faults injects failures for robustness tests; nil in production.
 	Faults *Faults
 }
@@ -92,29 +86,11 @@ type Stats struct {
 	SuitesGenerated int64
 	// InstancesGenerated counts individual benchmark generations.
 	InstancesGenerated int64
-	// RemoteFetches counts suites materialized from a remote Blob tier
-	// (checksum-verified and committed locally instead of generated).
-	// Ensure calls satisfied remotely count here, not in Hits or Misses.
-	RemoteFetches int64
 	// FileReads counts instance-file reads served by ReadInstanceFile,
 	// including those WriteArchive and WriteSuiteArchive make — the
 	// serving layer's "a 304 (or a resident suite's archive) touches the
 	// store zero times" assertions key off this counter.
 	FileReads int64
-	// RemoteRetries sums transient-failure retries across every remote
-	// tier that exposes BlobMetrics (peer fetches that hit a connection
-	// error or 5xx and tried again).
-	RemoteRetries int64
-	// RemoteFailures sums remote fetches that exhausted their retry
-	// budget and fell through (to the next tier or local generation).
-	RemoteFailures int64
-}
-
-// RemoteStat is one remote tier's fetch-health snapshot.
-type RemoteStat struct {
-	Name     string `json:"name"`
-	Retries  int64  `json:"retries"`
-	Failures int64  `json:"failures"`
 }
 
 // InstanceRef identifies one instance within a suite.
@@ -142,15 +118,9 @@ type Suite struct {
 	Metric    family.Metric `json:"metric"`
 	Dir       string        `json:"-"`
 	Instances []InstanceRef `json:"instances"`
-	// Cached reports whether the suite's bytes came from a cache — the
-	// local disk or a remote tier — rather than being generated by this
-	// call.
+	// Cached reports whether the suite's bytes were already on the local
+	// disk rather than generated by this call.
 	Cached bool `json:"cached"`
-	// Source records how this call obtained the suite (disk, generated,
-	// remote). It is process-local accounting, deliberately off the wire:
-	// replicas serve bit-identical suite indexes however each obtained
-	// the bytes.
-	Source Source `json:"-"`
 }
 
 // Store is a content-addressed suite store rooted at a directory. It is
@@ -159,25 +129,22 @@ type Suite struct {
 // processes sharing one root, an atomic claim/lease file elects exactly
 // one generation leader per hash (see lease.go), and any rename race that
 // slips through is resolved atomically (first writer wins, losers adopt
-// the winner's bytes). Stores configured with remote Blob tiers fetch
-// missing suites — checksum-verified — before generating locally.
+// the winner's bytes).
 type Store struct {
 	disk      disk
 	workers   int
 	verify    bool
 	faults    *Faults
-	remotes   []Blob
 	leaseGate time.Duration
 
 	mu       sync.Mutex
 	inflight map[string]*flight
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	suiteGen    atomic.Int64
-	instGen     atomic.Int64
-	remoteFetch atomic.Int64
-	fileReads   atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	suiteGen  atomic.Int64
+	instGen   atomic.Int64
+	fileReads atomic.Int64
 }
 
 type flight struct {
@@ -220,7 +187,6 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 		workers:   workers,
 		verify:    opts.Verify,
 		faults:    opts.Faults,
-		remotes:   opts.Remotes,
 		leaseGate: leaseGate,
 		inflight:  map[string]*flight{},
 	}, nil
@@ -254,37 +220,13 @@ func (s *Store) Root() string { return s.disk.root }
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Hits:               s.hits.Load(),
 		Misses:             s.misses.Load(),
 		SuitesGenerated:    s.suiteGen.Load(),
 		InstancesGenerated: s.instGen.Load(),
-		RemoteFetches:      s.remoteFetch.Load(),
 		FileReads:          s.fileReads.Load(),
 	}
-	for _, r := range s.RemoteStats() {
-		st.RemoteRetries += r.Retries
-		st.RemoteFailures += r.Failures
-	}
-	return st
-}
-
-// RemoteStats snapshots each remote tier's fetch health, in tier order.
-// Tiers that do not expose BlobMetrics report zeros.
-func (s *Store) RemoteStats() []RemoteStat {
-	if len(s.remotes) == 0 {
-		return nil
-	}
-	out := make([]RemoteStat, 0, len(s.remotes))
-	for _, b := range s.remotes {
-		r := RemoteStat{Name: b.Name()}
-		if m, ok := b.(BlobMetrics); ok {
-			r.Retries = m.FetchRetries()
-			r.Failures = m.FetchFailures()
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // InstanceDir returns the directory holding a stored suite's instances.
@@ -325,9 +267,7 @@ func isCancellation(err error) bool {
 // re-probing the disk and, if needed, becoming the next leader under
 // its own still-live context — instead of failing with someone else's
 // cancellation. Each retry backs off briefly so a storm of doomed
-// leaders cannot hot-spin the store. When remote Blob tiers are
-// configured, a miss fetches from the first tier holding the suite
-// before generating locally.
+// leaders cannot hot-spin the store.
 func (s *Store) EnsureCtx(ctx context.Context, m Manifest) (*Suite, error) {
 	m.normalize()
 	if err := m.Validate(); err != nil {
@@ -337,9 +277,13 @@ func (s *Store) EnsureCtx(ctx context.Context, m Manifest) (*Suite, error) {
 	sp, ctx := obs.Begin(ctx, "store", "ensure")
 	defer sp.End()
 	sp.Arg("hash", hash[:12])
-	st, err := s.materialize(ctx, hash, &m)
+	st, err := s.materialize(ctx, hash, m)
 	if err == nil {
-		sp.Arg("source", string(st.Source))
+		source := "generated"
+		if st.Cached {
+			source = "disk"
+		}
+		sp.Arg("source", source)
 	}
 	return st, err
 }
@@ -361,32 +305,13 @@ func backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// Lookup returns the stored suite at a content address, consulting remote
-// tiers (if configured) on a local miss, or ErrNotFound. It never
-// generates.
+// Lookup returns the stored suite at a content address from the local
+// disk, or an error wrapping ErrNotFound. It never generates. An address
+// that is not of the form Manifest.Hash emits is not found either, and
+// no path is ever built from it.
 func (s *Store) Lookup(hash string) (*Suite, error) {
-	return s.LookupCtx(context.Background(), hash)
-}
-
-// LookupCtx is Lookup under a cancellation context (which bounds any
-// remote fetch a local miss triggers).
-func (s *Store) LookupCtx(ctx context.Context, hash string) (*Suite, error) {
-	if len(hash) != sha256.Size*2 {
-		return nil, fmt.Errorf("suite: malformed hash %q", hash)
-	}
-	if len(s.remotes) == 0 {
-		return s.disk.open(hash)
-	}
-	return s.materialize(ctx, hash, nil)
-}
-
-// LookupLocal returns the stored suite at a content address from the
-// local disk only, never touching remote tiers. The archive endpoint
-// serves through this, which is what keeps mutually peered replicas from
-// recursing into each other on a fleet-wide miss.
-func (s *Store) LookupLocal(hash string) (*Suite, error) {
-	if len(hash) != sha256.Size*2 {
-		return nil, fmt.Errorf("suite: malformed hash %q", hash)
+	if !ValidHash(hash) {
+		return nil, fmt.Errorf("%w: malformed address %q", ErrNotFound, hash)
 	}
 	return s.disk.open(hash)
 }
@@ -397,20 +322,16 @@ func (s *Store) List() ([]string, error) {
 	return s.disk.list()
 }
 
-// materialize resolves hash to a complete local suite: disk first, then —
-// under the in-process single-flight group and the cross-process lease —
-// remote tiers, then local generation when a manifest is available
-// (m == nil is the Lookup path and reports ErrNotFound instead).
-func (s *Store) materialize(ctx context.Context, hash string, m *Manifest) (*Suite, error) {
-	ensure := m != nil
+// materialize resolves hash to a complete local suite: disk first, then
+// generation under the in-process single-flight group and the
+// cross-process lease.
+func (s *Store) materialize(ctx context.Context, hash string, m Manifest) (*Suite, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if st, err := s.disk.open(hash); err == nil {
-			if ensure {
-				s.hits.Add(1)
-			}
+			s.hits.Add(1)
 			return st, nil
 		} else if !errors.Is(err, ErrNotFound) {
 			return nil, err
@@ -436,12 +357,9 @@ func (s *Store) materialize(ctx context.Context, hash string, m *Manifest) (*Sui
 				}
 				return nil, f.err
 			}
-			if ensure {
-				s.hits.Add(1)
-			}
+			s.hits.Add(1)
 			cp := *f.suite
 			cp.Cached = true
-			cp.Source = SourceDisk
 			return &cp, nil
 		}
 		f := &flight{done: make(chan struct{})}
@@ -457,25 +375,21 @@ func (s *Store) materialize(ctx context.Context, hash string, m *Manifest) (*Sui
 		if f.err != nil {
 			return nil, f.err
 		}
-		if ensure {
-			switch f.suite.Source {
-			case SourceGenerated:
-				s.misses.Add(1)
-			case SourceDisk:
-				s.hits.Add(1)
-				// SourceRemote is counted by Stats.RemoteFetches alone.
-			}
+		if f.suite.Cached {
+			s.hits.Add(1)
+		} else {
+			s.misses.Add(1)
 		}
 		return f.suite, nil
 	}
 }
 
 // fill obtains the suite while holding the in-process flight: it claims
-// the cross-process lease, then probes the disk, the remote tiers, and
-// finally generates. A live lease held by another process means that
-// process is already filling this hash — back off and re-probe until its
-// COMPLETE marker lands or its lease becomes breakable.
-func (s *Store) fill(ctx context.Context, hash string, m *Manifest) (*Suite, error) {
+// the cross-process lease, then probes the disk and finally generates. A
+// live lease held by another process means that process is already
+// filling this hash — back off and re-probe until its COMPLETE marker
+// lands or its lease becomes breakable.
+func (s *Store) fill(ctx context.Context, hash string, m Manifest) (*Suite, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -504,8 +418,8 @@ func (s *Store) fill(ctx context.Context, hash string, m *Manifest) (*Suite, err
 
 // fillLeader runs with the cross-process lease held: re-probe the disk
 // one final time (a previous leader may have committed between our probe
-// and our claim), fetch from remote tiers, or generate.
-func (s *Store) fillLeader(ctx context.Context, hash string, m *Manifest, held *lease) (st *Suite, retErr error) {
+// and our claim), or generate.
+func (s *Store) fillLeader(ctx context.Context, hash string, m Manifest, held *lease) (st *Suite, retErr error) {
 	defer func() {
 		if retErr != nil && s.faults != nil && s.faults.KeepLeaseOnFailure {
 			return // die like a killed process: leave the lease behind
@@ -517,62 +431,7 @@ func (s *Store) fillLeader(ctx context.Context, hash string, m *Manifest, held *
 	} else if !errors.Is(err, ErrNotFound) {
 		return nil, err
 	}
-	var remoteErr error
-	for _, blob := range s.remotes {
-		st, err := s.fetchRemote(ctx, hash, blob)
-		if err == nil {
-			return st, nil
-		}
-		if isCancellation(err) {
-			return nil, err
-		}
-		if !errors.Is(err, ErrNotFound) {
-			remoteErr = err // a flaky tier: remember it, try the next
-		}
-	}
-	if m == nil {
-		if remoteErr != nil {
-			return nil, remoteErr
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, hash)
-	}
-	return s.generate(ctx, *m, hash, held)
-}
-
-// fetchRemote stages a suite from one remote tier, verifies the manifest
-// hash and every checksum, and commits it locally. A concurrent process
-// committing first wins the rename; this process adopts the winner's
-// (bit-identical) bytes.
-func (s *Store) fetchRemote(ctx context.Context, hash string, blob Blob) (*Suite, error) {
-	sp, ctx := obs.Begin(ctx, "store", "remote-fetch")
-	defer sp.End()
-	sp.Arg("tier", blob.Name())
-	tmp, err := s.disk.stage(hash[:12] + "-fetch")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp) // no-op once the commit rename has moved it
-	if err := blob.Fetch(ctx, hash, tmp); err != nil {
-		return nil, err
-	}
-	if err := verifyStaged(tmp, hash); err != nil {
-		return nil, fmt.Errorf("suite: remote %s served corrupt suite %s: %w", blob.Name(), hash, err)
-	}
-	if err := os.WriteFile(filepath.Join(tmp, completeMarker), []byte(hash+"\n"), 0o644); err != nil {
-		return nil, err
-	}
-	if err := s.disk.commit(tmp, hash); err != nil {
-		if _, openErr := s.disk.open(hash); openErr != nil {
-			return nil, fmt.Errorf("suite: commit %s: %w", hash, err)
-		}
-	}
-	s.remoteFetch.Add(1)
-	st, err := s.disk.open(hash)
-	if err != nil {
-		return nil, err
-	}
-	st.Source = SourceRemote
-	return st, nil
+	return s.generate(ctx, m, hash, held)
 }
 
 // InstanceRefs enumerates the suite's instances in grid order.
@@ -705,7 +564,6 @@ func (s *Store) generate(ctx context.Context, m Manifest, hash string, held *lea
 		Dir:       s.disk.suiteDir(hash),
 		Instances: refs,
 		Cached:    false,
-		Source:    SourceGenerated,
 	}, nil
 }
 
