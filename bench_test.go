@@ -39,7 +39,7 @@ func benchStore(b *testing.B, cfgs ...harness.SuiteConfig) (*suite.Store, []*sui
 	}
 	var sts []*suite.Suite
 	for _, cfg := range cfgs {
-		st, err := store.Ensure(cfg.Manifest())
+		st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func BenchmarkExactDecideGrid3x3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.VerifyOptimal(bench.OptSwaps); err != nil {
+		if err := s.VerifyOptimalCtx(context.Background(), bench.OptSwaps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func BenchmarkOlsqVerify(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.VerifyOptimal(verify.OptSwaps); err != nil {
+			if err := s.VerifyOptimalCtx(context.Background(), verify.OptSwaps); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -349,7 +349,7 @@ func BenchmarkOlsqVerify(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := s.MinSwaps(sweep.OptSwaps + 3)
+			res, err := s.MinSwapsCtx(context.Background(), sweep.OptSwaps+3)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -493,7 +493,7 @@ func BenchmarkSATSolverPigeonhole(b *testing.B) {
 				}
 			}
 		}
-		if got := s.Solve(); got != sat.Unsat {
+		if got := s.Solve(context.Background()); got != sat.Unsat {
 			b.Fatalf("PHP(%d) = %v", n, got)
 		}
 	}
@@ -516,14 +516,15 @@ func BenchmarkSectionIIIC(b *testing.B) {
 // BenchmarkTokenSwap measures the token-swapping transition engine on a
 // full-device permutation.
 func BenchmarkTokenSwap(b *testing.B) {
-	g := arch.IBMEagle127().Graph()
+	dev := arch.IBMEagle127()
+	g, dist := dev.Graph(), dev.Distances()
 	perm := make([]int, g.N())
 	for i := range perm {
 		perm[i] = (i*53 + 17) % g.N() // fixed full-support permutation
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tokenswap.Solve(g, perm); err != nil {
+		if _, err := tokenswap.SolveDist(g, dist, perm); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -123,7 +123,7 @@ func run() (err error) {
 	if fam.Metric == family.Depth {
 		gridFlag = *depthList
 	}
-	grid, err := parseGrid(gridFlag, fam.MinOptimal)
+	grid, err := family.ParseGrid(gridFlag, max(1, fam.MinOptimal))
 	if err != nil {
 		return err
 	}
@@ -314,16 +314,4 @@ func evalStored(ctx context.Context, store *suite.Store, st *suite.Suite, tools 
 		err = cause
 	}
 	return fig, err
-}
-
-func parseGrid(s string, min int) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 1 || n < min {
-			return nil, fmt.Errorf("bad grid value %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -22,11 +22,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/family"
@@ -59,7 +58,7 @@ func main() {
 	if fam.Metric == family.Depth {
 		gridFlag = *depths
 	}
-	grid, err := parseGrid(gridFlag, fam.MinOptimal)
+	grid, err := family.ParseGrid(gridFlag, fam.MinOptimal)
 	if err != nil {
 		fatal(err)
 	}
@@ -128,7 +127,7 @@ func runSuiteMode(cacheDir string, fam *family.Family, archName string, grid []i
 		fatal(err)
 	}
 	m := suite.NewFamilyManifest(fam.ID, archName, grid, perCount, opts)
-	st, err := store.Ensure(m)
+	st, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		fatal(err)
 	}
@@ -140,18 +139,6 @@ func runSuiteMode(cacheDir string, fam *family.Family, archName string, grid []i
 	fmt.Printf("  family=%s metric=%s device=%s grid=%v circuits-per-count=%d instances=%d\n",
 		m.Generator, st.Metric, m.Device, m.Grid(), m.CircuitsPerCount, len(st.Instances))
 	fmt.Printf("  dir: %s\n", st.Dir)
-}
-
-func parseGrid(s string, min int) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < min {
-			return nil, fmt.Errorf("bad grid value %q (minimum %d)", part, min)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

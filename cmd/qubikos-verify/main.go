@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -133,7 +132,7 @@ func run() (err error) {
 	cfg := harness.DefaultOptimalityConfig(*circuits, *seed)
 	cfg.Family = fam.ID
 	cfg.Workers = *workers
-	if cfg.SwapCounts, err = parseCounts(grid); err != nil {
+	if cfg.SwapCounts, err = family.ParseGrid(grid, 1); err != nil {
 		return err
 	}
 
@@ -239,18 +238,6 @@ func verifyFile(ctx context.Context, path, archName string, claim, maxK int) err
 	}
 	fmt.Printf("%s: optimal SWAP count is %d (searched up to %d)\n", path, res.SwapCount, maxK)
 	return nil
-}
-
-func parseCounts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("bad grid value %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // budgetErr rewrites a cancellation-shaped error into a message that

@@ -386,6 +386,10 @@ func TestCommandErrors(t *testing.T) {
 		{filepath.Join(bins, "qubikos-verify"), "-qasm", "/does/not/exist.qasm"}, // missing file
 		{filepath.Join(bins, "qubikos-verify"), "-suite", "deadbeef"},            // -suite without -cache-dir
 		{filepath.Join(bins, "qubikos-eval"), "-suite", "deadbeef"},              // -suite without -cache-dir
+		// Grid values parse whole: "1e3" is not 1, "2x" not 2, "5.9" not 5.
+		{filepath.Join(bins, "qubikos-eval"), "-arch", "aspen4", "-circuits", "1", "-trials", "1", "-tools", "tket", "-swaps", "1e3"},
+		{filepath.Join(bins, "qubikos-verify"), "-circuits", "1", "-swaps", "2x"},
+		{filepath.Join(bins, "qubikos-gen"), "-swaps", "5.9"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(c[0], c[1:]...)

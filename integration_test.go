@@ -81,7 +81,7 @@ func TestEndToEndExactAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.MinSwaps(b.OptSwaps + 2)
+	res, err := s.MinSwapsCtx(context.Background(), b.OptSwaps+2)
 	if err != nil {
 		t.Fatal(err)
 	}

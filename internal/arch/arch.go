@@ -64,9 +64,6 @@ func (d *Device) Distances() *graph.DistanceMatrix {
 	return d.dist
 }
 
-// Distance returns the hop distance between physical qubits p and q.
-func (d *Device) Distance(p, q int) int { return d.Distances().At(p, q) }
-
 // Line returns a 1-D chain of n qubits.
 func Line(n int) *Device {
 	g := graph.New(n)

@@ -11,8 +11,8 @@ func TestLine(t *testing.T) {
 	if d.NumQubits() != 5 || d.NumCouplers() != 4 {
 		t.Fatalf("line-5: %d qubits %d couplers", d.NumQubits(), d.NumCouplers())
 	}
-	if d.Distance(0, 4) != 4 {
-		t.Errorf("end-to-end distance %d want 4", d.Distance(0, 4))
+	if d.Distances().At(0, 4) != 4 {
+		t.Errorf("end-to-end distance %d want 4", d.Distances().At(0, 4))
 	}
 }
 
@@ -21,8 +21,8 @@ func TestRing(t *testing.T) {
 	if d.NumCouplers() != 8 {
 		t.Fatalf("ring-8 couplers=%d", d.NumCouplers())
 	}
-	if d.Distance(0, 4) != 4 || d.Distance(0, 7) != 1 {
-		t.Errorf("ring distances wrong: %d, %d", d.Distance(0, 4), d.Distance(0, 7))
+	if d.Distances().At(0, 4) != 4 || d.Distances().At(0, 7) != 1 {
+		t.Errorf("ring distances wrong: %d, %d", d.Distances().At(0, 4), d.Distances().At(0, 7))
 	}
 	for v := 0; v < 8; v++ {
 		if d.Graph().Degree(v) != 2 {
@@ -40,8 +40,8 @@ func TestGrid(t *testing.T) {
 	if d.NumCouplers() != 17 {
 		t.Fatalf("couplers=%d want 17", d.NumCouplers())
 	}
-	if d.Distance(0, 11) != 5 {
-		t.Errorf("corner distance %d want 5", d.Distance(0, 11))
+	if d.Distances().At(0, 11) != 5 {
+		t.Errorf("corner distance %d want 5", d.Distances().At(0, 11))
 	}
 }
 
@@ -63,8 +63,8 @@ func TestStar(t *testing.T) {
 	if d.Graph().Degree(0) != 5 {
 		t.Fatalf("hub degree %d", d.Graph().Degree(0))
 	}
-	if d.Distance(1, 2) != 2 {
-		t.Errorf("spoke-to-spoke distance %d want 2", d.Distance(1, 2))
+	if d.Distances().At(1, 2) != 2 {
+		t.Errorf("spoke-to-spoke distance %d want 2", d.Distances().At(1, 2))
 	}
 }
 

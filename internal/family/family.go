@@ -24,6 +24,7 @@ package family
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -209,4 +210,20 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ParseGrid parses a CLI grid flag: comma-separated decimal integers,
+// each at least min (the family's MinOptimal, or a caller's stricter
+// floor). Tokens are trimmed and parsed whole, so "1e3", "5.9" and "2x"
+// are errors, not 1, 5 and 2.
+func ParseGrid(list string, min int) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < min {
+			return nil, fmt.Errorf("bad grid value %q (minimum %d)", part, min)
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }

@@ -56,6 +56,35 @@ func TestResolveShorthands(t *testing.T) {
 	}
 }
 
+// TestParseGrid: grid flags parse whole decimal tokens only, so a
+// scientific, fractional or suffixed value is an error rather than its
+// leading digits, and every value respects the caller's minimum.
+func TestParseGrid(t *testing.T) {
+	got, err := ParseGrid("5, 10", 1)
+	if err != nil || len(got) != 2 || got[0] != 5 || got[1] != 10 {
+		t.Fatalf(`ParseGrid("5, 10", 1) = %v, %v; want [5 10]`, got, err)
+	}
+	if got, err := ParseGrid("0", 0); err != nil || len(got) != 1 || got[0] != 0 {
+		t.Fatalf(`ParseGrid("0", 0) = %v, %v; want [0]`, got, err)
+	}
+	for _, bad := range []struct {
+		list string
+		min  int
+	}{
+		{"", 1},
+		{"5x", 1},
+		{"1e3", 1},
+		{"5.9", 1},
+		{"5,", 1},
+		{"0", 1},
+		{"3,2", 3},
+	} {
+		if got, err := ParseGrid(bad.list, bad.min); err == nil {
+			t.Errorf("ParseGrid(%q, %d) = %v, want an error", bad.list, bad.min, got)
+		}
+	}
+}
+
 func TestQubikosFamilyGenerate(t *testing.T) {
 	inst, err := Qubikos.Generate(arch.Grid3x3(), Options{
 		Optimal:             2,

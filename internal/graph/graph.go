@@ -22,18 +22,6 @@ func (e Edge) Normalize() Edge {
 	return e
 }
 
-// Other returns the endpoint of e that is not v. It panics if v is not an
-// endpoint of e.
-func (e Edge) Other(v int) int {
-	switch v {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: vertex %d is not an endpoint of edge %v", v, e))
-}
-
 // Graph is a simple undirected graph on vertices 0..N-1 with adjacency-list
 // and adjacency-bitset representations maintained together: the lists give
 // ordered neighbor iteration, the flat bitset gives branch-cheap O(1)
@@ -60,28 +48,6 @@ func New(n int) *Graph {
 		bits:   make([]uint64, n*stride),
 		stride: stride,
 	}
-}
-
-// FromEdges builds a graph on n vertices containing the given edges.
-// Duplicate edges and self-loops are rejected.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e.U, e.V); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// MustFromEdges is FromEdges but panics on error; intended for static
-// architecture definitions that are validated by tests.
-func MustFromEdges(n int, edges []Edge) *Graph {
-	g, err := FromEdges(n, edges)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // N returns the number of vertices.
@@ -228,39 +194,6 @@ func (g *Graph) BFSFrom(sources ...int) []int {
 	return dist
 }
 
-// BFSEdgeOrder runs a BFS from the given sources and returns the edges in
-// the order their far endpoint was first discovered. Only tree edges are
-// returned: each returned edge connects an already-visited vertex to a
-// newly discovered one, so consecutive prefixes always form a connected
-// subgraph containing the sources. Edges in skip are never traversed.
-func (g *Graph) BFSEdgeOrder(sources []int, skip map[Edge]bool) []Edge {
-	visited := make([]bool, g.n)
-	queue := make([]int, 0, g.n)
-	for _, s := range sources {
-		if !visited[s] {
-			visited[s] = true
-			queue = append(queue, s)
-		}
-	}
-	var order []Edge
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if visited[w] {
-				continue
-			}
-			if skip != nil && skip[Edge{v, w}.Normalize()] {
-				continue
-			}
-			visited[w] = true
-			order = append(order, Edge{v, w})
-			queue = append(queue, w)
-		}
-	}
-	return order
-}
-
 // BFSAllEdgeOrder runs a BFS from the given sources and returns every edge
 // reachable from them, each exactly once, in discovery order: an edge is
 // emitted when its first endpoint is dequeued, so at emission time at
@@ -314,44 +247,4 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// Components returns the connected components as vertex lists, each sorted
-// ascending, ordered by their smallest vertex.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for v := 0; v < g.n; v++ {
-		if seen[v] {
-			continue
-		}
-		var comp []int
-		queue := []int{v}
-		seen[v] = true
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			comp = append(comp, x)
-			for _, w := range g.adj[x] {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// InducedDegrees returns, for each vertex, the number of incident edges in
-// the subset es (vertices outside es's endpoints get 0).
-func InducedDegrees(n int, es []Edge) []int {
-	deg := make([]int, n)
-	for _, e := range es {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	return deg
 }

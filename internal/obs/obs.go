@@ -1,7 +1,9 @@
 // Package obs is the repository's zero-dependency observability core:
 // hierarchical wall-time spans recorded into a preallocated per-trace
-// ring buffer, and a registry of named counters, gauges, and histograms
-// with a Prometheus text exposition.
+// ring buffer, and a registry of named metric families with a Prometheus
+// text exposition: labeled counter and histogram families recorded
+// through handles (CounterVec, HistogramVec), and counters and gauges
+// read at scrape time (CounterFunc, GaugeFunc, GaugeVecFunc).
 //
 // The package exists because the evaluation pipeline's interesting
 // questions — where does a sweep's wall time go, which tool dominates a
@@ -16,9 +18,10 @@
 //     TestSpanRecordingAllocs). When no trace is attached to the
 //     context, Begin returns an inert zero Span whose End is a no-op, so
 //     instrumented code paths cost a nil check when nobody is watching.
-//   - Counters are single atomic words behind pre-resolved handles;
-//     histograms are fixed bucket arrays of atomic words. Recording into
-//     either allocates nothing (TestCounterAllocs, TestHistogramAllocs).
+//   - A CounterVec child is a single atomic word behind a pre-resolved
+//     handle; a HistogramVec child is a fixed bucket array of atomic
+//     words. Recording into either allocates nothing (TestCounterAllocs,
+//     TestHistogramAllocs).
 //
 // Spans form trees by track: a root span claims a track id (tid) from a
 // free list, children started from the same context share it, and
@@ -29,6 +32,7 @@
 //
 // The Registry half replaces the hand-rolled exposition that used to
 // live in internal/server: families are registered once (typed, with
-// help text), hot paths hold *Counter handles, and WritePrometheus
-// renders the text format 0.0.4 with sorted families and label sets.
+// help text), hot paths hold *Counter and *Histogram handles, and
+// WritePrometheus renders the text format 0.0.4 with sorted families and
+// label sets.
 package obs

@@ -61,7 +61,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter: the handle
+// CounterVec.With returns for one label combination.
 type Counter struct {
 	v atomic.Int64
 }
@@ -75,25 +76,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// counterFamily is an unlabeled counter family.
-type counterFamily struct {
-	name, help string
-	c          *Counter
-}
-
-func (f *counterFamily) writeExposition(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-		f.name, f.help, f.name, f.name, f.c.Value())
-	return err
-}
-
-// Counter registers and returns an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, &counterFamily{name: name, help: help, c: c})
-	return c
-}
 
 // funcFamily exposes a value computed at scrape time — the bridge for
 // components that already keep their own counters (the suite store's
@@ -220,89 +202,12 @@ func (v *CounterVec) writeExposition(w io.Writer) error {
 	return nil
 }
 
-// Gauge is an atomic gauge: a value that can move both ways (breaker
-// states, queue depths). Hot paths hold the handle and Set through a
-// single atomic store.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// GaugeVec is a gauge family with labels. With resolves one label
-// combination to its *Gauge handle; callers cache the handle so the
-// per-event cost is a single atomic store.
-type GaugeVec struct {
-	name, help string
-	labels     []string
-
-	mu       sync.Mutex
-	children map[string]*gaugeChild
-}
-
-type gaugeChild struct {
-	values []string
-	g      Gauge
-}
-
-// GaugeVec registers and returns a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{name: name, help: help, labels: labels, children: map[string]*gaugeChild{}}
-	r.register(name, v)
-	return v
-}
-
-// With returns the gauge for one label-value combination, creating it
-// on first use (initial value 0). The values must match the registered
-// label names in count and order.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	key := strings.Join(values, "\x1f")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ch, ok := v.children[key]
-	if !ok {
-		ch = &gaugeChild{values: append([]string(nil), values...)}
-		v.children[key] = ch
-	}
-	return &ch.g
-}
-
-func (v *GaugeVec) writeExposition(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", v.name, v.help, v.name); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	children := make([]*gaugeChild, 0, len(v.children))
-	for _, ch := range v.children {
-		children = append(children, ch)
-	}
-	v.mu.Unlock()
-	sort.Slice(children, func(i, j int) bool {
-		return lessValues(children[i].values, children[j].values)
-	})
-	for _, ch := range children {
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", v.name, labelString(v.labels, ch.values), ch.g.Value()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DefLatencyBuckets are the default request-latency bucket bounds in
 // seconds, matching the conventional Prometheus client defaults.
 var DefLatencyBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// Histogram is a fixed-bucket histogram of float64 observations. Bucket
+// Histogram is a fixed-bucket histogram of float64 observations: the
+// handle HistogramVec.With returns for one label combination. Bucket
 // counts, the total count, and the sum are all atomics; Observe
 // allocates nothing.
 type Histogram struct {
@@ -355,7 +260,7 @@ func (h *Histogram) writeSamples(w io.Writer, name, prefix string) error {
 	}
 	for i, b := range h.bounds {
 		cum += h.buckets[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, sep, formatBound(b), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, sep, formatFloat(b), cum); err != nil {
 			return err
 		}
 	}
@@ -372,30 +277,6 @@ func (h *Histogram) writeSamples(w io.Writer, name, prefix string) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.count.Load())
 	return err
-}
-
-// histFamily is an unlabeled histogram family.
-type histFamily struct {
-	name, help string
-	h          *Histogram
-}
-
-func (f *histFamily) writeExposition(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", f.name, f.help, f.name); err != nil {
-		return err
-	}
-	return f.h.writeSamples(w, f.name, "")
-}
-
-// Histogram registers and returns an unlabeled histogram with the given
-// ascending upper bounds (nil means DefLatencyBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefLatencyBuckets
-	}
-	h := newHistogram(bounds)
-	r.register(name, &histFamily{name: name, help: help, h: h})
-	return h
 }
 
 // HistogramVec is a histogram family with labels.
@@ -506,12 +387,8 @@ func lessValues(a, b []string) bool {
 	return len(a) < len(b)
 }
 
-// formatBound renders a bucket bound the way Prometheus clients do:
-// shortest float representation.
-func formatBound(v float64) string {
-	return formatFloat(v)
-}
-
+// formatFloat renders a float sample or bucket bound the way Prometheus
+// clients do: shortest float representation.
 func formatFloat(v float64) string {
 	s := fmt.Sprintf("%g", v)
 	return s

@@ -50,8 +50,7 @@ func TestHistogramBucketMath(t *testing.T) {
 // families, sorted label sets, escaping.
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("zz_plain_total", "A plain counter.")
-	c.Add(3)
+	r.CounterFunc("zz_plain_total", "A plain counter.", func() int64 { return 3 })
 	v := r.CounterVec("aa_labeled_total", "A labeled counter.", "route", "code")
 	v.With("suites", "200").Add(2)
 	v.With("eval", "200").Inc()
@@ -116,33 +115,44 @@ func TestLabelEscaping(t *testing.T) {
 }
 
 // TestDuplicateRegistrationPanics: metric names are API; registering
-// one twice is a programming error caught at construction.
+// one twice is a programming error caught at construction, whatever
+// kinds the two registrations are.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup_total", "x")
+	r.CounterVec("dup_total", "x", "route")
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	r.Counter("dup_total", "y")
+	r.GaugeFunc("dup_total", "y", func() int64 { return 0 })
 }
 
-// TestGaugeVec pins the labeled-gauge exposition: children sort by label
-// value, Set moves both ways, and the TYPE line says gauge.
+// TestGaugeVec pins the labeled scrape-time gauge exposition behind
+// qubikos_breaker_state: children sort by label value whatever order
+// the callback returns them in, each scrape reads the callback afresh
+// (gauges move both ways), and the TYPE line says gauge.
 func TestGaugeVec(t *testing.T) {
 	r := NewRegistry()
-	v := r.GaugeVec("breaker_state", "per-tool breaker state", "tool")
-	v.With("qmap").Set(2)
-	v.With("tket").Set(1)
-	v.With("qmap").Set(0) // gauges move both ways
-	v.With("tket").Add(-1)
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	states := map[string]int64{"tket": 1, "qmap": 2}
+	r.GaugeVecFunc("breaker_state", "per-tool breaker state", []string{"tool"}, func() []LabeledValue {
+		return []LabeledValue{
+			{Values: []string{"tket"}, V: states["tket"]},
+			{Values: []string{"qmap"}, V: states["qmap"]},
+		}
+	})
+	scrape := func() string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	got := b.String()
+	if got := scrape(); !strings.Contains(got, `breaker_state{tool="qmap"} 2`) {
+		t.Errorf("first scrape missing qmap=2:\n%s", got)
+	}
+	states["qmap"], states["tket"] = 0, 0
+	got := scrape()
 	for _, want := range []string{
 		"# TYPE breaker_state gauge",
 		`breaker_state{tool="qmap"} 0`,

@@ -5,6 +5,7 @@ package olsq_test
 // up to 64 device qubits and sequential counters above.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -113,7 +114,7 @@ func TestCounterEncodingAboveCutoff(t *testing.T) {
 	if got, want := headerVars(t, recorded), encodedVars(t, b.Circuit, dev, 1, true); got != want {
 		t.Errorf("recorded header declares %d variables, counter encoding predicts %d", got, want)
 	}
-	if err := s.VerifyOptimal(1); err != nil {
+	if err := s.VerifyOptimalCtx(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ package olsq_test
 // bound's exported DIMACS formula must reproduce the verdicts.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -79,14 +80,14 @@ func runGoldenCase(t *testing.T, gc goldenCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okLow, _, err := s.Decide(gc.numSwaps - 1)
+	okLow, _, err := s.DecideCtx(context.Background(), gc.numSwaps-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if okLow != gc.decideLow {
 		t.Errorf("Decide(%d)=%v want %v", gc.numSwaps-1, okLow, gc.decideLow)
 	}
-	okAt, resAt, err := s.Decide(gc.numSwaps)
+	okAt, resAt, err := s.DecideCtx(context.Background(), gc.numSwaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +100,14 @@ func runGoldenCase(t *testing.T, gc goldenCase) {
 	if err := router.Validate(b.Circuit, dev, &resAt.Result); err != nil {
 		t.Errorf("extracted witness invalid: %v", err)
 	}
-	res, err := s.MinSwaps(gc.numSwaps + 2)
+	res, err := s.MinSwapsCtx(context.Background(), gc.numSwaps+2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SwapCount != gc.minSwaps {
 		t.Errorf("MinSwaps=%d want %d", res.SwapCount, gc.minSwaps)
 	}
-	if err := s.VerifyOptimal(gc.numSwaps); err != nil {
+	if err := s.VerifyOptimalCtx(context.Background(), gc.numSwaps); err != nil {
 		t.Errorf("VerifyOptimal(%d): %v", gc.numSwaps, err)
 	}
 }
@@ -173,7 +174,7 @@ func TestGoldenCorpusSearchEffort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.VerifyOptimal(gc.numSwaps); err != nil {
+		if err := s.VerifyOptimalCtx(context.Background(), gc.numSwaps); err != nil {
 			t.Fatalf("%s n=%d i=%d: %v", gc.device, gc.numSwaps, gc.instance, err)
 		}
 		total += s.SolverStats().Conflicts

@@ -16,9 +16,10 @@
 // The bound sweep is incremental in the style of Shaik & van de Pol's
 // planning-based layout synthesis: one persistent solver carries a
 // single encoding that grows block by block, per-transition activation
-// literals and per-bound finalization literals select the bound via
-// SolveAssuming, and clauses learned at one bound are reused at every
-// later one. See docs/performance.md for the design and measurements.
+// literals and per-bound finalization literals select the bound as
+// assumptions to one sat.Solver.Solve call per bound, and clauses learned
+// at one bound are reused at every later one. See docs/performance.md
+// for the design and measurements.
 package olsq
 
 import (
@@ -35,7 +36,7 @@ import (
 
 // Options tunes the exact solver.
 type Options struct {
-	// MaxConflicts bounds the SAT search per Decide call; 0 = unlimited.
+	// MaxConflicts bounds the SAT search per DecideCtx call; 0 = unlimited.
 	MaxConflicts int64
 }
 
@@ -46,7 +47,7 @@ type Solver struct {
 	dev  *arch.Device
 	dag  *circuit.DAG
 	// inc is the persistent incremental encoding (largest bound seen so
-	// far); learned clauses and VSIDS activity carry across Decide calls.
+	// far); learned clauses and VSIDS activity carry across DecideCtx calls.
 	inc *encoding
 }
 
@@ -77,9 +78,9 @@ type Result struct {
 }
 
 // SolverStats returns the search-effort counters of the underlying
-// incremental SAT solver, accumulated across every Decide/MinSwaps/
-// VerifyOptimal call on this Solver. Before the first solve it returns
-// the zero value.
+// incremental SAT solver, accumulated across every DecideCtx call on this
+// Solver, including those MinSwapsCtx and VerifyOptimalCtx make. Before
+// the first solve it returns the zero value.
 func (s *Solver) SolverStats() sat.Stats {
 	if s.inc == nil || s.inc.solver == nil {
 		return sat.Stats{}
@@ -89,8 +90,8 @@ func (s *Solver) SolverStats() sat.Stats {
 
 // ensureEncoded returns the persistent incremental encoding, growing it
 // in place when the requested bound exceeds the encoded one. Every block
-// is encoded exactly once across the solver's lifetime; Decide selects a
-// bound by assuming activation and finalization literals, so learned
+// is encoded exactly once across the solver's lifetime; DecideCtx selects
+// a bound by assuming activation and finalization literals, so learned
 // clauses and variable activity survive the whole bound sweep.
 func (s *Solver) ensureEncoded(k int) *encoding {
 	if s.inc == nil {
@@ -104,19 +105,15 @@ func (s *Solver) ensureEncoded(k int) *encoding {
 	return s.inc
 }
 
-// Decide reports whether the circuit is executable with at most k SWAPs;
-// when satisfiable it returns the witness result. A third "unknown" state
-// is reported via err when the conflict budget is exhausted.
-func (s *Solver) Decide(k int) (bool, *Result, error) {
-	return s.DecideCtx(context.Background(), k)
-}
-
-// DecideCtx is Decide under a cancellation context, propagated into the
-// SAT search alongside the conflict budget: once ctx is done the solve
-// stops at its next conflict poll and ctx.Err() is returned (wrapped),
-// distinguishable from budget exhaustion via errors.Is. The solver's
-// incremental state stays valid, so a later call with a fresh context
-// resumes the bound sweep with everything learned so far.
+// DecideCtx reports whether the circuit is executable with at most k
+// SWAPs; when satisfiable it returns the witness result. A third
+// "unknown" state is reported via err when the conflict budget is
+// exhausted. The context is propagated into the SAT search alongside the
+// conflict budget: once ctx is done the solve stops at its next conflict
+// poll and ctx.Err() is returned (wrapped), distinguishable from budget
+// exhaustion via errors.Is. The solver's incremental state stays valid,
+// so a later call with a fresh context resumes the bound sweep with
+// everything learned so far.
 func (s *Solver) DecideCtx(ctx context.Context, k int) (bool, *Result, error) {
 	if k < 0 {
 		return false, nil, fmt.Errorf("olsq: negative swap bound %d", k)
@@ -136,7 +133,7 @@ func (s *Solver) DecideCtx(ctx context.Context, k int) (bool, *Result, error) {
 			asm = append(asm, enc.act[b].Neg())
 		}
 	}
-	switch enc.solver.SolveAssumingCtx(ctx, asm) {
+	switch enc.solver.Solve(ctx, asm...) {
 	case sat.Sat:
 		res, err := s.extract(enc, k)
 		if err != nil {
@@ -153,17 +150,12 @@ func (s *Solver) DecideCtx(ctx context.Context, k int) (bool, *Result, error) {
 	}
 }
 
-// MinSwaps finds the minimal SWAP count in [0, maxK] by linear search
+// MinSwapsCtx finds the minimal SWAP count in [0, maxK] by linear search
 // (each infeasible k is a full UNSAT proof, matching how OLSQ2 certifies
 // optimality). One persistent encoding grows block by block, so each
 // bound reuses everything learned at the bounds below it. It returns an
-// error if even maxK is infeasible.
-func (s *Solver) MinSwaps(maxK int) (*Result, error) {
-	return s.MinSwapsCtx(context.Background(), maxK)
-}
-
-// MinSwapsCtx is MinSwaps under a cancellation context, checked before
-// each bound and propagated into each Decide's SAT search.
+// error if even maxK is infeasible. The context is propagated into each
+// DecideCtx's SAT search.
 func (s *Solver) MinSwapsCtx(ctx context.Context, maxK int) (*Result, error) {
 	for k := 0; k <= maxK; k++ {
 		ok, res, err := s.DecideCtx(ctx, k)
@@ -177,18 +169,13 @@ func (s *Solver) MinSwapsCtx(ctx context.Context, maxK int) (*Result, error) {
 	return nil, fmt.Errorf("olsq: no solution with at most %d swaps", maxK)
 }
 
-// VerifyOptimal certifies that the circuit's optimal SWAP count is exactly
-// n: satisfiable at n and (for n > 0) unsatisfiable at n-1. Because the
-// encoding permits unused transitions, "≤ n-1 UNSAT" covers every count
-// below n. Both checks run on the same persistent solver: the n-1 UNSAT
-// proof's learned clauses are reused by the satisfiable check at n.
-func (s *Solver) VerifyOptimal(n int) error {
-	return s.VerifyOptimalCtx(context.Background(), n)
-}
-
-// VerifyOptimalCtx is VerifyOptimal under a cancellation context; both
-// decisions run their SAT searches with the context's deadline
-// alongside any conflict budget.
+// VerifyOptimalCtx certifies that the circuit's optimal SWAP count is
+// exactly n: satisfiable at n and (for n > 0) unsatisfiable at n-1.
+// Because the encoding permits unused transitions, "≤ n-1 UNSAT" covers
+// every count below n. Both checks run on the same persistent solver:
+// the n-1 UNSAT proof's learned clauses are reused by the satisfiable
+// check at n. Both decisions run their SAT searches with the context's
+// deadline alongside any conflict budget.
 func (s *Solver) VerifyOptimalCtx(ctx context.Context, n int) error {
 	if n > 0 {
 		ok, _, err := s.DecideCtx(ctx, n-1)
@@ -225,11 +212,11 @@ type encoding struct {
 	// moved[b][p]: some swapped edge at transition b touches physical p.
 	moved [][]sat.Lit
 	// act[b]: transition b is enabled. ¬act[b] forces every sw[b][e]
-	// false, freezing the mapping across the transition. Decide assumes
+	// false, freezing the mapping across the transition. DecideCtx assumes
 	// act[0..k-1] and ¬act[k..] to select a bound without re-encoding;
 	// DIMACS export asserts them all as unit clauses.
 	act []sat.Lit
-	// fin[b]: every gate is scheduled by block b. Decide(k) assumes
+	// fin[b]: every gate is scheduled by block b. DecideCtx(ctx, k) assumes
 	// fin[k] instead of the formula carrying an unconditional final-block
 	// unit clause, so the encoding can grow to larger bounds while every
 	// clause learned at smaller bounds stays sound.
@@ -407,7 +394,7 @@ func (s *Solver) growEncoding(enc *encoding, sv sat.ClauseAdder, k int) {
 // for archiving or cross-checking with external SAT solvers. The emitted
 // formula is exactly what the incremental encoder builds at bound k, with
 // every activation assumption asserted as a unit clause, so an external
-// solver reproduces Decide(k)'s verdict.
+// solver reproduces DecideCtx(ctx, k)'s verdict.
 func (s *Solver) ExportDIMACS(w io.Writer, k int) error {
 	if k < 0 {
 		return fmt.Errorf("olsq: negative swap bound %d", k)

@@ -30,14 +30,14 @@ func TestFigure1TriangleNeedsOneSwap(t *testing.T) {
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	s := mustSolver(t, c, arch.Line(4))
 
-	ok, _, err := s.Decide(0)
+	ok, _, err := s.DecideCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("triangle should not embed in a line with 0 swaps")
 	}
-	ok, res, err := s.Decide(1)
+	ok, res, err := s.DecideCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMinSwapsZeroForEmbeddable(t *testing.T) {
 	c := circuit.New(4)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(2, 3))
 	s := mustSolver(t, c, arch.Line(4))
-	res, err := s.MinSwaps(2)
+	res, err := s.MinSwapsCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMinSwapsRespectsDependencies(t *testing.T) {
 		circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2),
 	)
 	s := mustSolver(t, c, arch.Line(4))
-	res, err := s.MinSwaps(4)
+	res, err := s.MinSwapsCtx(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSingleQubitGatesPreserved(t *testing.T) {
 	)
 	dev := arch.Line(4)
 	s := mustSolver(t, c, dev)
-	res, err := s.MinSwaps(3)
+	res, err := s.MinSwapsCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDecideRejectsNegativeK(t *testing.T) {
 	c := circuit.New(2)
 	c.MustAppend(circuit.NewCX(0, 1))
 	s := mustSolver(t, c, arch.Line(2))
-	if _, _, err := s.Decide(-1); err == nil {
+	if _, _, err := s.DecideCtx(context.Background(), -1); err == nil {
 		t.Fatal("negative k accepted")
 	}
 }
@@ -141,13 +141,13 @@ func TestVerifyOptimal(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	s := mustSolver(t, c, arch.Line(4))
-	if err := s.VerifyOptimal(1); err != nil {
+	if err := s.VerifyOptimalCtx(context.Background(), 1); err != nil {
 		t.Fatalf("VerifyOptimal(1): %v", err)
 	}
-	if err := s.VerifyOptimal(0); err == nil {
+	if err := s.VerifyOptimalCtx(context.Background(), 0); err == nil {
 		t.Fatal("VerifyOptimal(0) should fail (needs 1 swap)")
 	}
-	if err := s.VerifyOptimal(2); err == nil {
+	if err := s.VerifyOptimalCtx(context.Background(), 2); err == nil {
 		t.Fatal("VerifyOptimal(2) should fail (1 swap suffices)")
 	}
 }
@@ -161,7 +161,7 @@ func TestStarCircuitOnGrid(t *testing.T) {
 	}
 	dev := arch.Grid3x3()
 	s := mustSolver(t, c, dev)
-	res, err := s.MinSwaps(3)
+	res, err := s.MinSwapsCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestBudgetSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Decide(0); err == nil {
+	if _, _, err := s.DecideCtx(context.Background(), 0); err == nil {
 		t.Skip("instance solved within one conflict; nothing to assert")
 	}
 }
@@ -215,7 +215,7 @@ func TestMinSwapsIsExactOnRandomCircuits(t *testing.T) {
 			continue
 		}
 		s := mustSolver(t, c, dev)
-		res, err := s.MinSwaps(6)
+		res, err := s.MinSwapsCtx(context.Background(), 6)
 		if err != nil {
 			t.Fatalf("iter %d (%s): %v", iter, dev.Name(), err)
 		}
@@ -223,7 +223,7 @@ func TestMinSwapsIsExactOnRandomCircuits(t *testing.T) {
 			t.Fatalf("iter %d: witness invalid: %v", iter, err)
 		}
 		if res.SwapCount > 0 {
-			ok, _, err := s.Decide(res.SwapCount - 1)
+			ok, _, err := s.DecideCtx(context.Background(), res.SwapCount-1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestBlockScheduleConsistent(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	s := mustSolver(t, c, arch.Line(4))
-	ok, res, err := s.Decide(2)
+	ok, res, err := s.DecideCtx(context.Background(), 2)
 	if err != nil || !ok {
 		t.Fatalf("Decide(2): ok=%v err=%v", ok, err)
 	}
@@ -297,7 +297,7 @@ func TestIncrementalMatchesPerKReencode(t *testing.T) {
 		inc := mustSolver(t, c, dev)
 		// Query bounds out of order to exercise assumption re-selection.
 		for _, k := range []int{2, 0, 3, 1, 2} {
-			okI, _, err := inc.Decide(k)
+			okI, _, err := inc.DecideCtx(context.Background(), k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestIncrementalMatchesPerKReencode(t *testing.T) {
 				coldMin = k
 			}
 		}
-		res, err := inc.MinSwaps(5)
+		res, err := inc.MinSwapsCtx(context.Background(), 5)
 		if (err == nil) != (coldMin >= 0) {
 			t.Fatalf("iter %d: MinSwaps err %v, cold minimum %d", iter, err, coldMin)
 		}
@@ -365,7 +365,7 @@ func TestExportDIMACSRoundTrip(t *testing.T) {
 		inc := mustSolver(t, c, dev)
 		for k := 0; k <= 2; k++ {
 			got := coldSolve(t, inc, k)
-			okI, _, err := inc.Decide(k)
+			okI, _, err := inc.DecideCtx(context.Background(), k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,22 +40,16 @@ func call(fn func(i int) error, i int) (err error) {
 	return fn(i)
 }
 
-// ParallelFor runs fn(0) … fn(n-1) over at most workers goroutines.
+// ParallelForCtx runs fn(0) … fn(n-1) over at most workers goroutines.
 // workers <= 1 runs serially. After any fn returns an error, no new
 // indices are dispatched (in-flight calls complete); the error with the
 // lowest index is returned. A panicking fn is recovered into a
 // *PanicError for its index under the same rules. Callers that want to
 // attempt every index regardless should record failures themselves and
-// return nil from fn.
-func ParallelFor(n, workers int, fn func(i int) error) error {
-	return ParallelForCtx(context.Background(), n, workers, fn)
-}
-
-// ParallelForCtx is ParallelFor under a cancellation context: once ctx
-// is done, no new indices are dispatched (in-flight calls complete) and
-// ctx.Err() is returned unless an fn error with a lower index already
-// occurred. fn itself is not interrupted — pass ctx into fn when the
-// work should also stop mid-item.
+// return nil from fn. Once ctx is done, no new indices are dispatched
+// either, and ctx.Err() is returned unless an fn error with a lower index
+// already occurred. fn itself is not interrupted — pass ctx into fn when
+// the work should also stop mid-item.
 func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if workers > n {
 		workers = n

@@ -14,7 +14,7 @@ func TestParallelForRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, 100} {
 		const n = 37
 		var hits [n]atomic.Int32
-		if err := ParallelFor(n, workers, func(i int) error {
+		if err := ParallelForCtx(context.Background(), n, workers, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -30,7 +30,7 @@ func TestParallelForRunsEveryIndex(t *testing.T) {
 
 func TestParallelForReturnsLowestIndexedError(t *testing.T) {
 	want := errors.New("boom-3")
-	err := ParallelFor(10, 4, func(i int) error {
+	err := ParallelForCtx(context.Background(), 10, 4, func(i int) error {
 		if i == 3 {
 			return want
 		}
@@ -51,7 +51,7 @@ func TestParallelForReturnsLowestIndexedError(t *testing.T) {
 
 func TestParallelForSerialFailFast(t *testing.T) {
 	ran := 0
-	err := ParallelFor(10, 1, func(i int) error {
+	err := ParallelForCtx(context.Background(), 10, 1, func(i int) error {
 		ran++
 		if i == 2 {
 			return errors.New("stop")
@@ -65,7 +65,7 @@ func TestParallelForSerialFailFast(t *testing.T) {
 
 func TestParallelForStopsDispatchAfterError(t *testing.T) {
 	var ran atomic.Int32
-	ParallelFor(1000, 2, func(i int) error {
+	ParallelForCtx(context.Background(), 1000, 2, func(i int) error {
 		ran.Add(1)
 		return errors.New("immediate")
 	})
@@ -78,7 +78,7 @@ func TestParallelForStopsDispatchAfterError(t *testing.T) {
 
 func TestParallelForRecoversWorkerPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := ParallelFor(10, workers, func(i int) error {
+		err := ParallelForCtx(context.Background(), 10, workers, func(i int) error {
 			if i == 5 {
 				panic("worker exploded")
 			}
@@ -102,7 +102,7 @@ func TestParallelForRecoversWorkerPanic(t *testing.T) {
 
 func TestParallelForPanicStopsDispatch(t *testing.T) {
 	var ran atomic.Int32
-	ParallelFor(1000, 2, func(i int) error {
+	ParallelForCtx(context.Background(), 1000, 2, func(i int) error {
 		ran.Add(1)
 		panic("immediate")
 	})

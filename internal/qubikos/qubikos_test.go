@@ -1,6 +1,7 @@
 package qubikos
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -118,7 +119,7 @@ func TestGenerateZeroSwapsQuekoLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, err := s.Decide(0)
+	ok, _, err := s.DecideCtx(context.Background(), 0)
 	if err != nil || !ok {
 		t.Fatalf("QUEKO-like benchmark not solvable with 0 swaps: ok=%v err=%v", ok, err)
 	}
@@ -176,7 +177,7 @@ func TestExactOptimalityStudy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.VerifyOptimal(n); err != nil {
+				if err := s.VerifyOptimalCtx(context.Background(), n); err != nil {
 					t.Errorf("%s n=%d seed=%d: exact check failed: %v", dev.Name(), n, seed, err)
 				}
 			}

@@ -258,15 +258,3 @@ func Validate(orig *circuit.Circuit, dev *arch.Device, res *Result) error {
 	}
 	return nil
 }
-
-// FinalMapping simulates the result and returns the mapping after all
-// SWAPs have been applied. The result must be valid.
-func FinalMapping(res *Result) Mapping {
-	cur := res.InitialMapping.Clone()
-	for _, gate := range res.Transpiled.Gates {
-		if gate.Kind == circuit.Swap {
-			cur.SwapProgram(gate.Q0, gate.Q1)
-		}
-	}
-	return cur
-}

@@ -180,15 +180,6 @@ func TestValidateNilResult(t *testing.T) {
 	}
 }
 
-func TestFinalMapping(t *testing.T) {
-	_, _, res := buildLineExample()
-	fin := FinalMapping(res)
-	// One SWAP(0,1) from {0->0, 1->1, 2->2}.
-	if fin[0] != 1 || fin[1] != 0 || fin[2] != 2 {
-		t.Fatalf("final mapping %v", fin)
-	}
-}
-
 // Single-qubit gates must ride along without connectivity checks.
 func TestValidateWithSingleQubitGates(t *testing.T) {
 	orig := circuit.New(3)

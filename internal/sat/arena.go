@@ -21,13 +21,6 @@ func packLit(l Lit) plit {
 	return plit(-l)<<1 | 1
 }
 
-func (p plit) unpack() Lit {
-	if p&1 == 0 {
-		return Lit(p >> 1)
-	}
-	return -Lit(p >> 1)
-}
-
 func (p plit) neg() plit { return p ^ 1 }
 
 func (p plit) varIdx() int { return int(p >> 1) }

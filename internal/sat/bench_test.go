@@ -1,14 +1,15 @@
 package sat
 
 import (
+	"context"
 	"testing"
 )
 
 // steadyStateSetup builds a moderately sized satisfiable formula and an
 // assumption set, mimicking how the OLSQ pipeline drives one persistent
-// solver through repeated SolveAssuming calls: 3-coloring of a long cycle
-// with a handful of implication chains, assumptions pinning the first
-// vertex's color.
+// solver through repeated Solve calls under assumptions: 3-coloring of a
+// long cycle with a handful of implication chains, assumptions pinning
+// the first vertex's color.
 func steadyStateSetup(n int) (*Solver, []Lit) {
 	s := NewSolver()
 	v := make([][]Lit, n)
@@ -17,7 +18,7 @@ func steadyStateSetup(n int) (*Solver, []Lit) {
 		if err := s.AddClause(v[i]...); err != nil {
 			panic(err)
 		}
-		if err := s.AddAtMostOne(v[i]); err != nil {
+		if err := AddAtMostOne(s, v[i]); err != nil {
 			panic(err)
 		}
 	}
@@ -41,13 +42,13 @@ func steadyStateSetup(n int) (*Solver, []Lit) {
 func TestSolveAssumingSteadyStateZeroAllocs(t *testing.T) {
 	s, asm := steadyStateSetup(120)
 	for i := 0; i < 3; i++ { // warm up capacities, learn phases
-		if s.SolveAssuming(asm) != Sat {
+		if s.Solve(context.Background(), asm...) != Sat {
 			t.Fatal("formula should be SAT under assumptions")
 		}
 	}
 	bad := false
 	allocs := testing.AllocsPerRun(100, func() {
-		if s.SolveAssuming(asm) != Sat {
+		if s.Solve(context.Background(), asm...) != Sat {
 			bad = true
 		}
 	})
@@ -55,7 +56,7 @@ func TestSolveAssumingSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal("verdict changed during steady-state runs")
 	}
 	if allocs != 0 {
-		t.Fatalf("steady-state SolveAssuming allocates %v allocs/op, want 0", allocs)
+		t.Fatalf("steady-state Solve allocates %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -64,14 +65,14 @@ func TestSolveAssumingSteadyStateZeroAllocs(t *testing.T) {
 func BenchmarkSolveAssumingSteadyState(b *testing.B) {
 	s, asm := steadyStateSetup(120)
 	for i := 0; i < 3; i++ {
-		if s.SolveAssuming(asm) != Sat {
+		if s.Solve(context.Background(), asm...) != Sat {
 			b.Fatal("formula should be SAT under assumptions")
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s.SolveAssuming(asm) != Sat {
+		if s.Solve(context.Background(), asm...) != Sat {
 			b.Fatal("verdict changed")
 		}
 	}
@@ -96,7 +97,7 @@ func BenchmarkSolveIncrementalBounds(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, _ := build()
 			for _, asm := range querySets {
-				if s.SolveAssuming(asm) != Unsat {
+				if s.Solve(context.Background(), asm...) != Unsat {
 					b.Fatal("PHP must stay UNSAT under any assumptions")
 				}
 			}
@@ -106,7 +107,7 @@ func BenchmarkSolveIncrementalBounds(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, asm := range querySets {
 				s2, _ := build()
-				if s2.SolveAssuming(asm) != Unsat {
+				if s2.Solve(context.Background(), asm...) != Unsat {
 					b.Fatal("PHP must stay UNSAT under any assumptions")
 				}
 			}

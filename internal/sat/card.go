@@ -103,26 +103,3 @@ func AddIffOr(s ClauseAdder, y Lit, lits []Lit) error {
 	cl = append(cl, lits...)
 	return s.AddClause(cl...)
 }
-
-// Method forms on *Solver for ergonomic call sites.
-
-// AddAtMostOnePairwise adds the pairwise at-most-one encoding.
-func (s *Solver) AddAtMostOnePairwise(lits []Lit) error { return AddAtMostOnePairwise(s, lits) }
-
-// AddAtMostOneSeq adds the sequential-counter at-most-one encoding.
-func (s *Solver) AddAtMostOneSeq(lits []Lit) error { return AddAtMostOneSeq(s, lits) }
-
-// AddAtMostOne picks an encoding based on set size.
-func (s *Solver) AddAtMostOne(lits []Lit) error { return AddAtMostOne(s, lits) }
-
-// AddImplies adds a -> b.
-func (s *Solver) AddImplies(a, b Lit) error { return AddImplies(s, a, b) }
-
-// AddIff adds a <-> b.
-func (s *Solver) AddIff(a, b Lit) error { return AddIff(s, a, b) }
-
-// AddIffAnd defines y <-> (a AND b).
-func (s *Solver) AddIffAnd(y, a, b Lit) error { return AddIffAnd(s, y, a, b) }
-
-// AddIffOr defines y <-> OR(lits).
-func (s *Solver) AddIffOr(y Lit, lits []Lit) error { return AddIffOr(s, y, lits) }

@@ -6,6 +6,7 @@ package sat
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -135,5 +136,5 @@ func (f *Formula) Solve() Status {
 			return Unsat
 		}
 	}
-	return s.Solve()
+	return s.Solve(context.Background())
 }

@@ -12,7 +12,7 @@
 // watch table is a flat slice indexed by packed literal. The search
 // loop performs no map lookups and — once slice capacities are warm —
 // no heap allocations, which is what makes repeated assumption-based
-// solving (SolveAssuming across many swap bounds) cheap.
+// solving (Solve under assumptions across many swap bounds) cheap.
 package sat
 
 import (
@@ -77,9 +77,9 @@ type watcher struct {
 }
 
 // Solver is a CDCL SAT solver. Create with NewSolver, add clauses with
-// AddClause, then call Solve or SolveAssuming. A solver whose formula was
-// proven unsatisfiable stays unsatisfiable; more clauses may still be
-// added (they are absorbed trivially).
+// AddClause, then call Solve. A solver whose formula was proven
+// unsatisfiable stays unsatisfiable; more clauses may still be added
+// (they are absorbed trivially).
 type Solver struct {
 	nVars   int
 	ca      clauseArena
@@ -160,11 +160,8 @@ func (s *Solver) NewVar() int {
 	return s.nVars
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
 // Stats is a snapshot of the solver's search-effort counters, accumulated
-// across every Solve/SolveAssuming call on the receiver.
+// across every Solve call on the receiver.
 type Stats struct {
 	Conflicts    int64
 	Decisions    int64
@@ -653,20 +650,20 @@ func luby(i int64) int64 {
 // branch per conflict.
 const ctxCheckConflicts = 1024
 
-// Solve decides the formula with no assumptions.
-func (s *Solver) Solve() Status { return s.SolveAssuming(nil) }
-
-// SolveCtx is Solve under a cancellation context: see SolveAssumingCtx.
-func (s *Solver) SolveCtx(ctx context.Context) Status { return s.SolveAssumingCtx(ctx, nil) }
-
-// SolveAssumingCtx is SolveAssuming under a cancellation context. Once
-// ctx is done the search stops at the next conflict poll and Unknown is
-// returned — the same verdict as conflict-budget exhaustion, and
-// equally sound: the solver's learned state stays valid for later
+// Solve decides the formula under the given assumption literals, if any.
+// The assumptions behave like temporary unit clauses: Unsat means the
+// formula plus assumptions is unsatisfiable (the base formula may still be
+// satisfiable under other assumptions). Repeated calls reuse the solver's
+// learned clauses and activity state, which is what makes the OLSQ
+// bound sweep incremental.
+//
+// Once ctx is done the search stops at the next conflict poll and
+// Unknown is returned — the same verdict as conflict-budget exhaustion,
+// and equally sound: the solver's learned state stays valid for later
 // calls. Callers distinguish cancellation from budget exhaustion by
 // checking ctx.Err(). An uncancellable context adds no work to the
 // search loop.
-func (s *Solver) SolveAssumingCtx(ctx context.Context, assumptions []Lit) Status {
+func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) Status {
 	done := ctx.Done()
 	if done != nil {
 		select {
@@ -675,20 +672,6 @@ func (s *Solver) SolveAssumingCtx(ctx context.Context, assumptions []Lit) Status
 		default:
 		}
 	}
-	return s.solveAssuming(done, assumptions)
-}
-
-// SolveAssuming decides the formula under the given assumption literals.
-// The assumptions behave like temporary unit clauses: Unsat means the
-// formula plus assumptions is unsatisfiable (the base formula may still be
-// satisfiable under other assumptions). Repeated calls reuse the solver's
-// learned clauses and activity state, which is what makes the OLSQ
-// bound sweep incremental.
-func (s *Solver) SolveAssuming(assumptions []Lit) Status {
-	return s.solveAssuming(nil, assumptions)
-}
-
-func (s *Solver) solveAssuming(done <-chan struct{}, assumptions []Lit) Status {
 	if s.unsat {
 		return Unsat
 	}

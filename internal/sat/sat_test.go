@@ -20,7 +20,7 @@ func TestTrivialSat(t *testing.T) {
 	v := newVars(s, 2)
 	mustAdd(t, s, v[0])
 	mustAdd(t, s, v[0].Neg(), v[1])
-	if s.Solve() != Sat {
+	if s.Solve(context.Background()) != Sat {
 		t.Fatal("expected SAT")
 	}
 	if !s.Value(1) || !s.Value(2) {
@@ -34,12 +34,12 @@ func TestTrivialUnsat(t *testing.T) {
 	mustAdd(t, s, v[0])
 	if err := s.AddClause(v[0].Neg()); err == nil {
 		// Depending on propagation timing the error may surface at Solve.
-		if s.Solve() != Unsat {
+		if s.Solve(context.Background()) != Unsat {
 			t.Fatal("expected UNSAT")
 		}
 		return
 	}
-	if s.Solve() != Unsat {
+	if s.Solve(context.Background()) != Unsat {
 		t.Fatal("expected UNSAT after conflicting units")
 	}
 }
@@ -49,7 +49,7 @@ func TestEmptyClauseUnsat(t *testing.T) {
 	if err := s.AddClause(); err != nil {
 		t.Errorf("empty clause should be absorbed, got error %v", err)
 	}
-	if s.Solve() != Unsat {
+	if s.Solve(context.Background()) != Unsat {
 		t.Fatal("expected UNSAT")
 	}
 }
@@ -57,7 +57,7 @@ func TestEmptyClauseUnsat(t *testing.T) {
 func TestEmptyFormulaSat(t *testing.T) {
 	s := NewSolver()
 	newVars(s, 3)
-	if s.Solve() != Sat {
+	if s.Solve(context.Background()) != Sat {
 		t.Fatal("empty formula should be SAT")
 	}
 }
@@ -66,7 +66,7 @@ func TestTautologyDropped(t *testing.T) {
 	s := NewSolver()
 	v := newVars(s, 1)
 	mustAdd(t, s, v[0], v[0].Neg())
-	if s.Solve() != Sat {
+	if s.Solve(context.Background()) != Sat {
 		t.Fatal("tautology-only formula should be SAT")
 	}
 }
@@ -77,7 +77,7 @@ func TestDuplicateLiteralsMerged(t *testing.T) {
 	mustAdd(t, s, v[0], v[0], v[1])
 	mustAdd(t, s, v[0].Neg())
 	mustAdd(t, s, v[1].Neg(), v[0])
-	if s.Solve() != Unsat {
+	if s.Solve(context.Background()) != Unsat {
 		t.Fatal("expected UNSAT")
 	}
 }
@@ -118,7 +118,7 @@ func pigeonhole(n int) *Solver {
 func TestPigeonholeUnsat(t *testing.T) {
 	for n := 2; n <= 6; n++ {
 		s := pigeonhole(n)
-		if got := s.Solve(); got != Unsat {
+		if got := s.Solve(context.Background()); got != Unsat {
 			t.Fatalf("PHP(%d): got %v want UNSAT", n, got)
 		}
 	}
@@ -142,7 +142,7 @@ func TestPigeonholeExactFitSat(t *testing.T) {
 			}
 		}
 	}
-	if s.Solve() != Sat {
+	if s.Solve(context.Background()) != Sat {
 		t.Fatal("exact-fit pigeonhole should be SAT")
 	}
 	// Verify the model is a valid assignment.
@@ -170,7 +170,7 @@ func TestGraphColoring(t *testing.T) {
 			if err := s.AddClause(v[i]...); err != nil {
 				return Unsat
 			}
-			if err := s.AddAtMostOne(v[i]); err != nil {
+			if err := AddAtMostOne(s, v[i]); err != nil {
 				return Unsat
 			}
 		}
@@ -181,7 +181,7 @@ func TestGraphColoring(t *testing.T) {
 				}
 			}
 		}
-		return s.Solve()
+		return s.Solve(context.Background())
 	}
 	if color(2) != Unsat {
 		t.Error("C5 should not be 2-colorable")
@@ -196,17 +196,17 @@ func TestSolveAssuming(t *testing.T) {
 	v := newVars(s, 3)
 	mustAdd(t, s, v[0].Neg(), v[1])
 	mustAdd(t, s, v[1].Neg(), v[2])
-	if s.SolveAssuming([]Lit{v[0], v[2].Neg()}) != Unsat {
+	if s.Solve(context.Background(), v[0], v[2].Neg()) != Unsat {
 		t.Fatal("assumptions force a contradiction")
 	}
 	// The base formula must remain satisfiable.
-	if s.SolveAssuming([]Lit{v[0]}) != Sat {
+	if s.Solve(context.Background(), v[0]) != Sat {
 		t.Fatal("formula should be SAT under {v0}")
 	}
 	if !s.Value(3) {
 		t.Error("v0 assumption should force v2")
 	}
-	if s.Solve() != Sat {
+	if s.Solve(context.Background()) != Sat {
 		t.Fatal("formula should be SAT with no assumptions")
 	}
 }
@@ -215,16 +215,16 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 	s := NewSolver()
 	v := newVars(s, 2)
 	mustAdd(t, s, v[0], v[1])
-	if s.Solve() != Sat {
+	if s.Solve(context.Background()) != Sat {
 		t.Fatal("SAT expected")
 	}
 	mustAdd(t, s, v[0].Neg())
 	mustAdd(t, s, v[1].Neg())
-	if s.Solve() != Unsat {
+	if s.Solve(context.Background()) != Unsat {
 		t.Fatal("UNSAT expected after strengthening")
 	}
 	// Once UNSAT, always UNSAT.
-	if s.Solve() != Unsat {
+	if s.Solve(context.Background()) != Unsat {
 		t.Fatal("UNSAT must persist")
 	}
 }
@@ -232,7 +232,7 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 func TestBudgetReturnsUnknown(t *testing.T) {
 	s := pigeonhole(7)
 	s.Budget = 5
-	if got := s.Solve(); got != Unknown {
+	if got := s.Solve(context.Background()); got != Unknown {
 		t.Skipf("solver finished PHP(7) within 5 conflicts: %v", got)
 	}
 }
@@ -288,7 +288,7 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 			_ = s.AddClause(cl...) // error only for empty clause; cl is nonempty
 		}
 		want := brute(n, cnf)
-		got := s.Solve()
+		got := s.Solve(context.Background())
 		if (got == Sat) != want {
 			t.Fatalf("iter %d: solver=%v brute=%v (n=%d m=%d cnf=%v)", iter, got, want, n, m, cnf)
 		}
@@ -343,7 +343,7 @@ func TestAssumptionsMatchUnits(t *testing.T) {
 		for _, cl := range cnf {
 			_ = s1.AddClause(cl...)
 		}
-		got := s1.SolveAssuming(asm)
+		got := s1.Solve(context.Background(), asm...)
 
 		s2 := NewSolver()
 		newVars(s2, n)
@@ -353,14 +353,14 @@ func TestAssumptionsMatchUnits(t *testing.T) {
 		for _, a := range asm {
 			_ = s2.AddClause(a)
 		}
-		want := s2.Solve()
+		want := s2.Solve(context.Background())
 		if got != want {
 			t.Fatalf("iter %d: assuming=%v units=%v (asm=%v)", iter, got, want, asm)
 		}
 	}
 }
 
-// Property test: on one persistent solver, SolveAssuming verdicts are a
+// Property test: on one persistent solver, Solve's verdicts are a
 // pure function of the assumption set — independent of the order in which
 // the sets are queried and of whatever was learned by earlier queries.
 func TestSolveAssumingOrderIndependent(t *testing.T) {
@@ -402,21 +402,21 @@ func TestSolveAssumingOrderIndependent(t *testing.T) {
 		// Reference verdict per set: a fresh solver each.
 		want := make([]Status, len(sets))
 		for i, asm := range sets {
-			want[i] = mk().SolveAssuming(asm)
+			want[i] = mk().Solve(context.Background(), asm...)
 		}
 		// One persistent solver queried in several different orders.
 		orders := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}}
 		for _, ord := range orders {
 			s := mk()
 			for _, i := range ord {
-				if got := s.SolveAssuming(sets[i]); got != want[i] {
+				if got := s.Solve(context.Background(), sets[i]...); got != want[i] {
 					t.Fatalf("iter %d order %v: set %d got %v want %v (asm=%v)",
 						iter, ord, i, got, want[i], sets[i])
 				}
 			}
 			// Re-query every set on the now clause-rich solver.
 			for i, asm := range sets {
-				if got := s.SolveAssuming(asm); got != want[i] {
+				if got := s.Solve(context.Background(), asm...); got != want[i] {
 					t.Fatalf("iter %d re-query: set %d got %v want %v", iter, i, got, want[i])
 				}
 			}
@@ -470,7 +470,7 @@ func TestVarHeapNoDuplicates(t *testing.T) {
 	}
 	// End-to-end: a solve with heavy backtracking keeps the invariant.
 	s2 := pigeonhole(5)
-	if s2.Solve() != Unsat {
+	if s2.Solve(context.Background()) != Unsat {
 		t.Fatal("PHP(5) should be UNSAT")
 	}
 	seen := map[int]bool{}
@@ -505,7 +505,7 @@ func countSolutions(n int, build func(*Solver, []Lit) error) int {
 				asm[i] = lits[i].Neg()
 			}
 		}
-		if s.SolveAssuming(asm) == Sat {
+		if s.Solve(context.Background(), asm...) == Sat {
 			count++
 		}
 	}
@@ -513,14 +513,14 @@ func countSolutions(n int, build func(*Solver, []Lit) error) int {
 }
 
 func TestAtMostOnePairwise(t *testing.T) {
-	got := countSolutions(5, func(s *Solver, l []Lit) error { return s.AddAtMostOnePairwise(l) })
+	got := countSolutions(5, func(s *Solver, l []Lit) error { return AddAtMostOnePairwise(s, l) })
 	if got != 6 { // zero-or-one of five: 1 + 5
 		t.Fatalf("AMO pairwise solutions=%d want 6", got)
 	}
 }
 
 func TestAtMostOneSeq(t *testing.T) {
-	got := countSolutions(7, func(s *Solver, l []Lit) error { return s.AddAtMostOneSeq(l) })
+	got := countSolutions(7, func(s *Solver, l []Lit) error { return AddAtMostOneSeq(s, l) })
 	if got != 8 {
 		t.Fatalf("AMO seq solutions=%d want 8", got)
 	}
@@ -531,21 +531,21 @@ func TestIffAndOr(t *testing.T) {
 	v := newVars(s, 4)
 	y := Lit(s.NewVar())
 	z := Lit(s.NewVar())
-	if err := s.AddIffAnd(y, v[0], v[1]); err != nil {
+	if err := AddIffAnd(s, y, v[0], v[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddIffOr(z, []Lit{v[2], v[3]}); err != nil {
+	if err := AddIffOr(s, z, []Lit{v[2], v[3]}); err != nil {
 		t.Fatal(err)
 	}
 	// y true forces v0, v1 true.
-	if s.SolveAssuming([]Lit{y, v[0].Neg()}) != Unsat {
+	if s.Solve(context.Background(), y, v[0].Neg()) != Unsat {
 		t.Error("y & !v0 should be UNSAT")
 	}
 	// z false forces both v2, v3 false.
-	if s.SolveAssuming([]Lit{z.Neg(), v[2]}) != Unsat {
+	if s.Solve(context.Background(), z.Neg(), v[2]) != Unsat {
 		t.Error("!z & v2 should be UNSAT")
 	}
-	if s.SolveAssuming([]Lit{y, z.Neg()}) != Sat {
+	if s.Solve(context.Background(), y, z.Neg()) != Sat {
 		t.Error("y & !z should be SAT")
 	}
 }
@@ -553,13 +553,13 @@ func TestIffAndOr(t *testing.T) {
 func TestIff(t *testing.T) {
 	s := NewSolver()
 	v := newVars(s, 2)
-	if err := s.AddIff(v[0], v[1]); err != nil {
+	if err := AddIff(s, v[0], v[1]); err != nil {
 		t.Fatal(err)
 	}
-	if s.SolveAssuming([]Lit{v[0], v[1].Neg()}) != Unsat {
+	if s.Solve(context.Background(), v[0], v[1].Neg()) != Unsat {
 		t.Error("iff violated")
 	}
-	if s.SolveAssuming([]Lit{v[0].Neg(), v[1].Neg()}) != Sat {
+	if s.Solve(context.Background(), v[0].Neg(), v[1].Neg()) != Sat {
 		t.Error("both-false should satisfy iff")
 	}
 }
@@ -575,7 +575,7 @@ func TestLuby(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	s := pigeonhole(5)
-	s.Solve()
+	s.Solve(context.Background())
 	st := s.Stats()
 	if st.Conflicts == 0 || st.Decisions == 0 || st.Propagations == 0 {
 		t.Errorf("stats look dead: %+v", st)
@@ -596,11 +596,11 @@ func TestSolveCtxCancelledBeforeStart(t *testing.T) {
 	s := pigeonhole(6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if got := s.SolveCtx(ctx); got != Unknown {
+	if got := s.Solve(ctx); got != Unknown {
 		t.Fatalf("dead-context solve returned %v, want Unknown", got)
 	}
 	// The solver must still be usable with a live context.
-	if got := s.SolveCtx(context.Background()); got != Unsat {
+	if got := s.Solve(context.Background()); got != Unsat {
 		t.Fatalf("post-cancel solve returned %v, want Unsat", got)
 	}
 }
@@ -610,7 +610,7 @@ func TestSolveCtxCancelledMidSearch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	got := s.SolveCtx(ctx)
+	got := s.Solve(ctx)
 	elapsed := time.Since(start)
 	if got == Unsat {
 		t.Skipf("solver finished PHP(8) within the deadline (%v)", elapsed)
@@ -624,12 +624,24 @@ func TestSolveCtxCancelledMidSearch(t *testing.T) {
 }
 
 func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
-	// An uncancellable context must not change the verdict.
-	for _, n := range []int{3, 4, 5} {
+	// A live context that is never cancelled takes the polling branch
+	// (Done is non-nil) that every CLI and server solve takes; it must
+	// not change the verdict or the search. PHP(7) runs past several
+	// ctxCheckConflicts polls.
+	for n := 3; n <= 7; n++ {
+		ctx, cancel := context.WithCancel(context.Background())
 		a := pigeonhole(n)
 		b := pigeonhole(n)
-		if got, want := a.SolveCtx(context.Background()), b.Solve(); got != want {
-			t.Fatalf("PHP(%d): SolveCtx=%v Solve=%v", n, got, want)
+		got, want := a.Solve(ctx), b.Solve(context.Background())
+		cancel()
+		if got != want {
+			t.Fatalf("PHP(%d): live-context Solve=%v, background Solve=%v", n, got, want)
+		}
+		if ga, gb := a.Stats(), b.Stats(); ga != gb {
+			t.Fatalf("PHP(%d): live-context stats %+v, background stats %+v", n, ga, gb)
+		}
+		if n == 7 && a.Stats().Conflicts < 2*ctxCheckConflicts {
+			t.Fatalf("PHP(7) took %d conflicts; the poll fired fewer than twice", a.Stats().Conflicts)
 		}
 	}
 }

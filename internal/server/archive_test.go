@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -37,7 +38,7 @@ func newArchiveFixture(t *testing.T) *archiveFixture {
 		t.Fatal(err)
 	}
 	m.SchemaVersion, m.Generator = suite.SchemaVersion, suite.GeneratorID
-	st, err := store.Ensure(m)
+	st, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

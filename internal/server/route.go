@@ -216,7 +216,7 @@ func (s *Server) resolveRouteInstance(req *routeRequest) (*routeInstance, error)
 		if _, _, err := s.resident(req.Suite); err != nil {
 			return nil, err
 		}
-		li, err := family.ReadInstance(s.store.InstanceDir(req.Suite), req.Instance)
+		li, err := s.store.LoadInstance(req.Suite, suite.InstanceRef{Base: req.Instance})
 		if err != nil {
 			return nil, err
 		}

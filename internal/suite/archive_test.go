@@ -2,6 +2,7 @@ package suite
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ import (
 func TestArchiveIsDeterministic(t *testing.T) {
 	s := openStore(t)
 	m := tinyManifest()
-	if _, err := s.Ensure(m); err != nil {
+	if _, err := s.EnsureCtx(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer

@@ -10,7 +10,7 @@
 // family): swap-optimal QUBIKOS suites and depth-optimal QUEKO-style
 // suites flow through the same store.
 //
-// Store.Ensure is the single entry point: it returns the stored suite if
+// Store.EnsureCtx is the single entry point: it returns the stored suite if
 // present and otherwise generates it — sharded over a worker pool, written
 // atomically (temp directory + rename), and deduplicated in-process by a
 // single-flight group so concurrent requests for the same manifest pay for

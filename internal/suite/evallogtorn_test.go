@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,7 +89,7 @@ func TestEvalLogNewlineBoundaryTornTail(t *testing.T) {
 // never a silently "verified" suite or a panic.
 func TestVerifyChecksumsDetectsTornIndex(t *testing.T) {
 	store := openStore(t)
-	st, err := store.Ensure(tinyManifest())
+	st, err := store.EnsureCtx(context.Background(), tinyManifest())
 	if err != nil {
 		t.Fatal(err)
 	}

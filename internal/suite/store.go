@@ -76,11 +76,11 @@ type Faults struct {
 
 // Stats is a snapshot of a Store's cache counters.
 type Stats struct {
-	// Hits counts Ensure calls satisfied from disk without generating
+	// Hits counts EnsureCtx calls satisfied from disk without generating
 	// (followers coalesced onto an in-flight generation count as hits:
 	// they never generate).
 	Hits int64
-	// Misses counts Ensure calls that had to generate locally.
+	// Misses counts EnsureCtx calls that had to generate locally.
 	Misses int64
 	// SuitesGenerated counts completed suite generations.
 	SuitesGenerated int64
@@ -124,7 +124,7 @@ type Suite struct {
 }
 
 // Store is a content-addressed suite store rooted at a directory. It is
-// safe for concurrent use. Concurrent Ensure calls for the same manifest
+// safe for concurrent use. Concurrent EnsureCtx calls for the same manifest
 // within one process are coalesced by a single-flight group; across
 // processes sharing one root, an atomic claim/lease file elects exactly
 // one generation leader per hash (see lease.go), and any rename race that
@@ -230,6 +230,9 @@ func (s *Store) Stats() Stats {
 }
 
 // InstanceDir returns the directory holding a stored suite's instances.
+// hash must be a well-formed address (ValidHash), such as a Suite that
+// EnsureCtx or Lookup returned carries; the methods below that take an
+// address from a caller check it themselves.
 func (s *Store) InstanceDir(hash string) string {
 	return s.disk.instanceDir(hash)
 }
@@ -239,18 +242,14 @@ func (s *Store) InstanceDir(hash string) string {
 // instance-file read through here so "a conditional GET answered 304
 // touched the store zero times" is assertable from stats alone.
 func (s *Store) ReadInstanceFile(hash, name string) ([]byte, error) {
+	if err := checkAddress(hash); err != nil {
+		return nil, err
+	}
 	if strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
 		return nil, fmt.Errorf("suite: bad instance file name %q", name)
 	}
 	s.fileReads.Add(1)
 	return os.ReadFile(filepath.Join(s.disk.instanceDir(hash), name))
-}
-
-// Ensure returns the suite for the manifest, generating it on a miss.
-// Repeated calls for the same manifest — concurrent or sequential — cause
-// at most one generation; every later call is served from disk.
-func (s *Store) Ensure(m Manifest) (*Suite, error) {
-	return s.EnsureCtx(context.Background(), m)
 }
 
 // isCancellation reports whether an error is (or wraps) a context
@@ -260,13 +259,15 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// EnsureCtx is Ensure under a cancellation context. The context bounds
-// this caller's wait and, when this caller leads the generation, the
-// generation itself. Cancellation is personal, not contagious: a
-// follower coalesced onto a leader whose own context died retries —
-// re-probing the disk and, if needed, becoming the next leader under
-// its own still-live context — instead of failing with someone else's
-// cancellation. Each retry backs off briefly so a storm of doomed
+// EnsureCtx returns the suite for the manifest, generating it on a miss.
+// Repeated calls for the same manifest — concurrent or sequential — cause
+// at most one generation; every later call is served from disk. The
+// context bounds this caller's wait and, when this caller leads the
+// generation, the generation itself. Cancellation is personal, not
+// contagious: a follower coalesced onto a leader whose own context died
+// retries — re-probing the disk and, if needed, becoming the next leader
+// under its own still-live context — instead of failing with someone
+// else's cancellation. Each retry backs off briefly so a storm of doomed
 // leaders cannot hot-spin the store.
 func (s *Store) EnsureCtx(ctx context.Context, m Manifest) (*Suite, error) {
 	m.normalize()
@@ -306,14 +307,22 @@ func backoff(ctx context.Context, attempt int) error {
 }
 
 // Lookup returns the stored suite at a content address from the local
-// disk, or an error wrapping ErrNotFound. It never generates. An address
-// that is not of the form Manifest.Hash emits is not found either, and
-// no path is ever built from it.
+// disk, or an error wrapping ErrNotFound. It never generates.
 func (s *Store) Lookup(hash string) (*Suite, error) {
-	if !ValidHash(hash) {
-		return nil, fmt.Errorf("%w: malformed address %q", ErrNotFound, hash)
+	if err := checkAddress(hash); err != nil {
+		return nil, err
 	}
 	return s.disk.open(hash)
+}
+
+// checkAddress returns an error wrapping ErrNotFound for an address that
+// is not of the form Manifest.Hash emits, before any path is built from
+// it: every Store method that takes an address from a caller checks it.
+func checkAddress(hash string) error {
+	if !ValidHash(hash) {
+		return fmt.Errorf("%w: malformed address %q", ErrNotFound, hash)
+	}
+	return nil
 }
 
 // List returns the content addresses of every completed suite in the
@@ -453,12 +462,18 @@ func (m Manifest) InstanceRefs() []InstanceRef {
 // LoadInstance parses one stored instance (circuit + sidecar) and
 // cross-checks the sidecar against the circuit and the family registry.
 func (s *Store) LoadInstance(hash string, ref InstanceRef) (*family.Loaded, error) {
+	if err := checkAddress(hash); err != nil {
+		return nil, err
+	}
 	return family.ReadInstance(s.InstanceDir(hash), ref.Base)
 }
 
 // LoadInstanceWithSolution additionally parses the stored witness
 // transpilation, which family certificate checks may require.
 func (s *Store) LoadInstanceWithSolution(hash string, ref InstanceRef) (*family.Loaded, error) {
+	if err := checkAddress(hash); err != nil {
+		return nil, err
+	}
 	return family.ReadInstanceWithSolution(s.InstanceDir(hash), ref.Base)
 }
 
@@ -570,7 +585,7 @@ func (s *Store) generate(ctx context.Context, m Manifest, hash string, held *lea
 // VerifyChecksums re-hashes every instance file of a stored suite against
 // its checksum index, detecting on-disk corruption or tampering.
 func (s *Store) VerifyChecksums(hash string) error {
-	st, err := s.disk.open(hash)
+	st, err := s.Lookup(hash)
 	if err != nil {
 		return err
 	}

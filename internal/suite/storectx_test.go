@@ -68,7 +68,7 @@ func TestOpenJanitorSparesLiveGeneration(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		st, err := gen.Ensure(tinyManifest())
+		st, err := gen.EnsureCtx(context.Background(), tinyManifest())
 		done <- result{st, err}
 	}()
 
@@ -102,7 +102,7 @@ func TestEnsureCtxCancelledBeforeStart(t *testing.T) {
 	if n := store.Stats().InstancesGenerated; n != 0 {
 		t.Errorf("cancelled Ensure generated %d instances", n)
 	}
-	if _, err := store.Ensure(tinyManifest()); err != nil {
+	if _, err := store.EnsureCtx(context.Background(), tinyManifest()); err != nil {
 		t.Fatalf("store unusable after a cancelled Ensure: %v", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestEnsureRecoversFromInjectedWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := store.Ensure(tinyManifest()); err == nil {
+	if _, err := store.EnsureCtx(context.Background(), tinyManifest()); err == nil {
 		t.Fatal("Ensure succeeded through an injected write error")
 	}
 	if entries, _ := os.ReadDir(filepath.Join(root, "tmp")); len(entries) != 0 {
@@ -192,7 +192,7 @@ func TestEnsureRecoversFromInjectedWriteError(t *testing.T) {
 	}
 
 	failing.Store(false)
-	st, err := store.Ensure(tinyManifest())
+	st, err := store.EnsureCtx(context.Background(), tinyManifest())
 	if err != nil {
 		t.Fatalf("store poisoned by an earlier write error: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestCrashedCommitLeavesRecoverableLitter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := store.Ensure(tinyManifest()); err == nil {
+	if _, err := store.EnsureCtx(context.Background(), tinyManifest()); err == nil {
 		t.Fatal("Ensure succeeded through an injected commit crash")
 	}
 	tmpRoot := filepath.Join(root, "tmp")
@@ -232,7 +232,7 @@ func TestCrashedCommitLeavesRecoverableLitter(t *testing.T) {
 	}
 
 	crash.Store(false)
-	st, err := store.Ensure(tinyManifest())
+	st, err := store.EnsureCtx(context.Background(), tinyManifest())
 	if err != nil {
 		t.Fatalf("retry after crashed commit failed: %v", err)
 	}

@@ -2,9 +2,12 @@ package suite
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -94,7 +97,7 @@ func TestManifestValidate(t *testing.T) {
 func TestStoreRoundTrip(t *testing.T) {
 	store := openStore(t)
 	m := tinyManifest()
-	st, err := store.Ensure(m)
+	st, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestCacheHitBitIdentical(t *testing.T) {
 	store := openStore(t)
 	m := tinyManifest()
-	st1, err := store.Ensure(m)
+	st1, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 		snapshot[e.Name()] = b
 	}
 
-	st2, err := store.Ensure(m)
+	st2, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +194,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st3, err := store2.Ensure(m)
+	st3, err := store2.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +225,7 @@ func TestConcurrentEnsureGeneratesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			suites[i], errs[i] = store.Ensure(m)
+			suites[i], errs[i] = store.EnsureCtx(context.Background(), m)
 		}(i)
 	}
 	wg.Wait()
@@ -254,9 +257,47 @@ func TestLookupNotFound(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsMalformedAddress: every Store method that takes an
+// address from a caller answers a malformed one with ErrNotFound before
+// building a path from it — no slice panic on a short address, and no
+// "../" walk out of the store root.
+func TestStoreRejectsMalformedAddress(t *testing.T) {
+	store := openStore(t)
+	hex61 := strings.Repeat("0123456789abcdef", 4)[:61]
+	ref := InstanceRef{Base: "x"}
+	calls := map[string]func(hash string) error{
+		"Lookup": func(h string) error { _, err := store.Lookup(h); return err },
+		"ReadInstanceFile": func(h string) error {
+			_, err := store.ReadInstanceFile(h, "hostname")
+			return err
+		},
+		"LoadInstance": func(h string) error { _, err := store.LoadInstance(h, ref); return err },
+		"LoadInstanceWithSolution": func(h string) error {
+			_, err := store.LoadInstanceWithSolution(h, ref)
+			return err
+		},
+		"VerifyChecksums": store.VerifyChecksums,
+		"WriteArchive":    func(h string) error { return store.WriteArchive(h, io.Discard) },
+	}
+	for _, hash := range []string{"a", "../" + hex61, strings.Repeat("AB", 32)} {
+		for name, call := range calls {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(%q) panicked: %v", name, hash, r)
+					}
+				}()
+				if err := call(hash); !errors.Is(err, ErrNotFound) {
+					t.Errorf("%s(%q) = %v, want ErrNotFound", name, hash, err)
+				}
+			}()
+		}
+	}
+}
+
 func TestListAndVerifyChecksums(t *testing.T) {
 	store := openStore(t)
-	st, err := store.Ensure(tinyManifest())
+	st, err := store.EnsureCtx(context.Background(), tinyManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +493,7 @@ func TestManifestGridMatchesFamilyMetric(t *testing.T) {
 func TestDepthSuiteStoreRoundTrip(t *testing.T) {
 	store := openStore(t)
 	m := tinyDepthManifest()
-	st, err := store.Ensure(m)
+	st, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +525,7 @@ func TestDepthSuiteStoreRoundTrip(t *testing.T) {
 		t.Errorf("checksums: %v", err)
 	}
 
-	st2, err := store.Ensure(m)
+	st2, err := store.EnsureCtx(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

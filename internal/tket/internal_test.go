@@ -60,7 +60,7 @@ func directScore(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *l
 		s := int64(0)
 		for _, v := range gates {
 			gt := dag.Gate(v)
-			s += int64(dev.Distance(lay.m[gt.Q0], lay.m[gt.Q1]))
+			s += int64(dev.Distances().At(lay.m[gt.Q0], lay.m[gt.Q1]))
 		}
 		return s
 	}

@@ -25,21 +25,16 @@ type Swap struct {
 	U, V int
 }
 
-// Solve returns a swap sequence that transforms the identity arrangement
-// into target: after applying the swaps, vertex v holds token target[v].
-// Formally, tokens are named by their destination: token t must travel to
-// vertex t; initially vertex v holds token at[v] = target... callers
-// usually think in terms of two placements; see Transition.
+// SolveDist returns a swap sequence that transforms the identity
+// arrangement into target: after applying the swaps, vertex v holds token
+// target[v]. Formally, tokens are named by their destination: token t
+// must travel to vertex t; initially vertex v holds token at[v] =
+// target... callers usually think in terms of two placements; see
+// TransitionDist.
 //
-// Solve builds the graph's distance matrix itself; callers that already
-// hold one (every arch.Device caches its matrix behind Distances())
-// should use SolveDist so repeated transitions on the same device never
-// re-run the all-pairs BFS.
-func Solve(g *graph.Graph, tokenAt []int) ([]Swap, error) {
-	return SolveDist(g, graph.NewDistanceMatrix(g), tokenAt)
-}
-
-// SolveDist is Solve with a caller-supplied distance matrix of g.
+// dist is g's distance matrix, supplied by the caller (every arch.Device
+// caches its matrix behind Distances()) so repeated transitions on the
+// same device never re-run the all-pairs BFS.
 func SolveDist(g *graph.Graph, dist *graph.DistanceMatrix, tokenAt []int) ([]Swap, error) {
 	n := g.N()
 	if len(tokenAt) != n {
@@ -170,17 +165,10 @@ func SolveDist(g *graph.Graph, dist *graph.DistanceMatrix, tokenAt []int) ([]Swa
 	return out, nil
 }
 
-// Transition returns swaps moving arrangement "from" into arrangement
+// TransitionDist returns swaps moving arrangement "from" into arrangement
 // "to", where from[q] and to[q] are the vertices assigned to item q. The
 // returned swaps are on vertices; applying them to "from" yields "to".
-// Callers holding the graph's distance matrix (e.g. a device's cached
-// Distances()) should use TransitionDist.
-func Transition(g *graph.Graph, from, to []int) ([]Swap, error) {
-	return TransitionDist(g, graph.NewDistanceMatrix(g), from, to)
-}
-
-// TransitionDist is Transition with a caller-supplied distance matrix
-// of g.
+// dist is g's distance matrix, as for SolveDist.
 func TransitionDist(g *graph.Graph, dist *graph.DistanceMatrix, from, to []int) ([]Swap, error) {
 	if len(from) != len(to) {
 		return nil, fmt.Errorf("tokenswap: arrangement sizes differ")
@@ -226,15 +214,10 @@ func TransitionDist(g *graph.Graph, dist *graph.DistanceMatrix, from, to []int) 
 	return SolveDist(g, dist, tokenAt)
 }
 
-// LowerBound returns the Σ ceil(d/1)/... standard token-swapping lower
-// bound max(Σ d_i / 2, max d_i): every swap reduces the total distance by
-// at most 2, and the farthest token needs at least its distance in swaps.
-// Callers holding the graph's distance matrix should use LowerBoundDist.
-func LowerBound(g *graph.Graph, tokenAt []int) int {
-	return LowerBoundDist(graph.NewDistanceMatrix(g), tokenAt)
-}
-
-// LowerBoundDist is LowerBound with a caller-supplied distance matrix.
+// LowerBoundDist returns the Σ ceil(d/1)/... standard token-swapping
+// lower bound max(Σ d_i / 2, max d_i) under the graph distance matrix
+// dist: every swap reduces the total distance by at most 2, and the
+// farthest token needs at least its distance in swaps.
 func LowerBoundDist(dist *graph.DistanceMatrix, tokenAt []int) int {
 	total, far := 0, 0
 	for v, t := range tokenAt {

@@ -34,7 +34,7 @@ func checkSolved(t *testing.T, g *graph.Graph, tokenAt []int, swaps []Swap) {
 func TestSolveIdentityIsFree(t *testing.T) {
 	g := arch.Line(5).Graph()
 	id := []int{0, 1, 2, 3, 4}
-	swaps, err := Solve(g, id)
+	swaps, err := SolveDist(g, graph.NewDistanceMatrix(g), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSolveIdentityIsFree(t *testing.T) {
 func TestSolveAdjacentTransposition(t *testing.T) {
 	g := arch.Line(4).Graph()
 	at := []int{1, 0, 2, 3}
-	swaps, err := Solve(g, at)
+	swaps, err := SolveDist(g, graph.NewDistanceMatrix(g), at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSolveAdjacentTransposition(t *testing.T) {
 func TestSolveReversalOnLine(t *testing.T) {
 	g := arch.Line(5).Graph()
 	at := []int{4, 3, 2, 1, 0}
-	swaps, err := Solve(g, at)
+	swaps, err := SolveDist(g, graph.NewDistanceMatrix(g), at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,14 @@ func TestSolveReversalOnLine(t *testing.T) {
 
 func TestSolveRejectsBadArrangements(t *testing.T) {
 	g := arch.Line(3).Graph()
-	if _, err := Solve(g, []int{0, 1}); err == nil {
+	d := graph.NewDistanceMatrix(g)
+	if _, err := SolveDist(g, d, []int{0, 1}); err == nil {
 		t.Error("short arrangement accepted")
 	}
-	if _, err := Solve(g, []int{0, 0, 1}); err == nil {
+	if _, err := SolveDist(g, d, []int{0, 0, 1}); err == nil {
 		t.Error("non-permutation accepted")
 	}
-	if _, err := Solve(g, []int{0, 1, 5}); err == nil {
+	if _, err := SolveDist(g, d, []int{0, 1, 5}); err == nil {
 		t.Error("out-of-range token accepted")
 	}
 }
@@ -96,12 +97,13 @@ func TestSolveRandomPermutations(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		g := devices[iter%len(devices)]
 		at := rng.Perm(g.N())
-		swaps, err := Solve(g, at)
+		d := graph.NewDistanceMatrix(g)
+		swaps, err := SolveDist(g, d, at)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		checkSolved(t, g, at, swaps)
-		lb := LowerBound(g, at)
+		lb := LowerBoundDist(d, at)
 		if len(swaps) < lb {
 			t.Fatalf("iter %d: %d swaps beats the lower bound %d", iter, len(swaps), lb)
 		}
@@ -115,11 +117,12 @@ func TestSolveRandomPermutations(t *testing.T) {
 
 func TestTransitionBetweenMappings(t *testing.T) {
 	g := arch.Grid3x3().Graph()
+	d := graph.NewDistanceMatrix(g)
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 30; iter++ {
 		from := rng.Perm(9)
 		to := rng.Perm(9)
-		swaps, err := Transition(g, from, to)
+		swaps, err := TransitionDist(g, d, from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +154,7 @@ func TestTransitionPartialOccupancy(t *testing.T) {
 	g := arch.Line(5).Graph()
 	from := []int{0, 1, 2}
 	to := []int{2, 3, 4}
-	swaps, err := Transition(g, from, to)
+	swaps, err := TransitionDist(g, graph.NewDistanceMatrix(g), from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,28 +171,29 @@ func TestTransitionPartialOccupancy(t *testing.T) {
 
 func TestTransitionErrors(t *testing.T) {
 	g := arch.Line(3).Graph()
-	if _, err := Transition(g, []int{0, 1}, []int{0}); err == nil {
+	d := graph.NewDistanceMatrix(g)
+	if _, err := TransitionDist(g, d, []int{0, 1}, []int{0}); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	if _, err := Transition(g, []int{0, 0}, []int{1, 2}); err == nil {
+	if _, err := TransitionDist(g, d, []int{0, 0}, []int{1, 2}); err == nil {
 		t.Error("duplicate source accepted")
 	}
-	if _, err := Transition(g, []int{0, 1}, []int{2, 2}); err == nil {
+	if _, err := TransitionDist(g, d, []int{0, 1}, []int{2, 2}); err == nil {
 		t.Error("duplicate destination accepted")
 	}
-	if _, err := Transition(g, []int{0, 9}, []int{1, 2}); err == nil {
+	if _, err := TransitionDist(g, d, []int{0, 9}, []int{1, 2}); err == nil {
 		t.Error("out-of-range accepted")
 	}
 }
 
 func TestLowerBound(t *testing.T) {
-	g := arch.Line(4).Graph()
+	d := graph.NewDistanceMatrix(arch.Line(4).Graph())
 	// Single token at distance 3: lower bound 3 (max), not ceil(3/2).
 	at := []int{3, 1, 2, 0} // tokens 3<->0 swapped: both at distance 3
-	if lb := LowerBound(g, at); lb != 3 {
+	if lb := LowerBoundDist(d, at); lb != 3 {
 		t.Fatalf("lb=%d want 3", lb)
 	}
-	if lb := LowerBound(g, []int{0, 1, 2, 3}); lb != 0 {
+	if lb := LowerBoundDist(d, []int{0, 1, 2, 3}); lb != 0 {
 		t.Fatalf("identity lb=%d", lb)
 	}
 }
