@@ -389,24 +389,7 @@ func BenchmarkDistanceMatrixEagle127(b *testing.B) {
 	}
 }
 
-// --- ablation benches for the design choices DESIGN.md calls out ------
-
-// BenchmarkAblationPadding quantifies padding dilution: the same optimal
-// SWAP count with increasing redundant-gate totals. The reported metrics
-// are LightSABRE's mean gap without padding and at the paper's total —
-// the structural reason heuristic gaps explode on padded instances.
-func BenchmarkAblationPadding(b *testing.B) {
-	var bare, padded float64
-	for i := 0; i < b.N; i++ {
-		pts, err := harness.PaddingAblation(arch.IBMRochester53(), 5, []int{0, 1500}, 2, 4, 17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bare, padded = pts[0].MeanRatio, pts[1].MeanRatio
-	}
-	b.ReportMetric(bare, "gap-bare-x")
-	b.ReportMetric(padded, "gap-padded-x")
-}
+// --- SABRE trials ablation -------------------------------------------
 
 // BenchmarkAblationSabreTrials sweeps the random-restart budget (the
 // paper uses 1000 trials; the knee of this curve shows what that buys).
@@ -421,21 +404,6 @@ func BenchmarkAblationSabreTrials(b *testing.B) {
 	}
 	b.ReportMetric(g1, "gap-1-trial-x")
 	b.ReportMetric(g16, "gap-16-trials-x")
-}
-
-// BenchmarkAblationExtendedSet sweeps SABRE's lookahead window (Qiskit
-// default 20) — the parameter the paper's case study pivots on.
-func BenchmarkAblationExtendedSet(b *testing.B) {
-	var small, dflt float64
-	for i := 0; i < b.N; i++ {
-		pts, err := harness.ExtendedSetAblation(arch.RigettiAspen4(), 15, 300, []int{5, 20}, 3, 2, 29)
-		if err != nil {
-			b.Fatal(err)
-		}
-		small, dflt = pts[0].MeanRatio, pts[1].MeanRatio
-	}
-	b.ReportMetric(small, "gap-es5-x")
-	b.ReportMetric(dflt, "gap-es20-x")
 }
 
 // BenchmarkRouterStudy regenerates the standalone-router comparison (the

@@ -1,8 +1,8 @@
 // Command qubikos-bench-diff compares fresh `go test -bench` output
 // against the committed BENCH_routers.json snapshot and fails when a
 // benchmark's ns/op regresses beyond a threshold (default 25%), so
-// routing-path perf regressions gate merges instead of relying on
-// eyeballs over CI logs.
+// routing- and generation-path perf regressions gate merges instead of
+// relying on eyeballs over CI logs.
 //
 // The tool reads standard testing-package benchmark lines, strips the
 // trailing -GOMAXPROCS suffix, and matches names against the snapshot's

@@ -283,15 +283,10 @@ func writeTrace(tr *obs.Trace, path string) error {
 // optionally mirroring new rows to an external JSONL file. A failed
 // mirror write cancels the evaluation and is returned as its error.
 func evalStored(ctx context.Context, store *suite.Store, st *suite.Suite, tools []harness.ToolSpec, trials int, seed int64, workers int, toolTimeout time.Duration, jsonlPath string) (*harness.Figure, error) {
-	var keyParts []string
-	for _, t := range tools {
-		keyParts = append(keyParts, t.Name)
-	}
-	keyParts = append(keyParts, fmt.Sprintf("trials=%d", trials), fmt.Sprintf("seed=%d", seed))
 	opts := harness.StoredEvalOptions{
 		Seed:        seed,
 		Workers:     workers,
-		Key:         harness.EvalKey(keyParts...),
+		Key:         harness.StoredEvalKey(tools, trials, seed),
 		ToolTimeout: toolTimeout,
 	}
 	if jsonlPath != "" {

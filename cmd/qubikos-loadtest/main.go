@@ -98,7 +98,7 @@ func main() {
 	var totalGen int64
 	stats := map[string]loadtest.StoreStats{}
 	for _, t := range cfg.Targets {
-		st, err := loadtest.FetchStats(ctx, nil, t)
+		st, err := loadtest.FetchStats(ctx, t)
 		if err != nil {
 			fatal(fmt.Errorf("fetch stats from %s: %w", t, err))
 		}

@@ -94,7 +94,7 @@ func main() {
 	// token-swapping baseline.
 	specs := append(harness.DefaultTools(*trials), harness.ToolSpec{
 		Name: "vf2-ts",
-		Make: func(int64) router.Router { return bmt.New(bmt.Options{}) },
+		Make: func(int64) router.Router { return bmt.New() },
 	})
 	var spec *harness.ToolSpec
 	names := make([]string, len(specs))

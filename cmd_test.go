@@ -390,6 +390,8 @@ func TestCommandErrors(t *testing.T) {
 		{filepath.Join(bins, "qubikos-eval"), "-arch", "aspen4", "-circuits", "1", "-trials", "1", "-tools", "tket", "-swaps", "1e3"},
 		{filepath.Join(bins, "qubikos-verify"), "-circuits", "1", "-swaps", "2x"},
 		{filepath.Join(bins, "qubikos-gen"), "-swaps", "5.9"},
+		// A repeated tool would route every instance twice.
+		{filepath.Join(bins, "qubikos-eval"), "-arch", "aspen4", "-swaps", "5", "-circuits", "1", "-trials", "2", "-tools", "tket,tket"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(c[0], c[1:]...)

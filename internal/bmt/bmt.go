@@ -26,25 +26,15 @@ import (
 	"repro/internal/tokenswap"
 )
 
-// Options configures the tool.
-type Options struct {
-	// VF2Budget bounds each embedding search; exhausted searches close
-	// the current segment early (soundness is unaffected).
-	VF2Budget int
-}
-
-func (o Options) withDefaults() Options {
-	if o.VF2Budget <= 0 {
-		o.VF2Budget = 200_000
-	}
-	return o
-}
+// vf2Budget bounds each embedding search; exhausted searches close the
+// current segment early (soundness is unaffected).
+const vf2Budget = 200_000
 
 // Router is the VF2 + token-swapping tool.
-type Router struct{ opts Options }
+type Router struct{}
 
 // New returns a BMT-style router. The tool is deterministic.
-func New(opts Options) *Router { return &Router{opts: opts.withDefaults()} }
+func New() *Router { return &Router{} }
 
 // Name implements router.Router.
 func (r *Router) Name() string { return "vf2-ts" }
@@ -70,7 +60,7 @@ func (r *Router) segmentize(skeleton *circuit.Circuit, gc *graph.Graph) ([]segme
 		if graph.EmbeddingBlocked(pat, gc) {
 			return nil, false
 		}
-		m, ok, trunc := graph.SubgraphIsomorphism(pat, gc, r.opts.VF2Budget)
+		m, ok, trunc := graph.SubgraphIsomorphism(pat, gc, vf2Budget)
 		if !ok || trunc {
 			return nil, false
 		}

@@ -20,7 +20,7 @@ func TestRouteEmbeddableCircuitZeroSwaps(t *testing.T) {
 		circuit.NewCX(0, 1), // repeats are free
 	)
 	dev := arch.Line(5)
-	res, err := router.RouteWithContext(context.Background(), New(Options{}), c, dev)
+	res, err := router.RouteWithContext(context.Background(), New(), c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRouteQuekoLikeIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := router.RouteWithContext(context.Background(), New(Options{}), b.Circuit, b.Device)
+	res, err := router.RouteWithContext(context.Background(), New(), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRouteTriangleOnLine(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	dev := arch.Line(4)
-	res, err := router.RouteWithContext(context.Background(), New(Options{}), c, dev)
+	res, err := router.RouteWithContext(context.Background(), New(), c, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSectionIIICSegmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(Options{})
+	r := New()
 	segs, err := r.SegmentCount(b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestRouteQubikosAcrossDevices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := router.RouteWithContext(context.Background(), New(Options{}), b.Circuit, b.Device)
+		res, err := router.RouteWithContext(context.Background(), New(), b.Circuit, b.Device)
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name(), err)
 		}
@@ -129,7 +129,7 @@ func TestRouteWithSingleQubitGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := router.RouteWithContext(context.Background(), New(Options{}), b.Circuit, b.Device)
+	res, err := router.RouteWithContext(context.Background(), New(), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRouteWithSingleQubitGates(t *testing.T) {
 func TestRouteEmptyCircuit(t *testing.T) {
 	c := circuit.New(4)
 	c.MustAppend(circuit.NewH(0))
-	res, err := router.RouteWithContext(context.Background(), New(Options{}), c, arch.Line(4))
+	res, err := router.RouteWithContext(context.Background(), New(), c, arch.Line(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRouteEmptyCircuit(t *testing.T) {
 
 func TestRouteTooManyQubits(t *testing.T) {
 	c := circuit.New(9)
-	if _, err := router.RouteWithContext(context.Background(), New(Options{}), c, arch.Line(4)); err == nil {
+	if _, err := router.RouteWithContext(context.Background(), New(), c, arch.Line(4)); err == nil {
 		t.Fatal("oversized circuit accepted")
 	}
 }
@@ -164,11 +164,11 @@ func TestRouteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := router.RouteWithContext(context.Background(), New(Options{}), b.Circuit, b.Device)
+	a, err := router.RouteWithContext(context.Background(), New(), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := router.RouteWithContext(context.Background(), New(Options{}), b.Circuit, b.Device)
+	c, err := router.RouteWithContext(context.Background(), New(), b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}

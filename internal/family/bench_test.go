@@ -7,10 +7,9 @@ import (
 )
 
 // Generation benchmarks for every registered family, at the scale the
-// paper-style suites use. CI runs these with -benchtime=1x as a smoke
-// test; BENCH_baseline.json at the repository root snapshots real
-// measurements so future PRs have a perf trajectory to compare against
-// (see docs/performance.md).
+// paper-style suites use. CI runs these with -benchtime=1x and gates
+// each against its row in BENCH_routers.json at the repository root,
+// recorded the same way (see docs/performance.md).
 
 func BenchmarkGenerateQubikosAspen4(b *testing.B) {
 	dev := arch.RigettiAspen4()

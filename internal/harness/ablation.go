@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/arch"
 	"repro/internal/family"
@@ -12,16 +11,6 @@ import (
 	"repro/internal/sabre"
 )
 
-// The ablations quantify the design choices DESIGN.md calls out:
-//
-//   - padding dilution: the optimality gap of heuristic tools is driven
-//     by the fraction of redundant padding gates (unpadded backbones are
-//     nearly alignable; padded ones are not);
-//   - SABRE trial scaling: how the gap shrinks with the random-restart
-//     budget (the paper runs 1000 trials, CI runs far fewer);
-//   - extended-set size: the lookahead window the paper's case study
-//     dissects (Qiskit default 20, weight 0.5).
-
 // AblationPoint is one x/y pair of an ablation sweep.
 type AblationPoint struct {
 	X         float64
@@ -29,44 +18,19 @@ type AblationPoint struct {
 	Circuits  int
 }
 
-// PaddingAblation sweeps the padded two-qubit gate total on one device at
-// a fixed optimal SWAP count and reports LightSABRE's mean gap per total.
-func PaddingAblation(dev *arch.Device, numSwaps int, totals []int, circuits int, trials int, seed int64) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, total := range totals {
-		pts, err := sabreSweep(dev, numSwaps, total, circuits, seed+int64(total)*1000, []int{total},
-			func(int) sabre.Options { return sabre.Options{Trials: trials, Seed: seed} })
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pts...)
-	}
-	return out, nil
-}
-
-// TrialsAblation sweeps LightSABRE's trial budget on a fixed suite.
+// TrialsAblation measures how LightSABRE's gap shrinks with its
+// random-restart budget (the paper runs 1000 trials, CI runs far fewer).
+// It generates one fixed suite and, for each trial count in trialSweep,
+// routes all of it with LightSABRE at that count, averaging the gaps.
 func TrialsAblation(dev *arch.Device, numSwaps, gates int, trialSweep []int, circuits int, seed int64) ([]AblationPoint, error) {
-	return sabreSweep(dev, numSwaps, gates, circuits, seed, trialSweep,
-		func(trials int) sabre.Options { return sabre.Options{Trials: trials, Seed: seed} })
-}
-
-// ExtendedSetAblation sweeps SABRE's lookahead window size (the paper's
-// case study pivots on the Qiskit default of 20).
-func ExtendedSetAblation(dev *arch.Device, numSwaps, gates int, sizes []int, circuits, trials int, seed int64) ([]AblationPoint, error) {
-	return sabreSweep(dev, numSwaps, gates, circuits, seed, sizes,
-		func(size int) sabre.Options { return sabre.Options{Trials: trials, ExtendedSetSize: size, Seed: seed} })
-}
-
-// sabreSweep generates one fixed suite and, for each x, routes all of it
-// with the LightSABRE configuration opts(x), averaging the gaps.
-func sabreSweep(dev *arch.Device, numSwaps, gates, circuits int, seed int64, xs []int, opts func(x int) sabre.Options) ([]AblationPoint, error) {
 	items, err := experimentItems(dev, numSwaps, gates, circuits, seed, false)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]AblationPoint, 0, len(xs))
-	for _, x := range xs {
-		pt, tool := AblationPoint{X: float64(x)}, sabreTool(opts(x))
+	out := make([]AblationPoint, 0, len(trialSweep))
+	for _, trials := range trialSweep {
+		pt := AblationPoint{X: float64(trials)}
+		tool := sabreTool(sabre.Options{Trials: trials, Seed: seed})
 		for _, it := range items {
 			res, err := routeExperiment(tool, it)
 			if err != nil {
@@ -130,13 +94,4 @@ func routeExperiment(tool ToolSpec, it EvalItem) (*router.Result, error) {
 		err = fmt.Errorf("harness: %s on %s: %s", tool.Name, it.ID, failure)
 	}
 	return res, err
-}
-
-// RenderAblation prints a sweep with a caption.
-func RenderAblation(w io.Writer, caption, xLabel string, pts []AblationPoint) {
-	fmt.Fprintln(w, caption)
-	fmt.Fprintf(w, "  %-12s %10s %9s\n", xLabel, "mean-gap", "circuits")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-12.0f %9.2fx %9d\n", p.X, p.MeanRatio, p.Circuits)
-	}
 }

@@ -1,42 +1,10 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/arch"
 )
-
-func TestPaddingAblationSoundAndDeterministic(t *testing.T) {
-	pts, err := PaddingAblation(arch.RigettiAspen4(), 5, []int{0, 300}, 2, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points=%d", len(pts))
-	}
-	// Gap ratios are bounded below by 1 (optimality); the padding trend
-	// itself is only visible at scale (see BenchmarkAblationPadding), so a
-	// two-circuit smoke test asserts soundness, not monotonicity.
-	for _, p := range pts {
-		if p.MeanRatio < 1 {
-			t.Errorf("gap %.2f below 1", p.MeanRatio)
-		}
-		if p.Circuits != 2 {
-			t.Errorf("circuits=%d want 2", p.Circuits)
-		}
-	}
-	// Determinism: repeating the sweep reproduces the numbers.
-	again, err := PaddingAblation(arch.RigettiAspen4(), 5, []int{0, 300}, 2, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		if pts[i].MeanRatio != again[i].MeanRatio {
-			t.Errorf("ablation not deterministic at point %d", i)
-		}
-	}
-}
 
 func TestTrialsAblationNeverWorseWithPrefixSeeds(t *testing.T) {
 	pts, err := TrialsAblation(arch.RigettiAspen4(), 5, 300, []int{1, 8}, 2, 5)
@@ -50,20 +18,5 @@ func TestTrialsAblationNeverWorseWithPrefixSeeds(t *testing.T) {
 	// only match or beat 1 trial.
 	if pts[1].MeanRatio > pts[0].MeanRatio {
 		t.Errorf("more trials got worse: %.2f -> %.2f", pts[0].MeanRatio, pts[1].MeanRatio)
-	}
-}
-
-func TestExtendedSetAblationRuns(t *testing.T) {
-	pts, err := ExtendedSetAblation(arch.RigettiAspen4(), 5, 300, []int{5, 20}, 2, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points=%d", len(pts))
-	}
-	var sb strings.Builder
-	RenderAblation(&sb, "extended set sweep", "size", pts)
-	if !strings.Contains(sb.String(), "mean-gap") {
-		t.Error("render missing header")
 	}
 }

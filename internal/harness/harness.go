@@ -24,6 +24,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -80,7 +81,9 @@ func ToolNames() []string {
 // registered tool) against the registry. Unknown names are an error
 // naming the registered tools — never silently skipped — so a typo in a
 // -tools flag or an HTTP tools parameter fails fast instead of quietly
-// evaluating a smaller tool set.
+// evaluating a smaller tool set. A repeated name is an error too: it
+// would route every instance twice and count the tool twice in every
+// average.
 func SelectTools(list string, sabreTrials int) ([]ToolSpec, error) {
 	all := DefaultTools(sabreTrials)
 	if strings.TrimSpace(list) == "" {
@@ -97,6 +100,9 @@ func SelectTools(list string, sabreTrials int) ([]ToolSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown tool %q (registered: %s)",
 				name, strings.Join(ToolNames(), ", "))
+		}
+		if slices.ContainsFunc(out, func(o ToolSpec) bool { return o.Name == name }) {
+			return nil, fmt.Errorf("harness: tool %q listed twice", name)
 		}
 		out = append(out, t)
 	}

@@ -307,8 +307,8 @@ func TestRunFigureDepthFamily(t *testing.T) {
 	}
 }
 
-// SelectTools must reject unknown names with the registry listed, and
-// resolve known subsets in the given order.
+// SelectTools must reject unknown names with the registry listed,
+// reject a repeated name, and resolve known subsets in the given order.
 func TestSelectTools(t *testing.T) {
 	all, err := SelectTools("", 2)
 	if err != nil || len(all) != 4 {
@@ -329,5 +329,9 @@ func TestSelectTools(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list registered tool %s", err, name)
 		}
+	}
+	_, err = SelectTools("tket, lightsabre ,tket", 2)
+	if err == nil || !strings.Contains(err.Error(), `"tket"`) {
+		t.Fatalf("repeated tool: err = %v, want an error naming tket", err)
 	}
 }

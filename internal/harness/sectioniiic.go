@@ -43,7 +43,7 @@ func RunSectionIIIC(dev *arch.Device, numSwaps, gates, instances int, seed int64
 		return nil, err
 	}
 	res := &SectionIIICResult{Device: dev.Name(), MinSegments: -1}
-	tool := bmt.New(bmt.Options{})
+	tool := bmt.New()
 	spec := ToolSpec{Name: tool.Name(), Make: func(int64) router.Router { return tool }}
 	for i, it := range items {
 		segs, err := tool.SegmentCount(it.Circuit, dev)

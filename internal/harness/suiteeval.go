@@ -34,6 +34,19 @@ func EvalKey(parts ...string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// StoredEvalKey is the key qubikos-eval and qubikos-serve give a stored
+// evaluation: EvalKey over the tool names in order, then "trials=N" and
+// "seed=S". Existing eval logs are named by these bytes, so a log
+// written before stays resumable.
+func StoredEvalKey(tools []ToolSpec, trials int, seed int64) string {
+	parts := make([]string, 0, len(tools)+2)
+	for _, t := range tools {
+		parts = append(parts, t.Name)
+	}
+	parts = append(parts, fmt.Sprintf("trials=%d", trials), fmt.Sprintf("seed=%d", seed))
+	return EvalKey(parts...)
+}
+
 // StoredEvalOptions tunes RunStoredEvalCtx.
 type StoredEvalOptions struct {
 	// Seed feeds each tool's constructor (offset per router.Guard's schedule).

@@ -267,6 +267,21 @@ func TestEvalKeyStable(t *testing.T) {
 	}
 }
 
+// StoredEvalKey names the eval logs qubikos-eval and qubikos-serve
+// write, so it must keep the bytes both built by hand before it existed:
+// a log written then must still resume.
+func TestStoredEvalKeyMatchesHandBuiltKey(t *testing.T) {
+	tools := []ToolSpec{{Name: "lightsabre"}, {Name: "tket"}}
+	got := StoredEvalKey(tools, 8, 1)
+	if want := EvalKey("lightsabre", "tket", "trials=8", "seed=1"); got != want {
+		t.Fatalf("StoredEvalKey = %s, want %s", got, want)
+	}
+	const logged = "412d204add50636f"
+	if got != logged {
+		t.Fatalf("StoredEvalKey = %s; existing eval logs are named %s", got, logged)
+	}
+}
+
 // A depth-family stored evaluation must score depth ratios end to end:
 // rows labeled with the metric, both achieved values recorded, and the
 // aggregate equal to the golden cells.

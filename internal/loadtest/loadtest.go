@@ -74,13 +74,11 @@ type Config struct {
 	// RouteThreshold is the early-win ratio for route requests (0 = race
 	// to completion).
 	RouteThreshold float64
-	// Client overrides the HTTP client (default: dedicated, 2 minute
-	// timeout).
-	Client *http.Client
-	// MaxFailures bounds the recorded failure detail strings (default 20);
-	// the count is always exact.
-	MaxFailures int
 }
+
+// maxFailures bounds the recorded failure detail strings; the count is
+// always exact.
+const maxFailures = 20
 
 // Report is the outcome of a run.
 type Report struct {
@@ -159,21 +157,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.EvalTrials <= 0 {
 		cfg.EvalTrials = 1
 	}
-	if cfg.MaxFailures <= 0 {
-		cfg.MaxFailures = 20
-	}
 	if cfg.RouteDeadlineMS <= 0 {
 		cfg.RouteDeadlineMS = 2000
 	}
 	r := &runner{
 		cfg:       cfg,
-		client:    cfg.Client,
+		client:    &http.Client{Timeout: 2 * time.Minute},
 		byClass:   map[string]int{},
 		byStatus:  map[string]int{},
 		latencies: map[string][]time.Duration{},
-	}
-	if r.client == nil {
-		r.client = &http.Client{Timeout: 2 * time.Minute}
 	}
 
 	// Warm-up: ensure every manifest once (round-robining targets) so the
@@ -404,7 +396,7 @@ func (r *runner) record(class string, status int, elapsed time.Duration, failure
 	}
 	if failure != "" {
 		r.failCount++
-		if len(r.failures) < r.cfg.MaxFailures {
+		if len(r.failures) < maxFailures {
 			r.failures = append(r.failures, failure)
 		}
 	}
@@ -419,7 +411,7 @@ func (r *runner) recordAbandon(status int, elapsed time.Duration) {
 	r.abandoned++
 	if status >= 500 {
 		r.failCount++
-		if len(r.failures) < r.cfg.MaxFailures {
+		if len(r.failures) < maxFailures {
 			r.failures = append(r.failures, fmt.Sprintf("abandon: status %d", status))
 		}
 	}
@@ -489,15 +481,12 @@ type StoreStats struct {
 // FetchStats reads one replica's suite-store counters from its /healthz
 // endpoint — the handle the load-test assertions ("exactly one generation
 // per hash across the fleet", "a 304 costs zero store reads") hang off.
-func FetchStats(ctx context.Context, client *http.Client, target string) (StoreStats, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
+func FetchStats(ctx context.Context, target string) (StoreStats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(target, "/")+"/healthz", nil)
 	if err != nil {
 		return StoreStats{}, err
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return StoreStats{}, err
 	}

@@ -32,31 +32,22 @@ import (
 	"repro/internal/sabre"
 )
 
-// Options configures the tool.
-type Options struct {
-	// CoarsestSize stops coarsening when this many clusters remain.
-	CoarsestSize int
-	// RefinePasses is the number of local-search sweeps per level.
-	RefinePasses int
-	// RoutingTrials is the number of SABRE routing trials run from the
+// The multilevel pipeline's fixed settings.
+const (
+	// coarsestSize stops coarsening when this many clusters remain.
+	coarsestSize = 8
+	// refinePasses is the number of local-search sweeps per level.
+	refinePasses = 4
+	// routingTrials is the number of SABRE routing trials run from the
 	// multilevel placement (placement is fixed; only routing randomness
 	// varies). ML-QLS uses far fewer trials than LightSABRE.
-	RoutingTrials int
+	routingTrials = 4
+)
+
+// Options configures the tool.
+type Options struct {
 	// Seed drives all randomness.
 	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.CoarsestSize <= 0 {
-		o.CoarsestSize = 8
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 4
-	}
-	if o.RoutingTrials <= 0 {
-		o.RoutingTrials = 4
-	}
-	return o
 }
 
 // Router is the ML-QLS-style tool.
@@ -74,7 +65,7 @@ type Router struct {
 func (r *Router) Counters() router.Counters { return r.stats }
 
 // New returns an ML-QLS-style router.
-func New(opts Options) *Router { return &Router{opts: opts.withDefaults()} }
+func New(opts Options) *Router { return &Router{opts: opts} }
 
 // Name implements router.Router.
 func (r *Router) Name() string { return "ml-qls" }
@@ -153,7 +144,7 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 	}
 
 	eng := sabre.New(sabre.Options{
-		Trials: r.opts.RoutingTrials,
+		Trials: routingTrials,
 		Seed:   r.opts.Seed + 1,
 	})
 	eng.SetWorkerBudget(r.budget)
@@ -179,7 +170,7 @@ func (r *Router) multilevelPlace(skeleton *circuit.Circuit, dev *arch.Device, rn
 
 	var levels []level
 	cur := w0
-	for cur.n > r.opts.CoarsestSize {
+	for cur.n > coarsestSize {
 		if check.Tick() {
 			return router.IdentityMapping(skeleton.NumQubits)
 		}
@@ -203,14 +194,14 @@ func (r *Router) multilevelPlace(skeleton *circuit.Circuit, dev *arch.Device, rn
 		}
 		lv := levels[li]
 		place = project(lv, place, dev, rng)
-		refine(lv.g, place, dev, r.opts.RefinePasses, rng)
+		refine(lv.g, place, dev, refinePasses, rng)
 		r.stats.Restarts++
-		r.stats.Decisions += int64(r.opts.RefinePasses)
+		r.stats.Decisions += int64(refinePasses)
 	}
 	if len(levels) == 0 {
-		refine(w0, place, dev, r.opts.RefinePasses, rng)
+		refine(w0, place, dev, refinePasses, rng)
 		r.stats.Restarts++
-		r.stats.Decisions += int64(r.opts.RefinePasses)
+		r.stats.Decisions += int64(refinePasses)
 	}
 	return place
 }

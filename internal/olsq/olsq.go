@@ -446,6 +446,9 @@ func (s *Solver) extract(enc *encoding, k int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A SWAP may move a program qubit onto an empty physical qubit, so
+	// the empty ones are filled with ancillas, which only SWAPs touch.
+	init = router.PadMapping(init, nP)
 
 	// Block of each DAG node.
 	block := make([]int, s.dag.N())
@@ -478,7 +481,7 @@ func (s *Solver) extract(enc *encoding, k int) (*Result, error) {
 	// blocks; within a block, gates keep original circuit order, so the
 	// skeleton is a dependency-valid reordering. Single-qubit gates are
 	// woven back afterwards.
-	skeleton := circuit.New(nQ)
+	skeleton := circuit.New(nP)
 	cur := init.Clone()
 	swaps := 0
 	for b := 0; b <= k; b++ {
@@ -492,15 +495,12 @@ func (s *Solver) extract(enc *encoding, k int) (*Result, error) {
 		if b < k && swapEdges[b] != nil {
 			inv := cur.Inverse(nP)
 			qa, qb := inv[swapEdges[b].U], inv[swapEdges[b].V]
-			if qa == -1 || qb == -1 {
-				return nil, fmt.Errorf("olsq: swap on unoccupied physical qubits at transition %d", b)
-			}
 			skeleton.MustAppend(circuit.NewSwap(qa, qb))
 			cur.SwapProgram(qa, qb)
 			swaps++
 		}
 	}
-	trans, err := router.WeaveSingleQubitGates(s.circ, skeleton)
+	trans, err := router.WeaveSingleQubitGates(router.PadToDevice(s.circ, s.dev), skeleton)
 	if err != nil {
 		return nil, fmt.Errorf("olsq: %w", err)
 	}

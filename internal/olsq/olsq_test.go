@@ -234,6 +234,62 @@ func TestMinSwapsIsExactOnRandomCircuits(t *testing.T) {
 	}
 }
 
+// A circuit narrower than its device leaves physical qubits empty, and
+// the encoding lets a SWAP move a program qubit onto one. On Ring-6 the
+// first satisfiable bound of this 5-qubit circuit is 2, and its model
+// does exactly that, so the extracted witness must route through an
+// ancilla.
+func TestNarrowCircuitSwapOntoEmptyQubit(t *testing.T) {
+	c := circuit.New(5)
+	for _, g := range [][2]int{{1, 3}, {1, 3}, {4, 0}, {1, 3}, {0, 1}, {0, 2}, {1, 4}, {3, 2}, {1, 3}, {1, 4}} {
+		c.MustAppend(circuit.NewCX(g[0], g[1]))
+	}
+	dev := arch.Ring(6)
+	s := mustSolver(t, c, dev)
+	ok, res, err := s.DecideCtx(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatal("k=2 should be satisfiable")
+	}
+	if err := router.Validate(c, dev, &res.Result); err != nil {
+		t.Fatalf("witness invalid: %v", err)
+	}
+	if len(res.InitialMapping) != dev.NumQubits() {
+		t.Errorf("initial mapping covers %d qubits, want the device's %d", len(res.InitialMapping), dev.NumQubits())
+	}
+}
+
+// Property: on random circuits narrower than their device, every bound
+// up to the first satisfiable one decides without error and that bound's
+// witness validates.
+func TestMinSwapsOnNarrowCircuits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exact search in -short mode")
+	}
+	rng := rand.New(rand.NewSource(7))
+	devices := []*arch.Device{arch.Line(5), arch.Ring(6), arch.Grid3x3()}
+	for iter := 0; iter < 150; iter++ {
+		dev := devices[iter%len(devices)]
+		nq := 3 + rng.Intn(dev.NumQubits()-3)
+		c := circuit.New(nq)
+		for n := 4 + rng.Intn(8); c.NumGates() < n; {
+			if a, b := rng.Intn(nq), rng.Intn(nq); a != b {
+				c.MustAppend(circuit.NewCX(a, b))
+			}
+		}
+		s := mustSolver(t, c, dev)
+		res, err := s.MinSwapsCtx(context.Background(), 8)
+		if err != nil {
+			t.Fatalf("iter %d (%d qubits on %s): %v", iter, nq, dev.Name(), err)
+		}
+		if err := router.Validate(c, dev, &res.Result); err != nil {
+			t.Fatalf("iter %d: witness invalid: %v", iter, err)
+		}
+	}
+}
+
 func TestBlockScheduleConsistent(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))

@@ -95,10 +95,6 @@ type Options struct {
 	// so a portfolio winner matches the evaluation pipeline's result for
 	// the same seed).
 	Seed int64
-	// Budget is the shared worker budget lent to router-internal
-	// parallelism; nil sizes one from GOMAXPROCS minus one reserved slot
-	// per admitted racer.
-	Budget *pool.Budget
 	// Breakers, when non-nil, gates admission per tool and is fed every
 	// racer outcome. Tools whose breaker is open are skipped.
 	Breakers *BreakerSet
@@ -233,10 +229,7 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 
 	// One reserved slot per racer; budgeted routers borrow the idle rest,
 	// so hedged racers joining later find only genuinely free slots.
-	budget := opts.Budget
-	if budget == nil {
-		budget = pool.NewBudget(runtime.GOMAXPROCS(0) - len(admitted))
-	}
+	budget := pool.NewBudget(runtime.GOMAXPROCS(0) - len(admitted))
 
 	start := time.Now()
 	resCh := make(chan racerDone, len(admitted))

@@ -29,7 +29,6 @@ package qmap
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -44,11 +43,6 @@ type Options struct {
 	// MaxNodes bounds the A* search per layer; when exhausted the best
 	// frontier state is taken and routing continues greedily.
 	MaxNodes int
-	// LookaheadWeight scales the next layer's distance contribution.
-	// The engine computes costs in exact quarter-unit integers, so the
-	// weight is quantized to the nearest multiple of 0.25 (the default
-	// 0.75 is exact).
-	LookaheadWeight float64
 	// Seed drives the initial placement shuffle.
 	Seed int64
 }
@@ -56,9 +50,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 20000
-	}
-	if o.LookaheadWeight == 0 {
-		o.LookaheadWeight = 0.75
 	}
 	return o
 }
@@ -352,9 +343,8 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	e.heap = e.heap[:0]
 	e.closed.reset()
 	// Costs are exact quarter-unit integers: a layer excess step is worth
-	// 4 and a lookahead step w4 = round(4*LookaheadWeight) (3 at the 0.75
-	// default, where the quantization is exact).
-	w4 := int32(math.Round(4 * opts.LookaheadWeight))
+	// 4 and a lookahead step w4 = 3, a next-layer weight of 0.75.
+	const w4 = 3
 	// The root is in the arena before its first pop, so an exit before
 	// that pop still has a frontier state to hand back.
 	root := astate{parent: -1, h4: 4*rootX + w4*rootLK, hash: hash0}

@@ -31,7 +31,7 @@ func ctxTools() []router.Router {
 		tket.New(tket.Options{Seed: 3}),
 		qmap.New(qmap.Options{Seed: 3}),
 		mlqls.New(mlqls.Options{Seed: 3}),
-		bmt.New(bmt.Options{}),
+		bmt.New(),
 		&chaos.Router{Inner: sabre.New(sabre.Options{Trials: 2, Seed: 3}), Mode: chaos.Pass},
 	}
 }

@@ -33,24 +33,20 @@ import (
 	"repro/internal/router"
 )
 
-// Defaults mirror Qiskit's SabreSwap configuration, which the paper's
-// case study dissects (extended set size 20, weight 0.5).
+// The cost function mirrors Qiskit's SabreSwap configuration, which the
+// paper's case study dissects: an extended set of 20 gates weighted 0.5,
+// a decay increment of 0.001 reset every 5 swap picks, and 3
+// forward/backward passes to settle each trial's initial mapping.
 const (
-	DefaultExtendedSetSize   = 20
-	DefaultExtendedSetWeight = 0.5
-	DefaultDecayIncrement    = 0.001
-	DefaultDecayResetEvery   = 5
-	DefaultTrials            = 32
-	DefaultMappingPasses     = 3
-)
+	extendedSetSize   = 20
+	extendedSetWeight = 0.5
+	decayIncrement    = 0.001
+	decayResetEvery   = 5
+	mappingPasses     = 3
 
-// Disabled marks a float option as explicitly zero. The zero value of
-// Options selects the documented defaults, which makes a literal 0
-// ambiguous — it used to be silently replaced by the default, so
-// ablations could never actually switch a term off. Pass Disabled (any
-// negative value works) for ExtendedSetWeight or DecayIncrement to get a
-// genuine zero.
-const Disabled = -1.0
+	// DefaultTrials is the trial count of a zero Options.Trials.
+	DefaultTrials = 32
+)
 
 // Options configures the router.
 type Options struct {
@@ -59,27 +55,11 @@ type Options struct {
 	Trials int
 	// Seed drives all randomness.
 	Seed int64
-	// ExtendedSetSize is the lookahead window size (gates beyond the
-	// front layer considered by the cost function).
-	ExtendedSetSize int
-	// ExtendedSetWeight scales the lookahead term. Leave 0 for the
-	// default; pass Disabled for a genuine zero (no lookahead term).
-	ExtendedSetWeight float64
-	// DecayIncrement is added to a qubit's decay each time it swaps.
-	// Leave 0 for the default; pass Disabled for a genuine zero (decay
-	// switched off).
-	DecayIncrement float64
-	// DecayResetEvery resets decay factors after this many swap picks.
-	DecayResetEvery int
 	// LookaheadDecay, when in (0,1), weights extended-set gates by
 	// LookaheadDecay^i with i the BFS collection index — the fix the
 	// paper proposes after the Figure 5 analysis. 0 reproduces Qiskit's
 	// uniform lookahead.
 	LookaheadDecay float64
-	// MappingPasses is the number of forward/backward routing passes used
-	// to settle the initial mapping before the recorded run. Negative
-	// disables the passes entirely.
-	MappingPasses int
 	// Trace, when set, receives every swap decision of the final recorded
 	// pass of every trial; used by the case-study experiment.
 	Trace func(TraceStep)
@@ -106,25 +86,6 @@ type SwapCost struct {
 func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {
 		o.Trials = DefaultTrials
-	}
-	if o.ExtendedSetSize <= 0 {
-		o.ExtendedSetSize = DefaultExtendedSetSize
-	}
-	if o.ExtendedSetWeight == 0 {
-		o.ExtendedSetWeight = DefaultExtendedSetWeight
-	} else if o.ExtendedSetWeight < 0 {
-		o.ExtendedSetWeight = 0 // Disabled sentinel: explicit zero
-	}
-	if o.DecayIncrement == 0 {
-		o.DecayIncrement = DefaultDecayIncrement
-	} else if o.DecayIncrement < 0 {
-		o.DecayIncrement = 0 // Disabled sentinel: explicit zero
-	}
-	if o.DecayResetEvery <= 0 {
-		o.DecayResetEvery = DefaultDecayResetEvery
-	}
-	if o.MappingPasses == 0 {
-		o.MappingPasses = DefaultMappingPasses
 	}
 	return o
 }
@@ -195,7 +156,6 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 	var fixed router.Mapping
 	if initial != nil {
 		fixed = router.PadMapping(initial, dev.NumQubits())
-		opts.MappingPasses = -1 // placement is pinned; no settling passes
 	}
 
 	// Trials are independent; run them across the available CPUs with
@@ -301,8 +261,8 @@ type trialBest struct {
 // mapping with forward/backward passes, then record the final pass,
 // leaving its starting mapping in e.initial, its output in e.out and its
 // SWAP count in e.swaps. A non-nil fixed mapping replaces the random
-// placement. The engine's scratch buffers, e.initial and e.out included,
-// are reused across passes and trials.
+// placement and its settling passes. The engine's scratch buffers,
+// e.initial and e.out included, are reused across passes and trials.
 func runTrial(e *passEngine, fixed router.Mapping, nProg int, fwdDAG, bwdDAG *circuit.DAG, rng *rand.Rand, trial int) {
 	mapping := e.mapping[:nProg]
 	if fixed != nil {
@@ -316,11 +276,10 @@ func runTrial(e *passEngine, fixed router.Mapping, nProg int, fwdDAG, bwdDAG *ci
 			perm[j] = i
 		}
 		copy(mapping, perm)
-	}
-
-	for pass := 0; pass < e.opts.MappingPasses; pass++ {
-		e.run(fwdDAG, mapping, rng, false, nil, trial)
-		e.run(bwdDAG, mapping, rng, false, nil, trial)
+		for pass := 0; pass < mappingPasses; pass++ {
+			e.run(fwdDAG, mapping, rng, false, nil, trial)
+			e.run(bwdDAG, mapping, rng, false, nil, trial)
+		}
 	}
 
 	if e.initial == nil {
@@ -408,7 +367,7 @@ type passEngine struct {
 
 func newPassEngine(dev *arch.Device, opts Options, dagN int) *passEngine {
 	nQ := dev.NumQubits()
-	es := opts.ExtendedSetSize
+	es := extendedSetSize
 	return &passEngine{
 		dev:  dev,
 		g:    dev.Graph(),
@@ -509,7 +468,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 
 	swapPicks := 0
 	sinceProgress := 0
-	releaseThreshold := 10 * e.opts.ExtendedSetSize
+	releaseThreshold := 10 * extendedSetSize
 	e.frontDirty = true
 
 	// Persistent per-front distance snapshot: full recompute when the
@@ -744,7 +703,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 							deltaE += int(rowA[po]) - int(e.extOld[e.extIdx[node]])
 						}
 					}
-					look = e.opts.ExtendedSetWeight * float64(extBase+deltaE) / float64(extN)
+					look = extendedSetWeight * float64(extBase+deltaE) / float64(extN)
 				} else {
 					wSum := 0.0
 					w := 1.0
@@ -766,7 +725,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 						wSum += w
 						w *= e.opts.LookaheadDecay
 					}
-					look = e.opts.ExtendedSetWeight * look / wSum
+					look = extendedSetWeight * look / wSum
 				}
 			}
 
@@ -830,11 +789,11 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 				}
 			}
 		}
-		decay[qa] += e.opts.DecayIncrement
-		decay[qb] += e.opts.DecayIncrement
+		decay[qa] += decayIncrement
+		decay[qb] += decayIncrement
 		swapPicks++
 		sinceProgress++
-		if swapPicks%e.opts.DecayResetEvery == 0 {
+		if swapPicks%decayResetEvery == 0 {
 			resetDecay()
 		}
 	}
@@ -878,7 +837,7 @@ func (e *passEngine) forceRoute(dag *circuit.DAG, v int, lay *layout, record boo
 	}
 }
 
-// collectExtendedSet gathers up to ExtendedSetSize gates following the
+// collectExtendedSet gathers up to extendedSetSize gates following the
 // front layer in the DAG (successors in BFS order, regardless of other
 // unmet dependencies — mirroring Qiskit's extended set). The caller owns
 // the decision epoch; the visited stamps, the reused queue, and the
@@ -886,7 +845,7 @@ func (e *passEngine) forceRoute(dag *circuit.DAG, v int, lay *layout, record boo
 // only when the front layer changed — the BFS depends on nothing else.
 func (e *passEngine) collectExtendedSet(dag *circuit.DAG, front []int) []int {
 	ep := e.epoch
-	limit := e.opts.ExtendedSetSize
+	limit := extendedSetSize
 	out := e.extended[:0]
 	queue := append(e.extQueue[:0], front...)
 	for _, v := range front {

@@ -330,6 +330,13 @@ func TestRouteRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
+	// The chaos resolver above is a test seam; a repeated tool is
+	// rejected by the registry resolver every other server uses.
+	reg, _ := newTestServer(t)
+	if resp := post(t, reg.URL+"/v1/route",
+		`{"device": "line-3", "qasm": "qreg q[3]; cx q[0],q[2];", "tools": "tket,tket"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("repeated tool: status = %d, want 400", resp.StatusCode)
+	}
 	if resp := post(t, ts.URL+"/v1/route",
 		fmt.Sprintf(`{"suite": %q, "instance": "no-such-instance"}`, st.Hash)); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing instance: status = %d, want 404", resp.StatusCode)

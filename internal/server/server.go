@@ -447,12 +447,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var keyParts []string
-	for _, t := range tools {
-		keyParts = append(keyParts, t.Name)
-	}
-	keyParts = append(keyParts, fmt.Sprintf("trials=%d", trials), fmt.Sprintf("seed=%d", seed))
-	key := harness.EvalKey(keyParts...)
+	key := harness.StoredEvalKey(tools, trials, int64(seed))
 
 	// An eval result is determined by (suite, eval configuration), so the
 	// pair makes a validator; weak, because two runs are semantically

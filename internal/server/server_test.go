@@ -434,7 +434,7 @@ func TestFamiliesEndpoint(t *testing.T) {
 }
 
 // An unknown tool in the eval query is rejected with the registered
-// tools listed, never silently skipped.
+// tools listed, never silently skipped, and so is a repeated one.
 func TestEvalRejectsUnknownTool(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st suite.Suite
@@ -453,5 +453,17 @@ func TestEvalRejectsUnknownTool(t *testing.T) {
 		if !strings.Contains(body["error"], name) {
 			t.Errorf("error %q does not list registered tool %s", body["error"], name)
 		}
+	}
+
+	r = post(t, ts.URL+"/v1/suites/"+st.Hash+"/eval?tools=tket,lightsabre,tket", "")
+	if r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("repeated tool: status %d, want 400", r.StatusCode)
+	}
+	body = nil
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body["error"], `"tket"`) {
+		t.Errorf("repeated-tool error %q does not name tket", body["error"])
 	}
 }

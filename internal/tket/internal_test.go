@@ -30,7 +30,6 @@ func TestDecisionBaseSumsDiscountFutureSlices(t *testing.T) {
 	c := circuit.New(4)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(0, 2))
 	dev := arch.Line(4)
-	opts := Options{LookaheadSlices: 1, LookaheadDiscount: 0.5}.withDefaults()
 	dag := circuit.NewDAG(c)
 	slices := dag.Layers()
 	if len(slices) != 2 {
@@ -38,7 +37,7 @@ func TestDecisionBaseSumsDiscountFutureSlices(t *testing.T) {
 	}
 	m := router.Mapping{0, 1, 3, 2} // cx(0,1) adjacent; cx(0,2) at distance 3
 	lay := &layout{m: m, inv: m.Inverse(4)}
-	e := newEngine(dev, opts)
+	e := newEngine(dev)
 	e.rebuild(slices[0], slices, 0, dag, lay)
 	// Current slice distance 1, next slice distance 3: with no swap
 	// applied the deltas are zero, so the score of an identity candidate
@@ -55,7 +54,7 @@ func TestDecisionBaseSumsDiscountFutureSlices(t *testing.T) {
 // directScore re-sums every slice in scope under lay, in the reference
 // float operation order: the evaluation the positional delta score must
 // reproduce bit for bit. It also returns the current-slice sum.
-func directScore(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *layout, dev *arch.Device, opts Options) (float64, int64) {
+func directScore(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *layout, dev *arch.Device) (float64, int64) {
 	sum := func(gates []int) int64 {
 		s := int64(0)
 		for _, v := range gates {
@@ -66,10 +65,10 @@ func directScore(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *l
 	}
 	s0 := sum(pending)
 	total := float64(s0)
-	w := opts.LookaheadDiscount
-	for d := 1; d <= opts.LookaheadSlices && si+d < len(slices); d++ {
+	w := lookaheadDiscount
+	for d := 1; d <= lookaheadSlices && si+d < len(slices); d++ {
 		total += w * float64(sum(slices[si+d]))
-		w *= opts.LookaheadDiscount
+		w *= lookaheadDiscount
 	}
 	return total, s0
 }
@@ -80,16 +79,15 @@ func TestScoreCandidateMatchesDirectEvaluation(t *testing.T) {
 	c := circuit.New(4)
 	c.MustAppend(circuit.NewCX(0, 3), circuit.NewCX(1, 2))
 	dev := arch.Line(4)
-	opts := Options{}.withDefaults()
 	dag := circuit.NewDAG(c)
 	slices := dag.Layers()
 	m := router.IdentityMapping(4)
 	lay := &layout{m: m, inv: m.Inverse(4)}
-	e := newEngine(dev, opts)
+	e := newEngine(dev)
 	e.rebuild(slices[0], slices, 0, dag, lay)
 	score, _ := e.score(0, 1, lay)
 	lay.swap(0, 1)
-	want, _ := directScore(slices[0], slices, 0, dag, lay, dev, opts)
+	want, _ := directScore(slices[0], slices, 0, dag, lay, dev)
 	lay.swap(0, 1)
 	if score != want {
 		t.Fatalf("positional score=%v, direct re-sum=%v", score, want)
@@ -124,11 +122,10 @@ func checkDecisionState(t *testing.T, dev *arch.Device, seed int64) {
 	}
 	dag := circuit.NewDAG(c)
 	slices := dag.Layers()
-	opts := Options{Seed: seed}.withDefaults()
 	m := router.Mapping(rng.Perm(nQ))
 	lay := &layout{m: m, inv: m.Inverse(nQ)}
-	e := newEngine(dev, opts)
-	fresh := newEngine(dev, opts)
+	e := newEngine(dev)
+	fresh := newEngine(dev)
 
 	for si := 0; si < len(slices); si += 1 + rng.Intn(3) {
 		var pending []int
@@ -147,12 +144,12 @@ func checkDecisionState(t *testing.T, dev *arch.Device, seed int64) {
 			if len(cands) == 0 {
 				t.Fatalf("%s seed %d slice %d: no candidates", dev.Name(), seed, si)
 			}
-			_, before0 := directScore(pending, slices, si, dag, lay, dev, opts)
+			_, before0 := directScore(pending, slices, si, dag, lay, dev)
 			for _, cd := range cands {
 				a, b := int(cd[0]), int(cd[1])
 				score, d0 := e.score(a, b, lay)
 				lay.swap(a, b)
-				want, after0 := directScore(pending, slices, si, dag, lay, dev, opts)
+				want, after0 := directScore(pending, slices, si, dag, lay, dev)
 				lay.swap(a, b)
 				if score != want || d0 != after0-before0 {
 					t.Fatalf("%s seed %d slice %d swap (%d,%d): score=%v delta0=%d, re-sum=%v delta0=%d",
@@ -195,12 +192,11 @@ func TestDecisionLoopZeroAllocs(t *testing.T) {
 		c.MustAppend(circuit.NewCX(i, (i+3)%9))
 		c.MustAppend(circuit.NewCX((i+1)%9, (i+5)%9))
 	}
-	opts := Options{Seed: 1}.withDefaults()
 	dag := circuit.NewDAG(c)
 	slices := dag.Layers()
 	m := router.IdentityMapping(9)
 	lay := &layout{m: m, inv: m.Inverse(9)}
-	e := newEngine(dev, opts)
+	e := newEngine(dev)
 	decide := func() {
 		e.rebuild(slices[0], slices, 0, dag, lay)
 		cands := e.collectCandidates(lay)
@@ -227,7 +223,7 @@ func TestCandidatesTouchActiveQubits(t *testing.T) {
 	slices := dag.Layers()
 	m := router.IdentityMapping(4)
 	lay := &layout{m: m, inv: m.Inverse(4)}
-	e := newEngine(dev, Options{}.withDefaults())
+	e := newEngine(dev)
 	e.rebuild([]int{0}, slices, 0, dag, lay)
 	cands := e.collectCandidates(lay)
 	if len(cands) == 0 {
@@ -258,12 +254,11 @@ func BenchmarkTketDecisionLoop(b *testing.B) {
 			c.MustAppend(circuit.NewCX(q0, q1))
 		}
 	}
-	opts := Options{Seed: 1}.withDefaults()
 	dag := circuit.NewDAG(c)
 	slices := dag.Layers()
 	m := router.IdentityMapping(nQ)
 	lay := &layout{m: m, inv: m.Inverse(nQ)}
-	e := newEngine(dev, opts)
+	e := newEngine(dev)
 	e.rebuild(slices[0], slices, 0, dag, lay)
 	decide := func() {
 		cands := e.collectCandidates(lay)

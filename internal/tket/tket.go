@@ -37,25 +37,17 @@ import (
 	"repro/internal/router"
 )
 
+// The score counts the current slice and the next two, each following
+// slice weighted half as much as the one before it.
+const (
+	lookaheadSlices   = 2
+	lookaheadDiscount = 0.5
+)
+
 // Options configures the router.
 type Options struct {
-	// LookaheadSlices is how many upcoming slices contribute to the swap
-	// score (discounted geometrically by LookaheadDiscount).
-	LookaheadSlices int
-	// LookaheadDiscount in (0,1] scales successive slices' contributions.
-	LookaheadDiscount float64
 	// Seed drives tie-breaking and the placement shuffle.
 	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.LookaheadSlices <= 0 {
-		o.LookaheadSlices = 2
-	}
-	if o.LookaheadDiscount == 0 {
-		o.LookaheadDiscount = 0.5
-	}
-	return o
 }
 
 // Router is the t|ket⟩-style tool. A Router reuses its scratch buffers
@@ -74,7 +66,7 @@ type Router struct {
 func (r *Router) Counters() router.Counters { return r.stats }
 
 // New returns a t|ket⟩-style router.
-func New(opts Options) *Router { return &Router{opts: opts.withDefaults()} }
+func New(opts Options) *Router { return &Router{opts: opts} }
 
 // Name implements router.Router.
 func (r *Router) Name() string { return "tket" }
@@ -105,7 +97,7 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 	// immutable, so pointer identity suffices): matching on size alone
 	// would reuse another same-size device's adjacency and distances.
 	if r.eng == nil || r.eng.g != dev.Graph() {
-		r.eng = newEngine(dev, r.opts)
+		r.eng = newEngine(dev)
 	}
 	e := r.eng
 	e.check.Reset(ctx)
@@ -236,9 +228,6 @@ type engine struct {
 	g    *graph.Graph
 	dist *graph.DistanceMatrix
 
-	lookahead int     // Options.LookaheadSlices
-	discount  float64 // Options.LookaheadDiscount
-
 	// check polls for cancellation once per routing iteration; the zero
 	// value (direct engine users, background contexts) is inert.
 	check router.CtxChecker
@@ -277,26 +266,24 @@ type gateRec struct {
 	dist  int32    // distance under the current layout
 }
 
-func newEngine(dev *arch.Device, opts Options) *engine {
+func newEngine(dev *arch.Device) *engine {
 	nQ := dev.NumQubits()
 	head := make([]int32, nQ)
 	for i := range head {
 		head[i] = -1
 	}
 	return &engine{
-		g:         dev.Graph(),
-		dist:      dev.Distances(),
-		lookahead: opts.LookaheadSlices,
-		discount:  opts.LookaheadDiscount,
-		candSeen:  make([]int32, dev.NumCouplers()),
-		nbrEdge:   dev.Graph().NeighborEdgeIDs(),
-		cands:     make([][2]int32, 0, dev.NumCouplers()),
+		g:        dev.Graph(),
+		dist:     dev.Distances(),
+		candSeen: make([]int32, dev.NumCouplers()),
+		nbrEdge:  dev.Graph().NeighborEdgeIDs(),
+		cands:    make([][2]int32, 0, dev.NumCouplers()),
 		// A slice's gates are qubit-disjoint, so each depth holds at most
 		// nQ/2 of them.
-		recs:  make([]gateRec, 0, (opts.LookaheadSlices+1)*(nQ/2)),
+		recs:  make([]gateRec, 0, (lookaheadSlices+1)*(nQ/2)),
 		head:  head,
-		base:  make([]int64, opts.LookaheadSlices+1),
-		delta: make([]int64, opts.LookaheadSlices+1),
+		base:  make([]int64, lookaheadSlices+1),
+		delta: make([]int64, lookaheadSlices+1),
 	}
 }
 
@@ -308,7 +295,7 @@ func (e *engine) rebuild(pending []int, slices [][]int, si int, dag *circuit.DAG
 	}
 	e.recs = e.recs[:0]
 	clear(e.base)
-	e.depths = min(e.lookahead, len(slices)-1-si)
+	e.depths = min(lookaheadSlices, len(slices)-1-si)
 	e.add(pending, 0, dag, lay)
 	e.nPending = len(pending)
 	for d := 1; d <= e.depths; d++ {
@@ -413,10 +400,10 @@ func (e *engine) score(a, b int, lay *layout) (float64, int64) {
 		node = rec.next[k]
 	}
 	total := float64(e.base[0] + delta[0])
-	w := e.discount
+	w := lookaheadDiscount
 	for d := 1; d <= e.depths; d++ {
 		total += w * float64(e.base[d]+delta[d])
-		w *= e.discount
+		w *= lookaheadDiscount
 	}
 	return total, delta[0]
 }
