@@ -212,6 +212,9 @@ func BenchmarkStructuralVerify(b *testing.B) {
 // one-iteration benchmark gate has always measured.
 const benchSeed = 0
 
+// benchRoute also reports the router's work per op: the swap decisions
+// and candidate SWAPs of one route (every iteration does the same work),
+// so ns/op over candidates/op reads as ns per candidate.
 func benchRoute(b *testing.B, mk func(seed int64) router.Router, dev *arch.Device, n, gates int) {
 	bench, err := qubikos.Generate(dev, qubikos.Options{
 		NumSwaps: n, TargetTwoQubitGates: gates, Seed: 9,
@@ -220,15 +223,22 @@ func benchRoute(b *testing.B, mk func(seed int64) router.Router, dev *arch.Devic
 		b.Fatal(err)
 	}
 	var gap float64
+	var work router.Counters
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := router.RouteWithContext(context.Background(), mk(benchSeed), bench.Circuit, dev)
+		r := mk(benchSeed)
+		res, err := router.RouteWithContext(context.Background(), r, bench.Circuit, dev)
 		if err != nil {
 			b.Fatal(err)
 		}
 		gap = family.Swaps.Ratio(res.SwapCount, bench.OptSwaps)
+		if in, ok := r.(router.Instrumented); ok {
+			work = in.Counters()
+		}
 	}
 	b.ReportMetric(gap, "gap-x")
+	b.ReportMetric(float64(work.Decisions), "decisions/op")
+	b.ReportMetric(float64(work.Candidates), "candidates/op")
 }
 
 func BenchmarkRouteLightSabreAspen4(b *testing.B) {
@@ -243,7 +253,8 @@ func BenchmarkRouteLightSabreEagle127(b *testing.B) {
 
 // BenchmarkTketRoute, BenchmarkQmapRoute and BenchmarkMlqlsRoute track
 // the three non-SABRE routing hot paths at the small and large ends of
-// the paper's device range (Aspen-4 at 300 gates, Eagle-127 at 3000).
+// the paper's device range (Aspen-4 at 300 gates, Eagle-127 at 3000);
+// BenchmarkRouteLightSabreAspen4/Eagle127 track LightSABRE's.
 // BENCH_routers.json at the repository root snapshots their numbers;
 // compare fresh -benchmem runs against it to catch regressions.
 func BenchmarkTketRoute(b *testing.B) {

@@ -96,3 +96,23 @@ func TestRunErrorsOnNoMatches(t *testing.T) {
 		t.Fatal("no-match input should error rather than pass vacuously")
 	}
 }
+
+func TestRunSkipsCustomMetrics(t *testing.T) {
+	// benchRoute reports gap-x, decisions/op and candidates/op between
+	// ns/op and the -benchmem pairs; the gate reads ns/op and allocs/op
+	// past them.
+	snap := writeSnapshot(t)
+	in := strings.NewReader("BenchmarkQmapRoute/eagle127-2   1   1100000 ns/op   140000 candidates/op   " +
+		"8000 decisions/op   419.2 gap-x   120 B/op   30 allocs/op\n")
+	var out strings.Builder
+	failed, err := run(snap, in, 0.25, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed || !strings.Contains(out.String(), "ratio 1.10x  ok") {
+		t.Fatalf("ns/op not read past the custom metrics:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "30 allocs/op vs snapshot 10 (advisory)") {
+		t.Fatalf("allocs/op not read past the custom metrics:\n%s", out.String())
+	}
+}

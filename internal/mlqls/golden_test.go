@@ -17,7 +17,10 @@ import (
 // stream. The expectations were recorded from the pre-optimization
 // engine (map-backed weighted interaction graphs throughout the
 // multilevel hierarchy); the flat-graph engine must reproduce them
-// exactly on both the seeds-varied and placed-mapping paths.
+// exactly on both the seeds-varied and placed-mapping paths. The work
+// counters (refinement plus the SABRE routing stage) were recorded from
+// the SABRE engine that scored every candidate in full, so they also
+// pin the routing stage's search work.
 type goldenCase struct {
 	name   string
 	device func() *arch.Device
@@ -28,20 +31,28 @@ type goldenCase struct {
 	placed bool
 	want   int
 	print  uint64
+	decide int64 // expected Counters().Decisions
+	cands  int64 // expected Counters().Candidates
+	starts int64 // expected Counters().Restarts
 }
 
 func goldenCases() []goldenCase {
 	return []goldenCase{
 		{name: "aspen4-route", device: arch.RigettiAspen4, swaps: 5, gates: 300, seed: 9,
-			opts: mlqls.Options{Seed: 7}, want: 190, print: 0x8f3e49c628a783b9},
+			opts: mlqls.Options{Seed: 7}, want: 190, print: 0x8f3e49c628a783b9,
+			decide: 883, cands: 7978, starts: 6},
 		{name: "sycamore54-route", device: arch.GoogleSycamore54, swaps: 8, gates: 500, seed: 11,
-			opts: mlqls.Options{Seed: 13}, want: 535, print: 0x8534909df9fc6559},
+			opts: mlqls.Options{Seed: 13}, want: 535, print: 0x8534909df9fc6559,
+			decide: 2385, cands: 57481, starts: 8},
 		{name: "eagle127-route", device: arch.IBMEagle127, swaps: 5, gates: 600, seed: 17,
-			opts: mlqls.Options{Seed: 21}, want: 2771, print: 0xb0601cb13eb9f45e},
+			opts: mlqls.Options{Seed: 21}, want: 2771, print: 0xb0601cb13eb9f45e,
+			decide: 11464, cands: 191089, starts: 13},
 		{name: "aspen4-placed", device: arch.RigettiAspen4, swaps: 5, gates: 300, seed: 9,
-			opts: mlqls.Options{Seed: 7}, placed: true, want: 5, print: 0xf99dc136b483597b},
+			opts: mlqls.Options{Seed: 7}, placed: true, want: 5, print: 0xf99dc136b483597b,
+			decide: 20, cands: 92, starts: 4},
 		{name: "eagle127-placed", device: arch.IBMEagle127, swaps: 5, gates: 600, seed: 17,
-			opts: mlqls.Options{Seed: 21}, placed: true, want: 5, print: 0xcaeea1c0bb235845},
+			opts: mlqls.Options{Seed: 21}, placed: true, want: 5, print: 0xcaeea1c0bb235845,
+			decide: 20, cands: 84, starts: 4},
 	}
 }
 
@@ -89,6 +100,10 @@ func TestGoldenCorpus(t *testing.T) {
 			if res.SwapCount != gc.want || fingerprint(res) != gc.print {
 				t.Errorf("swaps=%d print=%#x, pre-refactor engine produced swaps=%d print=%#x",
 					res.SwapCount, fingerprint(res), gc.want, gc.print)
+			}
+			if c := r.Counters(); c.Decisions != gc.decide || c.Candidates != gc.cands || c.Restarts != gc.starts {
+				t.Errorf("counters %+v, want %d decisions over %d candidates in %d restarts",
+					c, gc.decide, gc.cands, gc.starts)
 			}
 		})
 	}

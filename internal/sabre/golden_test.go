@@ -21,7 +21,12 @@ import (
 // stream. The expectations were recorded from the pre-optimization
 // engine (map-based adjacency, [][]int distances, per-decision
 // allocations); the allocation-free engine must reproduce them exactly,
-// which guards the hot-path rewrite against behavioural drift.
+// which guards the hot-path rewrite against behavioural drift. The
+// decision and candidate counts were recorded from the engine that
+// scored every candidate in full; pinning them makes "the same decisions
+// over the same candidates" a checked property of the engine that skips
+// provably worse candidates, so a skip that dropped a candidate from the
+// count or moved a tie fails here.
 type goldenCase struct {
 	name   string
 	device func() *arch.Device
@@ -29,6 +34,8 @@ type goldenCase struct {
 	opts   sabre.Options
 	swaps  int
 	print  uint64 // FNV-1a fingerprint of mapping + gates
+	decide int64  // expected Counters().Decisions
+	cands  int64  // expected Counters().Candidates
 }
 
 func randomCircuit(nQ, gates int, seed int64) *circuit.Circuit {
@@ -74,9 +81,11 @@ func goldenCases() []goldenCase {
 			circ: func(t *testing.T, dev *arch.Device) *circuit.Circuit {
 				return randomCircuit(8, 60, 2)
 			},
-			opts:  sabre.Options{Trials: 6, Seed: 4},
-			swaps: 26,
-			print: 0x2eaaf2c90b85d5be,
+			opts:   sabre.Options{Trials: 6, Seed: 4},
+			swaps:  26,
+			print:  0x2eaaf2c90b85d5be,
+			decide: 1187,
+			cands:  8941,
 		},
 		{
 			name:   "aspen4-qubikos",
@@ -85,6 +94,8 @@ func goldenCases() []goldenCase {
 			opts:   sabre.Options{Trials: 4, Seed: 7},
 			swaps:  48,
 			print:  0x4136cecffddc96b2,
+			decide: 3138,
+			cands:  26757,
 		},
 		{
 			name:   "sycamore54-qubikos",
@@ -93,6 +104,8 @@ func goldenCases() []goldenCase {
 			opts:   sabre.Options{Trials: 3, Seed: 13},
 			swaps:  292,
 			print:  0x82f5ec9a1caf0736,
+			decide: 9609,
+			cands:  227819,
 		},
 		{
 			name:   "eagle127-qubikos",
@@ -101,6 +114,8 @@ func goldenCases() []goldenCase {
 			opts:   sabre.Options{Trials: 2, Seed: 21},
 			swaps:  1137,
 			print:  0xe0a1d41e296b6607,
+			decide: 22027,
+			cands:  361312,
 		},
 		{
 			name:   "aspen4-decay-lookahead",
@@ -109,6 +124,8 @@ func goldenCases() []goldenCase {
 			opts:   sabre.Options{Trials: 2, Seed: 5, LookaheadDecay: 0.7},
 			swaps:  106,
 			print:  0x6a7dbc2574dbf31b,
+			decide: 2115,
+			cands:  19195,
 		},
 	}
 }
@@ -122,7 +139,8 @@ func TestGoldenCorpus(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			dev := gc.device()
 			c := gc.circ(t, dev)
-			res, err := router.RouteWithContext(context.Background(), sabre.New(gc.opts), c, dev)
+			r := sabre.New(gc.opts)
+			res, err := router.RouteWithContext(context.Background(), r, c, dev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,6 +152,10 @@ func TestGoldenCorpus(t *testing.T) {
 			}
 			if got := fingerprint(res); got != gc.print {
 				t.Errorf("fingerprint %#x, pre-refactor engine produced %#x", got, gc.print)
+			}
+			if c := r.Counters(); c.Decisions != gc.decide || c.Candidates != gc.cands || c.Restarts != int64(gc.opts.Trials) {
+				t.Errorf("counters %+v, want %d decisions over %d candidates in %d restarts",
+					c, gc.decide, gc.cands, gc.opts.Trials)
 			}
 		})
 	}
@@ -224,6 +246,49 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 			if fingerprint(par) != fingerprint(ser) {
 				t.Errorf("parallel and serial runs diverged beyond swap count")
+			}
+		})
+	}
+}
+
+// TestLowerBoundSkipMatchesFullScoring is the differential oracle of the
+// extended-set lower bound. A no-op Trace turns the skip off (and runs
+// one worker), so every candidate is scored in full; routing the same
+// seeded circuit without a Trace must give the same fingerprint, SWAP
+// count and work counters. A bound that rose above a candidate's exact
+// total, or that skipped a tie, would move a decision or the random
+// stream. The decayed lookahead never skips; it is covered for the
+// one-pass enumeration.
+func TestLowerBoundSkipMatchesFullScoring(t *testing.T) {
+	devices := []*arch.Device{
+		arch.Line(6), arch.Ring(8), arch.Grid3x3(), arch.HeavyHex(2, 5), arch.IBMEagle127(),
+	}
+	for _, dev := range devices {
+		t.Run(dev.Name(), func(t *testing.T) {
+			for _, decay := range []float64{0, 0.5} {
+				for seed := int64(1); seed <= 3; seed++ {
+					nQ := dev.NumQubits()
+					// Narrower circuits leave ancillas on the device.
+					width := nQ - int(seed)%2
+					c := randomCircuit(width, min(8*nQ, 150), seed)
+					opts := sabre.Options{Trials: 3, Seed: seed, LookaheadDecay: decay}
+					skip := sabre.New(opts)
+					got, err := router.RouteWithContext(context.Background(), skip, c, dev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Trace = func(sabre.TraceStep) {}
+					full := sabre.New(opts)
+					want, err := router.RouteWithContext(context.Background(), full, c, dev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.SwapCount != want.SwapCount || fingerprint(got) != fingerprint(want) || skip.Counters() != full.Counters() {
+						t.Errorf("%s decay %v seed %d: with the skip %d swaps, print %#x, %+v; scoring in full %d swaps, print %#x, %+v",
+							dev.Name(), decay, seed, got.SwapCount, fingerprint(got), skip.Counters(),
+							want.SwapCount, fingerprint(want), full.Counters())
+					}
+				}
 			}
 		})
 	}

@@ -13,9 +13,13 @@
 // the per-swap-decision inner loop is allocation-free — epoch-stamped
 // scratch buffers replace the per-decision maps, and the front-layer
 // cost of a candidate swap is evaluated as an integer delta over the two
-// touched qubits instead of re-summing the whole front layer. See
-// docs/performance.md for the layout of the hot path and how to compare
-// benchmarks.
+// touched qubits instead of re-summing the whole front layer. Each
+// candidate is scored once, as it is enumerated. Under uniform lookahead
+// a candidate whose float-monotone lower bound already exceeds the
+// running best skips its extended-set walk: it can neither win nor tie,
+// so routing, the work counters and the random stream are those of
+// scoring every candidate in full (see run). See docs/performance.md for
+// the layout of the hot path and how to compare benchmarks.
 package sabre
 
 import (
@@ -319,10 +323,9 @@ type passEngine struct {
 	// Per-decision scratch. epoch increments once per swap decision;
 	// every stamp array compares against it instead of being cleared.
 	epoch    int32
-	visited  []int32    // DAG node -> epoch it entered the extended-set BFS
-	candSeen []int32    // coupler edge -> epoch it was emitted (see nbrEdge)
-	nbrEdge  [][]int32  // physical qubit -> coupler ids parallel to Neighbors
-	cands    [][2]int32 // candidate swaps (program qubits, a < b)
+	visited  []int32   // DAG node -> epoch it entered the extended-set BFS
+	candSeen []int32   // coupler edge -> epoch it was scored (see nbrEdge)
+	nbrEdge  [][]int32 // physical qubit -> coupler ids parallel to Neighbors
 
 	// Front-keyed scratch, rebuilt only when the front layer changes.
 	// Consecutive no-progress decisions differ only in qubit positions,
@@ -338,13 +341,13 @@ type passEngine struct {
 	extQ1      []int32
 	extOld     []int32 // extended index -> gate distance at decision start
 	extHead    []int32 // program qubit -> head of its extended-gate list
+	extCnt     []int32 // program qubit -> length of its extended-gate list
 	extStamp   []int32 // program qubit -> front epoch extHead is valid for
 	extIdx     []int32 // list node -> index into extended
 	extOther   []int32 // list node -> the gate's other endpoint
 	extNext    []int32 // list node -> next list node (-1 ends)
 	fgN        int     // front-gate count
-	fgQ0       []int32 // front-gate index -> endpoints (flattened)
-	fgQ1       []int32
+	fgQ        []int32 // front gate fi's endpoints at 2fi and 2fi+1
 	fgD        []int32 // front-gate index -> distance at decision start
 	frontGi    []int32 // program qubit -> its front-gate index
 	frontOther []int32 // program qubit -> other endpoint of its front gate
@@ -383,7 +386,6 @@ func newPassEngine(dev *arch.Device, opts Options, dagN int) *passEngine {
 		visited:  make([]int32, dagN),
 		candSeen: make([]int32, dev.NumCouplers()),
 		nbrEdge:  dev.Graph().NeighborEdgeIDs(),
-		cands:    make([][2]int32, 0, dev.NumCouplers()),
 
 		extended:   make([]int, 0, es),
 		extQueue:   make([]int, 0, dagN+es),
@@ -391,12 +393,12 @@ func newPassEngine(dev *arch.Device, opts Options, dagN int) *passEngine {
 		extQ1:      make([]int32, es),
 		extOld:     make([]int32, es),
 		extHead:    make([]int32, nQ),
+		extCnt:     make([]int32, nQ),
 		extStamp:   make([]int32, nQ),
 		extIdx:     make([]int32, 2*es),
 		extOther:   make([]int32, 2*es),
 		extNext:    make([]int32, 2*es),
-		fgQ0:       make([]int32, nQ),
-		fgQ1:       make([]int32, nQ),
+		fgQ:        make([]int32, 2*nQ),
 		fgD:        make([]int32, nQ),
 		frontGi:    make([]int32, nQ),
 		frontOther: make([]int32, nQ),
@@ -475,6 +477,9 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 	// front changes, incremental update after each accepted swap.
 	baseFront := 0
 	extBase := 0
+	// A Trace sees every candidate's cost, so it turns off the skip of
+	// candidates that provably score worse than the running best.
+	skipWorse := e.opts.Trace == nil
 	// scanSkip is set after an accepted swap that provably made no front
 	// gate executable (both moved qubits' front gates stay at distance
 	// > 1, and no other gate's endpoints moved), so the executable scan
@@ -555,7 +560,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 			for _, v := range front {
 				gt := dag.Gate(v)
 				fi := int32(e.fgN)
-				e.fgQ0[fi], e.fgQ1[fi] = int32(gt.Q0), int32(gt.Q1)
+				e.fgQ[2*fi], e.fgQ[2*fi+1] = int32(gt.Q0), int32(gt.Q1)
 				e.frontGi[gt.Q0], e.frontGi[gt.Q1] = fi, fi
 				e.frontOther[gt.Q0], e.frontOther[gt.Q1] = int32(gt.Q1), int32(gt.Q0)
 				e.frontStmp[gt.Q0], e.frontStmp[gt.Q1] = fep, fep
@@ -573,12 +578,14 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 					}
 					if e.extStamp[q] != fep {
 						e.extHead[q] = -1
+						e.extCnt[q] = 0
 						e.extStamp[q] = fep
 					}
 					e.extIdx[nodeCnt] = int32(i)
 					e.extOther[nodeCnt] = int32(o)
 					e.extNext[nodeCnt] = e.extHead[q]
 					e.extHead[q] = nodeCnt
+					e.extCnt[q]++
 					nodeCnt++
 				}
 				e.extN++
@@ -588,7 +595,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 			// below keep it current incrementally.
 			baseFront = 0
 			for fi := 0; fi < e.fgN; fi++ {
-				d := int32(dist.At(mapping[e.fgQ0[fi]], mapping[e.fgQ1[fi]]))
+				d := int32(dist.At(mapping[e.fgQ[2*fi]], mapping[e.fgQ[2*fi+1]]))
 				e.fgD[fi] = d
 				baseFront += int(d)
 			}
@@ -603,148 +610,166 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 		}
 		fep := e.frontEp
 		extN := e.extN
-
-		// Candidate swaps: edges touching any front-gate qubit. The
-		// register is padded to the device size, so every neighbor is
-		// occupied (possibly by an ancilla). Dedup is an epoch stamp on
-		// the program-qubit pair, preserving first-seen order.
-		cands := e.cands[:0]
-		for fi := 0; fi < e.fgN; fi++ {
-			for k := 0; k < 2; k++ {
-				q := int(e.fgQ0[fi])
-				if k == 1 {
-					q = int(e.fgQ1[fi])
-				}
-				p := mapping[q]
-				nbrs := g.Neighbors(p)
-				eids := e.nbrEdge[p]
-				for j, pn := range nbrs {
-					qn := lay.inv[pn]
-					if qn == -1 {
-						continue
-					}
-					// Dedup on the coupler id: under the padded layout the
-					// program pair (a,b) and the physical edge {p,pn} are in
-					// bijection, so stamping the edge makes exactly the
-					// decisions the (a,b) pair table made, in the same
-					// first-seen order — with a stamp table that fits in L1.
-					if e.candSeen[eids[j]] != ep {
-						e.candSeen[eids[j]] = ep
-						a, b := q, qn
-						if a > b {
-							a, b = b, a
-						}
-						cands = append(cands, [2]int32{int32(a), int32(b)})
-					}
-				}
-			}
+		// A candidate moves each of at most two front gates one hop, so
+		// its front delta d lies in [-2, 2]; basicOf[d+2] is its front
+		// term, computed exactly as the candidate would compute it.
+		var basicOf [5]float64
+		for d := range basicOf {
+			basicOf[d] = float64(baseFront+d-2) / float64(len(front))
 		}
-		e.cands = cands
-		e.cntCandidates += int64(len(cands))
 
-		bestIdx := -1
+		// Candidate swaps: edges touching any front-gate qubit, each
+		// scored the first time it is seen. The register is padded to the
+		// device size, so every neighbor is occupied (possibly by an
+		// ancilla). Dedup is an epoch stamp on the coupler id: under the
+		// padded layout the program pair (a,b) and the physical edge
+		// {p,pn} are in bijection, so stamping the edge makes exactly the
+		// decisions an (a,b) pair table would, in the same first-seen
+		// order, with a stamp table that fits in L1.
+		nCand := 0
+		bestIdx, bestA, bestB := -1, 0, 0
 		var bestTotal float64
 		var costs []SwapCost
-		for ci := range cands {
-			qa, qb := int(cands[ci][0]), int(cands[ci][1])
-			pa, pb := mapping[qa], mapping[qb]
-			rowA, rowB := dist.Row(pa), dist.Row(pb)
-			// The candidate is evaluated positionally — qa sits at pb, qb
-			// at pa, everyone else stays put — so the layout is never
-			// mutated mid-scan. The distances are exactly those the
-			// swapped layout would produce.
-			//
-			// Front-layer term as a delta over the (at most two) front
-			// gates whose qubits moved. A front gate on exactly (qa,qb)
-			// keeps its distance, so both branches contribute zero and
-			// double-counting is harmless.
-			deltaF := 0
-			if e.frontStmp[qa] == fep {
-				o := int(e.frontOther[qa])
-				po := mapping[o]
-				if o == qb {
-					po = pa
+		for _, q32 := range e.fgQ[:2*e.fgN] {
+			q := int(q32)
+			p := mapping[q]
+			eids := e.nbrEdge[p]
+			for j, pn := range g.Neighbors(p) {
+				qn := lay.inv[pn]
+				if qn == -1 || e.candSeen[eids[j]] == ep {
+					continue
 				}
-				deltaF += int(rowB[po]) - int(e.fgD[e.frontGi[qa]])
-			}
-			if e.frontStmp[qb] == fep {
-				o := int(e.frontOther[qb])
-				po := mapping[o]
-				if o == qa {
-					po = pb
+				e.candSeen[eids[j]] = ep
+				ci := nCand
+				nCand++
+				qa, qb := q, qn
+				if qa > qb {
+					qa, qb = qb, qa
 				}
-				deltaF += int(rowA[po]) - int(e.fgD[e.frontGi[qb]])
-			}
-			basic := float64(baseFront+deltaF) / float64(len(front))
-			look := 0.0
-			if extN > 0 {
-				if uniformLook {
-					// Delta over the extended gates touching qa or qb: a
-					// gate on exactly (qa,qb) appears in both lists with a
-					// zero delta, so no dedup is needed.
-					deltaE := 0
-					if e.extStamp[qa] == fep {
-						for node := e.extHead[qa]; node != -1; node = e.extNext[node] {
-							o := int(e.extOther[node])
-							po := mapping[o]
-							if o == qb {
-								po = pa
+				pa, pb := mapping[qa], mapping[qb]
+				rowA, rowB := dist.Row(pa), dist.Row(pb)
+				// The candidate is evaluated positionally — qa sits at pb,
+				// qb at pa, everyone else stays put — so the layout is
+				// never mutated mid-scan. The distances are exactly those
+				// the swapped layout would produce.
+				//
+				// Front-layer term as a delta over the (at most two) front
+				// gates whose qubits moved. A front gate on exactly (qa,qb)
+				// keeps its distance, so both branches contribute zero and
+				// double-counting is harmless.
+				deltaF := 0
+				if e.frontStmp[qa] == fep {
+					o := int(e.frontOther[qa])
+					po := mapping[o]
+					if o == qb {
+						po = pa
+					}
+					deltaF += int(rowB[po]) - int(e.fgD[e.frontGi[qa]])
+				}
+				if e.frontStmp[qb] == fep {
+					o := int(e.frontOther[qb])
+					po := mapping[o]
+					if o == qa {
+						po = pb
+					}
+					deltaF += int(rowA[po]) - int(e.fgD[e.frontGi[qb]])
+				}
+				basic := basicOf[deltaF+2]
+				dk := decay[qa]
+				if decay[qb] > dk {
+					dk = decay[qb]
+				}
+				look := 0.0
+				if extN > 0 {
+					if uniformLook {
+						// Lower bound: nE extended-gate entries sit on qa's
+						// and qb's lists, and moving one endpoint one hop
+						// changes a gate's distance by at least -1, so
+						// extBase-nE <= extBase+deltaE. The conversion to
+						// float64, the multiply by extendedSetWeight, the
+						// division by extN, the addition of basic and the
+						// multiply by dk > 0 are each monotone under IEEE
+						// rounding, so lb, computed in the exact total's
+						// operation order, is <= total bit for bit. A
+						// candidate with lb > bestTotal scores strictly
+						// worse than the running best: it can neither win
+						// nor tie (so draws nothing from rng), and its walk
+						// is skipped.
+						nE := 0
+						if e.extStamp[qa] == fep {
+							nE += int(e.extCnt[qa])
+						}
+						if e.extStamp[qb] == fep {
+							nE += int(e.extCnt[qb])
+						}
+						if skipWorse && bestIdx >= 0 &&
+							dk*(basic+extendedSetWeight*float64(extBase-nE)/float64(extN)) > bestTotal {
+							continue
+						}
+						// Delta over the extended gates touching qa or qb:
+						// a gate on exactly (qa,qb) appears in both lists
+						// with a zero delta, so no dedup is needed.
+						deltaE := 0
+						if e.extStamp[qa] == fep {
+							for node := e.extHead[qa]; node != -1; node = e.extNext[node] {
+								o := int(e.extOther[node])
+								po := mapping[o]
+								if o == qb {
+									po = pa
+								}
+								deltaE += int(rowB[po]) - int(e.extOld[e.extIdx[node]])
 							}
-							deltaE += int(rowB[po]) - int(e.extOld[e.extIdx[node]])
 						}
-					}
-					if e.extStamp[qb] == fep {
-						for node := e.extHead[qb]; node != -1; node = e.extNext[node] {
-							o := int(e.extOther[node])
-							po := mapping[o]
-							if o == qa {
-								po = pb
+						if e.extStamp[qb] == fep {
+							for node := e.extHead[qb]; node != -1; node = e.extNext[node] {
+								o := int(e.extOther[node])
+								po := mapping[o]
+								if o == qa {
+									po = pb
+								}
+								deltaE += int(rowA[po]) - int(e.extOld[e.extIdx[node]])
 							}
-							deltaE += int(rowA[po]) - int(e.extOld[e.extIdx[node]])
 						}
+						look = extendedSetWeight * float64(extBase+deltaE) / float64(extN)
+					} else {
+						wSum := 0.0
+						w := 1.0
+						for i := 0; i < extN; i++ {
+							p0, p1 := mapping[e.extQ0[i]], mapping[e.extQ1[i]]
+							switch int(e.extQ0[i]) {
+							case qa:
+								p0 = pb
+							case qb:
+								p0 = pa
+							}
+							switch int(e.extQ1[i]) {
+							case qa:
+								p1 = pb
+							case qb:
+								p1 = pa
+							}
+							look += w * float64(dist.At(p0, p1))
+							wSum += w
+							w *= e.opts.LookaheadDecay
+						}
+						look = extendedSetWeight * look / wSum
 					}
-					look = extendedSetWeight * float64(extBase+deltaE) / float64(extN)
-				} else {
-					wSum := 0.0
-					w := 1.0
-					for i := 0; i < extN; i++ {
-						p0, p1 := mapping[e.extQ0[i]], mapping[e.extQ1[i]]
-						switch int(e.extQ0[i]) {
-						case qa:
-							p0 = pb
-						case qb:
-							p0 = pa
-						}
-						switch int(e.extQ1[i]) {
-						case qa:
-							p1 = pb
-						case qb:
-							p1 = pa
-						}
-						look += w * float64(dist.At(p0, p1))
-						wSum += w
-						w *= e.opts.LookaheadDecay
-					}
-					look = extendedSetWeight * look / wSum
 				}
-			}
 
-			dk := decay[qa]
-			if decay[qb] > dk {
-				dk = decay[qb]
-			}
-			total := dk * (basic + look)
-			if trace != nil {
-				costs = append(costs, SwapCost{
-					ProgA: qa, ProgB: qb,
-					PhysA: mapping[qa], PhysB: mapping[qb],
-					Basic: basic, Lookahead: look, Decay: dk, Total: total,
-				})
-			}
-			if bestIdx == -1 || total < bestTotal || (total == bestTotal && rng.Intn(2) == 0) {
-				bestIdx, bestTotal = ci, total
+				total := dk * (basic + look)
+				if trace != nil {
+					costs = append(costs, SwapCost{
+						ProgA: qa, ProgB: qb,
+						PhysA: pa, PhysB: pb,
+						Basic: basic, Lookahead: look, Decay: dk, Total: total,
+					})
+				}
+				if bestIdx == -1 || total < bestTotal || (total == bestTotal && rng.Intn(2) == 0) {
+					bestIdx, bestA, bestB, bestTotal = ci, qa, qb, total
+				}
 			}
 		}
+		e.cntCandidates += int64(nCand)
 		if bestIdx == -1 {
 			// No candidates can only happen on a degenerate device; force.
 			e.forceRoute(dag, front[0], lay, record)
@@ -753,7 +778,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 		if trace != nil {
 			trace(TraceStep{Trial: trial, FrontGates: frontGates(dag, front), Candidates: costs, ChosenIdx: bestIdx})
 		}
-		qa, qb := int(cands[bestIdx][0]), int(cands[bestIdx][1])
+		qa, qb := bestA, bestB
 		if record {
 			e.out.Gates = append(e.out.Gates, circuit.NewSwap(qa, qb))
 			e.swaps++
@@ -773,7 +798,7 @@ func (e *passEngine) run(dag *circuit.DAG, mapping router.Mapping, rng *rand.Ran
 			}
 			if e.frontStmp[q] == fep {
 				fi := e.frontGi[q]
-				d := int32(dist.At(mapping[e.fgQ0[fi]], mapping[e.fgQ1[fi]]))
+				d := int32(dist.At(mapping[e.fgQ[2*fi]], mapping[e.fgQ[2*fi+1]]))
 				baseFront += int(d - e.fgD[fi])
 				e.fgD[fi] = d
 				if d == 1 {

@@ -39,21 +39,38 @@ func TestDecisionBaseSumsDiscountFutureSlices(t *testing.T) {
 	lay := &layout{m: m, inv: m.Inverse(4)}
 	e := newEngine(dev)
 	e.rebuild(slices[0], slices, 0, dag, lay)
-	// Current slice distance 1, next slice distance 3: with no swap
-	// applied the deltas are zero, so the score of an identity candidate
-	// is 1 + 0.5*3 = 2.5.
-	if e.base[0] != 1 || e.base[1] != 3 {
-		t.Fatalf("base sums = %v, want [1 3]", e.base)
+	// The reference score is 1 + 0.5*3 = 2.5, and a key is four times a
+	// candidate's change to it: a current-slice hop weighs 4, a next-slice
+	// hop 2.
+	before, _ := directScore(slices[0], slices, 0, dag, lay, dev)
+	if before != 2.5 {
+		t.Fatalf("reference score %v, want 2.5", before)
 	}
-	score, d0 := e.score(3, 3, lay)
-	if score != 2.5 || d0 != 0 {
-		t.Fatalf("score=%v delta0=%d, want 2.5 and 0", score, d0)
+	for _, tc := range []struct {
+		a, b    int
+		key, d0 int64
+	}{
+		{3, 3, 0, 0},  // identity: nothing moves
+		{2, 3, -2, 0}, // cx(0,2) one hop closer: δ1 = -1
+		{1, 3, 4, 1},  // cx(0,1) one hop apart: δ0 = +1
+	} {
+		key, d0 := e.score(tc.a, tc.b, lay)
+		if key != tc.key || d0 != tc.d0 {
+			t.Fatalf("swap (%d,%d): key=%d delta0=%d, want %d and %d", tc.a, tc.b, key, d0, tc.key, tc.d0)
+		}
+		lay.swap(tc.a, tc.b)
+		after, _ := directScore(slices[0], slices, 0, dag, lay, dev)
+		lay.swap(tc.a, tc.b)
+		if float64(key) != 4*(after-before) {
+			t.Fatalf("swap (%d,%d): key=%d, reference change %v", tc.a, tc.b, key, after-before)
+		}
 	}
 }
 
 // directScore re-sums every slice in scope under lay, in the reference
-// float operation order: the evaluation the positional delta score must
-// reproduce bit for bit. It also returns the current-slice sum.
+// float operation order: the discounted score whose differences the
+// integer keys must reproduce exactly (key = 4·(after − before)). It also
+// returns the current-slice sum.
 func directScore(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *layout, dev *arch.Device) (float64, int64) {
 	sum := func(gates []int) int64 {
 		s := int64(0)
@@ -65,17 +82,17 @@ func directScore(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *l
 	}
 	s0 := sum(pending)
 	total := float64(s0)
-	w := lookaheadDiscount
+	w := 0.5 // each following slice weighs half the one before it
 	for d := 1; d <= lookaheadSlices && si+d < len(slices); d++ {
 		total += w * float64(sum(slices[si+d]))
-		w *= lookaheadDiscount
+		w *= 0.5
 	}
 	return total, s0
 }
 
 func TestScoreCandidateMatchesDirectEvaluation(t *testing.T) {
-	// A swap's positional score must equal re-summing the slices with
-	// the swap applied.
+	// A swap's positional key must be four times the change of the
+	// reference score when the slices are re-summed with the swap applied.
 	c := circuit.New(4)
 	c.MustAppend(circuit.NewCX(0, 3), circuit.NewCX(1, 2))
 	dev := arch.Line(4)
@@ -85,21 +102,49 @@ func TestScoreCandidateMatchesDirectEvaluation(t *testing.T) {
 	lay := &layout{m: m, inv: m.Inverse(4)}
 	e := newEngine(dev)
 	e.rebuild(slices[0], slices, 0, dag, lay)
-	score, _ := e.score(0, 1, lay)
+	before, _ := directScore(slices[0], slices, 0, dag, lay, dev)
+	key, _ := e.score(0, 1, lay)
 	lay.swap(0, 1)
-	want, _ := directScore(slices[0], slices, 0, dag, lay, dev)
+	after, _ := directScore(slices[0], slices, 0, dag, lay, dev)
 	lay.swap(0, 1)
-	if score != want {
-		t.Fatalf("positional score=%v, direct re-sum=%v", score, want)
+	if float64(key) != 4*(after-before) {
+		t.Fatalf("positional key=%d, direct re-sum change=%v", key, after-before)
 	}
+}
+
+// candidatePairs lists the swaps a decision must score: the couplers
+// touching a qubit of a pending gate, in first-seen order (pending gates
+// in order, Q0 before Q1, neighbors in adjacency order), as program-qubit
+// pairs with a < b.
+func candidatePairs(pending []int, dag *circuit.DAG, lay *layout, dev *arch.Device) [][2]int {
+	seen := map[[2]int]bool{}
+	var out [][2]int
+	for _, v := range pending {
+		gt := dag.Gate(v)
+		for _, q := range [2]int{gt.Q0, gt.Q1} {
+			p := lay.m[q]
+			for _, pn := range dev.Graph().Neighbors(p) {
+				edge := [2]int{min(p, pn), max(p, pn)}
+				if seen[edge] {
+					continue
+				}
+				seen[edge] = true
+				a, b := q, lay.inv[pn]
+				out = append(out, [2]int{min(a, b), max(a, b)})
+			}
+		}
+	}
+	return out
 }
 
 // TestDecisionStateMatchesRebuild drives the decision state the way the
 // routing loop does — rebuild once for a pending set, then accept swap
 // after swap — and checks after every accepted swap that the maintained
-// base sums and gate distances equal a from-scratch rebuild under the
-// new layout, and that every candidate's positional score equals
-// re-summing the swapped layout.
+// gate distances equal a from-scratch rebuild under the new layout. At
+// every decision each candidate's key must be exactly four times the
+// change of the re-summed float score, decide must pick what the float
+// reference picks over the same candidates with the same random stream,
+// and moved must report every pending gate a swap made executable.
 func TestDecisionStateMatchesRebuild(t *testing.T) {
 	devices := []*arch.Device{arch.Grid(4, 5), arch.HeavyHex(2, 5)}
 	for _, dev := range devices {
@@ -140,34 +185,51 @@ func checkDecisionState(t *testing.T, dev *arch.Device, seed int64) {
 		}
 		e.rebuild(pending, slices, si, dag, lay)
 		for step := 0; step < 6; step++ {
-			cands := e.collectCandidates(lay)
+			cands := candidatePairs(pending, dag, lay, dev)
 			if len(cands) == 0 {
 				t.Fatalf("%s seed %d slice %d: no candidates", dev.Name(), seed, si)
 			}
-			_, before0 := directScore(pending, slices, si, dag, lay, dev)
-			for _, cd := range cands {
-				a, b := int(cd[0]), int(cd[1])
-				score, d0 := e.score(a, b, lay)
+			before, before0 := directScore(pending, slices, si, dag, lay, dev)
+			// The float reference's choice: lowest re-summed score, an
+			// equal score replacing the best on Intn(2) == 0.
+			tieSeed := rng.Int63()
+			ref := rand.New(rand.NewSource(tieSeed))
+			var refPick [2]int
+			var refScore float64
+			var refDelta0 int64
+			for ci, cd := range cands {
+				a, b := cd[0], cd[1]
+				key, d0 := e.score(a, b, lay)
 				lay.swap(a, b)
-				want, after0 := directScore(pending, slices, si, dag, lay, dev)
+				after, after0 := directScore(pending, slices, si, dag, lay, dev)
 				lay.swap(a, b)
-				if score != want || d0 != after0-before0 {
-					t.Fatalf("%s seed %d slice %d swap (%d,%d): score=%v delta0=%d, re-sum=%v delta0=%d",
-						dev.Name(), seed, si, a, b, score, d0, want, after0-before0)
+				if float64(key) != 4*(after-before) || d0 != after0-before0 {
+					t.Fatalf("%s seed %d slice %d swap (%d,%d): key=%d delta0=%d, re-sum change=%v delta0=%d",
+						dev.Name(), seed, si, a, b, key, d0, after-before, after0-before0)
+				}
+				if ci == 0 || after < refScore || (after == refScore && ref.Intn(2) == 0) {
+					refPick, refScore, refDelta0 = cd, after, after0-before0
 				}
 			}
+			a, b, d0, n := e.decide(lay, rand.New(rand.NewSource(tieSeed)))
+			if n != len(cands) || [2]int{a, b} != refPick || d0 != refDelta0 {
+				t.Fatalf("%s seed %d slice %d step %d: decide picked (%d,%d) delta0=%d over %d candidates, reference (%d,%d) delta0=%d over %d",
+					dev.Name(), seed, si, step, a, b, d0, n, refPick[0], refPick[1], refDelta0, len(cands))
+			}
+
 			cd := cands[rng.Intn(len(cands))]
-			a, b := int(cd[0]), int(cd[1])
+			a, b = cd[0], cd[1]
+			ran := executable(pending, dag, lay, dev)
 			lay.swap(a, b)
-			e.moved(a, b, lay)
+			runnable := e.moved(a, b, lay)
+			for v, now := range executable(pending, dag, lay, dev) {
+				if now && !ran[v] && !runnable {
+					t.Fatalf("%s seed %d slice %d step %d: swap (%d,%d) made a pending gate executable, moved reports none",
+						dev.Name(), seed, si, step, a, b)
+				}
+			}
 
 			fresh.rebuild(pending, slices, si, dag, lay)
-			for d := range e.base {
-				if e.base[d] != fresh.base[d] {
-					t.Fatalf("%s seed %d slice %d step %d: base[%d]=%d, rebuild gives %d",
-						dev.Name(), seed, si, step, d, e.base[d], fresh.base[d])
-				}
-			}
 			if len(e.recs) != len(fresh.recs) {
 				t.Fatalf("%d records, rebuild gives %d", len(e.recs), len(fresh.recs))
 			}
@@ -181,10 +243,21 @@ func checkDecisionState(t *testing.T, dev *arch.Device, seed int64) {
 	}
 }
 
+// executable reports, per pending gate, whether its qubits are adjacent
+// under lay.
+func executable(pending []int, dag *circuit.DAG, lay *layout, dev *arch.Device) []bool {
+	out := make([]bool, len(pending))
+	for i, v := range pending {
+		gt := dag.Gate(v)
+		out[i] = dev.Graph().HasEdge(lay.m[gt.Q0], lay.m[gt.Q1])
+	}
+	return out
+}
+
 // TestDecisionLoopZeroAllocs pins the acceptance criterion of the
 // hot-path rewrite: a warm swap decision — rebuilding the decision
-// state, collecting candidates, scoring every candidate, and applying
-// and undoing a swap — performs zero heap allocations.
+// state, scoring every candidate, and applying and undoing a swap —
+// performs zero heap allocations.
 func TestDecisionLoopZeroAllocs(t *testing.T) {
 	dev := arch.Grid3x3()
 	c := circuit.New(9)
@@ -197,13 +270,13 @@ func TestDecisionLoopZeroAllocs(t *testing.T) {
 	m := router.IdentityMapping(9)
 	lay := &layout{m: m, inv: m.Inverse(9)}
 	e := newEngine(dev)
+	rng := rand.New(rand.NewSource(1))
 	decide := func() {
 		e.rebuild(slices[0], slices, 0, dag, lay)
-		cands := e.collectCandidates(lay)
-		for ci := range cands {
-			e.score(int(cands[ci][0]), int(cands[ci][1]), lay)
+		a, b, _, n := e.decide(lay, rng)
+		if n == 0 {
+			t.Fatal("no candidates")
 		}
-		a, b := int(cands[0][0]), int(cands[0][1])
 		lay.swap(a, b)
 		e.moved(a, b, lay)
 		lay.swap(a, b)
@@ -225,19 +298,19 @@ func TestCandidatesTouchActiveQubits(t *testing.T) {
 	lay := &layout{m: m, inv: m.Inverse(4)}
 	e := newEngine(dev)
 	e.rebuild([]int{0}, slices, 0, dag, lay)
-	cands := e.collectCandidates(lay)
-	if len(cands) == 0 {
-		t.Fatal("no candidates")
+	// The active qubits sit at the line's ends, so exactly the couplers
+	// (0,1) and (2,3) touch them.
+	a, b, _, n := e.decide(lay, rand.New(rand.NewSource(1)))
+	if n != 2 {
+		t.Fatalf("%d candidates, want the 2 couplers at the line's ends", n)
 	}
-	for _, cd := range cands {
-		if cd[0] != 0 && cd[1] != 0 && cd[0] != 3 && cd[1] != 3 {
-			t.Fatalf("candidate %v touches neither active qubit", cd)
-		}
+	if a != 0 && b != 0 && a != 3 && b != 3 {
+		t.Fatalf("chosen swap (%d,%d) touches neither active qubit", a, b)
 	}
 }
 
 // BenchmarkTketDecisionLoop isolates one warm swap decision on Eagle-127:
-// collect the candidates of a pending slice, then score every one. The
+// enumerate and score every candidate of a pending slice. The
 // decision state is built once outside the timer, as the routing loop
 // keeps it across decisions until the pending set changes. Run with
 // -benchmem; B/op and allocs/op must both report 0.
@@ -260,16 +333,9 @@ func BenchmarkTketDecisionLoop(b *testing.B) {
 	lay := &layout{m: m, inv: m.Inverse(nQ)}
 	e := newEngine(dev)
 	e.rebuild(slices[0], slices, 0, dag, lay)
-	decide := func() {
-		cands := e.collectCandidates(lay)
-		for ci := range cands {
-			e.score(int(cands[ci][0]), int(cands[ci][1]), lay)
-		}
-	}
-	decide() // warm the candidate backing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decide()
+		e.decide(lay, rng)
 	}
 }

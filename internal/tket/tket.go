@@ -15,14 +15,17 @@
 // same style as the SABRE engine (see docs/performance.md). Its state is
 // keyed to the pending set: one record per scored gate (endpoints, slice
 // depth, current distance), threaded onto the per-qubit lists of both
-// endpoints, plus per-depth integer base sums. It is rebuilt only when
-// the pending set changes and is updated in place after an accepted
-// swap, by re-measuring the gates on the two qubits that moved. Each
-// candidate swap is scored positionally — each qubit read at the other's
-// location — as an integer distance delta over those same gates. Sums
-// stay in integers until the final discount weighting, so scores — and
-// therefore routing decisions — are bit-identical to the straightforward
-// evaluation (pinned by TestGoldenCorpus).
+// endpoints. It is rebuilt only when the pending set changes and is
+// updated in place after an accepted swap, by re-measuring the gates on
+// the two qubits that moved; the pending gates are rescanned only when
+// one of those moved gates is now at distance 1. Each
+// candidate swap is scored once, as it is enumerated, and positionally —
+// each qubit read at the other's location — as an integer key over those
+// same gates: 4·δ0 + 2·δ1 + δ2, the per-slice distance deltas weighted by
+// the discount scaled to integers. The key orders and ties candidates
+// exactly as the discounted float sum of the straightforward evaluation
+// does (see score), so routing decisions and the tie-breaking random
+// stream are bit-identical to it (pinned by TestGoldenCorpus).
 package tket
 
 import (
@@ -38,11 +41,9 @@ import (
 )
 
 // The score counts the current slice and the next two, each following
-// slice weighted half as much as the one before it.
-const (
-	lookaheadSlices   = 2
-	lookaheadDiscount = 0.5
-)
+// slice weighted half as much as the one before it: 1, 1/2 and 1/4, or
+// 4, 2 and 1 in score's integer key.
+const lookaheadSlices = 2
 
 // Options configures the router.
 type Options struct {
@@ -116,52 +117,51 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 		// set changes (a new slice, progress) or qubits move outside an
 		// accepted swap (a forced shortest-path step).
 		dirty := true
+		// scan is cleared after an accepted swap that left every moved
+		// pending gate at distance > 1: no other pending gate's endpoints
+		// moved, so the executable scan would find nothing.
+		scan := true
 		for len(pending) > 0 {
 			if e.check.Tick() {
 				return nil, fmt.Errorf("tket: %w", e.check.Err())
 			}
-			// Emit everything currently executable in this slice. DAG
-			// gates are valid by construction, so they are appended
-			// directly.
-			progressed := false
-			rest := pending[:0]
-			for _, v := range pending {
-				gt := dag.Gate(v)
-				if g.HasEdge(lay.m[gt.Q0], lay.m[gt.Q1]) {
-					out.Gates = append(out.Gates, gt)
-					progressed = true
-				} else {
-					rest = append(rest, v)
+			if scan {
+				// Emit everything currently executable in this slice. DAG
+				// gates are valid by construction, so they are appended
+				// directly.
+				progressed := false
+				rest := pending[:0]
+				for _, v := range pending {
+					gt := dag.Gate(v)
+					if g.HasEdge(lay.m[gt.Q0], lay.m[gt.Q1]) {
+						out.Gates = append(out.Gates, gt)
+						progressed = true
+					} else {
+						rest = append(rest, v)
+					}
+				}
+				pending = rest
+				if len(pending) == 0 {
+					break
+				}
+				if progressed {
+					dirty = true
+					continue
 				}
 			}
-			pending = rest
-			if len(pending) == 0 {
-				break
-			}
-			if progressed {
-				dirty = true
-				continue
-			}
+			scan = true
 
 			// Greedy SWAP choice: candidates are the couplers touching a
-			// pending qubit, each scored as an integer delta over the
-			// gates on its two qubits.
+			// pending qubit, each scored as an integer key over the gates
+			// on its two qubits.
 			if dirty {
 				e.rebuild(pending, slices, si, dag, lay)
 				dirty = false
 			}
-			cands := e.collectCandidates(lay)
+			a, b, bestDelta0, n := e.decide(lay, rng)
 			r.stats.Decisions++
-			r.stats.Candidates += int64(len(cands))
-			bestIdx, bestScore := -1, 0.0
-			var bestDelta0 int64
-			for ci := range cands {
-				score, d0 := e.score(int(cands[ci][0]), int(cands[ci][1]), lay)
-				if bestIdx == -1 || score < bestScore || (score == bestScore && rng.Intn(2) == 0) {
-					bestIdx, bestScore, bestDelta0 = ci, score, d0
-				}
-			}
-			if bestIdx == -1 {
+			r.stats.Candidates += int64(n)
+			if n == 0 {
 				return nil, fmt.Errorf("tket: no candidate swaps for a pending slice")
 			}
 			// Only accept a swap that strictly improves the current-slice
@@ -186,9 +186,8 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 				dirty = true
 				continue
 			}
-			a, b := int(cands[bestIdx][0]), int(cands[bestIdx][1])
 			lay.swap(a, b)
-			e.moved(a, b, lay)
+			scan = e.moved(a, b, lay)
 			out.Gates = append(out.Gates, circuit.NewSwap(a, b))
 			swaps++
 		}
@@ -238,21 +237,17 @@ type engine struct {
 	// and the stamp admits exactly the pairs a pair table would, in the
 	// same first-seen order.
 	epoch    int32
-	candSeen []int32    // coupler id -> epoch it was emitted
-	nbrEdge  [][]int32  // physical qubit -> coupler ids parallel to Neighbors
-	cands    [][2]int32 // candidate swaps (program qubits, a < b)
+	candSeen []int32   // coupler id -> epoch it was scored
+	nbrEdge  [][]int32 // physical qubit -> coupler ids parallel to Neighbors
 
 	// Decision state, keyed to the pending set. recs holds the pending
 	// gates (depth 0, in pending order) then the lookahead slices; each
-	// record is threaded onto both endpoints' lists. base[d] is the
-	// current distance sum of depth d and delta[d] a candidate's change
-	// to it; sums stay integral until weighting.
+	// record is threaded onto both endpoints' lists. A candidate's key
+	// depends only on the distance changes of the gates it moves, so no
+	// per-depth base sum is kept.
 	recs     []gateRec
 	nPending int     // recs[:nPending] are the pending gates
 	head     []int32 // program qubit -> first list node (-1: no scored gate)
-	depths   int     // lookahead depths in range of the current slice
-	base     []int64
-	delta    []int64
 
 	pending []int // current-slice worklist (backing reused across slices)
 }
@@ -277,13 +272,10 @@ func newEngine(dev *arch.Device) *engine {
 		dist:     dev.Distances(),
 		candSeen: make([]int32, dev.NumCouplers()),
 		nbrEdge:  dev.Graph().NeighborEdgeIDs(),
-		cands:    make([][2]int32, 0, dev.NumCouplers()),
 		// A slice's gates are qubit-disjoint, so each depth holds at most
 		// nQ/2 of them.
-		recs:  make([]gateRec, 0, (lookaheadSlices+1)*(nQ/2)),
-		head:  head,
-		base:  make([]int64, lookaheadSlices+1),
-		delta: make([]int64, lookaheadSlices+1),
+		recs: make([]gateRec, 0, (lookaheadSlices+1)*(nQ/2)),
+		head: head,
 	}
 }
 
@@ -294,11 +286,9 @@ func (e *engine) rebuild(pending []int, slices [][]int, si int, dag *circuit.DAG
 		e.head[e.recs[i].q[0]], e.head[e.recs[i].q[1]] = -1, -1
 	}
 	e.recs = e.recs[:0]
-	clear(e.base)
-	e.depths = min(lookaheadSlices, len(slices)-1-si)
 	e.add(pending, 0, dag, lay)
 	e.nPending = len(pending)
-	for d := 1; d <= e.depths; d++ {
+	for d := 1; d <= min(lookaheadSlices, len(slices)-1-si); d++ {
 		e.add(slices[si+d], d, dag, lay)
 	}
 }
@@ -307,7 +297,6 @@ func (e *engine) add(gates []int, depth int, dag *circuit.DAG, lay *layout) {
 	for _, v := range gates {
 		gt := dag.Gate(v)
 		d := int32(e.dist.At(lay.m[gt.Q0], lay.m[gt.Q1]))
-		e.base[depth] += int64(d)
 		node := 2 * int32(len(e.recs))
 		e.recs = append(e.recs, gateRec{
 			q:     [2]int32{int32(gt.Q0), int32(gt.Q1)},
@@ -320,29 +309,35 @@ func (e *engine) add(gates []int, depth int, dag *circuit.DAG, lay *layout) {
 }
 
 // moved re-measures the gates on program qubits a and b after they
-// swapped locations in lay, so every record distance and base sum again
-// equals a rebuild under the new layout. No other gate's distance
-// changed; a gate on exactly (a, b) is visited twice, the second time
-// with nothing left to update.
-func (e *engine) moved(a, b int, lay *layout) {
+// swapped locations in lay, so every record distance again equals a
+// rebuild under the new layout. No other gate's distance changed; a gate
+// on exactly (a, b) is visited twice, the second time with nothing left
+// to update. It reports whether a pending gate is now at distance 1: only
+// such a gate can have become executable.
+func (e *engine) moved(a, b int, lay *layout) (runnable bool) {
 	for _, q := range [2]int{a, b} {
 		for node := e.head[q]; node >= 0; {
 			rec := &e.recs[node>>1]
-			d := int32(e.dist.At(lay.m[rec.q[0]], lay.m[rec.q[1]]))
-			e.base[rec.depth] += int64(d - rec.dist)
-			rec.dist = d
+			rec.dist = int32(e.dist.At(lay.m[rec.q[0]], lay.m[rec.q[1]]))
+			runnable = runnable || rec.depth == 0 && rec.dist == 1
 			node = rec.next[node&1]
 		}
 	}
+	return runnable
 }
 
-// collectCandidates returns the program-qubit pairs of coupler edges
-// touching a qubit of a pending gate, in first-seen order.
-func (e *engine) collectCandidates(lay *layout) [][2]int32 {
+// decide makes one swap decision: it enumerates the couplers touching a
+// qubit of a pending gate in first-seen order and scores each the first
+// time it is seen. The lowest key wins; an equal key replaces the running
+// best on rng.Intn(2) == 0, so ties draw from rng in enumeration order.
+// It returns the chosen program-qubit pair (a < b), its current-slice
+// delta and the number of candidates scored (0: no candidate, and no
+// pair).
+func (e *engine) decide(lay *layout, rng *rand.Rand) (a, b int, delta0 int64, n int) {
 	e.epoch++
 	ep := e.epoch
 	seen, m, inv := e.candSeen, lay.m, lay.inv
-	cands := e.cands[:0]
+	var bestKey int64
 	for _, rec := range e.recs[:e.nPending] {
 		for _, q := range rec.q {
 			p := m[q]
@@ -352,29 +347,40 @@ func (e *engine) collectCandidates(lay *layout) [][2]int32 {
 					continue
 				}
 				seen[eids[j]] = ep
-				a, b := q, int32(inv[pn])
-				if a > b {
-					a, b = b, a
+				qa, qb := int(q), inv[pn]
+				if qa > qb {
+					qa, qb = qb, qa
 				}
-				cands = append(cands, [2]int32{a, b})
+				key, d0 := e.score(qa, qb, lay)
+				n++
+				if n == 1 || key < bestKey || (key == bestKey && rng.Intn(2) == 0) {
+					a, b, delta0, bestKey = qa, qb, d0, key
+				}
 			}
 		}
 	}
-	e.cands = cands
-	return cands
+	return a, b, delta0, n
 }
 
-// score evaluates the discounted slice-distance score of swapping
-// program qubits a and b, positionally: a is read at b's location, b at
-// a's, and the layout itself is never touched. Only the gates on a's and
-// b's lists can move; a gate on exactly (a, b) appears in both with a
-// zero delta, so no dedup is needed. The weighted total replays the
-// exact float operation order of the direct evaluation over the integer
-// sums, so scores are bit-identical. The returned delta0 is the
-// current-slice change — the strict-improvement test the caller applies.
-func (e *engine) score(a, b int, lay *layout) (float64, int64) {
-	recs, delta, m := e.recs, e.delta, lay.m
-	clear(delta)
+// score evaluates swapping program qubits a and b positionally: a is
+// read at b's location, b at a's, and the layout itself is never touched.
+// Only the gates on a's and b's lists can move; a gate on exactly (a, b)
+// appears in both with a zero delta, so no dedup is needed. With δd the
+// change of slice d's distance sum, it returns the key 4·δ0 + 2·δ1 + δ2
+// and δ0, the current-slice change the caller's strict-improvement test
+// reads.
+//
+// The key is exact. The reference score is the float sum
+// (b0+δ0) + (b1+δ1)/2 + (b2+δ2)/4 over the slice sums bd, which is
+// (B + key)/4 for a B shared by every candidate of the decision. A
+// slice's gates are qubit-disjoint, so on every admitted device (at most
+// 4096 qubits) a slice sum is below 2048·4095 < 2^23, every term and
+// partial sum is a multiple of 1/4 below 2^24, and each float64 step of
+// the reference is exact. Comparing keys therefore orders and ties
+// candidates exactly as comparing the floats does.
+func (e *engine) score(a, b int, lay *layout) (key, delta0 int64) {
+	recs, m := e.recs, lay.m
+	var delta [lookaheadSlices + 1]int64
 	pa, pb := m[a], m[b]
 	rowA, rowB := e.dist.Row(pa), e.dist.Row(pb)
 	for node := e.head[a]; node >= 0; {
@@ -399,13 +405,7 @@ func (e *engine) score(a, b int, lay *layout) (float64, int64) {
 		delta[rec.depth] += int64(rowA[po] - rec.dist)
 		node = rec.next[k]
 	}
-	total := float64(e.base[0] + delta[0])
-	w := lookaheadDiscount
-	for d := 1; d <= e.depths; d++ {
-		total += w * float64(e.base[d]+delta[d])
-		w *= lookaheadDiscount
-	}
-	return total, delta[0]
+	return 4*delta[0] + 2*delta[1] + delta[2], delta[0]
 }
 
 // place produces the initial mapping: program qubits in decreasing
