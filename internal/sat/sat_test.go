@@ -124,6 +124,30 @@ func TestPigeonholeUnsat(t *testing.T) {
 	}
 }
 
+// TestPigeonholeSearchPinned pins the whole search on PHP(3)–PHP(7):
+// the counters are exact for a given solver, so any change to
+// propagation order, conflict analysis, branching or restarts moves
+// them. PHP(7) is the one formula here large enough to reach reduceDB
+// and garbageCollect.
+func TestPigeonholeSearchPinned(t *testing.T) {
+	want := map[int]Stats{
+		3: {Conflicts: 7, Decisions: 7, Propagations: 54, Restarts: 0, Learned: 6},
+		4: {Conflicts: 28, Decisions: 31, Propagations: 277, Restarts: 0, Learned: 27},
+		5: {Conflicts: 155, Decisions: 201, Propagations: 1788, Restarts: 1, Learned: 154},
+		6: {Conflicts: 716, Decisions: 871, Propagations: 9405, Restarts: 5, Learned: 715},
+		7: {Conflicts: 4538, Decisions: 5574, Propagations: 57686, Restarts: 23, Learned: 4537},
+	}
+	for n := 3; n <= 7; n++ {
+		s := pigeonhole(n)
+		if got := s.Solve(context.Background()); got != Unsat {
+			t.Fatalf("PHP(%d): got %v want UNSAT", n, got)
+		}
+		if got := s.Stats(); got != want[n] {
+			t.Errorf("PHP(%d) stats %+v, want %+v", n, got, want[n])
+		}
+	}
+}
+
 func TestPigeonholeExactFitSat(t *testing.T) {
 	// n pigeons into n holes is SAT.
 	s := NewSolver()
