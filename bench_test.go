@@ -329,7 +329,10 @@ func BenchmarkExactDecideGrid3x3(b *testing.B) {
 // paper's Section IV-A style instances: VerifyOptimal's UNSAT(n-1)+SAT(n)
 // certificate and MinSwaps' full linear sweep. Run with -benchmem;
 // docs/performance.md records the numbers, including the per-k
-// re-encode baseline these rows were once compared against.
+// re-encode baseline these rows were once compared against. Each row
+// also reports the SAT search's conflicts/op and propagations/op, which
+// are exact for a given encoding and solver, so a change in the search
+// shows there on any host.
 func BenchmarkOlsqVerify(b *testing.B) {
 	verify, err := qubikos.Generate(arch.Grid3x3(), qubikos.Options{
 		NumSwaps: 2, MaxTwoQubitGates: 30, TargetTwoQubitGates: 30, PreferHighDegree: true, Seed: 5,
@@ -343,7 +346,12 @@ func BenchmarkOlsqVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	reportSearch := func(b *testing.B, st sat.Stats) {
+		b.ReportMetric(float64(st.Conflicts), "conflicts/op")
+		b.ReportMetric(float64(st.Propagations), "propagations/op")
+	}
 	b.Run("verify-optimal/incremental", func(b *testing.B) {
+		var st sat.Stats
 		for i := 0; i < b.N; i++ {
 			s, err := olsq.New(verify.Circuit, verify.Device, olsq.Options{})
 			if err != nil {
@@ -352,9 +360,12 @@ func BenchmarkOlsqVerify(b *testing.B) {
 			if err := s.VerifyOptimalCtx(context.Background(), verify.OptSwaps); err != nil {
 				b.Fatal(err)
 			}
+			st = s.SolverStats()
 		}
+		reportSearch(b, st)
 	})
 	b.Run("min-swaps/incremental", func(b *testing.B) {
+		var st sat.Stats
 		for i := 0; i < b.N; i++ {
 			s, err := olsq.New(sweep.Circuit, sweep.Device, olsq.Options{})
 			if err != nil {
@@ -367,7 +378,9 @@ func BenchmarkOlsqVerify(b *testing.B) {
 			if res.SwapCount != sweep.OptSwaps {
 				b.Fatalf("MinSwaps=%d want %d", res.SwapCount, sweep.OptSwaps)
 			}
+			st = s.SolverStats()
 		}
+		reportSearch(b, st)
 	})
 }
 

@@ -134,6 +134,35 @@ func TestGoldenCorpusIncremental(t *testing.T) {
 	}
 }
 
+// maxCertAllocs bounds the heap allocations of one New + VerifyOptimalCtx
+// on the golden corpus's Aspen-4 n=3 instance 1. It took 37,772 when
+// every encoded clause passed a fresh slice to AddClause and watch lists
+// grew from empty, and about 5,800 once the encoder reused its clause
+// buffers and new variables' watch lists came from a shared slab. An
+// encoder or solver path that allocates per clause again fails this.
+const maxCertAllocs = 10_000
+
+func TestVerifyOptimalAllocs(t *testing.T) {
+	gc := goldenCorpus[11]
+	if gc.device != "aspen4" || gc.numSwaps != 3 || gc.instance != 1 {
+		t.Fatalf("golden case 11 is %s n=%d i=%d, want aspen4 n=3 i=1", gc.device, gc.numSwaps, gc.instance)
+	}
+	dev, b := goldenInstance(t, gc)
+	allocs := testing.AllocsPerRun(1, func() {
+		s, err := olsq.New(b.Circuit, dev, olsq.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.VerifyOptimalCtx(context.Background(), gc.numSwaps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("New + VerifyOptimalCtx: %.0f allocations", allocs)
+	if allocs > maxCertAllocs {
+		t.Errorf("New + VerifyOptimalCtx made %.0f allocations, bound %d", allocs, maxCertAllocs)
+	}
+}
+
 // TestGoldenCorpusPerKReencode re-derives the corpus's Decide verdicts
 // the way the pre-refactor engine did: encode each bound on its own and
 // solve it cold, here through ExportDIMACS on a fresh parsed formula.
@@ -159,7 +188,11 @@ func TestGoldenCorpusPerKReencode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := f.Solve() == sat.Sat; got != want {
+				st, err := f.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := st == sat.Sat; got != want {
 					t.Errorf("cold solve at k=%d: satisfiable=%v want %v", k, got, want)
 				}
 			}

@@ -260,6 +260,15 @@ func (s *Solver) growEncoding(enc *encoding, sv sat.ClauseAdder, k int) {
 			panic(err) // unreachable: all literals come from NewVar
 		}
 	}
+	// The clauses built here share one buffer: a slice passed to
+	// AddClause through the ClauseAdder interface escapes to the heap,
+	// and both sinks copy their input.
+	cl := make([]sat.Lit, 0, g.MaxDegree()+2)
+	add := func(lits ...sat.Lit) {
+		cl = append(cl[:0], lits...)
+		check(sv.AddClause(cl...))
+	}
+	col := make([]sat.Lit, 0, nQ) // one mapping column at a time
 
 	// Each block's mapping is an injection: every program qubit sits on
 	// at least one physical qubit, and every row and column holds at most
@@ -284,9 +293,9 @@ func (s *Solver) growEncoding(enc *encoding, sv sat.ClauseAdder, k int) {
 			check(amo(sv, xb[q]))
 		}
 		for p := 0; p < nP; p++ {
-			col := make([]sat.Lit, nQ)
+			col = col[:0]
 			for q := 0; q < nQ; q++ {
-				col[q] = xb[q][p]
+				col = append(col, xb[q][p])
 			}
 			check(amo(sv, col))
 		}
@@ -320,10 +329,8 @@ func (s *Solver) growEncoding(enc *encoding, sv sat.ClauseAdder, k int) {
 			gt := s.dag.Gate(gi)
 			q0, q1 := gt.Q0, gt.Q1
 			for p := 0; p < nP; p++ {
-				nbrs := g.Neighbors(p)
-				cl := make([]sat.Lit, 0, len(nbrs)+2)
-				cl = append(cl, enc.t[gi][b].Neg(), xb[q0][p].Neg())
-				for _, pn := range nbrs {
+				cl = append(cl[:0], enc.t[gi][b].Neg(), xb[q0][p].Neg())
+				for _, pn := range g.Neighbors(p) {
 					cl = append(cl, xb[q1][pn])
 				}
 				check(sv.AddClause(cl...))
@@ -366,16 +373,16 @@ func (s *Solver) growEncoding(enc *encoding, sv sat.ClauseAdder, k int) {
 			for e, ed := range enc.edges {
 				for q := 0; q < nQ; q++ {
 					// sw -> (x[b][q][U] <-> x[b-1][q][V]) and symmetrically.
-					check(sv.AddClause(swb[e].Neg(), xa[q][ed.V].Neg(), xb[q][ed.U]))
-					check(sv.AddClause(swb[e].Neg(), xa[q][ed.V], xb[q][ed.U].Neg()))
-					check(sv.AddClause(swb[e].Neg(), xa[q][ed.U].Neg(), xb[q][ed.V]))
-					check(sv.AddClause(swb[e].Neg(), xa[q][ed.U], xb[q][ed.V].Neg()))
+					add(swb[e].Neg(), xa[q][ed.V].Neg(), xb[q][ed.U])
+					add(swb[e].Neg(), xa[q][ed.V], xb[q][ed.U].Neg())
+					add(swb[e].Neg(), xa[q][ed.U].Neg(), xb[q][ed.V])
+					add(swb[e].Neg(), xa[q][ed.U], xb[q][ed.V].Neg())
 				}
 			}
 			for p := 0; p < nP; p++ {
 				for q := 0; q < nQ; q++ {
-					check(sv.AddClause(movedb[p], xa[q][p].Neg(), xb[q][p]))
-					check(sv.AddClause(movedb[p], xa[q][p], xb[q][p].Neg()))
+					add(movedb[p], xa[q][p].Neg(), xb[q][p])
+					add(movedb[p], xa[q][p], xb[q][p].Neg())
 				}
 			}
 		}

@@ -325,7 +325,11 @@ func coldSolve(t *testing.T, s *Solver, k int) bool {
 	if err != nil {
 		t.Fatalf("k=%d: reparse: %v", k, err)
 	}
-	return f.Solve() == sat.Sat
+	st, err := f.Solve()
+	if err != nil {
+		t.Fatalf("k=%d: %v", k, err)
+	}
+	return st == sat.Sat
 }
 
 // The incremental engine (one persistent solver, grown encoding,

@@ -10,8 +10,8 @@ import "math"
 
 // plit is the solver-internal packed literal: variable v (1-based)
 // becomes 2v for +v and 2v+1 for -v. Packed literals index the flat
-// watch table directly, so propagation never hashes and never branches
-// on sign to find a watch list.
+// watch table and the per-literal value table directly, so propagation
+// never hashes and never branches on sign.
 type plit uint32
 
 func packLit(l Lit) plit {
@@ -33,17 +33,23 @@ type cref uint32
 // crefUndef is the nil clause reference.
 const crefUndef cref = ^cref(0)
 
+// crefBinary marks a watcher of a binary clause. Its blocker is the
+// clause's other literal, so propagation settles it without reading the
+// arena. alloc keeps every clause reference below this bit.
+const crefBinary cref = 1 << 31
+
 // Clause layout in the arena, addressed by a cref c:
 //
+//	data[c-2]   LBD        (learned clauses only)
+//	data[c-1]   activity   (learned clauses only, float32 bits)
 //	data[c]     header: size<<hdrSizeShift | flag bits
-//	data[c+1]   LBD        (learned clauses only)
-//	data[c+2]   activity   (learned clauses only, float32 bits)
-//	data[c+…]   literals   (size packed literals)
+//	data[c+1…]  literals   (size packed literals)
 //
-// Deleted clauses stay in place — their words are accounted in wasted —
-// until garbage collection compacts the arena. A relocated clause
-// stores its forwarding cref in data[c+1], which always exists because
-// unit clauses are never stored (they are enqueued directly).
+// so every clause's literals start right after its header. Deleted
+// clauses stay in place — their words are accounted in wasted — until
+// garbage collection compacts the arena. A relocated clause stores its
+// forwarding cref in data[c+1], which always exists because unit
+// clauses are never stored (they are enqueued directly).
 const (
 	hdrLearned uint32 = 1 << 0
 	hdrDeleted uint32 = 1 << 1
@@ -58,15 +64,26 @@ type clauseArena struct {
 	wasted int
 }
 
-// alloc stores a clause and returns its reference.
+// alloc stores a clause and returns its reference. A full arena
+// doubles rather than growing by append's ~1.25x for large slices. An
+// encoding adds its clauses one by one, and with 1.25x growth the copies
+// of the arena were nearly half the bytes a certification allocated.
 func (a *clauseArena) alloc(lits []plit, learned bool) cref {
-	c := cref(len(a.data))
+	if need := len(a.data) + 3 + len(lits); need > cap(a.data) {
+		grown := make([]uint32, len(a.data), max(2*cap(a.data), need))
+		copy(grown, a.data)
+		a.data = grown
+	}
 	hdr := uint32(len(lits)) << hdrSizeShift
 	if learned {
-		a.data = append(a.data, hdr|hdrLearned, 0, 0)
-	} else {
-		a.data = append(a.data, hdr)
+		a.data = append(a.data, 0, 0)
+		hdr |= hdrLearned
 	}
+	if uint64(len(a.data)+1+len(lits)) >= uint64(crefBinary) {
+		panic("sat: clause arena exceeds 2^31 words")
+	}
+	c := cref(len(a.data))
+	a.data = append(a.data, hdr)
 	for _, p := range lits {
 		a.data = append(a.data, uint32(p))
 	}
@@ -80,25 +97,26 @@ func (a *clauseArena) learned(c cref) bool { return a.data[c]&hdrLearned != 0 }
 // place (watched-literal maintenance), which is why it is a live slice
 // into the arena rather than a copy.
 func (a *clauseArena) lits(c cref) []uint32 {
-	start := int(c) + 1
-	if a.data[c]&hdrLearned != 0 {
-		start = int(c) + 3
-	}
-	return a.data[start : start+int(a.data[c]>>hdrSizeShift)]
+	return a.data[c+1 : int(c)+1+int(a.data[c]>>hdrSizeShift)]
 }
 
-func (a *clauseArena) lbd(c cref) int           { return int(a.data[c+1]) }
-func (a *clauseArena) setLBD(c cref, v int)     { a.data[c+1] = uint32(v) }
-func (a *clauseArena) act(c cref) float32       { return math.Float32frombits(a.data[c+2]) }
-func (a *clauseArena) setAct(c cref, v float32) { a.data[c+2] = math.Float32bits(v) }
+func (a *clauseArena) lbd(c cref) int           { return int(a.data[c-2]) }
+func (a *clauseArena) setLBD(c cref, v int)     { a.data[c-2] = uint32(v) }
+func (a *clauseArena) act(c cref) float32       { return math.Float32frombits(a.data[c-1]) }
+func (a *clauseArena) setAct(c cref, v float32) { a.data[c-1] = math.Float32bits(v) }
+
+// first is the index of the clause's first word: its LBD for a learned
+// clause, its header otherwise.
+func (a *clauseArena) first(c cref) int {
+	if a.learned(c) {
+		return int(c) - 2
+	}
+	return int(c)
+}
 
 // words is the clause's total footprint in the arena.
 func (a *clauseArena) words(c cref) int {
-	n := 1 + a.size(c)
-	if a.learned(c) {
-		n += 2
-	}
-	return n
+	return int(c) + 1 + a.size(c) - a.first(c)
 }
 
 // free marks the clause deleted; its space is reclaimed by the next

@@ -11,16 +11,21 @@ package sat
 type ClauseAdder interface {
 	// NewVar allocates a fresh variable and returns its (1-based) index.
 	NewVar() int
-	// AddClause adds a disjunction of literals.
+	// AddClause adds a disjunction of literals. It copies lits and keeps
+	// no reference to it, so a caller may reuse one buffer across calls.
 	AddClause(lits ...Lit) error
 }
 
 // AddAtMostOnePairwise adds the quadratic pairwise at-most-one encoding:
-// for every pair, not both. Best for small sets (n <= 6 or so).
+// for every pair, not both. Best for small sets (n <= 6 or so). Every
+// pair goes through one reused buffer, since a slice passed through the
+// interface escapes to the heap.
 func AddAtMostOnePairwise(s ClauseAdder, lits []Lit) error {
+	pair := make([]Lit, 2)
 	for i := 0; i < len(lits); i++ {
 		for j := i + 1; j < len(lits); j++ {
-			if err := s.AddClause(lits[i].Neg(), lits[j].Neg()); err != nil {
+			pair[0], pair[1] = lits[i].Neg(), lits[j].Neg()
+			if err := s.AddClause(pair...); err != nil {
 				return err
 			}
 		}

@@ -43,7 +43,7 @@ func (r *Recorder) NewVar() int {
 	return v
 }
 
-// AddClause records and forwards the clause.
+// AddClause forwards the clause and records a copy of it.
 func (r *Recorder) AddClause(lits ...Lit) error {
 	cl := append([]Lit(nil), lits...)
 	if err := r.Solver.AddClause(cl...); err != nil {
@@ -125,16 +125,18 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 	return f, nil
 }
 
-// Solve builds a fresh solver for the formula and decides it.
-func (f *Formula) Solve() Status {
+// Solve builds a fresh solver for the formula and decides it. A literal
+// outside variables 1..NumVars, the invalid literal 0 included, is an
+// error, not a verdict: a malformed formula proves nothing.
+func (f *Formula) Solve() (Status, error) {
 	s := NewSolver()
 	for i := 0; i < f.NumVars; i++ {
 		s.NewVar()
 	}
-	for _, cl := range f.Clauses {
+	for i, cl := range f.Clauses {
 		if err := s.AddClause(cl...); err != nil {
-			return Unsat
+			return Unknown, fmt.Errorf("clause %d: %w", i, err)
 		}
 	}
-	return s.Solve(context.Background())
+	return s.Solve(context.Background()), nil
 }

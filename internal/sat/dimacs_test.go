@@ -111,7 +111,10 @@ func TestDIMACSSolveAgreement(t *testing.T) {
 			}
 			f.Clauses = append(f.Clauses, cl)
 		}
-		want := f.Solve()
+		want, err := f.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		var sb strings.Builder
 		if err := WriteDIMACS(&sb, f); err != nil {
@@ -121,8 +124,31 @@ func TestDIMACSSolveAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := back.Solve(); got != want {
+		got, err := back.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
 			t.Fatalf("iter %d: %v vs %v after round trip", iter, got, want)
+		}
+	}
+}
+
+// A formula with a literal outside its variables is malformed, and
+// Formula.Solve must say so rather than answer: an UNSAT verdict from a
+// malformed export would agree with any UNSAT it is checked against.
+// The last two hide the bad literal behind an earlier UNSAT and behind
+// a tautology.
+func TestFormulaSolveRejectsMalformed(t *testing.T) {
+	for _, f := range []*Formula{
+		{NumVars: 1, Clauses: [][]Lit{{2}}},
+		{NumVars: 1, Clauses: [][]Lit{{1}, {0}}},
+		{NumVars: 1, Clauses: [][]Lit{{1}, {-1}, {2}}},
+		{NumVars: 1, Clauses: [][]Lit{{1, -1, 2}}},
+	} {
+		st, err := f.Solve()
+		if err == nil {
+			t.Errorf("%+v: Solve = %v, want an error", f, st)
 		}
 	}
 }

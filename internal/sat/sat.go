@@ -1,18 +1,31 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
 // solver from scratch, sufficient to power the OLSQ2-style exact layout
-// synthesis used to verify QUBIKOS optimality. Features: two-watched-
-// literal propagation, first-UIP clause learning with recursive
-// minimization, VSIDS-style activity ordering, phase saving, Luby
-// restarts, and LBD-based learned-clause database reduction.
+// synthesis used to verify QUBIKOS optimality. Features:
+// two-watched-literal propagation, first-UIP clause learning with
+// one-level minimization (a learned literal is dropped when every other
+// literal of its reason is already in the clause or fixed at level 0),
+// VSIDS-style activity ordering, phase saving, Luby restarts, and
+// LBD-based learned-clause database reduction.
 //
 // The public interface speaks 1-based signed literals (+v / -v);
-// internally the solver is laid out MiniSat-style for speed: literals
-// are packed as 2v / 2v+1, all clause literals live in a single flat
-// arena addressed by uint32 clause references (see arena.go), and the
-// watch table is a flat slice indexed by packed literal. The search
-// loop performs no map lookups and — once slice capacities are warm —
-// no heap allocations, which is what makes repeated assumption-based
-// solving (Solve under assumptions across many swap bounds) cheap.
+// internally the solver is laid out MiniSat-style for speed:
+//   - Literals are packed as 2v / 2v+1, and a value table indexed by
+//     packed literal gives a literal's value in one load.
+//   - All clause literals live in a single flat arena addressed by
+//     uint32 clause references (see arena.go). A learned clause keeps
+//     its LBD and activity just before its header, so every clause's
+//     literals start right after its header.
+//   - The watch table is a flat slice indexed by packed literal. Each
+//     list is kept at full capacity with its used length stored apart,
+//     and new variables carve their lists from a shared slab.
+//   - Binary clauses are implicit in the watch table: their watchers
+//     are marked, and each one's blocker is the clause's other literal,
+//     so propagation settles them without reading the arena.
+//
+// The search loop performs no map lookups and — once slice capacities
+// are warm — no heap allocations, which is what makes repeated
+// assumption-based solving (Solve under assumptions across many swap
+// bounds) cheap.
 package sat
 
 import (
@@ -70,11 +83,21 @@ const (
 )
 
 // watcher pairs a clause reference with its blocker literal (a literal
-// that, when true, lets propagation skip visiting the clause).
+// that, when true, lets propagation skip visiting the clause). A binary
+// clause's watchers carry crefBinary in c, and their blocker is the
+// clause's other literal.
 type watcher struct {
 	c       cref
 	blocker plit
 }
+
+// New variables carve their two watch lists, watchInitCap watchers
+// each, from a shared slab of watchSlabLen, so most lists never
+// allocate on their own.
+const (
+	watchInitCap = 8
+	watchSlabLen = 1024
+)
 
 // Solver is a CDCL SAT solver. Create with NewSolver, add clauses with
 // AddClause, then call Solve. A solver whose formula was proven
@@ -85,9 +108,15 @@ type Solver struct {
 	ca      clauseArena
 	clauses []cref
 	learnts []cref
+	// watches[x] lists the clauses visited when literal x becomes true
+	// (they watch ¬x). Each list is kept at full capacity; wlen[x] is
+	// its used length, so propagation rewrites a slice header only when
+	// a list has to grow.
 	watches [][]watcher // indexed by packed literal
+	wlen    []int32     // indexed by packed literal
+	wslab   []watcher   // unused tail of the slab new lists are carved from
 
-	assign  []lbool // var -> value
+	vals    []lbool // packed literal -> value
 	level   []int32 // var -> decision level
 	reasonC []cref  // var -> implying clause, crefUndef when none
 	trail   []plit
@@ -132,7 +161,7 @@ func NewSolver() *Solver {
 	}
 	s.order.s = s
 	// Index 0 is unused for variables; packed literals 0 and 1 likewise.
-	s.assign = append(s.assign, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reasonC = append(s.reasonC, crefUndef)
 	s.phase = append(s.phase, false)
@@ -141,13 +170,14 @@ func NewSolver() *Solver {
 	s.lbdStamp = append(s.lbdStamp, 0)
 	s.order.pos = append(s.order.pos, -1)
 	s.watches = append(s.watches, nil, nil)
+	s.wlen = append(s.wlen, 0, 0)
 	return s
 }
 
 // NewVar allocates a fresh variable and returns its index (1-based).
 func (s *Solver) NewVar() int {
 	s.nVars++
-	s.assign = append(s.assign, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reasonC = append(s.reasonC, crefUndef)
 	s.phase = append(s.phase, false)
@@ -155,7 +185,14 @@ func (s *Solver) NewVar() int {
 	s.seen = append(s.seen, false)
 	s.lbdStamp = append(s.lbdStamp, 0)
 	s.order.pos = append(s.order.pos, -1)
-	s.watches = append(s.watches, nil, nil)
+	if len(s.wslab) < 2*watchInitCap {
+		s.wslab = make([]watcher, watchSlabLen)
+	}
+	s.watches = append(s.watches,
+		s.wslab[:watchInitCap:watchInitCap],
+		s.wslab[watchInitCap:2*watchInitCap:2*watchInitCap])
+	s.wslab = s.wslab[2*watchInitCap:]
+	s.wlen = append(s.wlen, 0, 0)
 	s.order.pushIfAbsent(s.nVars)
 	return s.nVars
 }
@@ -187,6 +224,13 @@ func (s *Solver) Stats() Stats {
 // an error — Solve simply reports Unsat. Errors are reserved for invalid
 // input (literals over unallocated variables).
 func (s *Solver) AddClause(lits ...Lit) error {
+	// Every literal is checked before anything can return early, so an
+	// absorbed or tautological clause cannot hide an invalid one.
+	for _, l := range lits {
+		if v := l.Var(); v < 1 || v > s.nVars {
+			return fmt.Errorf("sat: literal %d references unallocated variable", l)
+		}
+	}
 	if s.unsat {
 		return nil // already unsat; absorbing
 	}
@@ -201,16 +245,13 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	var prev Lit
 	for _, l := range ls {
 		v := l.Var()
-		if v < 1 || v > s.nVars {
-			return fmt.Errorf("sat: literal %d references unallocated variable", l)
-		}
 		if l == prev {
 			continue
 		}
 		if l == -prev && prev != 0 {
 			return nil // tautology: contains v and -v
 		}
-		switch s.valueLit(l) {
+		switch s.vals[packLit(l)] {
 		case lTrue:
 			if s.level[v] == 0 {
 				return nil // satisfied forever
@@ -251,76 +292,98 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	return nil
 }
 
-// attach registers the clause's first two literals in the watch table.
+// attach registers the clause's first two literals in the watch table,
+// marking a binary clause's watchers.
 func (s *Solver) attach(c cref) {
 	ls := s.ca.lits(c)
 	l0, l1 := plit(ls[0]), plit(ls[1])
-	s.watches[l0.neg()] = append(s.watches[l0.neg()], watcher{c, l1})
-	s.watches[l1.neg()] = append(s.watches[l1.neg()], watcher{c, l0})
+	wc := c
+	if len(ls) == 2 {
+		wc |= crefBinary
+	}
+	s.pushWatch(l0.neg(), watcher{wc, l1})
+	s.pushWatch(l1.neg(), watcher{wc, l0})
 }
 
-func (s *Solver) valueLit(l Lit) lbool {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
+// pushWatch appends w to watch list x, doubling the list when it is
+// full. Every variable's lists start at watchInitCap.
+func (s *Solver) pushWatch(x plit, w watcher) {
+	ws, n := s.watches[x], s.wlen[x]
+	if int(n) == len(ws) {
+		grown := make([]watcher, 2*len(ws))
+		copy(grown, ws)
+		ws = grown
+		s.watches[x] = ws
 	}
-	if l.Sign() == (v == lTrue) {
-		return lTrue
-	}
-	return lFalse
-}
-
-func (s *Solver) valueP(p plit) lbool {
-	v := s.assign[p>>1]
-	if v == lUndef {
-		return lUndef
-	}
-	if (p&1 == 0) == (v == lTrue) {
-		return lTrue
-	}
-	return lFalse
+	ws[n] = w
+	s.wlen[x] = n + 1
 }
 
 // Value returns the model value of variable v after a Sat result.
-func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.vals[2*v] == lTrue }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLi) }
 
 func (s *Solver) enqueue(p plit, from cref) bool {
-	switch s.valueP(p) {
+	switch s.vals[p] {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
+	s.assign(p, from)
+	return true
+}
+
+// assign makes the unassigned literal p true, implied by from.
+func (s *Solver) assign(p plit, from cref) {
 	v := p.varIdx()
-	if p.pos() {
-		s.assign[v] = lTrue
-	} else {
-		s.assign[v] = lFalse
-	}
-	s.level[v] = int32(s.decisionLevel())
+	s.vals[p] = lTrue
+	s.vals[p^1] = lFalse
+	s.level[v] = int32(len(s.trailLi))
 	s.reasonC[v] = from
 	s.phase[v] = p.pos()
 	s.trail = append(s.trail, p)
-	return true
 }
 
 // propagate runs unit propagation; returns the conflicting clause or
 // crefUndef. The inner loop touches only flat slices: no maps, no
 // per-clause pointers, no allocations beyond amortized watch-list growth.
+// Each watch list is compacted in place as it is walked.
 func (s *Solver) propagate() cref {
+	vals := s.vals
 	for s.propHead < len(s.trail) {
 		p := s.trail[s.propHead]
 		s.propHead++
 		s.propagations++
 		np := p.neg() // the literal that just became false
-		ws := s.watches[p]
-		kept := ws[:0]
+		ws := s.watches[p][:s.wlen[p]]
+		j := 0
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.valueP(w.blocker) == lTrue {
-				kept = append(kept, w)
+			bv := vals[w.blocker]
+			if bv == lTrue {
+				ws[j] = w
+				j++
+				continue
+			}
+			if w.c&crefBinary != 0 {
+				// A binary clause is unit or conflicting once its blocker,
+				// the other literal, is not true; the arena is not read.
+				ws[j] = w
+				j++
+				c := w.c &^ crefBinary
+				if bv == lFalse {
+					// Leave the literals in the order the general path
+					// below would, [other, falsified]: analyze walks a
+					// conflict clause in arena order.
+					s.ca.data[c+1], s.ca.data[c+2] = uint32(w.blocker), uint32(np)
+					j += copy(ws[j:], ws[i+1:])
+					s.wlen[p] = int32(j)
+					s.propHead = len(s.trail)
+					return c
+				}
+				s.assign(w.blocker, c)
 				continue
 			}
 			c := w.c
@@ -330,17 +393,17 @@ func (s *Solver) propagate() cref {
 				ls[0], ls[1] = ls[1], ls[0]
 			}
 			first := plit(ls[0])
-			if first != w.blocker && s.valueP(first) == lTrue {
-				kept = append(kept, watcher{c, first})
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = watcher{c, first}
+				j++
 				continue
 			}
 			// Find a new literal to watch.
 			found := false
 			for k := 2; k < len(ls); k++ {
-				if s.valueP(plit(ls[k])) != lFalse {
+				if vals[ls[k]] != lFalse {
 					ls[1], ls[k] = ls[k], ls[1]
-					nw := plit(ls[1]).neg()
-					s.watches[nw] = append(s.watches[nw], watcher{c, first})
+					s.pushWatch(plit(ls[1]).neg(), watcher{c, first})
 					found = true
 					break
 				}
@@ -348,20 +411,19 @@ func (s *Solver) propagate() cref {
 			if found {
 				continue
 			}
-			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c, first})
-			if s.valueP(first) == lFalse {
-				// Conflict: restore remaining watchers and bail.
-				kept = append(kept, ws[i+1:]...)
-				s.watches[p] = kept
+			// Clause is unit or conflicting; first is not true.
+			ws[j] = watcher{c, first}
+			j++
+			if vals[first] == lFalse {
+				// Conflict: keep the remaining watchers and bail.
+				j += copy(ws[j:], ws[i+1:])
+				s.wlen[p] = int32(j)
 				s.propHead = len(s.trail)
 				return c
 			}
-			if !s.enqueue(first, c) {
-				panic("sat: enqueue of unit literal failed") // unreachable
-			}
+			s.assign(first, c)
 		}
-		s.watches[p] = kept
+		s.wlen[p] = int32(j)
 	}
 	return crefUndef
 }
@@ -377,19 +439,19 @@ func (s *Solver) analyze(confl cref) ([]plit, int) {
 	s.analyzeTs = s.analyzeTs[:0]
 
 	c := confl
+	// implied is the variable a reason clause implied, skipped in its
+	// walk; the conflict clause has none. A longer reason holds its
+	// implied literal at position 0, since propagation never moves a
+	// true ls[0]; a binary one may hold it at either position.
+	implied := 0
 	for {
-		start := 0
-		if p != 0 {
-			start = 1
-		}
 		if s.ca.learned(c) {
 			s.bumpClause(c)
 		}
-		ls := s.ca.lits(c)
-		for _, qw := range ls[start:] {
+		for _, qw := range s.ca.lits(c) {
 			q := plit(qw)
 			v := q.varIdx()
-			if s.seen[v] || s.level[v] == 0 {
+			if v == implied || s.seen[v] || s.level[v] == 0 {
 				continue
 			}
 			s.seen[v] = true
@@ -407,13 +469,13 @@ func (s *Solver) analyze(confl cref) ([]plit, int) {
 		}
 		p = s.trail[idx]
 		idx--
-		v := p.varIdx()
-		s.seen[v] = false
+		implied = p.varIdx()
+		s.seen[implied] = false
 		counter--
 		if counter == 0 {
 			break
 		}
-		c = s.reasonC[v]
+		c = s.reasonC[implied]
 	}
 	learnt[0] = p.neg()
 
@@ -473,8 +535,10 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLi[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].varIdx()
-		s.assign[v] = lUndef
+		p := s.trail[i]
+		v := p.varIdx()
+		s.vals[p] = lUndef
+		s.vals[p^1] = lUndef
 		s.reasonC[v] = crefUndef
 		s.order.pushIfAbsent(v)
 	}
@@ -491,7 +555,10 @@ func (s *Solver) bumpVar(v int) {
 		}
 		s.varInc *= 1e-100
 	}
-	s.order.update(v)
+	// A bump only raises v's activity, so v can only move up.
+	if i := s.order.pos[v]; i >= 0 {
+		s.order.up(int(i))
+	}
 }
 
 func (s *Solver) decayVar() { s.varInc /= 0.95 }
@@ -575,15 +642,16 @@ func (s *Solver) detach(c cref) {
 	s.removeWatch(plit(ls[1]).neg(), c)
 }
 
-func (s *Solver) removeWatch(w plit, c cref) {
-	ws := s.watches[w]
-	out := ws[:0]
-	for _, x := range ws {
-		if x.c != c {
-			out = append(out, x)
+func (s *Solver) removeWatch(x plit, c cref) {
+	ws := s.watches[x][:s.wlen[x]]
+	j := 0
+	for _, w := range ws {
+		if w.c&^crefBinary != c {
+			ws[j] = w
+			j++
 		}
 	}
-	s.watches[w] = out
+	s.wlen[x] = int32(j)
 }
 
 // garbageCollect compacts the clause arena, dropping deleted clauses and
@@ -596,9 +664,9 @@ func (s *Solver) garbageCollect() {
 		if s.ca.data[c]&hdrMoved != 0 {
 			return cref(s.ca.data[c+1])
 		}
-		w := s.ca.words(c)
-		nc := cref(len(to.data))
-		to.data = append(to.data, s.ca.data[c:int(c)+w]...)
+		first := s.ca.first(c)
+		nc := cref(len(to.data) + int(c) - first)
+		to.data = append(to.data, s.ca.data[first:first+s.ca.words(c)]...)
 		to.data[nc] &^= hdrMoved | hdrLocked
 		s.ca.data[c] |= hdrMoved
 		s.ca.data[c+1] = uint32(nc)
@@ -615,10 +683,9 @@ func (s *Solver) garbageCollect() {
 			s.reasonC[v] = move(s.reasonC[v])
 		}
 	}
-	for i := range s.watches {
-		ws := s.watches[i]
-		for j := range ws {
-			ws[j].c = move(ws[j].c)
+	for i, ws := range s.watches {
+		for j := range ws[:s.wlen[i]] {
+			ws[j].c = move(ws[j].c&^crefBinary) | ws[j].c&crefBinary
 		}
 	}
 	s.ca = to
@@ -753,7 +820,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) Status {
 		allAssumed := true
 		failed := false
 		for _, a := range asm {
-			switch s.valueP(a) {
+			switch s.vals[a] {
 			case lTrue:
 				continue
 			case lFalse:
@@ -798,7 +865,7 @@ func (s *Solver) pickBranchVar() int {
 		if v == 0 {
 			return 0
 		}
-		if s.assign[v] == lUndef {
+		if s.vals[2*v] == lUndef {
 			return v
 		}
 	}
@@ -813,8 +880,6 @@ type varHeap struct {
 	heap []int32
 	pos  []int32 // var -> heap index, -1 when absent
 }
-
-func (h *varHeap) less(a, b int32) bool { return h.s.activity[a] > h.s.activity[b] }
 
 func (h *varHeap) inHeap(v int) bool { return h.pos[v] >= 0 }
 
@@ -844,45 +909,47 @@ func (h *varHeap) pop() int {
 	return int(top)
 }
 
-func (h *varHeap) update(v int) {
-	if i := h.pos[v]; i >= 0 {
-		h.up(int(i))
-		h.down(int(h.pos[v]))
-	}
-}
-
+// up and down sift by moving a hole: each step shifts one entry into
+// the hole, and the sifted variable is written once, at its final
+// position. A variable ranks above another when its activity is
+// strictly greater.
 func (h *varHeap) up(i int) {
+	act := h.s.activity
+	v := h.heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(h.heap[i], h.heap[p]) {
+		pv := h.heap[p]
+		if !(act[v] > act[pv]) {
 			break
 		}
-		h.swap(i, p)
+		h.heap[i] = pv
+		h.pos[pv] = int32(i)
 		i = p
 	}
+	h.heap[i] = v
+	h.pos[v] = int32(i)
 }
 
 func (h *varHeap) down(i int) {
+	act := h.s.activity
 	n := len(h.heap)
+	v := h.heap[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(h.heap[l], h.heap[best]) {
-			best = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(h.heap[r], h.heap[best]) {
-			best = r
+		if r := c + 1; r < n && act[h.heap[r]] > act[h.heap[c]] {
+			c = r
 		}
-		if best == i {
-			return
+		cv := h.heap[c]
+		if !(act[cv] > act[v]) {
+			break
 		}
-		h.swap(i, best)
-		i = best
+		h.heap[i] = cv
+		h.pos[cv] = int32(i)
+		i = c
 	}
-}
-
-func (h *varHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = int32(i)
-	h.pos[h.heap[j]] = int32(j)
+	h.heap[i] = v
+	h.pos[v] = int32(i)
 }

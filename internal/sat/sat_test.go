@@ -87,6 +87,16 @@ func TestUnallocatedVariableRejected(t *testing.T) {
 	if err := s.AddClause(Lit(5)); err == nil {
 		t.Fatal("unallocated variable accepted")
 	}
+	// Neither a tautology nor an already-UNSAT formula may hide one.
+	s.NewVar()
+	if err := s.AddClause(1, -1, 5); err == nil {
+		t.Fatal("unallocated variable accepted inside a tautology")
+	}
+	mustAdd(t, s, 1)
+	mustAdd(t, s, -1)
+	if err := s.AddClause(5); err == nil {
+		t.Fatal("unallocated variable accepted after UNSAT")
+	}
 }
 
 // Classic pigeonhole: n+1 pigeons into n holes is UNSAT. Small n keeps
@@ -127,8 +137,7 @@ func TestPigeonholeUnsat(t *testing.T) {
 // TestPigeonholeSearchPinned pins the whole search on PHP(3)–PHP(7):
 // the counters are exact for a given solver, so any change to
 // propagation order, conflict analysis, branching or restarts moves
-// them. PHP(7) is the one formula here large enough to reach reduceDB
-// and garbageCollect.
+// them. PHP(7) runs reduceDB and garbageCollect once each.
 func TestPigeonholeSearchPinned(t *testing.T) {
 	want := map[int]Stats{
 		3: {Conflicts: 7, Decisions: 7, Propagations: 54, Restarts: 0, Learned: 6},
