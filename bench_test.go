@@ -384,27 +384,6 @@ func BenchmarkOlsqVerify(b *testing.B) {
 	})
 }
 
-func BenchmarkVF2SectionCheck(b *testing.B) {
-	bench, err := qubikos.Generate(arch.RigettiAspen4(), qubikos.Options{NumSwaps: 3, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gc := bench.Device.Graph()
-	var idxs []int
-	for i, z := range bench.Zone {
-		if z == 0 && bench.Circuit.Gates[i].TwoQubit() {
-			idxs = append(idxs, i)
-		}
-	}
-	gi := bench.Circuit.InteractionGraphOf(idxs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, _ := graph.SubgraphIsomorphism(gi, gc, 2_000_000); ok {
-			b.Fatal("section embedded; optimality broken")
-		}
-	}
-}
-
 func BenchmarkDistanceMatrixEagle127(b *testing.B) {
 	g := arch.IBMEagle127().Graph()
 	b.ResetTimer()

@@ -12,6 +12,14 @@
 // Timings are compared against the snapshot's "after" numbers. Alloc
 // counts are reported but advisory only: worker goroutines make them
 // vary with GOMAXPROCS, and CI runs the smoke at more than one setting.
+// Work counters are exact: a row's "work" map holds one run's values of
+// the custom per-op metrics its benchmark reports (decisions/op and
+// candidates/op for the routers, conflicts/op and propagations/op for
+// the SAT certification), which read the same on any host and at any
+// GOMAXPROCS setting. Every reading must match them exactly, so a change
+// that does different work fails on any host, and the time threshold
+// only has to catch a slower unit of work. A counter that a reading or
+// a row lacks is skipped.
 //
 // The gated snapshot rows are recorded the way the CI smoke measures
 // them (-benchtime=1x on one pinned seed, the slower of two GOMAXPROCS
@@ -45,7 +53,8 @@ type stats struct {
 }
 
 type entry struct {
-	After stats `json:"after"`
+	After stats              `json:"after"`
+	Work  map[string]float64 `json:"work"`
 }
 
 type snapshot struct {
@@ -57,13 +66,15 @@ type measurement struct {
 	name   string // with the -GOMAXPROCS suffix stripped
 	ns     float64
 	allocs float64
-	hasAll bool // allocs/op was present (-benchmem)
+	hasAll bool                 // allocs/op was present (-benchmem)
+	work   map[string][]float64 // every reading of each custom per-op metric
 }
 
 // parseBenchLines extracts benchmark measurements from `go test -bench`
 // output. Non-benchmark lines are skipped. When the same benchmark
 // appears more than once (e.g. the smoke runs at two GOMAXPROCS
-// settings), the slowest reading wins: the gate must hold at both.
+// settings), the slowest reading's time and allocs win, since the gate
+// must hold at both, and work keeps every reading's counters.
 func parseBenchLines(r io.Reader) ([]measurement, error) {
 	best := map[string]measurement{}
 	sc := bufio.NewScanner(r)
@@ -77,17 +88,27 @@ func parseBenchLines(r io.Reader) ([]measurement, error) {
 		if err != nil {
 			continue
 		}
-		m := measurement{name: stripProcs(f[0]), ns: ns}
+		m := measurement{name: stripProcs(f[0]), ns: ns, work: map[string][]float64{}}
 		for i := 4; i+1 < len(f); i += 2 {
-			if f[i+1] == "allocs/op" {
-				if a, err := strconv.ParseFloat(f[i], 64); err == nil {
-					m.allocs, m.hasAll = a, true
-				}
+			v, err := strconv.ParseFloat(f[i], 64)
+			switch unit := f[i+1]; {
+			case err != nil || unit == "B/op":
+			case unit == "allocs/op":
+				m.allocs, m.hasAll = v, true
+			case strings.HasSuffix(unit, "/op"):
+				m.work[unit] = []float64{v}
 			}
 		}
-		if prev, ok := best[m.name]; !ok || m.ns > prev.ns {
-			best[m.name] = m
+		if prev, ok := best[m.name]; ok {
+			for unit, vs := range prev.work {
+				m.work[unit] = append(vs, m.work[unit]...)
+			}
+			if prev.ns >= m.ns {
+				prev.work = m.work
+				m = prev
+			}
 		}
+		best[m.name] = m
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -145,6 +166,21 @@ func run(snapPath string, input io.Reader, threshold float64, w io.Writer) (fail
 			fmt.Fprintf(w, "%-36s %14.0f allocs/op vs snapshot %.0f (advisory)\n",
 				m.name, m.allocs, ref.After.AllocsPerOp)
 		}
+		units := make([]string, 0, len(ref.Work))
+		for unit := range ref.Work {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			for _, got := range m.work[unit] {
+				verdict := "exact"
+				if got != ref.Work[unit] {
+					verdict = "WORK CHANGED"
+					failed = true
+				}
+				fmt.Fprintf(w, "%-36s %14.0f %-16s snapshot %14.0f  %s\n", m.name, got, unit, ref.Work[unit], verdict)
+			}
+		}
 	}
 	if compared == 0 {
 		return true, fmt.Errorf("no benchmark in the input matched a snapshot entry")
@@ -174,7 +210,7 @@ func main() {
 		os.Exit(2)
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "qubikos-bench-diff: ns/op regression beyond %.0f%% vs %s\n",
+		fmt.Fprintf(os.Stderr, "qubikos-bench-diff: ns/op regression beyond %.0f%% or changed work counters vs %s\n",
 			*threshold*100, *snapPath)
 		os.Exit(1)
 	}

@@ -116,3 +116,68 @@ func TestRunSkipsCustomMetrics(t *testing.T) {
 		t.Fatalf("allocs/op not read past the custom metrics:\n%s", out.String())
 	}
 }
+
+// workSnapshot carries exact work counters for one row.
+const workSnapshot = `{
+  "benchmarks": {
+    "BenchmarkQmapRoute/eagle127": {
+      "after": {"ns_per_op": 1000000},
+      "work": {"decisions/op": 8000, "candidates/op": 140000}
+    }
+  }
+}`
+
+func runWork(t *testing.T, input string) (bool, string) {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "snap.json")
+	if err := os.WriteFile(p, []byte(workSnapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	failed, err := run(p, strings.NewReader(input), 0.25, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return failed, out.String()
+}
+
+func TestRunPassesEqualWorkCounters(t *testing.T) {
+	failed, out := runWork(t,
+		"BenchmarkQmapRoute/eagle127-2   1   1100000 ns/op   140000 candidates/op   8000 decisions/op   419.2 gap-x\n"+
+			"BenchmarkQmapRoute/eagle127     1   1000000 ns/op   140000 candidates/op   8000 decisions/op   419.2 gap-x\n")
+	if failed {
+		t.Fatalf("equal counters flagged:\n%s", out)
+	}
+	if n := strings.Count(out, "  exact"); n != 4 {
+		t.Fatalf("want 4 exact counter lines (2 counters x 2 readings), got %d:\n%s", n, out)
+	}
+}
+
+func TestRunFailsChangedWorkCounter(t *testing.T) {
+	// One more decision at one GOMAXPROCS setting fails the diff, however
+	// fast the reading is.
+	failed, out := runWork(t,
+		"BenchmarkQmapRoute/eagle127-2   1   900000 ns/op   140000 candidates/op   8000 decisions/op\n"+
+			"BenchmarkQmapRoute/eagle127     1   900000 ns/op   140000 candidates/op   8001 decisions/op\n")
+	if !failed {
+		t.Fatalf("changed counter not flagged:\n%s", out)
+	}
+	if !strings.Contains(out, "8001 decisions/op     snapshot           8000  WORK CHANGED") {
+		t.Fatalf("report lacks the changed counter:\n%s", out)
+	}
+}
+
+func TestRunSkipsAbsentWorkCounters(t *testing.T) {
+	// A counter the reading lacks (candidates/op) or the row lacks
+	// (conflicts/op) is skipped; the rest still gate.
+	failed, out := runWork(t, "BenchmarkQmapRoute/eagle127-2   1   1000000 ns/op   8000 decisions/op   12 conflicts/op\n")
+	if failed {
+		t.Fatalf("absent counters flagged:\n%s", out)
+	}
+	if strings.Contains(out, "candidates/op") || strings.Contains(out, "conflicts/op") {
+		t.Fatalf("absent counter reported:\n%s", out)
+	}
+	if !strings.Contains(out, "decisions/op") {
+		t.Fatalf("present counter not compared:\n%s", out)
+	}
+}

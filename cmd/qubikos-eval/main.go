@@ -138,8 +138,8 @@ func run() (err error) {
 		}
 		defer os.RemoveAll(root)
 	}
-	// The store runs the structural verifier on every benchmark it
-	// generates; cache hits cost nothing.
+	// The store certifies every instance it generates on the bytes it
+	// writes; cache hits cost nothing.
 	store, err := suite.Open(root, suite.StoreOptions{Verify: true})
 	if err != nil {
 		return err
@@ -218,10 +218,9 @@ func run() (err error) {
 		obs.RenderSummary(os.Stdout, rows)
 	}
 	if *tracePath != "" {
-		if err := writeTrace(tr, *tracePath); err != nil {
+		if err := obs.WriteChromeFile(tr, *tracePath, os.Stdout, os.Stderr); err != nil {
 			return err
 		}
-		fmt.Println("wrote", *tracePath)
 	}
 
 	if *csvPath != "" {
@@ -258,23 +257,6 @@ func writeHeapProfile(path string) error {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		f.Close()
 		return err
-	}
-	return f.Close()
-}
-
-// writeTrace exports a trace as Chrome trace-event JSON, warning when
-// the ring buffer overwrote early spans.
-func writeTrace(tr *obs.Trace, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.WriteChrome(f); err != nil {
-		return err
-	}
-	if n := tr.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "qubikos-eval: trace buffer overflowed; the %d oldest spans were dropped\n", n)
 	}
 	return f.Close()
 }

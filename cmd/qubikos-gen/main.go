@@ -44,7 +44,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "base random seed")
 	out := flag.String("out", ".", "output directory (loose-file mode)")
 	preferHigh := flag.Bool("prefer-high-degree", false, "bias qubikos sections toward max-degree qubits (smaller backbones)")
-	verify := flag.Bool("verify", true, "run the family's structural verifier on each instance")
+	verify := flag.Bool("verify", true, "read each written instance back and run its family's certificate")
 	suiteMode := flag.Bool("suite", false, "write a content-addressed suite into -cache-dir instead of loose files")
 	cacheDir := flag.String("cache-dir", "qubikos-cache", "suite store root (suite mode)")
 	workers := flag.Int("workers", 0, "parallel generation workers in suite mode (0 = all CPUs)")
@@ -93,11 +93,6 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if *verify {
-				if err := inst.Verify(); err != nil {
-					fatal(fmt.Errorf("instance %d failed verification: %w", i, err))
-				}
-			}
 			prefix := "qubikos"
 			if fam.Metric == family.Depth {
 				prefix = "queko"
@@ -106,6 +101,15 @@ func main() {
 				prefix, dev.Name(), metricTag(fam.Metric), n, inst.Circuit.TwoQubitGateCount(), i)
 			if _, err := family.WriteInstance(*out, base, inst); err != nil {
 				fatal(err)
+			}
+			if *verify {
+				li, err := family.ReadInstanceWithSolution(*out, base)
+				if err == nil {
+					err = li.Certify()
+				}
+				if err != nil {
+					fatal(fmt.Errorf("instance %d failed verification: %w", i, err))
+				}
 			}
 			fmt.Printf("wrote %s: %d qubits, %d gates (%d two-qubit), optimal %s %d\n",
 				base, inst.Circuit.NumQubits, inst.Circuit.NumGates(),

@@ -81,7 +81,7 @@ func main() {
 
 	if *usePortfolio {
 		err := runPortfolio(ctx, inst, *base, *toolsList, *trials, *seed, *deadline, *hedge, *timeout, *threshold)
-		if terr := writeTrace(tr, *tracePath); terr != nil {
+		if terr := obs.WriteChromeFile(tr, *tracePath, os.Stdout, os.Stderr); terr != nil {
 			fatal(terr)
 		}
 		if err != nil {
@@ -136,7 +136,7 @@ func main() {
 		Span:     &sp,
 	})
 	sp.End()
-	if err := writeTrace(tr, *tracePath); err != nil {
+	if err := obs.WriteChromeFile(tr, *tracePath, os.Stdout, os.Stderr); err != nil {
 		fatal(err)
 	}
 	switch out.Kind {
@@ -217,27 +217,6 @@ func runPortfolio(ctx context.Context, inst *family.Loaded, base, toolsList stri
 		}
 		fmt.Println(line)
 	}
-	return nil
-}
-
-// writeTrace exports the run's spans as Chrome trace-event JSON when
-// tracing was requested; a nil trace is a no-op.
-func writeTrace(tr *obs.Trace, path string) error {
-	if tr == nil {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
 	return nil
 }
 

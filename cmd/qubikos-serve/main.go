@@ -50,7 +50,7 @@ func main() {
 	genWorkers := flag.Int("gen-workers", 0, "parallel generation workers per suite (0 = all CPUs)")
 	evalWorkers := flag.Int("eval-workers", 1, "parallel evaluation workers per request")
 	maxInstances := flag.Int("max-instances", 4096, "largest suite a single request may ask for")
-	verify := flag.Bool("verify", false, "run the structural verifier on every generated instance")
+	verify := flag.Bool("verify", false, "certify every generated instance on the bytes written to staging, before the suite commits")
 	genTimeout := flag.Duration("gen-timeout", 0, "per-request budget for suite generation (0 = unlimited); over-budget requests get 503 + Retry-After")
 	evalTimeout := flag.Duration("eval-timeout", 0, "per-request budget for evaluations (0 = unlimited); timed-out evaluations resume on retry")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests to finish")

@@ -103,7 +103,7 @@ func run() (err error) {
 		tr := obs.New(0)
 		ctx = obs.NewContext(ctx, tr)
 		defer func() {
-			if werr := writeTrace(*tracePath, tr); err == nil {
+			if werr := obs.WriteChromeFile(tr, *tracePath, os.Stdout, os.Stderr); err == nil {
 				err = werr
 			}
 		}()
@@ -151,22 +151,6 @@ func run() (err error) {
 	if dev > 0 {
 		return fmt.Errorf("%d of %d circuits deviate from their claimed optimum", dev, total)
 	}
-	return nil
-}
-
-func writeTrace(path string, tr *obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
 	return nil
 }
 

@@ -57,9 +57,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestEndToEndExactAgreement cross-checks generator, structural verifier
-// and SAT solver on one instance: all three notions of "optimal SWAP
-// count" must coincide.
+// TestEndToEndExactAgreement cross-checks generator, cut-chain
+// certificate and SAT solver on one instance: all three notions of
+// "optimal SWAP count" must coincide.
 func TestEndToEndExactAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SAT cross-check in -short mode")
@@ -139,7 +139,7 @@ func TestEndToEndInstanceFiles(t *testing.T) {
 
 // Property (testing/quick): for arbitrary generator parameters within the
 // supported envelope, generation either fails loudly or produces a
-// benchmark that passes the structural verifier and whose solution QASM
+// benchmark that passes the cut-chain certificate and whose solution QASM
 // round-trips.
 func TestQuickGeneratorAlwaysVerifiable(t *testing.T) {
 	devices := []*arch.Device{

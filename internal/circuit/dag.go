@@ -1,7 +1,5 @@
 package circuit
 
-import "math/bits"
-
 // DAG is the gate dependency graph over the circuit's two-qubit gates
 // (Figure 1(c) of the paper). Single-qubit gates are excluded: they impose
 // no connectivity constraint and can be re-inserted after layout synthesis.
@@ -86,43 +84,38 @@ func (d *DAG) Roots() []int {
 	return out
 }
 
-// bitset is a fixed-size bit vector used for reachability closures.
-type bitset []uint64
+// Bitset is a set of DAG nodes: bit i&63 of word i>>6 holds node i.
+type Bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+func (b Bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+// Has reports whether node i is in the set.
+func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-func (b bitset) orInto(other bitset) {
+func (b Bitset) orInto(other Bitset) {
 	for i := range b {
 		b[i] |= other[i]
 	}
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Reachability holds the ancestor closure of every node: Anc[v] contains u
 // iff there is a path u -> ... -> v, i.e. u must execute before v. This is
 // the Prev(g) set from the paper.
 type Reachability struct {
-	Anc []bitset
+	Anc []Bitset
 }
 
 // Ancestors computes the full ancestor closure. Nodes are already in a
 // topological order (circuit order), so a single forward sweep suffices.
-// Memory is O(n^2/64), fine for the paper's largest circuits (~3000 gates).
+// Memory is n^2/64 words in one block, about 1.1 MB for the paper's
+// largest circuits (~3000 gates).
 func (d *DAG) Ancestors() *Reachability {
 	n := d.N()
-	r := &Reachability{Anc: make([]bitset, n)}
+	words := (n + 63) / 64
+	flat := make([]uint64, n*words)
+	r := &Reachability{Anc: make([]Bitset, n)}
 	for v := 0; v < n; v++ {
-		r.Anc[v] = newBitset(n)
+		r.Anc[v] = flat[v*words : (v+1)*words : (v+1)*words]
 		for _, p := range d.Preds[v] {
 			r.Anc[v].set(p)
 			r.Anc[v].orInto(r.Anc[p])
@@ -131,12 +124,22 @@ func (d *DAG) Ancestors() *Reachability {
 	return r
 }
 
+// Descendants returns the nodes that node u must precede, read off the
+// ancestor sets; u = -1 returns every node.
+func (r *Reachability) Descendants(u int) Bitset {
+	n := len(r.Anc)
+	desc := make(Bitset, (n+63)/64)
+	for v := u + 1; v < n; v++ {
+		if u < 0 || r.Anc[v].Has(u) {
+			desc.set(v)
+		}
+	}
+	return desc
+}
+
 // MustPrecede reports whether node u is an ancestor of node v (u must
 // execute before v). A node does not precede itself.
-func (r *Reachability) MustPrecede(u, v int) bool { return r.Anc[v].get(u) }
-
-// AncestorCount returns |Prev(v)|.
-func (r *Reachability) AncestorCount(v int) int { return r.Anc[v].count() }
+func (r *Reachability) MustPrecede(u, v int) bool { return r.Anc[v].Has(u) }
 
 // Layers returns the ASAP layering of the DAG: layer 0 holds the roots,
 // and each node sits one past its deepest predecessor. Two-qubit gates in

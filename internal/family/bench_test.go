@@ -55,13 +55,24 @@ func BenchmarkGenerateQuekoDepthEagle127(b *testing.B) {
 	}
 }
 
+// BenchmarkCertifyQubikos measures the swap certificate at paper scale
+// (Eagle-127, 3,000 gates, n = 20): the witness check plus the cut
+// chain, the per-instance check qubikos-verify -suite runs before SAT.
+func BenchmarkCertifyQubikos(b *testing.B) {
+	benchCertify(b, Qubikos, Options{Optimal: 20, TargetTwoQubitGates: 3000, Seed: 7})
+}
+
 // BenchmarkCertifyQuekoDepth measures the structural depth certificate —
 // the per-instance check qubikos-verify runs over stored depth suites.
 func BenchmarkCertifyQuekoDepth(b *testing.B) {
+	benchCertify(b, QuekoDepth, Options{Optimal: 45, TargetTwoQubitGates: 3000, Seed: 7})
+}
+
+// benchCertify times Certify on an Eagle-127 instance of the family,
+// read back from disk with its stored witness.
+func benchCertify(b *testing.B, fam *Family, opts Options) {
 	dir := b.TempDir()
-	inst, err := QuekoDepth.Generate(arch.IBMEagle127(), Options{
-		Optimal: 45, TargetTwoQubitGates: 3000, Seed: 7,
-	})
+	inst, err := fam.Generate(arch.IBMEagle127(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}

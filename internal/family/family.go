@@ -1,11 +1,13 @@
 // Package family is the registry of benchmark families. A family bundles
 // a deterministic, seed-driven generator with the metric its instances
-// carry a known optimum for (SWAP count or routed depth) and a structural
-// per-instance certificate checker that re-validates the optimality
-// argument from an instance's serialized form. Loading runs only the
-// sidecar cross-checks (Loaded.Check); the certificate runs in the
-// harness certifier, on every instance the Section IV-A study generates
-// and every instance qubikos-verify -suite loads. The content-addressed
+// carry a known optimum for (SWAP count or routed depth) and one
+// certificate, Certify, that proves both bounds of the optimum from an
+// instance's serialized bytes: the witness for the upper bound, the
+// circuit's structure for the lower bound. No check reads generator
+// metadata. Loading runs only the sidecar cross-checks (Loaded.Check);
+// Certify runs on the bytes a generation just wrote (the store and
+// qubikos-gen with verification on, and the Section IV-A study) and on
+// every instance qubikos-verify -suite loads. The content-addressed
 // suite store, the evaluation harness, the HTTP server and every CLI
 // dispatch on family IDs registered here, so adding a benchmark family
 // (noise-aware, near-optimal QUEKNO-style, ...) is one Register call plus
@@ -14,7 +16,8 @@
 // Two families ship today:
 //
 //   - qubikos-go/1 — the paper's primary contribution: circuits with a
-//     provably optimal SWAP count (package qubikos).
+//     provably optimal SWAP count (package qubikos), certified by the
+//     witness and a cut chain (qubikos.CutChain).
 //   - queko-depth/1 — a QUEKO-style depth-objective family (Tan & Cong,
 //     arXiv:2002.09783): a gate backbone saturates a known-depth skeleton
 //     on the device, so the optimal routed depth is known by construction
@@ -93,7 +96,8 @@ type Options struct {
 }
 
 // Instance is one generated benchmark: a circuit, the known-optimal
-// witness transpilation, and the knowledge the certificate rests on.
+// witness transpilation, and the sidecar fields. It carries nothing the
+// certificate needs beyond what WriteInstance serializes.
 type Instance struct {
 	Family  *Family
 	Device  *arch.Device
@@ -113,10 +117,6 @@ type Instance struct {
 	// SwapSchedule lists the witness's SWAPs on program qubits, in order.
 	SwapSchedule [][2]int
 	Seed         int64
-	// Verify re-runs the family's full structural optimality check using
-	// generation-time metadata (deeper than Certify, which sees only the
-	// serialized form).
-	Verify func() error
 }
 
 // Family describes one registered benchmark family.
@@ -131,9 +131,9 @@ type Family struct {
 	MinOptimal int
 	// Generate deterministically constructs one instance.
 	Generate func(dev *arch.Device, opts Options) (*Instance, error)
-	// Certify structurally re-checks a loaded instance's optimality
-	// certificate from its serialized form (circuit + sidecar, plus the
-	// witness transpilation when the family needs it).
+	// Certify proves a loaded instance's claimed optimum from its
+	// serialized form: the circuit and sidecar, plus the witness
+	// transpilation when it was loaded.
 	Certify func(li *Loaded) error
 }
 

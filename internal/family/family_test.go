@@ -102,8 +102,16 @@ func TestQubikosFamilyGenerate(t *testing.T) {
 	if len(inst.SwapSchedule) != 2 {
 		t.Errorf("schedule has %d swaps, want 2", len(inst.SwapSchedule))
 	}
-	if err := inst.Verify(); err != nil {
-		t.Errorf("deep verify: %v", err)
+	dir := t.TempDir()
+	if _, err := WriteInstance(dir, "x", inst); err != nil {
+		t.Fatal(err)
+	}
+	li, err := ReadInstanceWithSolution(dir, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := li.Certify(); err != nil {
+		t.Errorf("certify the written bytes: %v", err)
 	}
 }
 

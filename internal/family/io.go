@@ -77,6 +77,22 @@ func WriteInstance(dir, base string, inst *Instance) (*Sidecar, error) {
 	if err := writeQASMFile(filepath.Join(dir, base+".solution.qasm"), inst.Solution.Transpiled); err != nil {
 		return nil, err
 	}
+	sc := inst.sidecar()
+	f, err := os.Create(filepath.Join(dir, base+".json"))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(sc); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// sidecar builds the sidecar WriteInstance serializes for the instance.
+func (inst *Instance) sidecar() *Sidecar {
 	schedule := inst.SwapSchedule
 	if schedule == nil {
 		schedule = [][2]int{}
@@ -97,17 +113,7 @@ func WriteInstance(dir, base string, inst *Instance) (*Sidecar, error) {
 	if inst.Family.Metric == Depth {
 		sc.OptimalDepth = inst.Optimal
 	}
-	f, err := os.Create(filepath.Join(dir, base+".json"))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sc); err != nil {
-		return nil, err
-	}
-	return sc, nil
+	return sc
 }
 
 // Loaded pairs a parsed instance with its sidecar, its resolved family,

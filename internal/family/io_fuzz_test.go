@@ -14,7 +14,9 @@ import (
 // FuzzReadInstance writes arbitrary sidecar and circuit bytes to disk and
 // reads them back with ReadInstance, which loads every stored instance.
 // ReadInstance must never panic, and every instance it accepts must pass
-// Check and keep its circuit, bit for bit, through WriteQASM → ParseQASM.
+// Check, keep its circuit, bit for bit, through WriteQASM → ParseQASM,
+// and run its family's Certify (the cut chain, for swap instances)
+// without panicking; Certify may reject it.
 //
 //	go test ./internal/family -run '^$' -fuzz '^FuzzReadInstance$' -fuzztime 15s
 func FuzzReadInstance(f *testing.F) {
@@ -64,6 +66,7 @@ func FuzzReadInstance(f *testing.F) {
 		if err := li.Check(); err != nil {
 			t.Fatalf("accepted instance fails Check: %v", err)
 		}
+		_ = li.Certify()
 		text := circuit.QASMString(li.Circuit)
 		back, err := circuit.ParseQASM(strings.NewReader(text))
 		if err != nil {

@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/circuit"
 	"repro/internal/qubikos"
+	"repro/internal/router"
 )
 
 // The family writer must emit byte-identical files to the legacy qubikos
@@ -127,5 +130,64 @@ func TestReadInstanceCatchesTampering(t *testing.T) {
 	f.Close()
 	if _, err := ReadInstance(dir, "x"); err == nil {
 		t.Fatal("tampered instance accepted")
+	}
+}
+
+// A stored instance may claim more SWAPs than its circuit needs and back
+// the claim with a valid witness: two back-to-back identical SWAPs cost
+// two and change no mapping. Every upper-bound check passes such a claim;
+// Certify must reject it because the cut chain proves only the planted n.
+func TestQubikosCertifyRejectsInflatedClaim(t *testing.T) {
+	dir := t.TempDir()
+	dev := arch.RigettiAspen4()
+	inst, err := Qubikos.Generate(dev, Options{Optimal: 3, TargetTwoQubitGates: 30, MaxTwoQubitGates: 30, PreferHighDegree: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteInstance(dir, "x", inst); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two SWAPs on a coupler's occupants under the planted mapping, first
+	// in the witness and in its schedule.
+	e := dev.Graph().Edges()[0]
+	inv := inst.InitialMapping.Inverse(dev.NumQubits())
+	pair := [2]int{inv[e.U], inv[e.V]}
+	sol := inst.Solution.Transpiled.Clone()
+	swap := circuit.NewSwap(pair[0], pair[1])
+	sol.Gates = append([]circuit.Gate{swap, swap}, sol.Gates...)
+	if err := writeQASMFile(filepath.Join(dir, "x.solution.qasm"), sol); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "x.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Sidecar
+	if err := json.Unmarshal(raw, &sc); err != nil {
+		t.Fatal(err)
+	}
+	sc.OptimalSwaps += 2
+	sc.SwapSchedule = append([][2]int{pair, pair}, sc.SwapSchedule...)
+	if raw, err = json.MarshalIndent(sc, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "x.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	li, err := ReadInstanceWithSolution(dir, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if li.Solution.SwapCount != 5 || len(li.Meta.SwapSchedule) != 5 {
+		t.Fatalf("inflated witness has %d SWAPs and %d scheduled, want 5", li.Solution.SwapCount, len(li.Meta.SwapSchedule))
+	}
+	if err := router.Validate(li.Circuit, li.Device, li.Solution); err != nil {
+		t.Fatalf("inflated witness must stay a valid routing: %v", err)
+	}
+	err = li.Certify()
+	if err == nil || !strings.Contains(err.Error(), "cut chain proves 3 SWAPs, claimed optimum 5") {
+		t.Fatalf("Certify(claim 5, optimum 3) = %v, want the cut chain's rejection", err)
 	}
 }

@@ -55,16 +55,17 @@ func qubikosGenerate(dev *arch.Device, opts Options) (*Instance, error) {
 		OptSwaps:       b.OptSwaps,
 		SwapSchedule:   schedule,
 		Seed:           b.Seed,
-		Verify:         func() error { return qubikos.Verify(b) },
 	}, nil
 }
 
-// qubikosCertify re-checks what the serialized form can carry of the
-// optimality argument: the sidecar's structural consistency, and — when
-// the witness transpilation was loaded — that it is a valid solution
-// using exactly the claimed optimal number of SWAPs (the upper bound).
-// The lower bound rests on the generation-time construction; re-certify
-// it exactly with the SAT solver (qubikos-verify) when needed.
+// qubikosCertify proves the claimed SWAP optimum from the serialized
+// form. The sidecar's schedule must have one entry per claimed SWAP, and
+// a loaded witness must be a valid transpilation using exactly the
+// claimed number of SWAPs (the upper bound). Last, qubikos.CutChain must
+// find exactly as many cuts in the circuit (the lower bound, Lemmas 1–3
+// and Theorem 4 restated on the dependency DAG), so the check needs no
+// generator metadata and no solver. The SAT check in qubikos-verify stays
+// an independent second opinion where it finishes.
 func qubikosCertify(li *Loaded) error {
 	meta := li.Meta
 	if m := meta.MetricOf(); m != Swaps {
@@ -82,6 +83,9 @@ func qubikosCertify(li *Loaded) error {
 		if err := router.Validate(li.Circuit, li.Device, li.Solution); err != nil {
 			return fmt.Errorf("family: witness transpilation invalid: %w", err)
 		}
+	}
+	if k := len(qubikos.CutChain(li.Circuit, li.Device.Graph())); k != meta.OptimalSwaps {
+		return fmt.Errorf("family: cut chain proves %d SWAPs, claimed optimum %d", k, meta.OptimalSwaps)
 	}
 	return nil
 }

@@ -143,28 +143,13 @@ func quekoGenerate(dev *arch.Device, opts Options) (*Instance, error) {
 		SwapSchedule:   [][2]int{},
 		Seed:           opts.Seed,
 	}
-	inst.Verify = func() error { return quekoVerifyInstance(inst) }
-	if err := inst.Verify(); err != nil {
+	// Always-on self-check: the load-time certificate, on the sidecar this
+	// instance serializes to.
+	li := &Loaded{Meta: *inst.sidecar(), Family: QuekoDepth, Device: dev, Circuit: c, Solution: inst.Solution}
+	if err := quekoCertify(li); err != nil {
 		return nil, fmt.Errorf("family: internal error, queko construction invalid: %w", err)
 	}
 	return inst, nil
-}
-
-// quekoVerifyInstance re-checks the whole depth argument on a generated
-// instance: the witness is a valid zero-SWAP transpilation, and the
-// circuit's two-qubit dependency depth equals the claimed optimum (lower
-// bound = upper bound = Optimal).
-func quekoVerifyInstance(inst *Instance) error {
-	if inst.Solution.SwapCount != 0 {
-		return fmt.Errorf("family: queko witness uses %d SWAPs, want 0", inst.Solution.SwapCount)
-	}
-	if err := router.Validate(inst.Circuit, inst.Device, inst.Solution); err != nil {
-		return fmt.Errorf("family: queko witness invalid: %w", err)
-	}
-	if d := inst.Circuit.TwoQubitDepth(); d != inst.Optimal {
-		return fmt.Errorf("family: queko circuit has two-qubit depth %d, claimed optimum %d", d, inst.Optimal)
-	}
-	return nil
 }
 
 // quekoCertify is the load-time certificate: purely from the serialized

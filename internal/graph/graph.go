@@ -163,6 +163,19 @@ func (g *Graph) DegreeSequence() []int {
 	return ds
 }
 
+// DegreeTail returns the graph's degree tail: element d is the number of
+// vertices of degree at least d, for d from 0 to MaxDegree.
+func (g *Graph) DegreeTail() []int {
+	tail := make([]int, g.MaxDegree()+1)
+	for v := 0; v < g.n; v++ {
+		tail[g.Degree(v)]++
+	}
+	for d := len(tail) - 2; d >= 0; d-- {
+		tail[d] += tail[d+1]
+	}
+	return tail
+}
+
 // BFSFrom runs a breadth-first search from the given source vertices
 // (all at distance 0) and returns the distance to every vertex, with -1 for
 // unreachable vertices.

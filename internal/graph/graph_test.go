@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -355,6 +356,34 @@ func TestEmbeddingBlockedSound(t *testing.T) {
 			if _, ok, trunc := SubgraphIsomorphism(p, g, 500000); ok && !trunc {
 				t.Fatalf("iter %d: certificate fired but embedding exists", iter)
 			}
+		}
+	}
+}
+
+// A degree tail counts vertices of degree at least d, and TailBlocked
+// fires exactly when some count exceeds the target's, or the pattern's
+// tail is longer (its maximum degree is higher).
+func TestDegreeTail(t *testing.T) {
+	path := New(5) // 0-1-2-3 plus isolated 4: degrees 1, 2, 2, 1, 0
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
+		if err := path.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := path.DegreeTail(); !slices.Equal(got, []int{5, 4, 2}) {
+		t.Fatalf("DegreeTail = %v, want [5 4 2]", got)
+	}
+	for _, c := range []struct {
+		p, t []int
+		want bool
+	}{
+		{[]int{4, 4, 2}, []int{5, 4, 2}, false},
+		{[]int{3, 3, 3}, []int{5, 4, 2}, true},
+		{[]int{2, 2, 1, 1}, []int{5, 4, 2}, true},
+		{[]int{9, 1}, []int{2, 1}, false}, // index 0 counts every vertex; only d >= 1 matters
+	} {
+		if got := TailBlocked(c.p, c.t); got != c.want {
+			t.Errorf("TailBlocked(%v, %v) = %v, want %v", c.p, c.t, got, c.want)
 		}
 	}
 }

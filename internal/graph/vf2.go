@@ -198,25 +198,20 @@ func (s *vf2state) feasible(pv, tv int) bool {
 // with degree >= d, any injective map must place some pattern vertex of
 // degree >= d on a target vertex of smaller degree, leaving one of its
 // edges unrealizable. This is the pigeonhole argument behind QUBIKOS
-// Lemma 1. A false return is inconclusive.
+// Lemma 1. A false return is inconclusive. Adding pattern edges only
+// raises degrees, so a blocked pattern stays blocked.
 func EmbeddingBlocked(pattern, target *Graph) bool {
-	maxD := pattern.MaxDegree()
-	if tm := target.MaxDegree(); maxD > tm {
-		return true
+	return TailBlocked(pattern.DegreeTail(), target.DegreeTail())
+}
+
+// TailBlocked is EmbeddingBlocked on degree tails (see DegreeTail), for
+// callers that count a pattern's degrees without building its graph.
+func TailBlocked(pattern, target []int) bool {
+	if len(pattern) > len(target) {
+		return true // the pattern's maximum degree exceeds the target's
 	}
-	for d := 1; d <= maxD; d++ {
-		pc, tc := 0, 0
-		for v := 0; v < pattern.N(); v++ {
-			if pattern.Degree(v) >= d {
-				pc++
-			}
-		}
-		for v := 0; v < target.N(); v++ {
-			if target.Degree(v) >= d {
-				tc++
-			}
-		}
-		if pc > tc {
+	for d := 1; d < len(pattern); d++ {
+		if pattern[d] > target[d] {
 			return true
 		}
 	}

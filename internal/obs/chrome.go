@@ -4,9 +4,37 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
+
+// WriteChromeFile writes the trace to path as Chrome trace-event JSON
+// (see WriteChrome) and reports "wrote <path>" on out. When the ring
+// buffer overwrote spans, it also warns on warn how many of the oldest
+// spans the file lacks, so no command writes a truncated trace
+// silently. A nil trace writes nothing.
+func WriteChromeFile(tr *Trace, path string, out, warn io.Writer) error {
+	if tr == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if n := tr.Dropped(); n > 0 {
+		fmt.Fprintf(warn, "warning: trace buffer overflowed; the %d oldest spans were dropped from %s\n", n, path)
+	}
+	fmt.Fprintln(out, "wrote", path)
+	return nil
+}
 
 // WriteChrome exports the trace as Chrome trace-event JSON — the format
 // chrome://tracing and ui.perfetto.dev load directly. Every span becomes

@@ -3,6 +3,8 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -121,6 +123,55 @@ func TestRingOverwrite(t *testing.T) {
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Errorf("Dropped = %d, want 6", got)
+	}
+}
+
+// TestWriteChromeFileWarnsOnDroppedSpans: the one trace-file writer the
+// CLIs share writes the ring's surviving spans as valid Chrome JSON and
+// warns when the ring overwrote spans; a trace that kept every span
+// writes without a warning, and a nil trace writes nothing.
+func TestWriteChromeFileWarnsOnDroppedSpans(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		spans    int
+		warnWant string
+	}{
+		{2, ""},
+		{5, "warning: trace buffer overflowed; the 3 oldest spans were dropped from "},
+	} {
+		tr := New(2)
+		for i := 0; i < c.spans; i++ {
+			sp := tr.Root("cat", "span")
+			sp.End()
+		}
+		path := filepath.Join(dir, "t.json")
+		var out, warn strings.Builder
+		if err := WriteChromeFile(tr, path, &out, &warn); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != "wrote "+path+"\n" {
+			t.Errorf("%d spans: out = %q", c.spans, out.String())
+		}
+		if c.warnWant == "" && warn.Len() != 0 || !strings.HasPrefix(warn.String(), c.warnWant) {
+			t.Errorf("%d spans: warn = %q, want prefix %q", c.spans, warn.String(), c.warnWant)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) != 2 {
+			t.Errorf("%d spans: file holds %d events (err %v), want the ring's 2", c.spans, len(doc.TraceEvents), err)
+		}
+	}
+	var out, warn strings.Builder
+	if err := WriteChromeFile(nil, filepath.Join(dir, "nil.json"), &out, &warn); err != nil || out.Len()+warn.Len() != 0 {
+		t.Errorf("nil trace: err %v, out %q, warn %q", err, out.String(), warn.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "nil.json")); !os.IsNotExist(err) {
+		t.Errorf("nil trace created a file (stat err %v)", err)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 
 // Instance is the serialized form of a benchmark: the circuit as
 // OpenQASM plus this JSON sidecar. It carries everything an evaluation
-// needs (the claimed optimum, the planted mapping and swap schedule);
-// the full Section metadata used by the structural verifier is not
-// serialized — re-verify at generation time or with the exact solver.
+// needs (the claimed optimum, the planted mapping and swap schedule),
+// and everything the optimality certificate needs: the witness proves
+// the upper bound and CutChain re-derives the lower bound from the
+// circuit, so no Section metadata is serialized.
 //
 // This is also the per-instance format of the content-addressed suite
 // store (package suite), which relies on WriteInstance being

@@ -1,8 +1,8 @@
 // Package qubikos implements the paper's primary contribution: generation
 // of QUBIKOS benchmark circuits — quantum circuits with a provably optimal
 // (known, non-zero) SWAP count for a given coupling graph — together with
-// the known-optimal transpiled solution and a structural verifier that
-// re-checks the optimality argument on every generated instance.
+// the known-optimal transpiled solution, and the cut-chain certificate
+// (CutChain) that re-proves the lower bound from a circuit alone.
 //
 // Construction (paper Section III): for each of the n requested SWAPs,
 // pick a coupling edge whose swap gives one of its occupants a brand-new
@@ -14,12 +14,15 @@
 // concatenate sections and pad with gates that are executable in place
 // (Algorithm 3). The result needs at least n SWAPs (each section forces
 // one and they cannot be shared) and exactly n suffice (the bundled
-// solution is a witness).
+// solution is a witness). CutChain restates that lower-bound argument on
+// the circuit's dependency DAG, so it needs none of the construction
+// metadata.
 package qubikos
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -61,15 +64,12 @@ type Section struct {
 	SwapProg [2]int
 	// Special is the section's special gate (forces the swap).
 	Special circuit.Gate
-	// SpecialIndex is the position of the special gate in the final
-	// benchmark circuit.
-	SpecialIndex int
 	// MappingBefore is the program->physical mapping f_i at section start.
 	MappingBefore router.Mapping
 }
 
 // Benchmark bundles a generated circuit with its provably optimal
-// solution and the metadata the verifier needs.
+// solution and the construction's section records.
 type Benchmark struct {
 	Device  *arch.Device
 	Circuit *circuit.Circuit
@@ -81,18 +81,7 @@ type Benchmark struct {
 	// InitialMapping is the optimal initial placement f_init.
 	InitialMapping router.Mapping
 	Sections       []Section
-	// Zone[i] is the section index of Circuit.Gates[i] (n = epilogue).
-	Zone []int
-	// Backbone[i] reports whether Circuit.Gates[i] is a backbone gate
-	// (sections' interaction graphs + specials) rather than padding.
-	Backbone []bool
-	Seed     int64
-}
-
-// annotated is a gate plus its provenance, used while assembling bodies.
-type annotated struct {
-	g        circuit.Gate
-	backbone bool
+	Seed           int64
 }
 
 // Generate constructs a QUBIKOS benchmark on the device.
@@ -141,7 +130,7 @@ func generateOnce(dev *arch.Device, opts Options, seed int64) (*Benchmark, error
 	finit := router.Mapping(rng.Perm(nP))
 	fcur := finit.Clone()
 
-	bodies := make([][]annotated, opts.NumSwaps+1) // last = epilogue
+	bodies := make([][]circuit.Gate, opts.NumSwaps+1) // last = epilogue
 	specials := make([]circuit.Gate, 0, opts.NumSwaps)
 	sections := make([]Section, 0, opts.NumSwaps)
 
@@ -199,34 +188,25 @@ func generateOnce(dev *arch.Device, opts Options, seed int64) (*Benchmark, error
 		qa, qb := inv[e.U], inv[e.V]
 		gate := randomTwoQubit(rng, qa, qb)
 		pos := rng.Intn(len(bodies[zone]) + 1)
-		bodies[zone] = insertAnnotated(bodies[zone], pos, annotated{g: gate})
+		bodies[zone] = slices.Insert(bodies[zone], pos, gate)
 	}
 	for i := 0; i < opts.SingleQubitGates; i++ {
 		zone := rng.Intn(opts.NumSwaps + 1)
 		gate := randomSingleQubit(rng, nP)
 		pos := rng.Intn(len(bodies[zone]) + 1)
-		bodies[zone] = insertAnnotated(bodies[zone], pos, annotated{g: gate})
+		bodies[zone] = slices.Insert(bodies[zone], pos, gate)
 	}
 
 	// Assemble the benchmark circuit and the solution.
 	bench := circuit.New(nP)
 	sol := circuit.New(nP)
-	var zoneOf []int
-	var backboneOf []bool
 	for j := range bodies {
-		for _, ag := range bodies[j] {
-			bench.MustAppend(ag.g)
-			sol.MustAppend(ag.g)
-			zoneOf = append(zoneOf, j)
-			backboneOf = append(backboneOf, ag.backbone)
-		}
+		bench.MustAppend(bodies[j]...)
+		sol.MustAppend(bodies[j]...)
 		if j < len(specials) {
-			sections[j].SpecialIndex = bench.NumGates()
 			sol.MustAppend(circuit.NewSwap(sections[j].SwapProg[0], sections[j].SwapProg[1]))
 			bench.MustAppend(specials[j])
 			sol.MustAppend(specials[j])
-			zoneOf = append(zoneOf, j)
-			backboneOf = append(backboneOf, true)
 		}
 	}
 
@@ -243,8 +223,6 @@ func generateOnce(dev *arch.Device, opts Options, seed int64) (*Benchmark, error
 		OptSwaps:       opts.NumSwaps,
 		InitialMapping: finit,
 		Sections:       sections,
-		Zone:           zoneOf,
-		Backbone:       backboneOf,
 		Seed:           seed,
 	}
 	if err := router.Validate(bench, dev, b.Solution); err != nil {
@@ -256,7 +234,7 @@ func generateOnce(dev *arch.Device, opts Options, seed int64) (*Benchmark, error
 // buildSection runs Algorithms 1 and 2 for one section: selects the swap
 // edge and special gate, builds the saturating edge set S plus connectors,
 // and serializes the gates.
-func buildSection(g *graph.Graph, f router.Mapping, gprev *circuit.Gate, rng *rand.Rand, preferHigh bool) (*Section, []annotated, circuit.Gate, error) {
+func buildSection(g *graph.Graph, f router.Mapping, gprev *circuit.Gate, rng *rand.Rand, preferHigh bool) (*Section, []circuit.Gate, circuit.Gate, error) {
 	nP := g.N()
 	inv := f.Inverse(nP)
 
@@ -349,7 +327,7 @@ func buildSection(g *graph.Graph, f router.Mapping, gprev *circuit.Gate, rng *ra
 // the special (appended by the caller) depends on all of them, and the
 // first gate hooks the section to the previous one. Returns ok=false when
 // no hook to the previous special exists.
-func compactStarBody(sProg []graph.Edge, q int, gprev *circuit.Gate, rng *rand.Rand) ([]annotated, bool) {
+func compactStarBody(sProg []graph.Edge, q int, gprev *circuit.Gate, rng *rand.Rand) ([]circuit.Gate, bool) {
 	order := make([]graph.Edge, len(sProg))
 	copy(order, sProg)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -374,9 +352,9 @@ func compactStarBody(sProg []graph.Edge, q int, gprev *circuit.Gate, rng *rand.R
 			order[0], order[hook] = order[hook], order[0]
 		}
 	}
-	body := make([]annotated, 0, len(order))
+	body := make([]circuit.Gate, 0, len(order))
 	for _, e := range order {
-		body = append(body, annotated{g: edgeGate(rng, e), backbone: true})
+		body = append(body, edgeGate(rng, e))
 	}
 	return body, true
 }
@@ -386,7 +364,7 @@ func compactStarBody(sProg []graph.Edge, q int, gprev *circuit.Gate, rng *rand.R
 // reachable from the previous special's qubits, then emit a forward BFS
 // edge pass rooted at the previous special's qubits and a reversed BFS
 // pass rooted at the current special's qubits.
-func doublePassBody(g *graph.Graph, f router.Mapping, inv []int, sProg, sPhys []graph.Edge, q, qq int, gprev *circuit.Gate, rng *rand.Rand) ([]annotated, error) {
+func doublePassBody(g *graph.Graph, f router.Mapping, inv []int, sProg, sPhys []graph.Edge, q, qq int, gprev *circuit.Gate, rng *rand.Rand) ([]circuit.Gate, error) {
 	nP := g.N()
 
 	// Union-find in physical space over the S edges.
@@ -476,14 +454,14 @@ func doublePassBody(g *graph.Graph, f router.Mapping, inv []int, sProg, sPhys []
 	if gprev != nil {
 		fwdSources = []int{gprev.Q0, gprev.Q1}
 	}
-	var body []annotated
+	var body []circuit.Gate
 	if gprev != nil {
 		fwd := h.BFSAllEdgeOrder(fwdSources, nil)
 		if len(fwd) != h.M() {
 			return nil, fmt.Errorf("qubikos: internal error: forward pass covers %d of %d gates", len(fwd), h.M())
 		}
 		for _, e := range fwd {
-			body = append(body, annotated{g: edgeGate(rng, e), backbone: true})
+			body = append(body, edgeGate(rng, e))
 		}
 	}
 	bwd := h.BFSAllEdgeOrder([]int{q, qq}, nil)
@@ -491,7 +469,7 @@ func doublePassBody(g *graph.Graph, f router.Mapping, inv []int, sProg, sPhys []
 		return nil, fmt.Errorf("qubikos: internal error: backward pass covers %d of %d gates", len(bwd), h.M())
 	}
 	for i := len(bwd) - 1; i >= 0; i-- {
-		body = append(body, annotated{g: edgeGate(rng, bwd[i]), backbone: true})
+		body = append(body, edgeGate(rng, bwd[i]))
 	}
 	return body, nil
 }
@@ -525,11 +503,4 @@ func randomSingleQubit(rng *rand.Rand, nQ int) circuit.Gate {
 	default:
 		return circuit.NewRZ(q, float64(rng.Intn(64))*0.0981747704246810387) // k*pi/32
 	}
-}
-
-func insertAnnotated(s []annotated, pos int, a annotated) []annotated {
-	s = append(s, annotated{})
-	copy(s[pos+1:], s[pos:])
-	s[pos] = a
-	return s
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/graph"
 	"repro/internal/olsq"
 	"repro/internal/router"
 )
@@ -52,15 +51,11 @@ func TestGenerateWithPadding(t *testing.T) {
 	if err := Verify(b); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	// Padding must exist and be flagged.
-	padding := 0
-	for _, isB := range b.Backbone {
-		if !isB {
-			padding++
-		}
-	}
-	if padding == 0 {
-		t.Error("expected padding gates")
+	// Padding draws from the random stream only after the sections, so
+	// the same seed without a target yields the backbone alone.
+	backbone := gen(t, arch.RigettiAspen4(), Options{NumSwaps: 3, Seed: 3})
+	if got := backbone.Circuit.TwoQubitGateCount(); got >= 120 {
+		t.Errorf("backbone alone has %d two-qubit gates; expected padding gates", got)
 	}
 }
 
@@ -185,10 +180,16 @@ func TestExactOptimalityStudy(t *testing.T) {
 	}
 }
 
+// The cut chain of a generated benchmark cuts at the sections' special
+// gates, in order.
 func TestSectionMetadata(t *testing.T) {
 	b := gen(t, arch.RigettiAspen4(), Options{NumSwaps: 3, Seed: 9})
 	if len(b.Sections) != 3 {
 		t.Fatalf("sections=%d", len(b.Sections))
+	}
+	cuts := CutChain(b.Circuit, b.Device.Graph())
+	if len(cuts) != 3 {
+		t.Fatalf("chain has %d cuts, want 3", len(cuts))
 	}
 	for j, sec := range b.Sections {
 		if !b.Device.Graph().HasEdge(sec.SwapPhys.U, sec.SwapPhys.V) {
@@ -200,43 +201,33 @@ func TestSectionMetadata(t *testing.T) {
 		if (pa != sec.SwapPhys.U || pb != sec.SwapPhys.V) && (pa != sec.SwapPhys.V || pb != sec.SwapPhys.U) {
 			t.Errorf("section %d swap program pair inconsistent with mapping", j)
 		}
-		if b.Circuit.Gates[sec.SpecialIndex] != sec.Special {
-			t.Errorf("section %d special index mismatch", j)
-		}
-	}
-}
-
-// Each section's interaction graph must be genuinely non-embeddable; the
-// certificate is cross-checked against exhaustive VF2 on small devices.
-func TestSectionNonEmbeddabilityVF2(t *testing.T) {
-	b := gen(t, arch.RigettiAspen4(), Options{NumSwaps: 3, Seed: 21})
-	gc := b.Device.Graph()
-	for j := 0; j < b.OptSwaps; j++ {
-		var idxs []int
-		for i, z := range b.Zone {
-			if z == j && b.Circuit.Gates[i].TwoQubit() {
-				idxs = append(idxs, i)
-			}
-		}
-		gi := b.Circuit.InteractionGraphOf(idxs)
-		if _, ok, trunc := graph.SubgraphIsomorphism(gi, gc, 2_000_000); ok || trunc {
-			t.Errorf("section %d: VF2 found an embedding (ok=%v trunc=%v); Lemma 1 violated", j, ok, trunc)
+		if b.Circuit.Gates[cuts[j]] != sec.Special {
+			t.Errorf("section %d: cut gate %v is not its special %v", j, b.Circuit.Gates[cuts[j]], sec.Special)
 		}
 	}
 }
 
 // Sections minus their special gate must be executable in place: the
-// bundled solution demonstrates that, but check explicitly that the
-// backbone body gates are coupler-adjacent under the section mapping.
+// bundled solution demonstrates that, but check explicitly that every
+// gate before a section's special (its cut) is coupler-adjacent under
+// the section mapping.
 func TestSectionBodiesExecutableInPlace(t *testing.T) {
 	b := gen(t, arch.Grid3x3(), Options{NumSwaps: 3, Seed: 33})
 	gc := b.Device.Graph()
-	for i, z := range b.Zone {
-		if z >= b.OptSwaps {
+	cuts := CutChain(b.Circuit, gc)
+	if len(cuts) != b.OptSwaps {
+		t.Fatalf("chain has %d cuts, want %d", len(cuts), b.OptSwaps)
+	}
+	z := 0 // section of gate i: the number of cuts before it
+	for i, g := range b.Circuit.Gates {
+		if z == len(cuts) {
+			break
+		}
+		if i == cuts[z] {
+			z++
 			continue
 		}
-		g := b.Circuit.Gates[i]
-		if !g.TwoQubit() || i == b.Sections[z].SpecialIndex {
+		if !g.TwoQubit() {
 			continue
 		}
 		f := b.Sections[z].MappingBefore
@@ -279,19 +270,17 @@ func TestVerifyCatchesCorruptedSolution(t *testing.T) {
 
 func TestVerifyCatchesBrokenSerialization(t *testing.T) {
 	b := gen(t, arch.Grid3x3(), Options{NumSwaps: 2, Seed: 8})
-	// Claim a padding-free gate in section 1 is backbone while moving it
-	// out of the dependency sandwich: simplest corruption is to retarget
-	// a backbone body gate onto qubits untouched by the specials.
-	// Find a backbone, non-special gate of section 1.
-	var idx = -1
-	for i, z := range b.Zone {
-		if z == 1 && b.Backbone[i] && i != b.Sections[1].SpecialIndex && b.Circuit.Gates[i].TwoQubit() {
-			idx = i
-			break
-		}
+	// Move a body gate of section 1 out of the dependency sandwich:
+	// retarget it onto qubits it does not touch. Without padding or
+	// single-qubit gates, the gate right after section 0's special (the
+	// first cut) is section 1's first body gate.
+	cuts := CutChain(b.Circuit, b.Device.Graph())
+	if len(cuts) != 2 {
+		t.Fatalf("chain has %d cuts, want 2", len(cuts))
 	}
-	if idx == -1 {
-		t.Skip("no section-1 body gate to corrupt")
+	idx := cuts[0] + 1
+	if !b.Circuit.Gates[idx].TwoQubit() || idx == cuts[1] {
+		t.Fatalf("gate %d is not a section-1 body gate", idx)
 	}
 	// Retarget both the benchmark and solution copies so the solution
 	// still "matches" but dependencies break. Rebuilding the solution
@@ -324,18 +313,26 @@ func TestVerifyCatchesBrokenSerialization(t *testing.T) {
 			break
 		}
 	}
+	// The witness still routes the corrupted circuit with 2 SWAPs, and the
+	// exact solver still needs 2, but the chain can prove only 1: Verify
+	// accepts no claim the chain does not prove.
+	if k := len(CutChain(b.Circuit, b.Device.Graph())); k != 1 {
+		t.Fatalf("corrupted chain has %d cuts, want 1", k)
+	}
+	if err := router.Validate(b.Circuit, b.Device, b.Solution); err != nil {
+		t.Fatalf("corrupted witness invalid: %v", err)
+	}
+	if !testing.Short() {
+		s, err := olsq.New(b.Circuit, b.Device, olsq.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.VerifyOptimalCtx(context.Background(), 2); err != nil {
+			t.Fatalf("exact optimum of the corrupted circuit: %v", err)
+		}
+	}
 	if Verify(b) == nil {
 		t.Fatal("broken serialization accepted")
-	}
-}
-
-func TestVerifyCatchesZoneRegression(t *testing.T) {
-	b := gen(t, arch.Line(5), Options{NumSwaps: 2, Seed: 4})
-	if len(b.Zone) >= 2 {
-		b.Zone[0], b.Zone[len(b.Zone)-1] = b.Zone[len(b.Zone)-1], b.Zone[0]
-		if Verify(b) == nil {
-			t.Fatal("zone regression accepted")
-		}
 	}
 }
 

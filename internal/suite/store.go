@@ -31,8 +31,9 @@ const completeMarker = "COMPLETE"
 type StoreOptions struct {
 	// Workers bounds the generation worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Verify runs the structural verifier on every generated benchmark
-	// before it is written. Defaults to off; the generator construction is
+	// Verify reads every written instance back from staging with its
+	// witness and runs its family's Certify on those bytes before the
+	// suite commits. Defaults to off; the generator construction is
 	// self-validating (it checks its own solution), so this is a belt for
 	// suites that will be published.
 	Verify bool
@@ -522,11 +523,15 @@ func (s *Store) generate(ctx context.Context, m Manifest, hash string, held *lea
 			}
 		}
 		inst, err := fam.Generate(dev, m.Options(ref.Optimal, ref.Index))
-		if err == nil && s.verify {
-			err = inst.Verify()
-		}
 		if err == nil {
 			_, err = family.WriteInstance(instDir, ref.Base, inst)
+		}
+		if err == nil && s.verify {
+			// Certify the bytes the suite commits, read back from staging.
+			var li *family.Loaded
+			if li, err = family.ReadInstanceWithSolution(instDir, ref.Base); err == nil {
+				err = li.Certify()
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("suite: instance %s: %w", ref.Base, err)
