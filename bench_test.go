@@ -1,9 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section (see DESIGN.md's experiment index). Each benchmark
-// runs a reduced-scale version of its experiment per iteration and
-// reports the headline quantity (mean optimality gap, verification count)
-// as a custom metric; scale constants up via the qubikos-eval and
-// qubikos-verify commands for paper-scale runs.
+// Benchmarks regenerating the tables and figures of the paper's
+// evaluation section (README's "Reproducing the paper's numbers" lists
+// the command behind each). Each benchmark runs a reduced-scale version
+// of its experiment per iteration and reports the headline quantity
+// (mean optimality gap, verification count) as a custom metric; scale
+// constants up via the qubikos-eval and qubikos-verify commands for
+// paper-scale runs.
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -169,43 +170,6 @@ func BenchmarkCaseStudy(b *testing.B) {
 
 // --- micro-benchmarks of the substrates ------------------------------
 
-func BenchmarkGeneratorAspen4(b *testing.B) {
-	dev := arch.RigettiAspen4()
-	for i := 0; i < b.N; i++ {
-		if _, err := qubikos.Generate(dev, qubikos.Options{
-			NumSwaps: 5, TargetTwoQubitGates: 300, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGeneratorEagle127(b *testing.B) {
-	dev := arch.IBMEagle127()
-	for i := 0; i < b.N; i++ {
-		if _, err := qubikos.Generate(dev, qubikos.Options{
-			NumSwaps: 20, TargetTwoQubitGates: 3000, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStructuralVerify(b *testing.B) {
-	bench, err := qubikos.Generate(arch.GoogleSycamore54(), qubikos.Options{
-		NumSwaps: 10, TargetTwoQubitGates: 1500, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := qubikos.Verify(bench); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchSeed is the tool seed of every benchRoute iteration, so each
 // iteration routes the same instance the same way and a -benchtime=1x
 // run measures exactly what a longer run averages. It is the seed CI's
@@ -305,25 +269,6 @@ func BenchmarkRouteQmapSycamore54(b *testing.B) {
 		arch.GoogleSycamore54(), 5, 1500)
 }
 
-func BenchmarkExactDecideGrid3x3(b *testing.B) {
-	bench, err := qubikos.Generate(arch.Grid3x3(), qubikos.Options{
-		NumSwaps: 2, MaxTwoQubitGates: 30, TargetTwoQubitGates: 30, PreferHighDegree: true, Seed: 5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := olsq.New(bench.Circuit, bench.Device, olsq.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.VerifyOptimalCtx(context.Background(), bench.OptSwaps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkOlsqVerify measures the exact-verification engine (one
 // persistent solver, grown encoding, assumption-selected bounds) on the
 // paper's Section IV-A style instances: VerifyOptimal's UNSAT(n-1)+SAT(n)
@@ -390,98 +335,6 @@ func BenchmarkDistanceMatrixEagle127(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = graph.NewDistanceMatrix(g)
 	}
-}
-
-// --- SABRE trials ablation -------------------------------------------
-
-// BenchmarkAblationSabreTrials sweeps the random-restart budget (the
-// paper uses 1000 trials; the knee of this curve shows what that buys).
-func BenchmarkAblationSabreTrials(b *testing.B) {
-	var g1, g16 float64
-	for i := 0; i < b.N; i++ {
-		pts, err := harness.TrialsAblation(arch.IBMRochester53(), 5, 1500, []int{1, 16}, 2, 23)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g1, g16 = pts[0].MeanRatio, pts[1].MeanRatio
-	}
-	b.ReportMetric(g1, "gap-1-trial-x")
-	b.ReportMetric(g16, "gap-16-trials-x")
-}
-
-// BenchmarkRouterStudy regenerates the standalone-router comparison (the
-// paper's Section IV-C closing proposal): all four tools routing from the
-// planted optimal mapping.
-func BenchmarkRouterStudy(b *testing.B) {
-	cfg := harness.SuiteConfig{
-		Device:              arch.RigettiAspen4(),
-		SwapCounts:          []int{5},
-		CircuitsPerCount:    2,
-		TargetTwoQubitGates: 300,
-		Seed:                31,
-	}
-	store, sts := benchStore(b, cfg)
-	var sabreGap float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunRouterStudy(context.Background(), store, sts[0], harness.DefaultTools(4), cfg.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Tool == "lightsabre" {
-				sabreGap = r.MeanRatio
-			}
-		}
-	}
-	b.ReportMetric(sabreGap, "sabre-routing-gap-x")
-}
-
-// BenchmarkSATSolverPigeonhole exercises the CDCL core on a classic hard
-// UNSAT family (the kind of proof the exact verifier produces at n-1).
-func BenchmarkSATSolverPigeonhole(b *testing.B) {
-	const n = 7
-	for i := 0; i < b.N; i++ {
-		s := sat.NewSolver()
-		p := make([][]sat.Lit, n+1)
-		for i := range p {
-			p[i] = make([]sat.Lit, n)
-			for j := range p[i] {
-				p[i][j] = sat.Lit(s.NewVar())
-			}
-		}
-		for i := 0; i <= n; i++ {
-			if err := s.AddClause(p[i]...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for j := 0; j < n; j++ {
-			for i := 0; i <= n; i++ {
-				for k := i + 1; k <= n; k++ {
-					if err := s.AddClause(p[i][j].Neg(), p[k][j].Neg()); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		if got := s.Solve(context.Background()); got != sat.Unsat {
-			b.Fatalf("PHP(%d) = %v", n, got)
-		}
-	}
-}
-
-// BenchmarkSectionIIIC regenerates the paper's Section III-C analysis:
-// the VF2 + token-swapping tool is sound but suboptimal on QUBIKOS.
-func BenchmarkSectionIIIC(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunSectionIIIC(arch.RigettiAspen4(), 5, 300, 3, 99)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gap = res.MeanRatio
-	}
-	b.ReportMetric(gap, "vf2ts-gap-x")
 }
 
 // BenchmarkTokenSwap measures the token-swapping transition engine on a

@@ -94,17 +94,17 @@ func TestEndToEndExactAgreement(t *testing.T) {
 }
 
 // TestEndToEndInstanceFiles exercises the on-disk workflow of the
-// command-line tools: write with the legacy qubikos writer, re-read with
+// command-line tools: write with family.WriteInstance, re-read with
 // family.ReadInstance, route the re-read circuit.
 func TestEndToEndInstanceFiles(t *testing.T) {
 	dir := t.TempDir()
-	b, err := qubikos.Generate(arch.RigettiAspen4(), qubikos.Options{
-		NumSwaps: 2, TargetTwoQubitGates: 50, Seed: 88,
+	inst, err := family.Qubikos.Generate(arch.RigettiAspen4(), family.Options{
+		Optimal: 2, TargetTwoQubitGates: 50, Seed: 88,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := qubikos.WriteInstance(dir, "inst", b); err != nil {
+	if _, err := family.WriteInstance(dir, "inst", inst); err != nil {
 		t.Fatal(err)
 	}
 	li, err := family.ReadInstance(dir, "inst")

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/graph"
 	"repro/internal/router"
@@ -176,19 +175,6 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 		SwapCount:      swaps,
 		Trials:         1,
 	}, nil
-}
-
-// SegmentCount reports how many embeddable segments the tool splits the
-// circuit into — the analysis quantity of the paper's Section III-C (on
-// QUBIKOS backbones the special gates force one boundary per section, so
-// the count is at least OptSwaps+1... unless padding merges differently).
-func (r *Router) SegmentCount(c *circuit.Circuit, dev *arch.Device) (int, error) {
-	work := router.PadToDevice(c, dev)
-	segments, err := r.segmentize(router.TwoQubitSkeleton(work), dev.Graph())
-	if err != nil {
-		return 0, err
-	}
-	return len(segments), nil
 }
 
 func mustAdd(g *graph.Graph, u, v int) {

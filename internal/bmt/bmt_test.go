@@ -81,7 +81,7 @@ func TestSectionIIICSegmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New()
-	segs, err := r.SegmentCount(b.Circuit, b.Device)
+	segs, err := segmentCount(r, b.Circuit, b.Device)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,4 +175,16 @@ func TestRouteDeterministic(t *testing.T) {
 	if a.SwapCount != c.SwapCount {
 		t.Fatalf("nondeterministic: %d vs %d", a.SwapCount, c.SwapCount)
 	}
+}
+
+// segmentCount reports how many embeddable segments r splits the circuit
+// into, the analysis quantity of the paper's Section III-C: on QUBIKOS
+// backbones the special gates force one boundary per section.
+func segmentCount(r *Router, c *circuit.Circuit, dev *arch.Device) (int, error) {
+	work := router.PadToDevice(c, dev)
+	segments, err := r.segmentize(router.TwoQubitSkeleton(work), dev.Graph())
+	if err != nil {
+		return 0, err
+	}
+	return len(segments), nil
 }

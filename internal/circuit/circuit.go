@@ -88,15 +88,6 @@ func (g Gate) Qubits() []int {
 // On reports whether the gate acts on qubit q.
 func (g Gate) On(q int) bool { return g.Q0 == q || (g.TwoQubit() && g.Q1 == q) }
 
-// Edge returns the gate's qubit pair as a normalized undirected edge. It
-// panics for single-qubit gates.
-func (g Gate) Edge() graph.Edge {
-	if !g.TwoQubit() {
-		panic("circuit: Edge called on single-qubit gate")
-	}
-	return graph.Edge{U: g.Q0, V: g.Q1}.Normalize()
-}
-
 func (g Gate) String() string {
 	if g.TwoQubit() {
 		return fmt.Sprintf("%s q%d,q%d", g.Kind, g.Q0, g.Q1)
@@ -177,18 +168,6 @@ func (c *Circuit) SwapCount() int {
 	return n
 }
 
-// TwoQubitIndices returns the indices (into Gates) of the two-qubit gates
-// in circuit order.
-func (c *Circuit) TwoQubitIndices() []int {
-	var out []int
-	for i, g := range c.Gates {
-		if g.TwoQubit() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // InteractionGraph returns the graph on program qubits with an edge for
 // every qubit pair joined by at least one two-qubit gate (Figure 1(b) of
 // the paper).
@@ -217,32 +196,6 @@ func (c *Circuit) InteractionGraphOf(indices []int) *graph.Graph {
 		}
 	}
 	return g
-}
-
-// Depth returns the circuit depth under the usual ASAP schedule over all
-// gates (single- and two-qubit alike): each gate starts one step after
-// the latest gate sharing one of its qubits. SWAP gates count as one step
-// (the depth-optimal QUEKO benchmarks measure this quantity; QUBIKOS adds
-// the SWAP-count dimension).
-func (c *Circuit) Depth() int {
-	last := make([]int, c.NumQubits)
-	depth := 0
-	for _, g := range c.Gates {
-		d := 0
-		for _, q := range g.Qubits() {
-			if last[q] > d {
-				d = last[q]
-			}
-		}
-		d++
-		for _, q := range g.Qubits() {
-			last[q] = d
-		}
-		if d > depth {
-			depth = d
-		}
-	}
-	return depth
 }
 
 // SwapDepthCost is the depth one SWAP gate contributes to routed-depth
@@ -277,22 +230,6 @@ func (c *Circuit) TwoQubitDepth() int {
 		}
 	}
 	return depth
-}
-
-// Validate checks structural well-formedness: all qubit indices in range
-// and no two-qubit gate with coincident operands.
-func (c *Circuit) Validate() error {
-	for i, g := range c.Gates {
-		for _, q := range g.Qubits() {
-			if q < 0 || q >= c.NumQubits {
-				return fmt.Errorf("circuit: gate %d (%v) out of range", i, g)
-			}
-		}
-		if g.TwoQubit() && g.Q0 == g.Q1 {
-			return fmt.Errorf("circuit: gate %d (%v) has coincident operands", i, g)
-		}
-	}
-	return nil
 }
 
 func (c *Circuit) String() string {

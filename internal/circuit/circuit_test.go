@@ -32,10 +32,6 @@ func TestGateConstructorsAndAccessors(t *testing.T) {
 	if !g.On(2) || !g.On(5) || g.On(3) {
 		t.Error("On() incorrect for CX")
 	}
-	e := g.Edge()
-	if e.U != 2 || e.V != 5 {
-		t.Errorf("Edge()=%v", e)
-	}
 	h := NewH(1)
 	if h.TwoQubit() || h.Q1 != -1 {
 		t.Fatalf("bad H: %+v", h)
@@ -47,15 +43,6 @@ func TestGateConstructorsAndAccessors(t *testing.T) {
 	if rz.Param != 1.5 {
 		t.Errorf("RZ param %v", rz.Param)
 	}
-}
-
-func TestEdgeOnSingleQubitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Edge on 1q gate did not panic")
-		}
-	}()
-	NewH(0).Edge()
 }
 
 func TestAppendValidation(t *testing.T) {
@@ -104,9 +91,9 @@ func TestInteractionGraph(t *testing.T) {
 
 func TestInteractionGraphOfSubset(t *testing.T) {
 	c := paperFig1()
-	// Only the first two 2q gates: edges (0,1),(1,2).
-	idx := c.TwoQubitIndices()[:2]
-	ig := c.InteractionGraphOf(idx)
+	// The first two 2q gates (indices 1 and 3) give edges (0,1),(1,2);
+	// the single-qubit gate between them is ignored.
+	ig := c.InteractionGraphOf([]int{1, 2, 3})
 	if ig.M() != 2 || !ig.HasEdge(0, 1) || !ig.HasEdge(1, 2) {
 		t.Fatalf("subset interaction graph wrong: %d edges", ig.M())
 	}
@@ -118,9 +105,12 @@ func TestDAGStructure(t *testing.T) {
 	if d.N() != 6 {
 		t.Fatalf("DAG nodes=%d want 6", d.N())
 	}
-	roots := d.Roots()
-	if len(roots) != 1 || roots[0] != 0 {
-		t.Fatalf("roots=%v want [0]", roots)
+	// Node 0 is the only root: every later CX shares a qubit with an
+	// earlier one.
+	for v, preds := range d.Preds {
+		if (len(preds) == 0) != (v == 0) {
+			t.Fatalf("node %d has preds %v; want node 0 as the only root", v, preds)
+		}
 	}
 	// g1 (node 1, cx q1,q2) must have node 0 as predecessor (shares q1).
 	if len(d.Preds[1]) != 1 || d.Preds[1][0] != 0 {
@@ -173,16 +163,13 @@ func TestLayers(t *testing.T) {
 	if len(layers[0]) != 2 {
 		t.Errorf("layer 0 size %d want 2", len(layers[0]))
 	}
-	if d.Depth() != 3 {
-		t.Errorf("Depth=%d want 3", d.Depth())
-	}
 }
 
 func TestEmptyDAG(t *testing.T) {
 	c := New(3)
 	c.MustAppend(NewH(0))
 	d := NewDAG(c)
-	if d.N() != 0 || d.Depth() != 0 || len(d.Roots()) != 0 {
+	if d.N() != 0 || len(d.Layers()) != 0 {
 		t.Error("empty DAG not empty")
 	}
 }
@@ -361,29 +348,6 @@ func TestQASMRoundTripRandom(t *testing.T) {
 	}
 }
 
-func TestDepth(t *testing.T) {
-	c := New(4)
-	if c.Depth() != 0 {
-		t.Fatal("empty circuit depth != 0")
-	}
-	c.MustAppend(NewCX(0, 1), NewCX(2, 3)) // parallel
-	if c.Depth() != 1 {
-		t.Fatalf("parallel depth=%d want 1", c.Depth())
-	}
-	c.MustAppend(NewCX(1, 2)) // joins both
-	if c.Depth() != 2 {
-		t.Fatalf("depth=%d want 2", c.Depth())
-	}
-	c.MustAppend(NewH(0)) // parallel with the join on q0? q0 last used step 1
-	if c.Depth() != 2 {
-		t.Fatalf("1q gate extended depth: %d", c.Depth())
-	}
-	c.MustAppend(NewH(2)) // q2 last used step 2
-	if c.Depth() != 3 {
-		t.Fatalf("depth=%d want 3", c.Depth())
-	}
-}
-
 func TestDepthMatchesDAGForTwoQubitOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for iter := 0; iter < 20; iter++ {
@@ -395,8 +359,8 @@ func TestDepthMatchesDAGForTwoQubitOnly(t *testing.T) {
 				c.MustAppend(NewCX(a, b))
 			}
 		}
-		if got, want := c.Depth(), NewDAG(c).Depth(); got != want {
-			t.Fatalf("iter %d: circuit depth %d vs DAG depth %d", iter, got, want)
+		if got, want := c.TwoQubitDepth(), len(NewDAG(c).Layers()); got != want {
+			t.Fatalf("iter %d: two-qubit depth %d vs %d DAG layers", iter, got, want)
 		}
 	}
 }

@@ -73,17 +73,6 @@ func (d *DAG) N() int { return len(d.GateIndex) }
 // Gate returns the gate for DAG node i.
 func (d *DAG) Gate(i int) Gate { return d.circ.Gates[d.GateIndex[i]] }
 
-// Roots returns the nodes with no predecessors (the initial front layer).
-func (d *DAG) Roots() []int {
-	var out []int
-	for i := range d.Preds {
-		if len(d.Preds[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Bitset is a set of DAG nodes: bit i&63 of word i>>6 holds node i.
 type Bitset []uint64
 
@@ -183,11 +172,6 @@ func (d *DAG) Layers() [][]int {
 		layers[depth[v]] = append(layers[depth[v]], v)
 	}
 	return layers
-}
-
-// Depth returns the number of ASAP layers (0 for an empty DAG).
-func (d *DAG) Depth() int {
-	return len(d.Layers())
 }
 
 func containsInt(s []int, x int) bool {

@@ -87,32 +87,3 @@ func TestQuickDAGInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: depth never exceeds gate count, never drops below the
-// per-qubit maximum load, and appending a gate never decreases it.
-func TestQuickDepthBounds(t *testing.T) {
-	f := func(data []byte) bool {
-		c := quickCircuit(data, 5)
-		depth := c.Depth()
-		if depth > c.NumGates() {
-			return false
-		}
-		load := make([]int, c.NumQubits)
-		for _, g := range c.Gates {
-			for _, q := range g.Qubits() {
-				load[q]++
-			}
-		}
-		for _, l := range load {
-			if depth < l {
-				return false
-			}
-		}
-		before := depth
-		c.MustAppend(NewH(0))
-		return c.Depth() >= before
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

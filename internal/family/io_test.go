@@ -1,6 +1,8 @@
 package family
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,48 +11,34 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/qubikos"
 	"repro/internal/router"
 )
 
-// The family writer must emit byte-identical files to the legacy qubikos
-// writer for qubikos instances: the content-addressed store's checksums
-// (and every suite stored before the registry existed) depend on it.
+// The family writer must keep emitting, for qubikos instances, the
+// bytes the original qubikos writer emitted: the content-addressed
+// store's checksums (and every suite stored before the family registry)
+// depend on them. The digests were recorded from that writer's files
+// for this instance.
 func TestWriteInstanceBytesMatchLegacyQubikosWriter(t *testing.T) {
-	dev := arch.RigettiAspen4()
-	opts := Options{Optimal: 3, TargetTwoQubitGates: 60, SingleQubitGates: 5, Seed: 4}
-	inst, err := Qubikos.Generate(dev, opts)
+	inst, err := Qubikos.Generate(arch.RigettiAspen4(), Options{Optimal: 3, TargetTwoQubitGates: 60, SingleQubitGates: 5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := qubikos.Generate(dev, qubikos.Options{
-		NumSwaps:            opts.Optimal,
-		TargetTwoQubitGates: opts.TargetTwoQubitGates,
-		SingleQubitGates:    opts.SingleQubitGates,
-		Seed:                opts.Seed,
-	})
-	if err != nil {
+	dir := t.TempDir()
+	if _, err := WriteInstance(dir, "case", inst); err != nil {
 		t.Fatal(err)
 	}
-
-	famDir, legacyDir := t.TempDir(), t.TempDir()
-	if _, err := WriteInstance(famDir, "case", inst); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qubikos.WriteInstance(legacyDir, "case", b); err != nil {
-		t.Fatal(err)
-	}
-	for _, ext := range []string{".qasm", ".solution.qasm", ".json"} {
-		got, err := os.ReadFile(filepath.Join(famDir, "case"+ext))
+	for ext, want := range map[string]string{
+		".qasm":          "5d585b5b34159f5c4a59b9320b25cfcef909f1aa2752e59a40e24d7772180640",
+		".solution.qasm": "60e54a1ffaaaa2eb3dda9656622fd84a5427b1dc83bbf216757357f007ac02ce",
+		".json":          "e02a659e634a20718cd0a6e8bb2b82995dd7b20b61704ca15f95c45565f12789",
+	} {
+		raw, err := os.ReadFile(filepath.Join(dir, "case"+ext))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join(legacyDir, "case"+ext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("case%s: family writer bytes differ from legacy qubikos writer", ext)
+		if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("case%s: sha256 %x, want %s", ext, sum, want)
 		}
 	}
 }
@@ -111,25 +99,38 @@ func TestReadInstanceRoundTripBothFamilies(t *testing.T) {
 	}
 }
 
+// Appending a gate to either family's circuit file must trip the
+// sidecar's gate counts, and an instance with no files must be rejected.
 func TestReadInstanceCatchesTampering(t *testing.T) {
-	dir := t.TempDir()
-	inst, err := QuekoDepth.Generate(arch.Grid3x3(), Options{Optimal: 3, TargetTwoQubitGates: 10, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		fam  *Family
+		opts Options
+	}{
+		{QuekoDepth, Options{Optimal: 3, TargetTwoQubitGates: 10, Seed: 2}},
+		{Qubikos, Options{Optimal: 2, TargetTwoQubitGates: 30, Seed: 9}},
+	} {
+		dir := t.TempDir()
+		inst, err := tc.fam.Generate(arch.Grid3x3(), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WriteInstance(dir, "x", inst); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(filepath.Join(dir, "x.qasm"), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString("cx q[0],q[1];\n"); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if _, err := ReadInstance(dir, "x"); err == nil {
+			t.Errorf("%s: tampered instance accepted", tc.fam.ID)
+		}
 	}
-	if _, err := WriteInstance(dir, "x", inst); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "x.qasm"), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("cx q[0],q[1];\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := ReadInstance(dir, "x"); err == nil {
-		t.Fatal("tampered instance accepted")
+	if _, err := ReadInstance(t.TempDir(), "nope"); err == nil {
+		t.Error("missing instance accepted")
 	}
 }
 

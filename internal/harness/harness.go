@@ -14,11 +14,10 @@
 // FigureFromRows aggregates. The store guarantees repeated evaluations
 // of the same recipe reuse bit-identical benchmarks without
 // regenerating; a one-shot run evaluates through a temporary store.
-// Every (tool, instance) pair, in the Figure-4 sweep, the
-// standalone-router study and the ablation and case-study experiments
-// alike, routes through the same router.Guard. Every planted optimum,
-// in the Section IV-A study and in a stored suite (CertifySuite), is
-// checked by one certifier (certify.go).
+// Every (tool, instance) pair, in the Figure-4 sweep and the Section
+// IV-C case study alike, routes through the same router.Guard. Every
+// planted optimum, in the Section IV-A study and in a stored suite
+// (CertifySuite), is checked by one certifier (certify.go).
 package harness
 
 import (

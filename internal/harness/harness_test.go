@@ -11,6 +11,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/chaos"
 	"repro/internal/family"
+	"repro/internal/router"
 )
 
 func smallSuite() SuiteConfig {
@@ -236,24 +237,40 @@ func TestPaperSuitesConfiguration(t *testing.T) {
 	}
 }
 
-func TestSectionIIIC(t *testing.T) {
-	res, err := RunSectionIIIC(arch.RigettiAspen4(), 4, 120, 3, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows=%d", len(res.Rows))
-	}
-	if res.MinSegments < 5 { // OptSwaps+1
-		t.Errorf("min segments %d, want >= 5 (one boundary per special)", res.MinSegments)
-	}
-	if res.MeanRatio < 1 {
-		t.Errorf("mean ratio %.2f < 1", res.MeanRatio)
-	}
-	var sb strings.Builder
-	RenderSectionIIIC(&sb, res)
-	if !strings.Contains(sb.String(), "Section III-C") {
-		t.Error("render header missing")
+// Every default tool must route from a fixed placement, Section IV-C's
+// standalone-router mode (qubikos-route -from-optimal): starting from
+// the planted mapping, the result's initial mapping is that mapping.
+// From it, LightSABRE must route no worse on average than t|ket⟩, the
+// paper's point that QUBIKOS isolates routing quality from placement.
+func TestAllDefaultToolsSupportPlacedRouting(t *testing.T) {
+	for _, cfg := range []SuiteConfig{
+		{Device: arch.RigettiAspen4(), SwapCounts: []int{2}, CircuitsPerCount: 1, TargetTwoQubitGates: 40, Seed: 3},
+		{Device: arch.RigettiAspen4(), SwapCounts: []int{5}, CircuitsPerCount: 4, TargetTwoQubitGates: 300, Seed: 9},
+	} {
+		store, st := ensureSuite(t, cfg)
+		meanRatio := map[string]float64{}
+		for _, ref := range st.Instances {
+			it, li, err := loadItem(store, st, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it.initial = router.Mapping(li.Meta.InitialMapping)
+			for _, spec := range DefaultTools(4) {
+				res, toolErr, err := routeOne(context.Background(), spec, it, cfg.Seed, 0, nil)
+				if err != nil || res == nil {
+					t.Errorf("%s cannot route %s from the planted mapping: %v %s", spec.Name, it.ID, err, toolErr)
+					continue
+				}
+				if !reflect.DeepEqual(res.InitialMapping, it.initial) {
+					t.Errorf("%s started %s from %v, not the planted %v", spec.Name, it.ID, res.InitialMapping, it.initial)
+				}
+				meanRatio[spec.Name] += family.Swaps.Ratio(res.SwapCount, it.Optimal) / float64(len(st.Instances))
+			}
+		}
+		if meanRatio["lightsabre"] > meanRatio["tket"] {
+			t.Errorf("seed %d: lightsabre (%.2fx) should route no worse than tket (%.2fx) from the planted mapping",
+				cfg.Seed, meanRatio["lightsabre"], meanRatio["tket"])
+		}
 	}
 }
 

@@ -329,6 +329,45 @@ func TestStoredEvalDepthFamily(t *testing.T) {
 	}
 }
 
+// The LightSABRE trials ablation runs as one qubikos-eval per trial
+// count over one stored suite (-tools lightsabre -trials N): each count
+// logs under its own StoredEvalKey, so the second run routes every
+// instance afresh instead of resuming the first run's log. Trials share
+// the base seed, so 16 trials extend 1 trial's prefix and can only match
+// or beat it on every instance.
+func TestTrialsAblationNeverWorseWithPrefixSeeds(t *testing.T) {
+	cfg := SuiteConfig{
+		Device:              arch.RigettiAspen4(),
+		SwapCounts:          []int{5},
+		CircuitsPerCount:    2,
+		TargetTwoQubitGates: 300,
+		Seed:                5,
+	}
+	store, st := ensureSuite(t, cfg)
+	swaps := map[int]map[string]int{}
+	for _, trials := range []int{1, 16} {
+		tools := DefaultTools(trials)[:1]
+		swaps[trials] = map[string]int{}
+		_, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
+			Seed:  cfg.Seed,
+			Key:   StoredEvalKey(tools, trials, cfg.Seed),
+			OnRow: func(r suite.Row) { swaps[trials][r.Instance] = r.Swaps },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(swaps[trials]) != len(st.Instances) {
+			t.Fatalf("%d trials routed %d instances afresh, want all %d", trials, len(swaps[trials]), len(st.Instances))
+		}
+	}
+	for base, one := range swaps[1] {
+		if many := swaps[16][base]; many > one {
+			t.Errorf("%s: 16 trials used %d SWAPs, more than 1 trial's %d", base, many, one)
+		}
+	}
+	t.Logf("SWAPs at 1 trial %v, at 16 trials %v", swaps[1], swaps[16])
+}
+
 // A suite carrying a non-positive scored optimum (a 0-swap degenerate
 // suite) must be rejected with an error, not panic a worker — a remote
 // client can POST such a manifest to qubikos-serve.
@@ -345,11 +384,6 @@ func TestStoredEvalRejectsNonPositiveOptimum(t *testing.T) {
 	_, err = RunStoredEvalCtx(context.Background(), store, st, DefaultTools(2)[:1], StoredEvalOptions{Seed: 4})
 	if err == nil || !strings.Contains(err.Error(), "no positive optimal") {
 		t.Fatalf("0-swap suite evaluation: err = %v, want a no-positive-optimum error", err)
-	}
-	// The router study makes the same promise.
-	_, err = RunRouterStudy(context.Background(), store, st, DefaultTools(2)[:1], 4)
-	if err == nil || !strings.Contains(err.Error(), "no positive optimal") {
-		t.Fatalf("0-swap router study: err = %v, want a no-positive-optimum error", err)
 	}
 }
 

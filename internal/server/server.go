@@ -229,9 +229,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // the load balancer has observed the probe.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Draining reports whether StartDraining has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // handleFamilies lists the registered benchmark families: the IDs a
 // manifest's generator field may name, each with its scored metric and
 // the manifest grid field that metric reads from.
