@@ -237,40 +237,50 @@ func TestPaperSuitesConfiguration(t *testing.T) {
 	}
 }
 
-// Every default tool must route from a fixed placement, Section IV-C's
-// standalone-router mode (qubikos-route -from-optimal): starting from
+// routeFromPlanted routes every instance of cfg's suite with every
+// default tool from its planted mapping, Section IV-C's standalone-router
+// mode (qubikos-route -from-optimal), and returns each tool's mean ratio
+// to the optimum. A tool that cannot route from a fixed placement, or
+// whose result does not start from the planted mapping, fails t.
+func routeFromPlanted(t *testing.T, cfg SuiteConfig) map[string]float64 {
+	t.Helper()
+	store, st := ensureSuite(t, cfg)
+	meanRatio := map[string]float64{}
+	for _, ref := range st.Instances {
+		it, li, err := loadItem(store, st, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it.initial = router.Mapping(li.Meta.InitialMapping)
+		for _, spec := range DefaultTools(4) {
+			res, toolErr, err := routeOne(context.Background(), spec, it, cfg.Seed, 0, nil)
+			if err != nil || res == nil {
+				t.Errorf("%s cannot route %s from the planted mapping: %v %s", spec.Name, it.ID, err, toolErr)
+				continue
+			}
+			if !reflect.DeepEqual(res.InitialMapping, it.initial) {
+				t.Errorf("%s started %s from %v, not the planted %v", spec.Name, it.ID, res.InitialMapping, it.initial)
+			}
+			meanRatio[spec.Name] += family.Swaps.Ratio(res.SwapCount, it.Optimal) / float64(len(st.Instances))
+		}
+	}
+	return meanRatio
+}
+
+// Every default tool must route from a fixed placement: starting from
 // the planted mapping, the result's initial mapping is that mapping.
-// From it, LightSABRE must route no worse on average than t|ket⟩, the
-// paper's point that QUBIKOS isolates routing quality from placement.
 func TestAllDefaultToolsSupportPlacedRouting(t *testing.T) {
-	for _, cfg := range []SuiteConfig{
-		{Device: arch.RigettiAspen4(), SwapCounts: []int{2}, CircuitsPerCount: 1, TargetTwoQubitGates: 40, Seed: 3},
-		{Device: arch.RigettiAspen4(), SwapCounts: []int{5}, CircuitsPerCount: 4, TargetTwoQubitGates: 300, Seed: 9},
-	} {
-		store, st := ensureSuite(t, cfg)
-		meanRatio := map[string]float64{}
-		for _, ref := range st.Instances {
-			it, li, err := loadItem(store, st, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			it.initial = router.Mapping(li.Meta.InitialMapping)
-			for _, spec := range DefaultTools(4) {
-				res, toolErr, err := routeOne(context.Background(), spec, it, cfg.Seed, 0, nil)
-				if err != nil || res == nil {
-					t.Errorf("%s cannot route %s from the planted mapping: %v %s", spec.Name, it.ID, err, toolErr)
-					continue
-				}
-				if !reflect.DeepEqual(res.InitialMapping, it.initial) {
-					t.Errorf("%s started %s from %v, not the planted %v", spec.Name, it.ID, res.InitialMapping, it.initial)
-				}
-				meanRatio[spec.Name] += family.Swaps.Ratio(res.SwapCount, it.Optimal) / float64(len(st.Instances))
-			}
-		}
-		if meanRatio["lightsabre"] > meanRatio["tket"] {
-			t.Errorf("seed %d: lightsabre (%.2fx) should route no worse than tket (%.2fx) from the planted mapping",
-				cfg.Seed, meanRatio["lightsabre"], meanRatio["tket"])
-		}
+	routeFromPlanted(t, SuiteConfig{Device: arch.RigettiAspen4(), SwapCounts: []int{2}, CircuitsPerCount: 1, TargetTwoQubitGates: 40, Seed: 3})
+}
+
+// From the planted mapping, LightSABRE must route no worse on average
+// than t|ket⟩, the paper's point that QUBIKOS isolates routing quality
+// from placement.
+func TestRouterStudySeparatesToolQuality(t *testing.T) {
+	meanRatio := routeFromPlanted(t, SuiteConfig{Device: arch.RigettiAspen4(), SwapCounts: []int{5}, CircuitsPerCount: 4, TargetTwoQubitGates: 300, Seed: 9})
+	if meanRatio["lightsabre"] > meanRatio["tket"] {
+		t.Errorf("lightsabre (%.2fx) should route no worse than tket (%.2fx) from the planted mapping",
+			meanRatio["lightsabre"], meanRatio["tket"])
 	}
 }
 
