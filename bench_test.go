@@ -153,13 +153,9 @@ func BenchmarkAbstractGaps(b *testing.B) {
 // BenchmarkCaseStudy regenerates the Section IV-C experiment: SABRE from
 // the optimal mapping plus the lookahead-decay ablation.
 func BenchmarkCaseStudy(b *testing.B) {
-	cfg := harness.DefaultCaseStudyConfig()
-	cfg.Instances = 5
-	cfg.DecaySweep = []float64{0, 0.7}
 	var sub float64
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunCaseStudy(cfg)
+		res, err := harness.RunCaseStudy(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

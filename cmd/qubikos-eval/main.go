@@ -43,7 +43,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
@@ -229,19 +228,7 @@ func run() (err error) {
 			return err
 		}
 		defer f.Close()
-		for i, fig := range figs {
-			if i == 0 {
-				harness.RenderFigureCSV(f, fig)
-			} else {
-				// Skip the header for subsequent figures.
-				var sb strings.Builder
-				harness.RenderFigureCSV(&sb, fig)
-				lines := strings.SplitN(sb.String(), "\n", 2)
-				if len(lines) == 2 {
-					fmt.Fprint(f, lines[1])
-				}
-			}
-		}
+		harness.RenderFigureCSV(f, figs...)
 		fmt.Println("wrote", *csvPath)
 	}
 	return nil

@@ -11,13 +11,14 @@
 // equals the claimed optimum — lower bound meets upper bound, no solver
 // needed).
 //
-// Every study instance is written and read back through the on-disk
-// instance format before it is certified, and the study and -suite share
-// one certifier (harness.CertifySuite, harness.RunOptimalityStudyCtx):
-// the family's certificate, including the stored witness, then the exact
-// SAT check for swap optima. Certification fans out over a worker pool
-// (-workers, default all CPUs); each instance owns its verification
-// state, so the table is identical for any worker count. The whole run
+// The study stores one suite per device in a temporary suite store and
+// certifies it with harness.CertifySuite, the loop -suite runs: the
+// checksum index, then per instance the family's certificate, including
+// the stored witness, then the exact SAT check for swap optima. Rows
+// follow each suite's grid, sorted with duplicates removed.
+// Certification fans out over a worker pool (-workers, default all
+// CPUs); each instance owns its verification state, so the table is
+// identical for any worker count. The whole run
 // is governed by one context: -timeout bounds it and SIGINT/SIGTERM
 // cancels it — the SAT solver polls the context between conflicts, so
 // even a deep UNSAT search stops promptly instead of hanging the
@@ -79,7 +80,7 @@ func run() (err error) {
 	archName := flag.String("arch", "aspen4", "device for -qasm mode")
 	claim := flag.Int("claim", -1, "claimed optimal swap count for -qasm mode")
 	maxK := flag.Int("maxk", 8, "search bound when no -claim is given")
-	workers := flag.Int("workers", 0, "parallel certification workers (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "parallel certification workers, and study-suite generation workers (0 = all CPUs)")
 	suiteHash := flag.String("suite", "", "certify a stored suite by content hash (requires -cache-dir)")
 	cacheDir := flag.String("cache-dir", "", "suite store root for -suite mode")
 	timeout := flag.Duration("timeout", 0, "overall certification budget; an over-budget run exits non-zero instead of hanging (0 = unlimited)")

@@ -134,7 +134,6 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 			InitialMapping: router.IdentityMapping(nQ),
 			Transpiled:     woven,
 			SwapCount:      0,
-			Trials:         1,
 		}, nil
 	}
 
@@ -173,7 +172,6 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 		InitialMapping: placed,
 		Transpiled:     woven,
 		SwapCount:      swaps,
-		Trials:         1,
 	}, nil
 }
 

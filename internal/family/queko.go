@@ -135,7 +135,6 @@ func quekoGenerate(dev *arch.Device, opts Options) (*Instance, error) {
 			InitialMapping: finit.Clone(),
 			Transpiled:     c.Clone(),
 			SwapCount:      0,
-			Trials:         1,
 		},
 		InitialMapping: finit,
 		Optimal:        T,

@@ -4,40 +4,31 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/arch"
 	"repro/internal/family"
-	"repro/internal/qubikos"
 	"repro/internal/router"
 	"repro/internal/sabre"
+	"repro/internal/suite"
 )
 
-// CaseStudyConfig drives the Section IV-C experiment: run SABRE from the
-// *optimal* initial mapping on Aspen-4 QUBIKOS instances, find a decision
-// where routing still goes wrong, dump the cost breakdown of that
-// decision (the paper's 0.65-vs-0.7 lookahead analysis), and measure
-// whether the proposed decay-weighted lookahead repairs it.
-type CaseStudyConfig struct {
-	Instances           int
-	NumSwaps            int
-	TargetTwoQubitGates int
-	Seed                int64
-	// DecaySweep lists the lookahead decay factors to ablate (0 = the
-	// uniform Qiskit-style lookahead the paper dissects).
-	DecaySweep []float64
-}
+// caseStudySeed seeds the Section IV-C suite and LightSABRE's
+// tie-breaking.
+const caseStudySeed = 5000
 
-// DefaultCaseStudyConfig mirrors the paper's Aspen-4 setting. The swap
-// count sits at the top of the Figure 4 sweep because denser backbones
-// give the uniform lookahead more chances to err; at this setting the
-// misrouting the paper dissects appears in a few instances per 25.
-func DefaultCaseStudyConfig() CaseStudyConfig {
-	return CaseStudyConfig{
-		Instances:           25,
-		NumSwaps:            15,
+// caseStudySuite is the Section IV-C suite: Aspen-4 QUBIKOS instances at
+// the top of the Figure 4 swap sweep, where denser backbones give the
+// uniform lookahead more chances to err. The misrouting the paper
+// dissects hits about one instance in ten there, so 100 instances
+// measure its rate where 25 can show none.
+func caseStudySuite() SuiteConfig {
+	return SuiteConfig{
+		Device:              arch.RigettiAspen4(),
+		SwapCounts:          []int{15},
+		CircuitsPerCount:    100,
 		TargetTwoQubitGates: 300,
-		Seed:                5000,
-		DecaySweep:          []float64{0, 0.5, 0.7, 0.9},
+		Seed:                caseStudySeed,
 	}
 }
 
@@ -77,21 +68,42 @@ type DecayLine struct {
 	Suboptimal int
 }
 
-// RunCaseStudy executes the experiment.
-func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
-	items, err := experimentItems(arch.RigettiAspen4(), cfg.NumSwaps, cfg.TargetTwoQubitGates, cfg.Instances, cfg.Seed)
+// RunCaseStudy runs the Section IV-C experiment: route SABRE from the
+// *optimal* initial mapping on every instance of the case-study suite,
+// find a decision where routing still goes wrong, dump the cost
+// breakdown of that decision (the paper's 0.65-vs-0.7 lookahead
+// analysis), and measure whether the proposed decay-weighted lookahead
+// repairs it. The suite is stored in a temporary store that certifies
+// every instance on its bytes before it commits. A cancelled run returns
+// the cancellation cause and no result.
+func RunCaseStudy(ctx context.Context) (*CaseStudyResult, error) {
+	dir, err := os.MkdirTemp("", "case-study-*")
 	if err != nil {
 		return nil, err
 	}
-	res := &CaseStudyResult{}
+	defer os.RemoveAll(dir)
+	store, err := suite.Open(dir, suite.StoreOptions{Verify: true})
+	if err != nil {
+		return nil, err
+	}
+	st, err := store.EnsureCtx(ctx, caseStudySuite().Manifest())
+	if err != nil {
+		return nil, err
+	}
+	items, err := plantedItems(store, st)
+	if err != nil {
+		return nil, err
+	}
+	res := &CaseStudyResult{Instances: len(items)}
 
-	// Phase 1: route from the planted optimal initial mapping with the
-	// uniform lookahead and capture decisions.
+	// Phase 1: route with the uniform lookahead and capture decisions.
+	// A Trace only turns off LightSABRE's lower-bound skip, which never
+	// moves a decision, so this pass is also the ablation's uniform line.
 	for i, it := range items {
 		var steps []sabre.TraceStep
-		out, err := routeExperiment(sabreTool(sabre.Options{
+		out, err := routeExperiment(ctx, sabreTool(sabre.Options{
 			Trials: 1,
-			Seed:   cfg.Seed,
+			Seed:   caseStudySeed,
 			Trace: func(ts sabre.TraceStep) {
 				steps = append(steps, ts)
 			},
@@ -99,9 +111,7 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Instances++
-		ratio := family.Swaps.Ratio(out.SwapCount, it.Optimal)
-		res.MeanRatio += ratio
+		res.MeanRatio += family.Swaps.Ratio(out.SwapCount, it.Optimal)
 		res.PerInstance = append(res.PerInstance, InstanceOutcome{
 			Instance: i, Optimal: it.Optimal, Achieved: out.SwapCount,
 		})
@@ -112,16 +122,15 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 			}
 		}
 	}
-	if res.Instances > 0 {
-		res.MeanRatio /= float64(res.Instances)
-	}
+	res.MeanRatio /= float64(len(items))
+	res.DecayLines = []DecayLine{{MeanRatio: res.MeanRatio, Suboptimal: res.Suboptimal}}
 
-	// Phase 2: lookahead-decay ablation over the same instances.
-	for _, decay := range cfg.DecaySweep {
+	// Phase 2: the decay-weighted lookahead over the same instances.
+	for _, decay := range []float64{0.5, 0.7, 0.9} {
 		line := DecayLine{Decay: decay}
-		tool := sabreTool(sabre.Options{Trials: 1, Seed: cfg.Seed, LookaheadDecay: decay})
+		tool := sabreTool(sabre.Options{Trials: 1, Seed: caseStudySeed, LookaheadDecay: decay})
 		for _, it := range items {
-			out, err := routeExperiment(tool, it)
+			out, err := routeExperiment(ctx, tool, it)
 			if err != nil {
 				return nil, err
 			}
@@ -130,37 +139,24 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 				line.Suboptimal++
 			}
 		}
-		if len(items) > 0 {
-			line.MeanRatio /= float64(len(items))
-		}
+		line.MeanRatio /= float64(len(items))
 		res.DecayLines = append(res.DecayLines, line)
 	}
 	return res, nil
 }
 
-// experimentItems generates n QUBIKOS instances on dev, seeded seed,
-// seed+1, …, as evaluation items carrying their planted optima, each
-// pinned to its planted optimal initial mapping: Section IV-C's
-// standalone-router mode.
-func experimentItems(dev *arch.Device, numSwaps, gates, n int, seed int64) ([]EvalItem, error) {
-	items := make([]EvalItem, 0, n)
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		b, err := qubikos.Generate(dev, qubikos.Options{
-			NumSwaps:            numSwaps,
-			TargetTwoQubitGates: gates,
-			Seed:                s,
-		})
+// plantedItems loads every instance of a stored suite as an evaluation
+// item pinned to its sidecar's planted optimal initial mapping: Section
+// IV-C's standalone-router mode.
+func plantedItems(store *suite.Store, st *suite.Suite) ([]EvalItem, error) {
+	items := make([]EvalItem, 0, len(st.Instances))
+	for _, ref := range st.Instances {
+		it, li, err := loadItem(store, st, ref)
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, EvalItem{
-			ID:      fmt.Sprintf("%s_s%d_g%d_seed%d", dev.Name(), numSwaps, gates, s),
-			Device:  dev,
-			Circuit: b.Circuit,
-			Optimal: b.OptSwaps,
-			initial: b.InitialMapping,
-		})
+		it.initial = router.Mapping(li.Meta.InitialMapping)
+		items = append(items, it)
 	}
 	return items, nil
 }
@@ -176,8 +172,8 @@ func sabreTool(opts sabre.Options) ToolSpec {
 // guarded path every Figure-4 cell takes, so each result is validated
 // and checked against the planted optimum. A tool failure fails the
 // experiment.
-func routeExperiment(tool ToolSpec, it EvalItem) (*router.Result, error) {
-	res, failure, err := routeOne(context.Background(), tool, it, 0, 0, nil)
+func routeExperiment(ctx context.Context, tool ToolSpec, it EvalItem) (*router.Result, error) {
+	res, failure, err := routeOne(ctx, tool, it, 0, 0, nil)
 	if err == nil && res == nil {
 		err = fmt.Errorf("harness: %s on %s: %s", tool.Name, it.ID, failure)
 	}
@@ -192,17 +188,7 @@ func pickIllustrativeDecision(instance int, steps []sabre.TraceStep) *Decision {
 		if len(ts.Candidates) < 2 {
 			continue
 		}
-		chosen := ts.Candidates[ts.ChosenIdx]
-		// Runner-up: smallest total among the rest.
-		runner := sabre.SwapCost{Total: -1}
-		for ci, c := range ts.Candidates {
-			if ci == ts.ChosenIdx {
-				continue
-			}
-			if runner.Total < 0 || c.Total < runner.Total {
-				runner = c
-			}
-		}
+		chosen, runner := ts.Candidates[ts.ChosenIdx], runnerUp(ts)
 		// Interesting when the basic terms tie but lookahead separated
 		// them (the paper's exact failure mode).
 		if chosen.Basic == runner.Basic && chosen.Lookahead != runner.Lookahead {
@@ -216,17 +202,22 @@ func pickIllustrativeDecision(instance int, steps []sabre.TraceStep) *Decision {
 	// Fall back to the first multi-candidate decision.
 	for si, ts := range steps {
 		if len(ts.Candidates) >= 2 {
-			chosen := ts.Candidates[ts.ChosenIdx]
-			runner := sabre.SwapCost{Total: -1}
-			for ci, c := range ts.Candidates {
-				if ci != ts.ChosenIdx && (runner.Total < 0 || c.Total < runner.Total) {
-					runner = c
-				}
-			}
-			return &Decision{Instance: instance, Step: si, Chosen: chosen, Runner: runner}
+			return &Decision{Instance: instance, Step: si, Chosen: ts.Candidates[ts.ChosenIdx], Runner: runnerUp(ts)}
 		}
 	}
 	return nil
+}
+
+// runnerUp returns the best rejected candidate of a decision with at
+// least two: the smallest total, the first on a tie.
+func runnerUp(ts sabre.TraceStep) sabre.SwapCost {
+	best := -1
+	for ci, c := range ts.Candidates {
+		if ci != ts.ChosenIdx && (best < 0 || c.Total < ts.Candidates[best].Total) {
+			best = ci
+		}
+	}
+	return ts.Candidates[best]
 }
 
 // RenderCaseStudy prints the experiment in the shape of Section IV-C.

@@ -21,25 +21,26 @@ import (
 // instance does not have the optimum it claims.
 const outcomeDeviation = "deviation"
 
-// OptimalityConfig mirrors the paper's exact-verification experiment:
-// small devices, planted optima 1-4, a 30 two-qubit-gate budget, and a
-// certificate check of every instance.
+// studyMaxTwoQubitGates is every Section IV-A instance's two-qubit gate
+// target and hard cap: the paper's 30, small enough for the exact SAT
+// check.
+const studyMaxTwoQubitGates = 30
+
+// OptimalityConfig mirrors the paper's exact-verification experiment on
+// Aspen-4 and the 3x3 grid: planted optima 1-4, a 30 two-qubit-gate
+// budget, and a certificate check of every instance.
 type OptimalityConfig struct {
 	// Family is the benchmark family (any name family.Resolve accepts);
 	// empty selects the paper's qubikos swap-optimal family.
-	Family  string
-	Devices []*arch.Device
+	Family string
 	// SwapCounts is the grid of planted optima: SWAP counts for
 	// swap-metric families, routed depths for depth-metric ones (the
 	// name predates the family registry).
 	SwapCounts       []int
 	CircuitsPerCount int
-	// MaxTwoQubitGates is every instance's two-qubit gate target and
-	// hard cap.
-	MaxTwoQubitGates int
 	Seed             int64
-	// Workers bounds the certification worker pool; 0 means GOMAXPROCS.
-	// Rows are identical for any worker count.
+	// Workers bounds the generation and certification worker pools; 0
+	// means GOMAXPROCS. Rows are identical for any worker count.
 	Workers int
 }
 
@@ -47,10 +48,8 @@ type OptimalityConfig struct {
 // configurable instance count (the paper uses 100 per count).
 func DefaultOptimalityConfig(circuitsPer int, seed int64) OptimalityConfig {
 	return OptimalityConfig{
-		Devices:          []*arch.Device{arch.RigettiAspen4(), arch.Grid3x3()},
 		SwapCounts:       []int{1, 2, 3, 4},
 		CircuitsPerCount: circuitsPer,
-		MaxTwoQubitGates: 30,
 		Seed:             seed,
 	}
 }
@@ -66,13 +65,13 @@ type OptimalityRow struct {
 	Deviation int // instances whose certificate failed (must be 0)
 }
 
-// RunOptimalityStudyCtx generates capped instances of the configured
-// family and certifies each one on the path a stored suite takes: a
-// write and read-back through the on-disk instance format, then the
-// harness certifier on those bytes. An instance that cannot be
-// generated aborts the study; a failed certificate counts as a
-// deviation. A cancelled study returns the cancellation cause, never a
-// partial table.
+// RunOptimalityStudyCtx stores one capped suite of the configured family
+// per study device in a temporary store and certifies it with
+// CertifySuite, so every planted optimum is proven on the bytes a stored
+// suite holds. Rows follow the devices, then the suite's sorted grid. An
+// instance that cannot be generated aborts the study; a failed
+// certificate counts as a deviation. A cancelled study returns the
+// cancellation cause, never a partial table.
 func RunOptimalityStudyCtx(ctx context.Context, cfg OptimalityConfig) ([]OptimalityRow, error) {
 	name := cfg.Family
 	if name == "" {
@@ -82,55 +81,44 @@ func RunOptimalityStudyCtx(ctx context.Context, cfg OptimalityConfig) ([]Optimal
 	if err != nil {
 		return nil, err
 	}
-	type job struct {
-		dev       *arch.Device
-		n, i, row int
-	}
-	var jobs []job
-	var rows []OptimalityRow
-	for _, dev := range cfg.Devices {
-		for _, n := range cfg.SwapCounts {
-			rows = append(rows, OptimalityRow{Device: dev.Name(), Metric: string(fam.Metric), Optimal: n})
-			for i := 0; i < cfg.CircuitsPerCount; i++ {
-				jobs = append(jobs, job{dev: dev, n: n, i: i, row: len(rows) - 1})
-			}
-		}
-	}
 	dir, err := os.MkdirTemp("", "optimality-study-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-
-	verdicts, err := certifyAll(ctx, len(jobs), cfg.Workers, func(ji int) (string, *family.Loaded, error) {
-		j := jobs[ji]
-		id := fmt.Sprintf("%s_n%d_i%03d", j.dev.Name(), j.n, j.i)
-		inst, err := fam.Generate(j.dev, family.Options{
-			Optimal:             j.n,
-			TargetTwoQubitGates: cfg.MaxTwoQubitGates,
-			MaxTwoQubitGates:    cfg.MaxTwoQubitGates,
-			PreferHighDegree:    true,
-			Seed:                cfg.Seed + int64(j.n)*100_000 + int64(j.i),
-		})
-		if err != nil {
-			return "", nil, fmt.Errorf("harness: optimality generate %s n=%d: %w", j.dev.Name(), j.n, err)
-		}
-		if _, err := family.WriteInstance(dir, id, inst); err != nil {
-			return "", nil, err
-		}
-		li, err := family.ReadInstanceWithSolution(dir, id)
-		return id, li, err
-	})
+	store, err := suite.Open(dir, suite.StoreOptions{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
-	for ji, v := range verdicts {
-		r := &rows[jobs[ji].row]
-		r.Circuits++
-		if v == nil {
-			r.Verified++
-		} else {
-			r.Deviation++
+	var rows []OptimalityRow
+	for _, dev := range []*arch.Device{arch.RigettiAspen4(), arch.Grid3x3()} {
+		st, err := store.EnsureCtx(ctx, suite.NewFamilyManifest(fam.ID, dev.Name(), cfg.SwapCounts, cfg.CircuitsPerCount,
+			family.Options{
+				TargetTwoQubitGates: studyMaxTwoQubitGates,
+				MaxTwoQubitGates:    studyMaxTwoQubitGates,
+				PreferHighDegree:    true,
+				Seed:                cfg.Seed,
+			}))
+		if err != nil {
+			return nil, fmt.Errorf("harness: optimality study on %s: %w", dev.Name(), err)
+		}
+		verdicts, err := CertifySuite(ctx, store, st, cfg.Workers)
+		if err != nil {
+			return nil, err
+		}
+		// The suite lists its instances grid value by grid value, each
+		// run starting at index 0.
+		for i, ref := range st.Instances {
+			if ref.Index == 0 {
+				rows = append(rows, OptimalityRow{Device: dev.Name(), Metric: string(fam.Metric), Optimal: ref.Optimal})
+			}
+			r := &rows[len(rows)-1]
+			r.Circuits++
+			if verdicts[i] == nil {
+				r.Verified++
+			} else {
+				r.Deviation++
+			}
 		}
 	}
 	return rows, nil
@@ -146,42 +134,33 @@ func RenderOptimality(w io.Writer, rows []OptimalityRow) {
 	}
 }
 
-// CertifySuite certifies a stored suite end to end: the checksum index
-// first, then every instance, loaded with its stored witness, through
-// the harness certifier. It returns one verdict per instance in suite
-// order, nil for a certified one; a checksum mismatch or an instance
-// that fails to load aborts with that error.
+// CertifySuite certifies a stored suite end to end over a pool of
+// workers (0 means GOMAXPROCS): the checksum index first, then every
+// instance, loaded with its stored witness, through the harness
+// certifier. It returns one verdict per instance in suite order, nil for
+// a certified one and "<base>: <cause>" for a failed certificate. A
+// checksum mismatch or an instance that fails to load aborts with that
+// error (the lowest-indexed one, for any worker count); cancelling ctx
+// returns the cause and no verdicts.
 func CertifySuite(ctx context.Context, store *suite.Store, st *suite.Suite, workers int) ([]error, error) {
 	if err := store.VerifyChecksums(st.Hash); err != nil {
 		return nil, err
 	}
-	return certifyAll(ctx, len(st.Instances), workers, func(i int) (string, *family.Loaded, error) {
-		ref := st.Instances[i]
-		li, err := store.LoadInstanceWithSolution(st.Hash, ref)
-		return ref.Base, li, err
-	})
-}
-
-// certifyAll certifies n instances over a pool of workers (0 means
-// GOMAXPROCS); load(i) yields the i-th instance and its ID. A load error
-// aborts the run (the lowest-indexed one, for any worker count). A
-// failed certificate is only that instance's verdict, "<id>: <cause>".
-// Cancelling ctx returns the cause and no verdicts.
-func certifyAll(ctx context.Context, n, workers int, load func(i int) (string, *family.Loaded, error)) ([]error, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	verdicts := make([]error, n)
-	err := pool.ParallelForCtx(ctx, n, workers, func(i int) error {
-		id, li, err := load(i)
+	verdicts := make([]error, len(st.Instances))
+	err := pool.ParallelForCtx(ctx, len(st.Instances), workers, func(i int) error {
+		ref := st.Instances[i]
+		li, err := store.LoadInstanceWithSolution(st.Hash, ref)
 		if err != nil {
 			return err
 		}
-		if err := certify(ctx, id, li); err != nil {
+		if err := certify(ctx, ref.Base, li); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr // stopped mid-proof: abandon the run, not a deviation
 			}
-			verdicts[i] = fmt.Errorf("%s: %w", id, err)
+			verdicts[i] = fmt.Errorf("%s: %w", ref.Base, err)
 		}
 		return nil
 	})

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/family"
 	"repro/internal/obs"
 	"repro/internal/suite"
@@ -82,7 +81,7 @@ func TestCertifyRecordsInstanceSpans(t *testing.T) {
 	study := func(fam string, optima ...int) func(t *testing.T, ctx context.Context) {
 		return func(t *testing.T, ctx context.Context) {
 			cfg := DefaultOptimalityConfig(1, 5)
-			cfg.Family, cfg.Devices, cfg.SwapCounts = fam, []*arch.Device{arch.Grid3x3()}, optima
+			cfg.Family, cfg.SwapCounts = fam, optima
 			if _, err := RunOptimalityStudyCtx(ctx, cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -108,8 +107,8 @@ func TestCertifyRecordsInstanceSpans(t *testing.T) {
 		spans int
 		swaps bool
 	}{
-		{"study/qubikos", study("", 1, 2), 2, true},
-		{"study/queko-depth", study("queko-depth", 2, 3), 2, false},
+		{"study/qubikos", study("", 1, 2), 4, true},
+		{"study/queko-depth", study("queko-depth", 2, 3), 4, false},
 		{"suite/qubikos", certifyStored(tinyCfg()), 4, true},
 		{"suite/queko-depth", certifyStored(smallDepthSuite()), 4, false},
 	} {

@@ -8,16 +8,18 @@
 // labeled with the metric it scores, so mixed-family tables stay
 // unambiguous.
 //
-// Every Figure-4 cell comes from one evaluator: RunStoredEvalCtx fans
-// the tools over a suite held in a content-addressed suite.Store,
-// streaming per-instance rows into a resumable JSONL log that
-// FigureFromRows aggregates. The store guarantees repeated evaluations
-// of the same recipe reuse bit-identical benchmarks without
-// regenerating; a one-shot run evaluates through a temporary store.
-// Every (tool, instance) pair, in the Figure-4 sweep and the Section
-// IV-C case study alike, routes through the same router.Guard. Every
-// planted optimum, in the Section IV-A study and in a stored suite
-// (CertifySuite), is checked by one certifier (certify.go).
+// Every experiment reads its instances from a content-addressed
+// suite.Store; a one-shot run uses a temporary store. Every Figure-4
+// cell comes from one evaluator: RunStoredEvalCtx fans the tools over a
+// stored suite, streaming per-instance rows into a resumable JSONL log
+// that FigureFromRows aggregates. The store guarantees repeated
+// evaluations of the same recipe reuse bit-identical benchmarks without
+// regenerating. The Section IV-A study stores one suite per device and
+// certifies it with CertifySuite, the one certification loop over the
+// one certifier (certify.go). The Section IV-C case study stores its
+// suite with the store's Verify on, so every instance it scores is
+// certified on its bytes. Every (tool, instance) pair, in the Figure-4
+// sweep and the case study alike, routes through the same router.Guard.
 package harness
 
 import (
@@ -297,14 +299,17 @@ func RenderFigure(w io.Writer, f *Figure) {
 	}
 }
 
-// RenderFigureCSV emits the figure as CSV for external plotting; like
-// the text table, every row carries its scored metric.
-func RenderFigureCSV(w io.Writer, f *Figure) {
+// RenderFigureCSV emits the figures' cells as one CSV table, under one
+// header, for external plotting; like the text table, every row carries
+// its device and scored metric.
+func RenderFigureCSV(w io.Writer, figs ...*Figure) {
 	fmt.Fprintln(w, "device,tool,metric,optimal,circuits,mean_swaps,mean_depth,mean_ratio,min_ratio,max_ratio,failures")
-	for _, c := range f.Cells {
-		fmt.Fprintf(w, "%s,%s,%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%d\n",
-			f.Device, c.Tool, cellMetric(c), c.Optimal, c.Circuits, c.MeanSwaps, c.MeanDepth,
-			c.MeanRatio, c.MinRatio, c.MaxRatio, c.Failures)
+	for _, f := range figs {
+		for _, c := range f.Cells {
+			fmt.Fprintf(w, "%s,%s,%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%d\n",
+				f.Device, c.Tool, cellMetric(c), c.Optimal, c.Circuits, c.MeanSwaps, c.MeanDepth,
+				c.MeanRatio, c.MinRatio, c.MaxRatio, c.Failures)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/chaos"
 	"repro/internal/family"
-	"repro/internal/router"
 )
 
 func smallSuite() SuiteConfig {
@@ -69,14 +68,15 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(sb.String(), "lightsabre") {
 		t.Error("table missing tool name")
 	}
+	// Two figures share one header.
 	sb.Reset()
-	RenderFigureCSV(&sb, fig)
-	if !strings.Contains(sb.String(), "device,tool,metric,optimal") {
-		t.Error("CSV header missing")
+	RenderFigureCSV(&sb, fig, fig)
+	if !strings.HasPrefix(sb.String(), "device,tool,metric,optimal") || strings.Count(sb.String(), "device,tool") != 1 {
+		t.Errorf("CSV wants exactly one header, first:\n%s", sb.String())
 	}
 	lines := strings.Count(sb.String(), "\n")
-	if lines != 1+len(fig.Cells) {
-		t.Errorf("CSV lines=%d want %d", lines, 1+len(fig.Cells))
+	if lines != 1+2*len(fig.Cells) {
+		t.Errorf("CSV lines=%d want %d", lines, 1+2*len(fig.Cells))
 	}
 }
 
@@ -196,28 +196,47 @@ func TestRunOptimalityStudyCtxCancelledReturnsCauseOnly(t *testing.T) {
 	}
 }
 
+// The case study routes all 100 instances of its suite, finds at least
+// one misrouted despite the optimal mapping with an example decision,
+// and reports the uniform line and the three decayed ones.
 func TestCaseStudyRuns(t *testing.T) {
-	cfg := DefaultCaseStudyConfig()
-	cfg.Instances = 3
-	cfg.TargetTwoQubitGates = 120
-	cfg.DecaySweep = []float64{0, 0.8}
-	res, err := RunCaseStudy(cfg)
+	res, err := RunCaseStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Instances != 3 {
-		t.Fatalf("instances=%d", res.Instances)
+	if res.Instances != 100 || len(res.PerInstance) != 100 {
+		t.Fatalf("instances=%d outcomes=%d, want 100", res.Instances, len(res.PerInstance))
 	}
 	if res.MeanRatio < 1 {
 		t.Errorf("mean ratio %.2f < 1", res.MeanRatio)
 	}
-	if len(res.DecayLines) != 2 {
-		t.Fatalf("decay lines=%d", len(res.DecayLines))
+	if res.Suboptimal == 0 || res.FirstMiss == nil {
+		t.Errorf("suboptimal=%d example=%v, want a misrouted instance and its decision", res.Suboptimal, res.FirstMiss)
+	}
+	var decays []float64
+	for _, l := range res.DecayLines {
+		decays = append(decays, l.Decay)
+	}
+	if !reflect.DeepEqual(decays, []float64{0, 0.5, 0.7, 0.9}) {
+		t.Fatalf("decay lines %v, want uniform, 0.5, 0.7 and 0.9", decays)
+	}
+	if u := res.DecayLines[0]; u.MeanRatio != res.MeanRatio || u.Suboptimal != res.Suboptimal {
+		t.Errorf("uniform line %+v differs from the traced pass (%.4f, %d)", u, res.MeanRatio, res.Suboptimal)
 	}
 	var sb strings.Builder
 	RenderCaseStudy(&sb, res)
 	if !strings.Contains(sb.String(), "lookahead-decay ablation") {
 		t.Error("case study rendering incomplete")
+	}
+}
+
+// A cancelled case study returns the cancellation cause and no result.
+func TestRunCaseStudyCtxCancelledReturnsCauseOnly(t *testing.T) {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunCaseStudy(dead)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("dead context: res=%v err=%v, want no result and context.Canceled", res, err)
 	}
 }
 
@@ -244,14 +263,12 @@ func TestPaperSuitesConfiguration(t *testing.T) {
 // whose result does not start from the planted mapping, fails t.
 func routeFromPlanted(t *testing.T, cfg SuiteConfig) map[string]float64 {
 	t.Helper()
-	store, st := ensureSuite(t, cfg)
+	items, err := plantedItems(ensureSuite(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	meanRatio := map[string]float64{}
-	for _, ref := range st.Instances {
-		it, li, err := loadItem(store, st, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it.initial = router.Mapping(li.Meta.InitialMapping)
+	for _, it := range items {
 		for _, spec := range DefaultTools(4) {
 			res, toolErr, err := routeOne(context.Background(), spec, it, cfg.Seed, 0, nil)
 			if err != nil || res == nil {
@@ -261,7 +278,7 @@ func routeFromPlanted(t *testing.T, cfg SuiteConfig) map[string]float64 {
 			if !reflect.DeepEqual(res.InitialMapping, it.initial) {
 				t.Errorf("%s started %s from %v, not the planted %v", spec.Name, it.ID, res.InitialMapping, it.initial)
 			}
-			meanRatio[spec.Name] += family.Swaps.Ratio(res.SwapCount, it.Optimal) / float64(len(st.Instances))
+			meanRatio[spec.Name] += family.Swaps.Ratio(res.SwapCount, it.Optimal) / float64(len(items))
 		}
 	}
 	return meanRatio
@@ -274,13 +291,18 @@ func TestAllDefaultToolsSupportPlacedRouting(t *testing.T) {
 }
 
 // From the planted mapping, LightSABRE must route no worse on average
-// than t|ket⟩, the paper's point that QUBIKOS isolates routing quality
-// from placement.
+// than t|ket⟩ and strictly better than QMAP: the paper's point that
+// QUBIKOS isolates routing quality from placement, so two tools given
+// the same optimal placement still separate.
 func TestRouterStudySeparatesToolQuality(t *testing.T) {
 	meanRatio := routeFromPlanted(t, SuiteConfig{Device: arch.RigettiAspen4(), SwapCounts: []int{5}, CircuitsPerCount: 4, TargetTwoQubitGates: 300, Seed: 9})
 	if meanRatio["lightsabre"] > meanRatio["tket"] {
 		t.Errorf("lightsabre (%.2fx) should route no worse than tket (%.2fx) from the planted mapping",
 			meanRatio["lightsabre"], meanRatio["tket"])
+	}
+	if meanRatio["qmap"] <= meanRatio["lightsabre"] {
+		t.Errorf("qmap (%.2fx) should route worse than lightsabre (%.2fx) from the planted mapping",
+			meanRatio["qmap"], meanRatio["lightsabre"])
 	}
 }
 

@@ -518,7 +518,6 @@ func (s *Solver) extract(enc *encoding, k int) (*Result, error) {
 			InitialMapping: init,
 			Transpiled:     trans,
 			SwapCount:      swaps,
-			Trials:         1,
 		},
 		BlockOfGate: block,
 		SwapEdges:   swapEdges,

@@ -160,7 +160,6 @@ func (r *Router) Route(ctx context.Context, p *router.Prepared, initial router.M
 		InitialMapping: placed,
 		Transpiled:     woven,
 		SwapCount:      swaps,
-		Trials:         1,
 	}, nil
 }
 

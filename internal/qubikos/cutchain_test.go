@@ -26,7 +26,9 @@ type corpusCase struct {
 //   - the certifications perfbench's verify-cert runs for input families 0
 //     and 1 (perfbench/verify.go: a warm-up per device at n = 4, then 8
 //     instances per device and n = 1..4);
-//   - the Section IV-A default grid at seed 1, 10 circuits per count;
+//   - the Section IV-A default grid on Aspen-4 and the 3x3 grid at seed
+//     1, 10 circuits per count, under the seed schedule the cases were
+//     pinned with (Seed + n·100,000 + i);
 //   - one PaperSuites(1, 1) suite per device (300 to 3,000 gates).
 func cutChainCorpus() []corpusCase {
 	var out []corpusCase
@@ -48,7 +50,7 @@ func cutChainCorpus() []corpusCase {
 		}
 	}
 	cfg := harness.DefaultOptimalityConfig(10, 1)
-	for _, dev := range cfg.Devices {
+	for _, dev := range small {
 		for _, n := range cfg.SwapCounts {
 			for i := 0; i < cfg.CircuitsPerCount; i++ {
 				capped(fmt.Sprintf("iv-a/%s/n%d/i%d", dev.Name(), n, i), dev, n, cfg.Seed+int64(n)*100_000+int64(i))

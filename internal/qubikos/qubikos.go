@@ -218,7 +218,6 @@ func generateOnce(dev *arch.Device, opts Options, seed int64) (*Benchmark, error
 			InitialMapping: finit.Clone(),
 			Transpiled:     sol,
 			SwapCount:      opts.NumSwaps,
-			Trials:         1,
 		},
 		OptSwaps:       opts.NumSwaps,
 		InitialMapping: finit,

@@ -79,9 +79,6 @@ type Result struct {
 	InitialMapping Mapping
 	Transpiled     *circuit.Circuit
 	SwapCount      int
-	// Trials is the number of independent attempts the tool made (for
-	// multi-trial tools such as LightSABRE); informational.
-	Trials int
 }
 
 // RoutedDepth scores the result's transpiled circuit under the

@@ -255,10 +255,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 // extended-set lower bound. A no-op Trace turns the skip off (and runs
 // one worker), so every candidate is scored in full; routing the same
 // seeded circuit without a Trace must give the same fingerprint, SWAP
-// count and work counters. A bound that rose above a candidate's exact
-// total, or that skipped a tie, would move a decision or the random
-// stream. The decayed lookahead never skips; it is covered for the
-// one-pass enumeration.
+// count and work counters, whether the router searches a placement or
+// routes from a pinned one (the case study reads its uniform-lookahead
+// ablation line off a traced pinned pass). A bound that rose above a
+// candidate's exact total, or that skipped a tie, would move a decision
+// or the random stream. The decayed lookahead never skips; it is
+// covered for the one-pass enumeration.
 func TestLowerBoundSkipMatchesFullScoring(t *testing.T) {
 	devices := []*arch.Device{
 		arch.Line(6), arch.Ring(8), arch.Grid3x3(), arch.HeavyHex(2, 5), arch.IBMEagle127(),
@@ -270,23 +272,29 @@ func TestLowerBoundSkipMatchesFullScoring(t *testing.T) {
 					nQ := dev.NumQubits()
 					// Narrower circuits leave ancillas on the device.
 					width := nQ - int(seed)%2
-					c := randomCircuit(width, min(8*nQ, 150), seed)
-					opts := sabre.Options{Trials: 3, Seed: seed, LookaheadDecay: decay}
-					skip := sabre.New(opts)
-					got, err := router.RouteWithContext(context.Background(), skip, c, dev)
+					p, err := router.Prepare(randomCircuit(width, min(8*nQ, 150), seed), dev)
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts.Trace = func(sabre.TraceStep) {}
-					full := sabre.New(opts)
-					want, err := router.RouteWithContext(context.Background(), full, c, dev)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.SwapCount != want.SwapCount || fingerprint(got) != fingerprint(want) || skip.Counters() != full.Counters() {
-						t.Errorf("%s decay %v seed %d: with the skip %d swaps, print %#x, %+v; scoring in full %d swaps, print %#x, %+v",
-							dev.Name(), decay, seed, got.SwapCount, fingerprint(got), skip.Counters(),
-							want.SwapCount, fingerprint(want), full.Counters())
+					pinned := router.Mapping(rand.New(rand.NewSource(seed)).Perm(nQ)[:width])
+					for _, initial := range []router.Mapping{nil, pinned} {
+						opts := sabre.Options{Trials: 3, Seed: seed, LookaheadDecay: decay}
+						skip := sabre.New(opts)
+						got, err := skip.Route(context.Background(), p, initial)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.Trace = func(sabre.TraceStep) {}
+						full := sabre.New(opts)
+						want, err := full.Route(context.Background(), p, initial)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.SwapCount != want.SwapCount || fingerprint(got) != fingerprint(want) || skip.Counters() != full.Counters() {
+							t.Errorf("%s decay %v seed %d initial %v: with the skip %d swaps, print %#x, %+v; scoring in full %d swaps, print %#x, %+v",
+								dev.Name(), decay, seed, initial, got.SwapCount, fingerprint(got), skip.Counters(),
+								want.SwapCount, fingerprint(want), full.Counters())
+						}
 					}
 				}
 			}

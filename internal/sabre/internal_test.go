@@ -10,6 +10,11 @@ import (
 	"repro/internal/router"
 )
 
+// newLayout pairs m with its inverse over nPhys physical qubits.
+func newLayout(m router.Mapping, nPhys int) *layout {
+	return &layout{m: m, inv: m.Inverse(nPhys)}
+}
+
 func TestLayoutSwapMaintainsInverse(t *testing.T) {
 	m := router.Mapping{2, 0, 3, 1}
 	lay := newLayout(m, 4)

@@ -248,7 +248,6 @@ dispatch:
 		InitialMapping: best.initial,
 		Transpiled:     woven,
 		SwapCount:      best.swaps,
-		Trials:         opts.Trials,
 	}, nil
 }
 
@@ -413,10 +412,6 @@ func newPassEngine(dev *arch.Device, opts Options, dagN int) *passEngine {
 type layout struct {
 	m   router.Mapping // program -> physical
 	inv []int          // physical -> program (-1 unoccupied)
-}
-
-func newLayout(m router.Mapping, nPhys int) *layout {
-	return &layout{m: m, inv: m.Inverse(nPhys)}
 }
 
 func (l *layout) swap(qa, qb int) {
