@@ -1,23 +1,21 @@
-// Benchmarks regenerating the tables and figures of the paper's
-// evaluation section (README's "Reproducing the paper's numbers" lists
-// the command behind each). Each benchmark runs a reduced-scale version
-// of its experiment per iteration and reports the headline quantity
-// (mean optimality gap, verification count) as a custom metric; scale
-// constants up via the qubikos-eval and qubikos-verify commands for
-// paper-scale runs.
+// Micro-benchmarks of the substrates the paper's experiments run on:
+// each router on one fixed instance (reporting its SWAP gap and its work
+// per route), exact SAT verification, the device distance matrix and
+// token swapping. CI runs every one once; qubikos-bench-diff gates the
+// router and BenchmarkOlsqVerify rows against BENCH_routers.json. The
+// paper's tables come from the commands that README's "Reproducing the
+// paper's numbers" lists, not from these benchmarks.
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench . -benchmem
 package repro_test
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/family"
 	"repro/internal/graph"
-	"repro/internal/harness"
 	"repro/internal/mlqls"
 	"repro/internal/olsq"
 	"repro/internal/qmap"
@@ -25,146 +23,9 @@ import (
 	"repro/internal/router"
 	"repro/internal/sabre"
 	"repro/internal/sat"
-	"repro/internal/suite"
 	"repro/internal/tket"
 	"repro/internal/tokenswap"
 )
-
-// benchStore opens a temporary suite store and ensures each suite once,
-// so a timed iteration pays for evaluation only.
-func benchStore(b *testing.B, cfgs ...harness.SuiteConfig) (*suite.Store, []*suite.Suite) {
-	b.Helper()
-	store, err := suite.Open(b.TempDir(), suite.StoreOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sts []*suite.Suite
-	for _, cfg := range cfgs {
-		st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sts = append(sts, st)
-	}
-	return store, sts
-}
-
-// benchEval evaluates a stored suite into a fresh eval log, so the
-// iteration re-routes every cell instead of resuming a finished log.
-func benchEval(b *testing.B, store *suite.Store, st *suite.Suite, tools []harness.ToolSpec, seed int64) *harness.Figure {
-	b.Helper()
-	fig, err := harness.RunStoredEvalCtx(context.Background(), store, st, tools, harness.StoredEvalOptions{
-		Seed:    seed,
-		LogPath: filepath.Join(b.TempDir(), "eval.jsonl"),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return fig
-}
-
-// benchFigure runs one reduced Figure 4 subplot per iteration.
-func benchFigure(b *testing.B, dev *arch.Device, gates int) {
-	cfg := harness.SuiteConfig{
-		Device:              dev,
-		SwapCounts:          []int{5, 10},
-		CircuitsPerCount:    1,
-		TargetTwoQubitGates: gates,
-		Seed:                1,
-	}
-	store, sts := benchStore(b, cfg)
-	tools := harness.DefaultTools(4)
-	var lastGap float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig := benchEval(b, store, sts[0], tools, cfg.Seed)
-		gaps := harness.AbstractGaps([]*harness.Figure{fig})
-		for _, g := range gaps {
-			if g.Tool == "lightsabre" {
-				lastGap = g.MeanRatio
-			}
-		}
-	}
-	b.ReportMetric(lastGap, "sabre-gap-x")
-}
-
-// BenchmarkFigure4a regenerates Figure 4(a): Rigetti Aspen-4, N=300.
-func BenchmarkFigure4a(b *testing.B) { benchFigure(b, arch.RigettiAspen4(), 300) }
-
-// BenchmarkFigure4b regenerates Figure 4(b): Google Sycamore, N=1500.
-func BenchmarkFigure4b(b *testing.B) { benchFigure(b, arch.GoogleSycamore54(), 1500) }
-
-// BenchmarkFigure4c regenerates Figure 4(c): IBM Rochester, N=1500.
-func BenchmarkFigure4c(b *testing.B) { benchFigure(b, arch.IBMRochester53(), 1500) }
-
-// BenchmarkFigure4d regenerates Figure 4(d): IBM Eagle, N=3000.
-func BenchmarkFigure4d(b *testing.B) { benchFigure(b, arch.IBMEagle127(), 3000) }
-
-// BenchmarkOptimalityStudy regenerates the Section IV-A table: exact SAT
-// certification of generated instances on Aspen-4 and the 3x3 grid.
-func BenchmarkOptimalityStudy(b *testing.B) {
-	cfg := harness.DefaultOptimalityConfig(1, 7)
-	cfg.SwapCounts = []int{1, 2, 3}
-	verified := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunOptimalityStudyCtx(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		verified = 0
-		for _, r := range rows {
-			if r.Deviation != 0 {
-				b.Fatalf("%s n=%d deviated", r.Device, r.Optimal)
-			}
-			verified += r.Verified
-		}
-	}
-	b.ReportMetric(float64(verified), "verified")
-}
-
-// BenchmarkAbstractGaps regenerates the abstract's per-tool averages over
-// two reduced subplots.
-func BenchmarkAbstractGaps(b *testing.B) {
-	cfgs := []harness.SuiteConfig{
-		{Device: arch.RigettiAspen4(), SwapCounts: []int{5, 10}, CircuitsPerCount: 1, TargetTwoQubitGates: 300, Seed: 1},
-		{Device: arch.IBMRochester53(), SwapCounts: []int{5, 10}, CircuitsPerCount: 1, TargetTwoQubitGates: 1500, Seed: 1},
-	}
-	store, sts := benchStore(b, cfgs...)
-	tools := harness.DefaultTools(4)
-	var best float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var figs []*harness.Figure
-		for j, st := range sts {
-			figs = append(figs, benchEval(b, store, st, tools, cfgs[j].Seed))
-		}
-		gaps := harness.AbstractGaps(figs)
-		best = gaps[0].MeanRatio
-		for _, g := range gaps {
-			if g.MeanRatio < best {
-				best = g.MeanRatio
-			}
-		}
-	}
-	b.ReportMetric(best, "best-tool-gap-x")
-}
-
-// BenchmarkCaseStudy regenerates the Section IV-C experiment: SABRE from
-// the optimal mapping plus the lookahead-decay ablation.
-func BenchmarkCaseStudy(b *testing.B) {
-	var sub float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunCaseStudy(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sub = float64(res.Suboptimal)
-	}
-	b.ReportMetric(sub, "suboptimal")
-}
-
-// --- micro-benchmarks of the substrates ------------------------------
 
 // benchSeed is the tool seed of every benchRoute iteration, so each
 // iteration routes the same instance the same way and a -benchtime=1x

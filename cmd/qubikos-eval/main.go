@@ -223,15 +223,27 @@ func run() (err error) {
 	}
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
+		if err := writeCSV(*csvPath, figs); err != nil {
 			return err
 		}
-		defer f.Close()
-		harness.RenderFigureCSV(f, figs...)
 		fmt.Println("wrote", *csvPath)
 	}
 	return nil
+}
+
+// writeCSV writes the figures' cells to path as CSV and returns the
+// create, write or close error, so a failed export is never reported as
+// written.
+func writeCSV(path string, figs []*harness.Figure) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := harness.RenderFigureCSV(f, figs...); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeHeapProfile snapshots the live heap into path.

@@ -1,12 +1,13 @@
-// Command qubikos-route routes a benchmark instance (written by
-// qubikos-gen) with one of the QLS tools and reports the achieved value
-// and optimality gap in the instance's family metric: SWAP count for
-// qubikos instances, routed depth for queko-depth instances (both are
-// always printed). With -from-optimal it starts the router from the
-// instance's planted optimal mapping — the paper's standalone-router
-// evaluation mode. The tool is built, seeded and audited through
-// router.Guard exactly as an evaluation cell or a portfolio racer is, so
-// the same -seed routes the same in every mode.
+// Command qubikos-route routes one stored benchmark instance (-dir is
+// the instance directory qubikos-gen prints on its "dir:" line) with one
+// of the QLS tools and reports the achieved value and optimality gap in
+// the instance's family metric: SWAP count for qubikos instances, routed
+// depth for queko-depth instances (both are always printed). With
+// -from-optimal it starts the router from the instance's planted optimal
+// mapping — the paper's standalone-router evaluation mode. The tool is
+// built, seeded and audited through router.Guard exactly as an
+// evaluation cell or a portfolio racer is, so the same -seed routes the
+// same in every mode.
 //
 // With -portfolio the command races the registered tools concurrently
 // under a -deadline budget and reports the best validated result plus a
@@ -18,12 +19,12 @@
 //
 // Usage:
 //
-//	qubikos-route -dir bench -base qubikos_aspen4_s5_g300_i000 -tool lightsabre
-//	qubikos-route -dir bench -base ... -tool tket -from-optimal
-//	qubikos-route -dir bench -base ... -tool qmap -timeout 30s
-//	qubikos-route -dir bench -base ... -trace out.json
-//	qubikos-route -dir bench -base ... -portfolio -deadline 5s -threshold 1.2
-//	qubikos-route -dir bench -base ... -portfolio -tools lightsabre,tket -hedge 0
+//	qubikos-route -dir <dir> -base s005_i000 -tool lightsabre
+//	qubikos-route -dir <dir> -base ... -tool tket -from-optimal
+//	qubikos-route -dir <dir> -base ... -tool qmap -timeout 30s
+//	qubikos-route -dir <dir> -base ... -trace out.json
+//	qubikos-route -dir <dir> -base ... -portfolio -deadline 5s -threshold 1.2
+//	qubikos-route -dir <dir> -base ... -portfolio -tools lightsabre,tket -hedge 0
 package main
 
 import (
@@ -45,7 +46,17 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", ".", "directory holding the instance files")
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "qubikos-route:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns its error instead of exiting, so
+// the deferred trace write runs on every exit path, a failed routing's
+// included.
+func run() (err error) {
+	dir := flag.String("dir", ".", "instance directory: the dir: line qubikos-gen prints")
 	base := flag.String("base", "", "instance base name (without .qasm/.json)")
 	tool := flag.String("tool", "lightsabre", "lightsabre, ml-qls, qmap, tket, vf2-ts")
 	trials := flag.Int("trials", 32, "LightSABRE trials")
@@ -61,11 +72,11 @@ func main() {
 	flag.Parse()
 
 	if *base == "" {
-		fatal(fmt.Errorf("-base is required"))
+		return fmt.Errorf("-base is required")
 	}
 	inst, err := family.ReadInstance(*dir, *base)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// The routing honours SIGINT/SIGTERM through one context, which every
@@ -73,21 +84,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var tr *obs.Trace
 	if *tracePath != "" {
-		tr = obs.New(0)
+		tr := obs.New(0)
 		ctx = obs.NewContext(ctx, tr)
+		defer func() {
+			if werr := obs.WriteChromeFile(tr, *tracePath, os.Stdout, os.Stderr); err == nil {
+				err = werr
+			}
+		}()
 	}
 
 	if *usePortfolio {
-		err := runPortfolio(ctx, inst, *base, *toolsList, *trials, *seed, *deadline, *hedge, *timeout, *threshold)
-		if terr := obs.WriteChromeFile(tr, *tracePath, os.Stdout, os.Stderr); terr != nil {
-			fatal(terr)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
+		return runPortfolio(ctx, inst, *base, *toolsList, *trials, *seed, *deadline, *hedge, *timeout, *threshold)
 	}
 
 	// The harness's four paper tools plus the Section III-C VF2 +
@@ -107,7 +115,7 @@ func main() {
 	if spec == nil {
 		// An unknown tool is rejected with the registry listed — never
 		// silently mapped to a default.
-		fatal(fmt.Errorf("unknown tool %q (registered: %s)", *tool, strings.Join(names, ", ")))
+		return fmt.Errorf("unknown tool %q (registered: %s)", *tool, strings.Join(names, ", "))
 	}
 
 	var initial router.Mapping
@@ -116,7 +124,7 @@ func main() {
 	}
 	p, err := router.Prepare(inst.Circuit, inst.Device)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	metric := inst.Family.Metric
 	// The attempt runs guarded like an evaluation cell or a portfolio
@@ -136,15 +144,12 @@ func main() {
 		Span:     &sp,
 	})
 	sp.End()
-	if err := obs.WriteChromeFile(tr, *tracePath, os.Stdout, os.Stderr); err != nil {
-		fatal(err)
-	}
 	switch out.Kind {
 	case router.OutcomeOK:
 	case router.OutcomeTimeout:
-		fatal(fmt.Errorf("routing exceeded the -timeout budget %v", *timeout))
+		return fmt.Errorf("routing exceeded the -timeout budget %v", *timeout)
 	default:
-		fatal(fmt.Errorf("%s: %w", spec.Name, out.Err))
+		return fmt.Errorf("%s: %w", spec.Name, out.Err)
 	}
 	res := out.Result
 
@@ -157,6 +162,7 @@ func main() {
 	fmt.Printf("%s (%s): %d SWAPs, routed depth %d -> %s gap %.2fx\n",
 		res.Tool, mode, res.SwapCount, res.RoutedDepth(), metric,
 		metric.Ratio(metric.Achieved(res), inst.Meta.Optimal()))
+	return nil
 }
 
 // runPortfolio races the selected tools over the instance and prints
@@ -218,9 +224,4 @@ func runPortfolio(ctx context.Context, inst *family.Loaded, base, toolsList stri
 		fmt.Println(line)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qubikos-route:", err)
-	os.Exit(1)
 }

@@ -52,15 +52,17 @@ func TestCommandPipeline(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bins := buildCmds(t)
-	work := t.TempDir()
+	cache, scratch := t.TempDir(), t.TempDir()
 
-	// Generate two instances.
+	// Generate a two-instance suite; the printed instance directory is
+	// where qubikos-route and qubikos-verify -qasm read it.
 	out := run(t, filepath.Join(bins, "qubikos-gen"),
-		"-arch", "aspen4", "-swaps", "3", "-gates", "80", "-count", "2",
-		"-seed", "5", "-out", work)
+		"-cache-dir", cache, "-arch", "aspen4", "-swaps", "3", "-gates", "80", "-count", "2",
+		"-seed", "5")
 	if !strings.Contains(out, "optimal swaps 3") {
 		t.Fatalf("gen output unexpected:\n%s", out)
 	}
+	work := instanceDirOf(t, out)
 	entries, err := os.ReadDir(work)
 	if err != nil {
 		t.Fatal(err)
@@ -112,11 +114,11 @@ func TestCommandPipeline(t *testing.T) {
 	// A tiny eval run across one architecture.
 	out = run(t, filepath.Join(bins, "qubikos-eval"),
 		"-arch", "aspen4", "-circuits", "1", "-trials", "2", "-swaps", "2,3",
-		"-csv", filepath.Join(work, "cells.csv"))
+		"-csv", filepath.Join(scratch, "cells.csv"))
 	if !strings.Contains(out, "lightsabre") || !strings.Contains(out, "Average optimality gap") {
 		t.Fatalf("eval output unexpected:\n%s", out)
 	}
-	csv, err := os.ReadFile(filepath.Join(work, "cells.csv"))
+	csv, err := os.ReadFile(filepath.Join(scratch, "cells.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +145,12 @@ func TestRouteSeedParity(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bins := buildCmds(t, "qubikos-gen", "qubikos-route")
-	work := t.TempDir()
-	run(t, filepath.Join(bins, "qubikos-gen"),
-		"-arch", "aspen4", "-swaps", "3", "-gates", "80", "-count", "2",
-		"-seed", "5", "-out", work)
+	work := instanceDirOf(t, run(t, filepath.Join(bins, "qubikos-gen"),
+		"-cache-dir", t.TempDir(), "-arch", "aspen4", "-swaps", "3", "-gates", "80", "-count", "2",
+		"-seed", "5"))
 	swaps := regexp.MustCompile(`(\d+) SWAPs`)
 	route := func(args ...string) string {
-		args = append([]string{"-dir", work, "-base", "qubikos_aspen4_s3_g80_i000", "-trials", "8", "-seed", "1"}, args...)
+		args = append([]string{"-dir", work, "-base", "s003_i000", "-trials", "8", "-seed", "1"}, args...)
 		out := run(t, filepath.Join(bins, "qubikos-route"), args...)
 		m := swaps.FindStringSubmatch(out)
 		if m == nil {
@@ -211,6 +212,17 @@ func TestEvalWithoutCacheDir(t *testing.T) {
 	if err == nil || !strings.Contains(out, "Average optimality gap") {
 		t.Fatalf("eval -csv into a missing directory: err=%v, want a failure after evaluating\n%s", err, out)
 	}
+
+	// A CSV whose writes fail fails the run and is never reported as
+	// written: /dev/full accepts the open and rejects every write.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Logf("no /dev/full (%v); the CSV write-error case is not run", err)
+		return
+	}
+	out, err = eval("-tools", "lightsabre", "-csv", "/dev/full")
+	if err == nil || strings.Contains(out, "wrote /dev/full") {
+		t.Fatalf("eval -csv /dev/full: err=%v, want a non-zero exit without \"wrote\"\n%s", err, out)
+	}
 }
 
 // TestSuitePipeline drives the content-addressed store the way a user
@@ -225,7 +237,7 @@ func TestSuitePipeline(t *testing.T) {
 	bins := buildCmds(t)
 	cache := t.TempDir()
 
-	genArgs := []string{"-suite", "-cache-dir", cache, "-arch", "grid3x3",
+	genArgs := []string{"-cache-dir", cache, "-arch", "grid3x3",
 		"-swaps", "1,2", "-gates", "20", "-max-gates", "30",
 		"-prefer-high-degree", "-count", "1", "-seed", "3"}
 	out := run(t, filepath.Join(bins, "qubikos-gen"), genArgs...)
@@ -310,7 +322,7 @@ func restampInstanceFile(t *testing.T, suiteDir, name string, b []byte) {
 	}
 }
 
-// suiteHashOf returns the suite content hash qubikos-gen -suite printed.
+// suiteHashOf returns the suite content hash qubikos-gen printed.
 func suiteHashOf(t *testing.T, out string) string {
 	t.Helper()
 	for _, f := range strings.Fields(out) {
@@ -322,6 +334,19 @@ func suiteHashOf(t *testing.T, out string) string {
 	return ""
 }
 
+// instanceDirOf returns the instance directory qubikos-gen printed on
+// its "dir:" line.
+func instanceDirOf(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if dir, ok := strings.CutPrefix(strings.TrimSpace(line), "dir: "); ok {
+			return dir
+		}
+	}
+	t.Fatalf("no dir: line in output:\n%s", out)
+	return ""
+}
+
 // An elapsed -timeout is reported as the budget it is in every
 // certification mode, not as a raw context error.
 func TestVerifyTimeoutNamesBudget(t *testing.T) {
@@ -329,20 +354,15 @@ func TestVerifyTimeoutNamesBudget(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bins := buildCmds(t, "qubikos-gen", "qubikos-verify")
-	work, cache := t.TempDir(), t.TempDir()
-	run(t, filepath.Join(bins, "qubikos-gen"),
-		"-arch", "aspen4", "-swaps", "3", "-gates", "30", "-count", "1", "-seed", "5", "-out", work)
-	qasms, err := filepath.Glob(filepath.Join(work, "*[0-9].qasm"))
-	if err != nil || len(qasms) != 1 {
-		t.Fatalf("generated circuits %v (err %v), want one", qasms, err)
-	}
-	hash := suiteHashOf(t, run(t, filepath.Join(bins, "qubikos-gen"),
-		"-suite", "-cache-dir", cache, "-arch", "grid3x3", "-swaps", "1", "-gates", "20",
-		"-max-gates", "30", "-prefer-high-degree", "-count", "1", "-seed", "3"))
+	cache := t.TempDir()
+	out := run(t, filepath.Join(bins, "qubikos-gen"),
+		"-cache-dir", cache, "-arch", "grid3x3", "-swaps", "1", "-gates", "20",
+		"-max-gates", "30", "-prefer-high-degree", "-count", "1", "-seed", "3")
+	hash, qasm := suiteHashOf(t, out), filepath.Join(instanceDirOf(t, out), "s001_i000.qasm")
 
 	for mode, args := range map[string][]string{
 		"study":       {"-circuits", "1", "-swaps", "1"},
-		"qasm":        {"-qasm", qasms[0], "-arch", "aspen4", "-claim", "3"},
+		"qasm":        {"-qasm", qasm, "-arch", "grid3x3", "-claim", "1"},
 		"suite":       {"-cache-dir", cache, "-suite", hash},
 		"depth study": {"-family", "queko-depth", "-depths", "2", "-circuits", "1"},
 	} {
@@ -376,9 +396,13 @@ func TestCommandErrors(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bins := buildCmds(t)
+	// Each rejected qubikos-gen flag fails before the store opens, so
+	// its fresh -cache-dir is never created.
+	genCache := filepath.Join(t.TempDir(), "never-created")
 	cases := [][]string{
-		{filepath.Join(bins, "qubikos-gen"), "-arch", "nonexistent"},
-		{filepath.Join(bins, "qubikos-gen"), "-family", "warp-core"},             // unknown family
+		{filepath.Join(bins, "qubikos-gen"), "-cache-dir", genCache, "-arch", "nonexistent"},
+		{filepath.Join(bins, "qubikos-gen"), "-cache-dir", genCache, "-family", "warp-core"}, // unknown family
+
 		{filepath.Join(bins, "qubikos-route"), "-tool", "lightsabre"},            // missing -base
 		{filepath.Join(bins, "qubikos-route"), "-base", "x", "-tool", "bogus"},   // unknown tool
 		{filepath.Join(bins, "qubikos-eval"), "-arch", "grid3x3"},                // not a Figure-4 device
@@ -389,7 +413,7 @@ func TestCommandErrors(t *testing.T) {
 		// Grid values parse whole: "1e3" is not 1, "2x" not 2, "5.9" not 5.
 		{filepath.Join(bins, "qubikos-eval"), "-arch", "aspen4", "-circuits", "1", "-trials", "1", "-tools", "tket", "-swaps", "1e3"},
 		{filepath.Join(bins, "qubikos-verify"), "-circuits", "1", "-swaps", "2x"},
-		{filepath.Join(bins, "qubikos-gen"), "-swaps", "5.9"},
+		{filepath.Join(bins, "qubikos-gen"), "-cache-dir", genCache, "-swaps", "5.9"},
 		// A repeated tool would route every instance twice.
 		{filepath.Join(bins, "qubikos-eval"), "-arch", "aspen4", "-swaps", "5", "-circuits", "1", "-trials", "2", "-tools", "tket,tket"},
 	}
@@ -397,6 +421,9 @@ func TestCommandErrors(t *testing.T) {
 		cmd := exec.Command(c[0], c[1:]...)
 		if err := cmd.Run(); err == nil {
 			t.Errorf("%v: expected failure", c)
+		}
+		if _, err := os.Stat(genCache); !os.IsNotExist(err) {
+			t.Fatalf("%v: a rejected run left a store at -cache-dir (stat err %v)", c, err)
 		}
 	}
 
@@ -428,7 +455,7 @@ func TestDepthSuitePipeline(t *testing.T) {
 	bins := buildCmds(t)
 	cache := t.TempDir()
 
-	genArgs := []string{"-suite", "-cache-dir", cache, "-arch", "grid3x3",
+	genArgs := []string{"-cache-dir", cache, "-arch", "grid3x3",
 		"-family", "queko-depth", "-depths", "3,5", "-gates", "12",
 		"-count", "2", "-seed", "3"}
 	out := run(t, filepath.Join(bins, "qubikos-gen"), genArgs...)

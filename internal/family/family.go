@@ -5,9 +5,9 @@
 // instance's serialized bytes: the witness for the upper bound, the
 // circuit's structure for the lower bound. No check reads generator
 // metadata. Loading runs only the sidecar cross-checks (Loaded.Check);
-// Certify runs on the bytes a generation just wrote (the store and
-// qubikos-gen with verification on, and the Section IV-A study) and on
-// every instance qubikos-verify -suite loads. The content-addressed
+// Certify runs on the bytes a store generation just wrote when
+// verification is on (qubikos-gen turns it on by default) and on every
+// instance the Section IV-A study and qubikos-verify -suite load. The content-addressed
 // suite store, the evaluation harness, the HTTP server and every CLI
 // dispatch on family IDs registered here, so adding a benchmark family
 // (noise-aware, near-optimal QUEKNO-style, ...) is one Register call plus

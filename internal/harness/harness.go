@@ -301,16 +301,21 @@ func RenderFigure(w io.Writer, f *Figure) {
 
 // RenderFigureCSV emits the figures' cells as one CSV table, under one
 // header, for external plotting; like the text table, every row carries
-// its device and scored metric.
-func RenderFigureCSV(w io.Writer, figs ...*Figure) {
-	fmt.Fprintln(w, "device,tool,metric,optimal,circuits,mean_swaps,mean_depth,mean_ratio,min_ratio,max_ratio,failures")
+// its device and scored metric. It returns the first write error.
+func RenderFigureCSV(w io.Writer, figs ...*Figure) error {
+	if _, err := fmt.Fprintln(w, "device,tool,metric,optimal,circuits,mean_swaps,mean_depth,mean_ratio,min_ratio,max_ratio,failures"); err != nil {
+		return err
+	}
 	for _, f := range figs {
 		for _, c := range f.Cells {
-			fmt.Fprintf(w, "%s,%s,%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%d\n",
+			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%d\n",
 				f.Device, c.Tool, cellMetric(c), c.Optimal, c.Circuits, c.MeanSwaps, c.MeanDepth,
-				c.MeanRatio, c.MinRatio, c.MaxRatio, c.Failures)
+				c.MeanRatio, c.MinRatio, c.MaxRatio, c.Failures); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // cellMetric resolves a cell's metric label, defaulting pre-registry

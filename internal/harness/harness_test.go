@@ -70,13 +70,43 @@ func TestRenderers(t *testing.T) {
 	}
 	// Two figures share one header.
 	sb.Reset()
-	RenderFigureCSV(&sb, fig, fig)
+	if err := RenderFigureCSV(&sb, fig, fig); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.HasPrefix(sb.String(), "device,tool,metric,optimal") || strings.Count(sb.String(), "device,tool") != 1 {
 		t.Errorf("CSV wants exactly one header, first:\n%s", sb.String())
 	}
 	lines := strings.Count(sb.String(), "\n")
 	if lines != 1+2*len(fig.Cells) {
 		t.Errorf("CSV lines=%d want %d", lines, 1+2*len(fig.Cells))
+	}
+}
+
+// failAfter accepts n writes, then fails every later one.
+type failAfter struct{ n int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errWriteFailed
+	}
+	w.n--
+	return len(p), nil
+}
+
+// RenderFigureCSV returns the first write error, whether the header or
+// a row fails, so a CSV export that did not reach its file never passes
+// for written.
+func TestRenderFigureCSVReturnsWriteError(t *testing.T) {
+	fig := &Figure{Device: "aspen4", Cells: []Cell{{Tool: "lightsabre", Optimal: 2, Circuits: 1}, {Tool: "tket", Optimal: 2, Circuits: 1}}}
+	for _, n := range []int{0, 1, 2} { // the header, the first row, the last row
+		if err := RenderFigureCSV(&failAfter{n: n}, fig); !errors.Is(err, errWriteFailed) {
+			t.Errorf("writer failing after %d writes: err=%v, want %v", n, err, errWriteFailed)
+		}
+	}
+	if err := RenderFigureCSV(&failAfter{n: 3}, fig); err != nil {
+		t.Errorf("writer taking all 3 lines: err=%v, want nil", err)
 	}
 }
 
@@ -350,7 +380,9 @@ func TestRunFigureDepthFamily(t *testing.T) {
 		t.Error("text table missing the depth metric label")
 	}
 	sb.Reset()
-	RenderFigureCSV(&sb, fig)
+	if err := RenderFigureCSV(&sb, fig); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(sb.String(), ",depth,") {
 		t.Error("CSV rows missing the depth metric label")
 	}
